@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from .errors import DefinitenessError, DimensionError, MembershipError
+from .errors import DefinitenessError, DimensionError, FormatError, MembershipError
 from .gram import GramMatrix
 from .intmat import IntegerMatrix, determinant, integer_kernel_basis
 from .matroid import RegularMatroid, circuits, coordinatize, first_base
@@ -71,7 +71,10 @@ def parse_flow_vector(text: str) -> FlowVector:
         line = line.split("#", 1)[0].strip()
         if line:
             tokens.extend(line.replace(",", " ").split())
-    return FlowVector.of(int(t) for t in tokens)
+    try:
+        return FlowVector.of(int(t) for t in tokens)
+    except ValueError as exc:
+        raise FormatError(f"non-integer token in vector text: {exc}") from exc
 
 
 def gram_of(columns) -> GramMatrix:
@@ -329,7 +332,7 @@ def is_simple_metric(lat: FlowLattice, alpha) -> SimpleMetricResult:
         if len(x) != lat.lattice_rank:
             raise DimensionError("coefficient length differs from lattice rank")
     if not any(x):
-        raise ValueError("simple elements are nonzero")
+        raise FormatError("simple elements are nonzero")
     g = lat.gram.mat.entries
     s = lat.lattice_rank
     bound = sum(g[i][j] * x[i] * x[j] for i in range(s) for j in range(s))

@@ -131,6 +131,8 @@ class IntegerMatrix:
     def hstack(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.rows != other.rows:
             raise DimensionError("hstack: row counts differ")
+        if not self.entries:
+            return IntegerMatrix((), empty_cols=self.cols + other.cols)
         return IntegerMatrix.from_rows(
             [a + b for a, b in zip(self.entries, other.entries)]
         )

@@ -39,7 +39,17 @@ def iso_bound(override: int | None = None) -> int:
 
 @dataclass(frozen=True)
 class RegularMatroid:
-    """Ground-set labels plus a full-row-rank TU representation matrix."""
+    """Ground-set labels plus a full-row-rank TU representation matrix.
+
+    `circuits`, `loops_and_coloops` and `_independent_row_subset` read
+    the matroid off the representation mod 2.  That is exact only
+    because the representation is TU: every square submatrix has
+    determinant 0 or +-1, so a set of columns (or rows) is independent
+    over the rationals iff it is independent over GF(2) (Camion 1965).
+    `from_rep` checks TU unless `validate=False`; every internal
+    `validate=False` construction is TU by construction (incidence
+    matrices, column and row selections, `[-L^T I]` duals).
+    """
 
     ground: tuple[str, ...]
     rep: IntegerMatrix
@@ -82,16 +92,39 @@ class RegularMatroid:
         return header + labels + self.rep.text()
 
 
+def _gf2_echelon(rep: IntegerMatrix) -> tuple[list[int], list[int]]:
+    """Row-reduce rep mod 2 by XOR on int bitmasks (bit j = column j).
+
+    Returns the rows kept greedily in order (each is nonzero after
+    reduction by the rows kept before it) and a cycle-space basis: one
+    bitmask per non-pivot column c, holding c and the pivot columns
+    whose reduced rows have a 1 in column c.
+    """
+    reduced: dict[int, int] = {}        # pivot column -> reduced row
+    kept: list[int] = []
+    for i, row in enumerate(rep.entries):
+        v = sum(1 << j for j, x in enumerate(row) if x & 1)
+        for c, p in reduced.items():
+            if v >> c & 1:
+                v ^= p
+        if not v:
+            continue
+        c = (v & -v).bit_length() - 1
+        for d, p in reduced.items():
+            if p >> c & 1:
+                reduced[d] = p ^ v
+        reduced[c] = v
+        kept.append(i)
+    cycles = [
+        (1 << c) | sum(1 << d for d, p in reduced.items() if p >> c & 1)
+        for c in range(rep.cols) if c not in reduced
+    ]
+    return kept, cycles
+
+
 def _independent_row_subset(m: IntegerMatrix) -> list[int]:
     """Greedy maximal set of linearly independent rows, in order."""
-    kept: list[int] = []
-    r = 0
-    for i in range(m.rows):
-        cand = m.select_rows(kept + [i])
-        if rank(cand) > r:
-            kept.append(i)
-            r += 1
-    return kept
+    return _gf2_echelon(m)[0]
 
 
 def from_graph(edges, labels=None) -> RegularMatroid:
@@ -185,22 +218,34 @@ def first_base(m: RegularMatroid) -> tuple[int, ...]:
 
 
 def _integer_inverse(z: IntegerMatrix) -> IntegerMatrix:
-    """Inverse of a square integer matrix with determinant +-1 (adjugate)."""
+    """Inverse of a square integer matrix with determinant +-1.
+
+    One fraction-free (Bareiss) Gauss-Jordan pass over [z | I]: it ends
+    at [d I | adj], where d is the determinant up to the sign of the row
+    swaps and adj is d times the inverse.
+    """
     n = z.rows
-    d = determinant(z)
-    if abs(d) != 1:
-        raise NotABaseError(tuple(range(n)), f"determinant {d} is not a unit")
     if n == 0:
         return z
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = z.submatrix(
-                [r for r in range(n) if r != j],
-                [c for c in range(n) if c != i],
-            )
-            adj[i][j] = (-1) ** (i + j) * determinant(minor)
-    return IntegerMatrix.from_rows(adj).scale(d)
+    a = [list(row) + [int(i == j) for j in range(n)]
+         for i, row in enumerate(z.entries)]
+    sign, prev = 1, 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][k]), None)
+        if pivot is None:
+            raise NotABaseError(tuple(range(n)), "determinant 0 is not a unit")
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        p, pk = a[k][k], a[k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pk)]
+        prev = p
+    if abs(prev) != 1:
+        raise NotABaseError(tuple(range(n)), f"determinant {sign * prev} is not a unit")
+    return IntegerMatrix.from_rows([[prev * x for x in row[n:]] for row in a])
 
 
 @dataclass(frozen=True)
@@ -245,18 +290,25 @@ def dual(m: RegularMatroid, base=None) -> RegularMatroid:
 
 @lru_cache(maxsize=None)
 def _circuits_cached(m: RegularMatroid) -> tuple[tuple[int, ...], ...]:
-    found: list[tuple[int, ...]] = []
-    found_sets: list[frozenset] = []
-    n = m.size
-    for size in range(1, n + 1):
-        for combo in itertools.combinations(range(n), size):
-            cs = set(combo)
-            if any(f <= cs for f in found_sets):
-                continue
-            if subset_rank(m, combo) < size:
-                found.append(combo)
-                found_sets.append(frozenset(combo))
-    return tuple(found)
+    """Minimal nonempty supports of the GF(2) cycle space.
+
+    Every cycle-space vector is visited once by Gray-code XOR over the
+    basis; in popcount order a vector is a circuit iff it contains no
+    circuit found before it.
+    """
+    _, basis = _gf2_echelon(m.rep)
+    vectors = [0] * (1 << len(basis))
+    for i in range(1, len(vectors)):
+        vectors[i] = vectors[i - 1] ^ basis[(i & -i).bit_length() - 1]
+    vectors.sort(key=int.bit_count)
+    found: list[int] = []
+    for v in vectors[1:]:
+        if not any(c & v == c for c in found):
+            found.append(v)
+    return tuple(sorted(
+        (tuple(j for j in range(m.size) if v >> j & 1) for v in found),
+        key=lambda c: (len(c), c),
+    ))
 
 
 def circuits(m: RegularMatroid, bound: int | None = None) -> tuple[tuple[int, ...], ...]:
@@ -268,13 +320,14 @@ def circuits(m: RegularMatroid, bound: int | None = None) -> tuple[tuple[int, ..
 
 
 def loops_and_coloops(m: RegularMatroid) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Zero columns, and the columns that no cycle-space vector touches."""
     loops = tuple(
         j for j in range(m.size) if all(x == 0 for x in m.rep.column(j))
     )
-    coloops = tuple(
-        j for j in range(m.size)
-        if subset_rank(m, [e for e in range(m.size) if e != j]) < m.rank
-    )
+    touched = 0
+    for v in _gf2_echelon(m.rep)[1]:
+        touched |= v
+    coloops = tuple(j for j in range(m.size) if not touched >> j & 1)
     return loops, coloops
 
 

@@ -12,6 +12,7 @@ from .intmat import IntegerMatrix, determinant
 from .matroid import (
     IsomorphismResult,
     RegularMatroid,
+    _integer_inverse,
     contract_coloops,
     delete_loops,
     dual,
@@ -28,12 +29,6 @@ def _first_unimodular_square(u: IntegerMatrix) -> tuple[int, ...]:
     raise FlowLatticeError("certificate has deficient column rank")
 
 
-def _integer_inverse_unit(z: IntegerMatrix) -> IntegerMatrix:
-    from .matroid import _integer_inverse
-
-    return _integer_inverse(z)
-
-
 def to_g_positive_basis(a: GramMatrix, certificate: IntegerMatrix) -> tuple[IntegerMatrix, GramMatrix]:
     """Change of basis turning a TU certificate into one containing I_s.
 
@@ -42,7 +37,7 @@ def to_g_positive_basis(a: GramMatrix, certificate: IntegerMatrix) -> tuple[Inte
     its Gram matrix gains strictly positive singleton values.
     """
     z_rows = _first_unimodular_square(certificate)
-    f = _integer_inverse_unit(certificate.select_rows(z_rows))
+    f = _integer_inverse(certificate.select_rows(z_rows))
     q = certificate * f
     gram_q = GramMatrix(q.transpose() * q)
     cls = classify(gram_q)

@@ -99,6 +99,16 @@ class TestDecomposeAndSimple:
         assert run(["decompose", f, "1 0 0"]) == 2
         assert "ERROR NOT-IN-LATTICE" in capsys.readouterr().out
 
+    def test_decompose_rejects_non_integer_vector(self, tmp_path, capsys):
+        f = graph_file(tmp_path, "t.graph", TRIANGLE)
+        assert run(["decompose", f, "a b c"]) == 2
+        assert "ERROR BAD-INPUT" in capsys.readouterr().out
+
+    def test_simple_rejects_zero_vector(self, tmp_path, capsys):
+        f = graph_file(tmp_path, "t.graph", TRIANGLE)
+        assert run(["simple", f, "0 0 0"]) == 2
+        assert "ERROR BAD-INPUT" in capsys.readouterr().out
+
     def test_simple_yes(self, tmp_path, capsys):
         f = graph_file(tmp_path, "t.graph", TRIANGLE)
         assert run(["simple", f, "1 1 1"]) == 0

@@ -3,10 +3,12 @@ import random
 
 import pytest
 
+import flowlattice.matroid as matroid_module
 from flowlattice.errors import BoundExceededError, FormatError, NotABaseError
-from flowlattice.intmat import IntegerMatrix, is_totally_unimodular, rank
+from flowlattice.intmat import IntegerMatrix, determinant, is_totally_unimodular, rank
 from flowlattice.matroid import (
     RegularMatroid,
+    _integer_inverse,
     bases,
     circuits,
     contract_coloops,
@@ -32,6 +34,52 @@ from conftest import (
     graph_cycles,
     u1n,
 )
+from rank_oracles import (
+    circuits_by_rank,
+    coloops_by_rank,
+    incidence_rep_by_rank,
+)
+
+K5 = list(itertools.combinations(range(5), 2))
+K33 = [(a, b) for a in range(3) for b in range(3, 6)]
+PETERSEN = (
+    [(i, (i + 1) % 5) for i in range(5)]
+    + [(i, i + 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+)
+# R10: regular, but neither graphic nor cographic
+R10_A = [
+    [-1, 1, 0, 0, 1],
+    [1, -1, 1, 0, 0],
+    [0, 1, -1, 1, 0],
+    [0, 0, 1, -1, 1],
+    [1, 0, 0, 1, -1],
+]
+
+
+def r10():
+    rows = [[int(i == j) for j in range(5)] + R10_A[i] for i in range(5)]
+    return RegularMatroid.from_rep(
+        tuple(f"e{i + 1}" for i in range(10)), IntegerMatrix.from_rows(rows)
+    )
+
+
+def random_multigraph(rng):
+    """Up to 9 edges over up to 5 vertices, with a self-loop, a parallel
+    edge and a pendant (bridge) edge each added with probability 1/2."""
+    nv = rng.randint(1, 5)
+    edges = [(rng.randint(1, nv), rng.randint(1, nv))
+             for _ in range(rng.randint(1, 6))]
+    if rng.random() < 0.5:
+        v = rng.randint(1, nv)
+        edges.append((v, v))
+    if rng.random() < 0.5:
+        t, h = rng.choice(edges)
+        edges.append((h, t))
+    if rng.random() < 0.5:
+        edges.append((rng.randint(1, nv), nv + 1))
+    rng.shuffle(edges)
+    return edges
 
 
 class TestConstruction:
@@ -126,6 +174,82 @@ class TestCircuits:
             circuits(m, bound=3)
 
 
+class TestAgainstRankOracles:
+    """Exact equality (values and order) with the per-subset rank routines."""
+
+    @staticmethod
+    def check(m):
+        assert circuits(m) == circuits_by_rank(m)
+        assert loops_and_coloops(m)[1] == coloops_by_rank(m)
+
+    def test_random_multigraphs_and_duals(self, rng):
+        for _ in range(200):
+            edges = random_multigraph(rng)
+            m = from_graph(edges)
+            assert m.rep == incidence_rep_by_rank(edges)
+            self.check(m)
+            self.check(dual(m))
+
+    def test_r10_and_dual(self):
+        m = r10()
+        self.check(m)
+        self.check(dual(m))
+        assert len(circuits(m)) == 30
+
+    @pytest.mark.parametrize("m", [
+        u1n(5),
+        RegularMatroid.from_rep(("a", "b", "c"), IntegerMatrix((), empty_cols=3)),
+        from_graph([(1, 2), (2, 3), (2, 4), (4, 5)]),
+    ], ids=["u1n", "all-loops", "forest"])
+    def test_degenerate(self, m):
+        self.check(m)
+        self.check(dual(m))
+
+
+class TestNoPerSubsetRank:
+    """Circuits, co-loops and row selection never rank a column or row subset."""
+
+    @pytest.mark.parametrize("edges", [K5, K33, PETERSEN],
+                             ids=["K5", "K33", "Petersen"])
+    def test_succeeds_without_rank(self, edges, monkeypatch):
+        def boom(*args):
+            raise AssertionError("per-subset rank called")
+
+        monkeypatch.setattr(matroid_module, "rank", boom)
+        monkeypatch.setattr(matroid_module, "subset_rank", boom)
+        # fresh labels, so the lru caches cannot answer from an earlier test
+        graph = edges + [(0, 99)]
+        m = from_graph(graph, labels=[f"guard{j}" for j in range(len(graph))])
+        assert circuits(m)
+        assert loops_and_coloops(m) == ((), (len(edges),))
+        assert contract_coloops(m).size == len(edges)
+
+    def test_petersen_against_cycle_oracle(self):
+        got = circuits(from_graph(PETERSEN))
+        assert {frozenset(c) for c in got} == graph_cycles(PETERSEN)
+        assert len(got) == 57
+
+
+class TestIntegerInverse:
+    def test_inverts_unimodular(self, rng):
+        for _ in range(50):
+            n = rng.randint(2, 6)
+            rows = [[int(i == j) for j in range(n)] for i in range(n)]
+            for _ in range(3 * n):
+                i, j = rng.sample(range(n), 2)
+                c = rng.choice([-1, 1])
+                rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+            rng.shuffle(rows)
+            z = IntegerMatrix.from_rows(rows)
+            assert _integer_inverse(z) * z == IntegerMatrix.identity(n)
+
+    @pytest.mark.parametrize("rows", [[[1, 1], [-1, 1]], [[1, 2], [2, 4]]])
+    def test_rejects_non_unit(self, rows):
+        z = IntegerMatrix.from_rows(rows)
+        with pytest.raises(NotABaseError, match=f"determinant {determinant(z)} "):
+            _integer_inverse(z)
+
+
 class TestMinors:
     def test_loops_and_coloops(self):
         # e2 is a self-loop, e4 is a cut-edge
@@ -179,6 +303,11 @@ class TestDual:
                 i for i in range(k4.size) if k4.ground[i] not in labels
             ))
         assert got == {frozenset(b) for b in bases(k4)}
+
+    def test_forest_dual_is_all_loops(self):
+        d = dual(from_graph(PATH2))
+        assert (d.rank, d.size) == (0, 2)
+        assert loops_and_coloops(d) == ((0, 1), ())
 
     def test_triangle_dual_is_triple_edge(self, triangle):
         d = dual(triangle)
