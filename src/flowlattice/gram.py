@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import BoundExceededError, DimensionError, FormatError
+from .errors import BoundExceededError, DimensionError, FlowLatticeError, FormatError
 from .intmat import (
     IntegerMatrix,
     _env_bound,
@@ -75,7 +75,10 @@ def parse_gram(text: str) -> GramMatrix:
     head = lines[0].split()
     if len(head) != 2:
         raise FormatError("gram header must be 'gram s'")
-    s = int(head[1])
+    try:
+        s = int(head[1])
+    except ValueError as exc:
+        raise FormatError(f"non-integer order in gram header: {exc}") from exc
     mat = parse_matrix(f"{s} {s}\n" + "\n".join(lines[1:]))
     return GramMatrix(mat)
 
@@ -249,33 +252,31 @@ class Classification:
         return self.g_nonnegative
 
 
-def classify(a: GramMatrix, bound: int | None = None) -> Classification:
+def _classify_table(a: GramMatrix, bound: int | None) -> tuple[Classification, list[int]]:
+    """The classification together with the g table it was read from."""
     s = a.order
     g = g_table(a, bound)
     for mask in range(1, 1 << s):
         if g[mask] < 0:
-            return Classification(False, False, tuple(_mask_elements(mask)))
+            return Classification(False, False, tuple(_mask_elements(mask))), g
     for i in range(s):
         if g[1 << i] == 0:
-            return Classification(True, False, (i,))
+            return Classification(True, False, (i,)), g
     # derived identity: the empty-set value balances the rest
-    assert g[0] == -sum(g[mask] for mask in range(1, 1 << s))
-    assert g[0] <= -s
-    return Classification(True, True)
+    if g[0] != -sum(g[mask] for mask in range(1, 1 << s)) or g[0] > -s:
+        raise FlowLatticeError(f"g table of a g-positive matrix has g(empty) = {g[0]}")
+    return Classification(True, True), g
 
 
-def build_x(a: GramMatrix, bound: int | None = None) -> IntegerMatrix:
-    """The {0,1} row-multiset encoding the positive subset values.
+def classify(a: GramMatrix, bound: int | None = None) -> Classification:
+    return _classify_table(a, bound)[0]
 
-    Rows sorted by descending support size then descending lexicographic
-    order; for a positive classification the singleton rows are placed
-    last, forming an identity block.
-    """
-    cls = classify(a, bound)
+
+def _skeleton(cls: Classification, g: list[int]) -> IntegerMatrix:
+    """`build_x` from a matrix's classification and g table."""
     if not cls.g_nonnegative:
         raise FormatError(f"matrix is not g-nonnegative; witness {cls.witness}")
-    s = a.order
-    g = g_table(a, bound)
+    s = len(g).bit_length() - 1
     rows = []
     for mask in range(1, 1 << s):
         if g[mask] > 0:
@@ -291,8 +292,19 @@ def build_x(a: GramMatrix, bound: int | None = None) -> IntegerMatrix:
     rows.sort(key=lambda r: (-sum(r), tuple(-x for x in r)))
     rows += singles
     x = IntegerMatrix.from_rows(rows) if rows else IntegerMatrix((), empty_cols=s)
-    assert x.rows == -g[0]
+    if x.rows != -g[0]:
+        raise FlowLatticeError(f"skeleton has {x.rows} rows, g(empty) = {g[0]}")
     return x
+
+
+def build_x(a: GramMatrix, bound: int | None = None) -> IntegerMatrix:
+    """The {0,1} row-multiset encoding the positive subset values.
+
+    Rows sorted by descending support size then descending lexicographic
+    order; for a positive classification the singleton rows are placed
+    last, forming an identity block.
+    """
+    return _skeleton(*_classify_table(a, bound))
 
 
 def _signing_skeleton(x: IntegerMatrix):
@@ -407,10 +419,10 @@ def is_g_feasible(a: GramMatrix, bound: int | None = None) -> Feasibility:
     enumeration modulo row/column negation with a Gram-compatibility
     filter before the exact TU check.
     """
-    cls = classify(a, bound)
+    cls, g = _classify_table(a, bound)
     if not cls.g_nonnegative:
         return Feasibility(False, None, cls, f"NOT-G-NONNEGATIVE S={cls.witness}")
-    x = build_x(a, bound)
+    x = _skeleton(cls, g)
     for cand in _signings(x):
         g0 = cand.transpose() * cand
         signs = _match_column_signs(g0, a)
@@ -421,6 +433,7 @@ def is_g_feasible(a: GramMatrix, bound: int | None = None) -> Feasibility:
         cert = IntegerMatrix.from_rows(
             [[v * signs[j] for j, v in enumerate(row)] for row in cand.entries]
         )
-        assert (cert.transpose() * cert) == a.mat
+        if cert.transpose() * cert != a.mat:
+            raise FlowLatticeError("signed certificate does not Gram back to the input")
         return Feasibility(True, cert, cls)
     return Feasibility(False, None, cls, "NO-MATCHING-SIGNING")

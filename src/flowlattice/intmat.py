@@ -2,7 +2,8 @@
 
 Dense matrices of arbitrary-precision integers with fraction-free
 determinants, exact rank, saturated integer kernels, and total/weak
-unimodularity tests by explicit submatrix enumeration.
+unimodularity tests by explicit submatrix enumeration (total
+unimodularity on the matrix reduced by unit and parallel lines).
 """
 
 from __future__ import annotations
@@ -329,24 +330,69 @@ def _minor_det(m: IntegerMatrix, rows: tuple, cols: tuple, memo: dict) -> int:
     return d
 
 
-def is_totally_unimodular(m: IntegerMatrix, bound: int | None = None) -> UnimodularityCheck:
-    """Every square submatrix has determinant in {-1, 0, +1}.
-
-    Enumeration ascends by submatrix order and stops at the first
-    (lexicographically least) witness.
-    """
-    order_cap = min(m.rows, m.cols)
-    b = tu_bound(bound)
-    if order_cap > b:
-        raise BoundExceededError("min(rows, cols)", order_cap, b)
+def _check_minors(m: IntegerMatrix, orders) -> UnimodularityCheck:
+    """Minors of the given orders, ascending; fails on the lexicographically
+    least (order, rows, cols) one with |det| > 1."""
     memo: dict = {}
-    for k in range(1, order_cap + 1):
+    for k in orders:
         for rows in itertools.combinations(range(m.rows), k):
             for cols in itertools.combinations(range(m.cols), k):
                 d = _minor_det(m, rows, cols, memo)
                 if abs(d) > 1:
                     return UnimodularityCheck(False, rows, cols, d)
     return UnimodularityCheck(True)
+
+
+def _strip_lines(lines: list) -> list:
+    """Drop zero lines, unit lines, and lines equal to +- an earlier one."""
+    kept, seen = [], set()
+    for line in lines:
+        if sum(map(abs, line)) <= 1 or line in seen:
+            continue
+        kept.append(line)
+        seen.add(line)
+        seen.add(tuple(-x for x in line))
+    return kept
+
+
+def _tu_core(m: IntegerMatrix) -> IntegerMatrix | None:
+    """The {0, +-1} matrix left after stripping rows and columns to a fixpoint.
+
+    Stripped are zero lines, lines with a single nonzero entry (+-1), and
+    lines equal to +- an earlier line.  None if some entry lies outside
+    {0, +-1}.  The core is TU iff m is.
+    """
+    if any(x not in (-1, 0, 1) for row in m.entries for x in row):
+        return None
+    rows = list(m.entries)
+    while True:
+        shape = (len(rows), len(rows[0]) if rows else 0)
+        cols = _strip_lines(list(zip(*_strip_lines(rows))))
+        rows = list(zip(*cols))
+        if (len(rows), len(cols)) == shape:
+            return IntegerMatrix(tuple(rows))
+
+
+def is_totally_unimodular(m: IntegerMatrix, bound: int | None = None) -> UnimodularityCheck:
+    """Every square submatrix has determinant in {-1, 0, +1}.
+
+    The bound gates the input's min(rows, cols).  The verdict is decided
+    on the reduced core (`_tu_core`): a square submatrix through a unit
+    row expands along it to +-(a smaller minor) or 0, one through two
+    +-parallel rows is singular, and one through only the later row has
+    the earlier row's |det|; likewise for columns.  So the core is TU iff
+    the input is.  When the core is not TU (or has an entry outside
+    {0, +-1}), the input itself is enumerated ascending by submatrix
+    order, so the witness is the lexicographically least one.
+    """
+    order_cap = min(m.rows, m.cols)
+    b = tu_bound(bound)
+    if order_cap > b:
+        raise BoundExceededError("min(rows, cols)", order_cap, b)
+    core = _tu_core(m)
+    if core is not None and _check_minors(core, range(1, min(core.rows, core.cols) + 1)):
+        return UnimodularityCheck(True)
+    return _check_minors(m, range(1, order_cap + 1))
 
 
 def is_weakly_unimodular(m: IntegerMatrix, bound: int | None = None) -> UnimodularityCheck:
@@ -357,10 +403,4 @@ def is_weakly_unimodular(m: IntegerMatrix, bound: int | None = None) -> Unimodul
         raise BoundExceededError("min(rows, cols)", k, b)
     if k == 0:
         return UnimodularityCheck(True)
-    memo: dict = {}
-    for rows in itertools.combinations(range(m.rows), k):
-        for cols in itertools.combinations(range(m.cols), k):
-            d = _minor_det(m, rows, cols, memo)
-            if abs(d) > 1:
-                return UnimodularityCheck(False, rows, cols, d)
-    return UnimodularityCheck(True)
+    return _check_minors(m, (k,))

@@ -48,7 +48,10 @@ class RegularMatroid:
     over the rationals iff it is independent over GF(2) (Camion 1965).
     `from_rep` checks TU unless `validate=False`; every internal
     `validate=False` construction is TU by construction (incidence
-    matrices, column and row selections, `[-L^T I]` duals).
+    matrices, column and row selections, `[-L^T I]` duals, and the
+    `[I_r | -K]` standard form of `reconstruct_matroid`: K is a block of
+    q = U B^-1, where U is the TU-checked certificate and B an invertible
+    s-by-s block of it, so det B = +-1 and q is a pivot of U, hence TU).
     """
 
     ground: tuple[str, ...]
@@ -179,7 +182,10 @@ def parse_matroid(text: str) -> RegularMatroid:
     head = lines[0].split("#", 1)[0].split()
     if len(head) != 3:
         raise FormatError("matroid header must be 'matroid r m'")
-    r, m = int(head[1]), int(head[2])
+    try:
+        r, m = int(head[1]), int(head[2])
+    except ValueError as exc:
+        raise FormatError(f"non-integer field in matroid header: {exc}") from exc
     if len(lines) < 2:
         raise FormatError("matroid file missing ground label line")
     labels = tuple(lines[1].split("#", 1)[0].split())

@@ -3,30 +3,21 @@ isometry decisions for flow, cut, and mixed lattice pairs."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import FlowLatticeError
 from .gram import Classification, Feasibility, GramMatrix, classify, is_g_feasible
-from .intmat import IntegerMatrix, determinant
+from .intmat import IntegerMatrix
 from .matroid import (
     IsomorphismResult,
     RegularMatroid,
+    _independent_row_subset,
     _integer_inverse,
     contract_coloops,
     delete_loops,
     dual,
     is_isomorphic,
 )
-
-
-def _first_unimodular_square(u: IntegerMatrix) -> tuple[int, ...]:
-    """Lexicographically least row set carrying an invertible s-by-s block."""
-    s = u.cols
-    for combo in itertools.combinations(range(u.rows), s):
-        if determinant(u.select_rows(combo)) != 0:
-            return combo
-    raise FlowLatticeError("certificate has deficient column rank")
 
 
 def to_g_positive_basis(a: GramMatrix, certificate: IntegerMatrix) -> tuple[IntegerMatrix, GramMatrix]:
@@ -36,7 +27,11 @@ def to_g_positive_basis(a: GramMatrix, certificate: IntegerMatrix) -> tuple[Inte
     determinant), so the transformed basis spans the same lattice and
     its Gram matrix gains strictly positive singleton values.
     """
-    z_rows = _first_unimodular_square(certificate)
+    # greedy rows independent mod 2: on a TU matrix, the lexicographically
+    # least row set carrying an invertible s-by-s block
+    z_rows = _independent_row_subset(certificate)
+    if len(z_rows) < certificate.cols:
+        raise FlowLatticeError("certificate has deficient column rank")
     f = _integer_inverse(certificate.select_rows(z_rows))
     q = certificate * f
     gram_q = GramMatrix(q.transpose() * q)
@@ -90,7 +85,7 @@ def reconstruct_matroid(a: GramMatrix, bound: int | None = None) -> Reconstructi
     rep = IntegerMatrix.identity(r).hstack(l_block) if r else \
         IntegerMatrix((), empty_cols=s)
     ground = tuple(f"e{i + 1}" for i in range(r + s))
-    matroid = RegularMatroid.from_rep(ground, rep, validate=True)
+    matroid = RegularMatroid.from_rep(ground, rep, validate=False)
     if any(not any(row) for row in l_block.entries):
         raise FlowLatticeError("reconstructed block has a zero row")
     report = ReconstructionReport(

@@ -1,14 +1,16 @@
 """Per-subset rank routines that the GF(2) echelon form replaced.
 
 `flowlattice.matroid` reads circuits, co-loops and independent rows off
-one echelon form of the representation mod 2.  These are the earlier
-routines, which rank column or row subsets one at a time over the
-rationals; the tests compare the two for exact equality.
+one echelon form of the representation mod 2, and `flowlattice.rebuild`
+takes a certificate's unimodular block from the same independent rows.
+These are the earlier routines, which rank (or take the determinant of)
+column or row subsets one at a time over the rationals; the tests
+compare the two for exact equality.
 """
 
 import itertools
 
-from flowlattice.intmat import IntegerMatrix, rank
+from flowlattice.intmat import IntegerMatrix, determinant, rank
 from flowlattice.matroid import subset_rank
 
 
@@ -58,3 +60,11 @@ def incidence_rep_by_rank(edges) -> IntegerMatrix:
             d[vindex[tail]][j] = -1
     full = IntegerMatrix.from_rows(d)
     return full.select_rows(independent_rows_by_rank(full))
+
+
+def first_unimodular_square_by_det(u: IntegerMatrix) -> tuple[int, ...] | None:
+    """Lexicographically least row set carrying an invertible s-by-s block."""
+    for combo in itertools.combinations(range(u.rows), u.cols):
+        if determinant(u.select_rows(combo)) != 0:
+            return combo
+    return None

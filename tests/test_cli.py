@@ -212,6 +212,16 @@ class TestErrors:
         assert run(["gtest", f]) == 2
         assert "ERROR BAD-INPUT" in capsys.readouterr().out
 
+    def test_non_integer_gram_header(self, tmp_path, capsys):
+        f = write(tmp_path, "bad.gram", "gram x\n3\n")
+        assert run(["gtest", f]) == 2
+        assert "ERROR BAD-INPUT" in capsys.readouterr().out
+
+    def test_non_integer_matroid_header(self, tmp_path, capsys):
+        f = write(tmp_path, "bad.matroid", "matroid a b\ne1 e2\n1 2\n1 1\n")
+        assert run(["circuits", f]) == 2
+        assert "ERROR BAD-INPUT" in capsys.readouterr().out
+
     def test_bad_bound_value(self, tmp_path, capsys):
         f = write(tmp_path, "a.gram", A_POS_TEXT)
         assert run(["--tu-bound", "0", "gtest", f]) == 2

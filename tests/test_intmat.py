@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from flowlattice.errors import BoundExceededError, DimensionError
 from flowlattice.intmat import (
     IntegerMatrix,
+    _tu_core,
     determinant,
     integer_kernel_basis,
     is_totally_unimodular,
@@ -18,6 +19,7 @@ from flowlattice.intmat import (
 )
 
 from conftest import det_cofactor
+from tu_oracles import tu_by_enumeration
 
 
 def M(rows):
@@ -178,6 +180,100 @@ class TestUnimodularity:
         with pytest.raises(BoundExceededError):
             is_totally_unimodular(big)
         assert is_totally_unimodular(big, bound=11)
+
+
+def _plant_rows(rnd, rows, width, count):
+    """Insert count zero, unit, parallel or negated-parallel rows at random places."""
+    for _ in range(count if width else 0):
+        kind = rnd.choice(("zero", "unit", "parallel", "negated"))
+        new = [0] * width
+        if kind == "unit":
+            new[rnd.randrange(width)] = rnd.choice((1, -1))
+        elif kind != "zero" and rows:
+            src = rnd.choice(rows)
+            new = list(src) if kind == "parallel" else [-x for x in src]
+        rows.insert(rnd.randint(0, len(rows)), new)
+    return rows
+
+
+def _planted_matrix(rnd, base_rows):
+    rows = _plant_rows(rnd, [list(r) for r in base_rows], len(base_rows[0]), rnd.randint(0, 3))
+    cols = _plant_rows(rnd, [list(c) for c in zip(*rows)], len(rows), rnd.randint(0, 3))
+    return M(list(zip(*cols)))
+
+
+def _signed_interval_rows(rnd, r, c):
+    """Consecutive-ones rows with random row and column signs: TU."""
+    col_signs = [rnd.choice((1, -1)) for _ in range(c)]
+    rows = []
+    for _ in range(r):
+        lo = rnd.randrange(c)
+        hi = rnd.randint(lo, c - 1)
+        sign = rnd.choice((1, -1))
+        rows.append([sign * col_signs[j] if lo <= j <= hi else 0 for j in range(c)])
+    return rows
+
+
+def _assert_same_check(m, **kw):
+    got, want = is_totally_unimodular(m, **kw), tu_by_enumeration(m, **kw)
+    assert (got.ok, got.witness_rows, got.witness_cols, got.witness_det) == \
+        (want.ok, want.witness_rows, want.witness_cols, want.witness_det)
+    return got.ok
+
+
+class TestTotallyUnimodularCore:
+    """The core-reduced decision against full enumeration of the input."""
+
+    def test_planted_lines_on_tu_and_random_bases(self):
+        rnd = random.Random(31)
+        verdicts = []
+        for trial in range(1000):
+            r, c = rnd.randint(1, 4), rnd.randint(1, 4)
+            if trial % 2:
+                base = _signed_interval_rows(rnd, r, c)
+            else:
+                base = [[rnd.choice((-1, 0, 1)) for _ in range(c)] for _ in range(r)]
+            verdicts.append(_assert_same_check(_planted_matrix(rnd, base)))
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_entries_outside_unit_range(self):
+        rnd = random.Random(37)
+        for _ in range(150):
+            r, c = rnd.randint(1, 4), rnd.randint(1, 4)
+            base = [[rnd.randint(-2, 2) for _ in range(c)] for _ in range(r)]
+            _assert_same_check(_planted_matrix(rnd, base))
+        assert not _assert_same_check(M([[1, 0, 0], [1, 1, 0], [0, 0, 3]]))
+
+    def test_empty_shapes(self):
+        for rows, cols in ((0, 0), (0, 4), (4, 0)):
+            assert _assert_same_check(IntegerMatrix.empty(rows, cols))
+
+    def test_bound_gates_the_input_not_the_core(self):
+        # the core of I_4 and of [K; K; I_2] is small; the gate still reads the input
+        stacked = M([[1, 1], [1, 1], [-1, -1], [1, 0], [0, 1]])
+        for m, b in ((IntegerMatrix.identity(4), 3), (stacked, 1)):
+            for check in (is_totally_unimodular, tu_by_enumeration):
+                with pytest.raises(BoundExceededError) as exc:
+                    check(m, bound=b)
+                assert (exc.value.what, exc.value.size, exc.value.bound) == \
+                    ("min(rows, cols)", min(m.rows, m.cols), b)
+            assert _assert_same_check(m, bound=b + 1)
+
+    @pytest.mark.parametrize("name", ["K4", "K5", "K33", "Petersen"])
+    def test_core_of_stacked_certificate_within_k(self, name):
+        import networkx as nx
+
+        from flowlattice.matroid import coordinatize, first_base, from_graph
+
+        graphs = {
+            "K4": nx.complete_graph(4), "K5": nx.complete_graph(5),
+            "K33": nx.complete_bipartite_graph(3, 3), "Petersen": nx.petersen_graph(),
+        }
+        m = from_graph(list(graphs[name].edges()))
+        k = -coordinatize(m, first_base(m)).l_block
+        stacked = k.vstack(k).vstack(-k).vstack(IntegerMatrix.identity(k.cols))
+        core = _tu_core(stacked)
+        assert core.rows <= k.rows and core.cols <= k.cols
 
 
 class TestSharp:

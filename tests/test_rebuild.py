@@ -2,8 +2,9 @@ import pytest
 
 from flowlattice.flows import fundamental_basis
 from flowlattice.gram import GramMatrix, classify, is_g_feasible
-from flowlattice.intmat import IntegerMatrix, is_totally_unimodular
+from flowlattice.intmat import IntegerMatrix, is_totally_unimodular, rank
 from flowlattice.matroid import (
+    _independent_row_subset,
     bases,
     circuits,
     dual,
@@ -19,7 +20,9 @@ from flowlattice.rebuild import (
     to_g_positive_basis,
 )
 
-from conftest import BOWTIE, K4, PATH2, TRIANGLE, TWO_TRIANGLES
+from conftest import BOWTIE, K4, PATH2, TRIANGLE, TWO_TRIANGLES, bridgeless_graphs
+from rank_oracles import first_unimodular_square_by_det
+from tu_oracles import tu_by_enumeration
 
 
 class TestGPositiveBasis:
@@ -104,6 +107,34 @@ class TestReconstruct:
         out = reconstruct_matroid(fundamental_basis(k4).gram)
         loops, coloops = loops_and_coloops(out.report.matroid)
         assert loops == () and coloops == ()
+
+
+class TestReconstructionSweep:
+    """The criterion-07 sweep: every base of every bridgeless graph on <= 5 nodes."""
+
+    def test_standard_forms_and_unimodular_blocks(self):
+        total = 0
+        for edges in bridgeless_graphs(5):
+            m = from_graph(edges)
+            for base in bases(m):
+                rep = reconstruct_matroid(fundamental_basis(m, base).gram).report
+                cert, form = rep.certificate, rep.standard_form
+                assert tuple(_independent_row_subset(cert)) == \
+                    first_unimodular_square_by_det(cert)
+                assert tu_by_enumeration(form)
+                assert rank(form) == form.rows
+                total += 1
+        assert total == 418
+
+    def test_reconstructed_matroid_is_not_revalidated(self, monkeypatch, k4):
+        import flowlattice.matroid as matroid_mod
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("from_rep re-checked a TU-by-construction form")
+
+        monkeypatch.setattr(matroid_mod, "is_totally_unimodular", refuse)
+        out = reconstruct_matroid(fundamental_basis(k4).gram)
+        assert is_isomorphic(out.report.matroid, k4)
 
 
 class TestIsometryDecisions:
