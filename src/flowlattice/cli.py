@@ -81,7 +81,8 @@ def _emit_witness(check: intmat.UnimodularityCheck) -> str:
 def cmd_tu_check(args) -> int:
     m = intmat.parse_matrix(_read(args.file))
     tu = intmat.is_totally_unimodular(m)
-    wu = intmat.is_weakly_unimodular(m)
+    # total unimodularity implies weak unimodularity
+    wu = tu or intmat.is_weakly_unimodular(m)
     print(f"TU {'yes' if tu else 'no'}" + ("" if tu else "  " + _emit_witness(tu)))
     print(f"WU {'yes' if wu else 'no'}" + ("" if wu else "  " + _emit_witness(wu)))
     return 0 if tu else 1
@@ -204,7 +205,8 @@ def cmd_reconstruct(args) -> int:
     print("GRAM")
     print(rep.gram.text(), end="")
     print("X")
-    print(gram.build_x(a).text(), end="")
+    # the certificate is the skeleton X with signs changed
+    print(intmat.sharp(rep.certificate).text(), end="")
     print("CERTIFICATE")
     print(rep.certificate.text(), end="")
     print("STANDARD-FORM")

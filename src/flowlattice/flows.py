@@ -2,20 +2,22 @@
 
 Fundamental bases, Gram matrices, signed-circuit flows, consistent
 decomposition into conforming simple flows, and the metric simplicity
-test by bounded enumeration inside the Gram ellipsoid.
+test by bounded enumeration inside the Gram ellipsoid.  Definiteness,
+lattice coordinates and the enumeration box come from the fraction-free
+Gauss-Jordan elimination of `intmat`, so all arithmetic is over the
+integers.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
 from .errors import DefinitenessError, DimensionError, FormatError, MembershipError
 from .gram import GramMatrix
-from .intmat import IntegerMatrix, determinant, integer_kernel_basis
+from .intmat import IntegerMatrix, _gauss_jordan, integer_kernel_basis
 from .matroid import RegularMatroid, circuits, coordinatize, first_base
 
 
@@ -84,10 +86,15 @@ def gram_of(columns) -> GramMatrix:
     else:
         b = IntegerMatrix.from_columns(columns)
     g = b.transpose() * b
-    for k in range(1, g.rows + 1):
-        minor = determinant(g.submatrix(range(k), range(k)))
+    # Sylvester's criterion in one pass.  g is positive semidefinite, so a
+    # zero pivot has only zeros below it: up to the first skipped column no
+    # row is swapped, pivot k is the leading minor of order k + 1, and the
+    # skipped column k marks a vanishing one.
+    _, cols, _, pivots = _gauss_jordan(g.entries)
+    for k in range(g.rows):
+        minor = pivots[k] if k < len(cols) and cols[k] == k else 0
         if minor <= 0:
-            raise DefinitenessError(k, minor)
+            raise DefinitenessError(k + 1, minor)
     return GramMatrix(g)
 
 
@@ -122,60 +129,23 @@ class FlowLattice:
         return FlowVector.of((self.basis * col).column(0))
 
     def coefficients(self, v: FlowVector) -> tuple[int, ...]:
-        """Solve basis . x = v over the rationals and demand integrality."""
-        x = _solve_exact(self.basis, v.coords)
-        if x is None:
+        """Solve basis . x = v over the rationals and demand integrality.
+
+        Gauss-Jordan on [basis | v] ends at [d I; 0 | d x; rest]: v is in
+        the rational span iff the rest is zero, and x is integral iff d
+        divides every entry of d x.
+        """
+        if len(v.coords) != self.ambient:
+            raise DimensionError("vector length differs from the ambient dimension")
+        s = self.lattice_rank
+        rows, cols, _, pivots = _gauss_jordan(
+            [row + (b,) for row, b in zip(self.basis.entries, v.coords)], s)
+        if len(cols) < s or any(row[s] for row in rows[s:]):
             raise MembershipError("vector lies outside the rational span of the basis")
-        if any(f.denominator != 1 for f in x):
+        d = pivots[-1] if pivots else 1
+        if any(row[s] % d for row in rows[:s]):
             raise MembershipError("vector is a rational but not integral combination")
-        return tuple(int(f) for f in x)
-
-
-def _solve_exact(m: IntegerMatrix, rhs) -> list[Fraction] | None:
-    """Solve m.x = rhs exactly; m has full column rank.  None if inconsistent."""
-    rows = [[Fraction(v) for v in row] + [Fraction(b)]
-            for row, b in zip(m.entries, rhs)]
-    nr, nc = m.rows, m.cols
-    piv_cols = []
-    r = 0
-    for c in range(nc):
-        pivot = next((i for i in range(r, nr) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nr):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        piv_cols.append(c)
-        r += 1
-    if len(piv_cols) < nc:
-        return None  # dependent columns; callers guarantee full rank
-    for i in range(r, nr):
-        if rows[i][nc] != 0:
-            return None
-    x = [Fraction(0)] * nc
-    for i, c in enumerate(piv_cols):
-        x[c] = rows[i][nc]
-    return x
-
-
-def _fraction_inverse(g: IntegerMatrix) -> list[list[Fraction]]:
-    n = g.rows
-    aug = [[Fraction(v) for v in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(g.entries)]
-    for c in range(n):
-        pivot = next(i for i in range(c, n) if aug[i][c] != 0)
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
+        return tuple(row[s] // d for row in rows[:s])
 
 
 def _unpermute_rows(mat: IntegerMatrix, perm) -> IntegerMatrix:
@@ -298,13 +268,20 @@ class SimpleMetricResult:
 
 
 def _coeff_box(gram: GramMatrix, bound: int) -> list[int]:
-    """Per-coordinate enumeration limits from the inverse Gram diagonal."""
-    inv = _fraction_inverse(gram.mat)
-    limits = []
-    for i in range(gram.order):
-        cap = inv[i][i] * bound
-        limits.append(isqrt(cap.numerator // cap.denominator))
-    return limits
+    """Per-coordinate enumeration limits from the inverse Gram diagonal.
+
+    |y_i| <= isqrt(floor((G^-1)_ii * bound)); Gauss-Jordan on [G | I]
+    ends at [d I | d G^-1], which gives the floor as
+    (d (G^-1)_ii * bound) // d.
+    """
+    n = gram.order
+    rows, cols, _, pivots = _gauss_jordan(
+        [row + tuple(int(i == j) for j in range(n))
+         for i, row in enumerate(gram.mat.entries)], n)
+    if len(cols) < n:
+        raise FormatError("Gram matrix is singular")
+    d = pivots[-1] if pivots else 1
+    return [isqrt(rows[i][n + i] * bound // d) for i in range(n)]
 
 
 def enumerate_coefficients(gram: GramMatrix, bound: int):

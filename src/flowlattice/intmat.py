@@ -1,9 +1,10 @@
 """Exact integer matrix kernel.
 
-Dense matrices of arbitrary-precision integers with fraction-free
-determinants, exact rank, saturated integer kernels, and total/weak
-unimodularity tests by explicit submatrix enumeration (total
-unimodularity on the matrix reduced by unit and parallel lines).
+Dense matrices of arbitrary-precision integers; one fraction-free
+(Bareiss) Gauss-Jordan elimination that yields rank, determinant,
+leading minors, exact solves and inverses; saturated integer kernels;
+and total/weak unimodularity tests by explicit submatrix enumeration
+(total unimodularity on the matrix reduced by unit and parallel lines).
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import BoundExceededError, DimensionError, FormatError
 
@@ -22,7 +22,13 @@ def _env_bound(name: str, default: int) -> int:
     raw = os.environ.get(name)
     if raw is None:
         return default
-    return int(raw)
+    try:
+        value = int(raw)
+        if value > 0:
+            return value
+    except ValueError:
+        pass
+    raise FormatError(f"{name} must be a positive integer, got {raw!r}")
 
 
 def tu_bound(override: int | None = None) -> int:
@@ -201,53 +207,63 @@ def parse_matrix(text: str) -> IntegerMatrix:
     )
 
 
+def _gauss_jordan(rows, width: int | None = None):
+    """Fraction-free (Bareiss) Gauss-Jordan elimination over the integers.
+
+    Pivots are sought in the first `width` columns (default: all), left
+    to right, each on the first row at or below the pivots found so far
+    that is nonzero there; that row is swapped up.  Every other row r
+    becomes (p * r - r[c] * pivot row) // (previous pivot), an exact
+    division (Bareiss 1968), so all entries stay integral.  Returns the
+    reduced rows, the pivot columns, the original row index of each
+    pivot, and the pivot values: pivot k is the leading (k+1)-minor of
+    the row-permuted matrix on the pivot columns.  With d the last
+    pivot, the reduced rows are d times the reduced row echelon form, so
+    [M | I] for an invertible M ends at [d I | d M^-1].
+    """
+    a = [list(r) for r in rows]
+    order = list(range(len(a)))
+    if width is None:
+        width = len(a[0]) if a else 0
+    cols: list[int] = []
+    pivots: list[int] = []
+    prev = 1
+    for c in range(width):
+        k = len(cols)
+        j = next((j for j in range(k, len(a)) if a[j][c]), None)
+        if j is None:
+            continue
+        a[k], a[j] = a[j], a[k]
+        order[k], order[j] = order[j], order[k]
+        p, pk = a[k][c], a[k]
+        for i in range(len(a)):
+            if i != k:
+                f = a[i][c]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pk)]
+        cols.append(c)
+        pivots.append(p)
+        prev = p
+        if k + 1 == len(a):
+            break
+    return a, cols, order[:len(cols)], pivots
+
+
 def determinant(m: IntegerMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant: the last Bareiss pivot, signed by the row swaps."""
     if not m.is_square:
         raise DimensionError(f"determinant of non-square {m.rows}x{m.cols} matrix")
-    n = m.rows
-    if n == 0:
+    if m.rows == 0:
         return 1
-    a = [list(r) for r in m.entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    _, cols, order, pivots = _gauss_jordan(m.entries)
+    if len(cols) < m.rows:
+        return 0
+    inversions = sum(a > b for a, b in itertools.combinations(order, 2))
+    return (-1) ** inversions * pivots[-1]
 
 
 def rank(m: IntegerMatrix) -> int:
-    """Rank over the rationals, computed exactly."""
-    a = [[Fraction(x) for x in r] for r in m.entries]
-    nr, nc = m.rows, m.cols
-    r = 0
-    for c in range(nc):
-        pivot = next((i for i in range(r, nr) if a[i][c] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(nr):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == nr:
-            break
-    return r
+    """Rank over the rationals: the number of Bareiss pivots."""
+    return len(_gauss_jordan(m.entries)[1])
 
 
 def integer_kernel_basis(m: IntegerMatrix) -> IntegerMatrix:

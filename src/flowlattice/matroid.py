@@ -16,6 +16,7 @@ from .errors import BoundExceededError, FormatError, NotABaseError
 from .intmat import (
     IntegerMatrix,
     _env_bound,
+    _gauss_jordan,
     determinant,
     is_totally_unimodular,
     rank,
@@ -218,40 +219,11 @@ def bases(m: RegularMatroid):
 
 
 def first_base(m: RegularMatroid) -> tuple[int, ...]:
-    for b in bases(m):
-        return b
-    raise NotABaseError((), "matroid has no base of the stated rank")
-
-
-def _integer_inverse(z: IntegerMatrix) -> IntegerMatrix:
-    """Inverse of a square integer matrix with determinant +-1.
-
-    One fraction-free (Bareiss) Gauss-Jordan pass over [z | I]: it ends
-    at [d I | adj], where d is the determinant up to the sign of the row
-    swaps and adj is d times the inverse.
-    """
-    n = z.rows
-    if n == 0:
-        return z
-    a = [list(row) + [int(i == j) for j in range(n)]
-         for i, row in enumerate(z.entries)]
-    sign, prev = 1, 1
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if a[i][k]), None)
-        if pivot is None:
-            raise NotABaseError(tuple(range(n)), "determinant 0 is not a unit")
-        if pivot != k:
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        p, pk = a[k][k], a[k]
-        for i in range(n):
-            if i != k:
-                f = a[i][k]
-                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pk)]
-        prev = p
-    if abs(prev) != 1:
-        raise NotABaseError(tuple(range(n)), f"determinant {sign * prev} is not a unit")
-    return IntegerMatrix.from_rows([[prev * x for x in row[n:]] for row in a])
+    """The lexicographically least base: the pivot columns of the representation."""
+    cols = _gauss_jordan(m.rep.entries)[1]
+    if len(cols) < m.rank:
+        raise NotABaseError((), "matroid has no base of the stated rank")
+    return tuple(cols)
 
 
 @dataclass(frozen=True)
@@ -269,17 +241,25 @@ class StandardForm:
 
 
 def coordinatize(m: RegularMatroid, base) -> StandardForm:
-    """Bring the representation to [I_r L] with the base columns first."""
+    """Bring the representation to [I_r L] with the base columns first.
+
+    One Gauss-Jordan pass over the permuted representation ends at
+    [d I_r | d L], d the last pivot; the base block is unimodular iff
+    d = +-1.
+    """
     base = tuple(sorted(base))
     if len(base) != m.rank or len(set(base)) != len(base):
         raise NotABaseError(base, f"expected {m.rank} distinct elements")
-    sub = m.rep.select_columns(base)
-    d = determinant(sub)
-    if d == 0:
-        raise NotABaseError(base, "vanishing r-by-r determinant")
     perm = base + tuple(j for j in range(m.size) if j not in set(base))
-    f = _integer_inverse(sub)
-    mat = f * m.rep.select_columns(perm)
+    rows, cols, _, pivots = _gauss_jordan(m.rep.select_columns(perm).entries, m.rank)
+    if len(cols) < m.rank:
+        raise NotABaseError(base, "vanishing r-by-r determinant")
+    d = pivots[-1] if pivots else 1
+    if abs(d) != 1:
+        det = determinant(m.rep.select_columns(base))
+        raise NotABaseError(base, f"determinant {det} is not a unit")
+    mat = IntegerMatrix.from_rows([[d * x for x in row] for row in rows]) if rows \
+        else IntegerMatrix.empty(0, m.size)
     return StandardForm(mat, perm, base)
 
 

@@ -7,14 +7,11 @@ from dataclasses import dataclass
 
 from .errors import FlowLatticeError
 from .gram import Classification, Feasibility, GramMatrix, classify, is_g_feasible
-from .intmat import IntegerMatrix
+from .intmat import IntegerMatrix, _gauss_jordan
 from .matroid import (
     IsomorphismResult,
     RegularMatroid,
-    _independent_row_subset,
-    _integer_inverse,
     contract_coloops,
-    delete_loops,
     dual,
     is_isomorphic,
 )
@@ -23,17 +20,18 @@ from .matroid import (
 def to_g_positive_basis(a: GramMatrix, certificate: IntegerMatrix) -> tuple[IntegerMatrix, GramMatrix]:
     """Change of basis turning a TU certificate into one containing I_s.
 
-    The inverse of any invertible s-by-s block is integral (unit
-    determinant), so the transformed basis spans the same lattice and
+    q = U B^-1, where B is the lexicographically least invertible s-by-s
+    row block of U: Gauss-Jordan on U^T takes B's rows as its pivot
+    columns and ends at d (U B^-1)^T, d = det B up to sign.  B has unit
+    determinant, so q spans the same lattice, holds I_s in B's rows, and
     its Gram matrix gains strictly positive singleton values.
     """
-    # greedy rows independent mod 2: on a TU matrix, the lexicographically
-    # least row set carrying an invertible s-by-s block
-    z_rows = _independent_row_subset(certificate)
-    if len(z_rows) < certificate.cols:
+    rows, cols, _, pivots = _gauss_jordan(certificate.transpose().entries)
+    if len(cols) < certificate.cols:
         raise FlowLatticeError("certificate has deficient column rank")
-    f = _integer_inverse(certificate.select_rows(z_rows))
-    q = certificate * f
+    d = pivots[-1] if pivots else 1
+    q = IntegerMatrix.from_columns([[x // d for x in row] for row in rows],
+                                   nrows=certificate.rows)
     gram_q = GramMatrix(q.transpose() * q)
     cls = classify(gram_q)
     if not cls.g_positive:
@@ -48,7 +46,6 @@ class ReconstructionReport:
     g_positive_basis: IntegerMatrix     # certificate times a unimodular block inverse
     standard_form: IntegerMatrix        # [I_r L], no zero rows in L
     matroid: RegularMatroid             # the co-loop-free minor
-    zero_rows: int                      # co-loop rows inferred from the input: always 0 here
 
 
 @dataclass(frozen=True)
@@ -77,7 +74,8 @@ def reconstruct_matroid(a: GramMatrix, bound: int | None = None) -> Reconstructi
     u = feas.certificate
     q, _ = to_g_positive_basis(a, u)
     s = q.cols
-    ident_rows = _identity_block_rows(q)
+    # the rows holding I_s in column order: each is the first row equal to its unit vector
+    ident_rows = [q.entries.index(unit) for unit in IntegerMatrix.identity(s).entries]
     other_rows = [i for i in range(q.rows) if i not in set(ident_rows)]
     k_block = q.select_rows(other_rows)
     l_block = -k_block
@@ -94,25 +92,8 @@ def reconstruct_matroid(a: GramMatrix, bound: int | None = None) -> Reconstructi
         g_positive_basis=q,
         standard_form=rep,
         matroid=matroid,
-        zero_rows=0,
     )
     return ReconstructionOutcome(True, report, feas)
-
-
-def _identity_block_rows(q: IntegerMatrix) -> list[int]:
-    """Row indices forming I_s in column order (first match per unit row)."""
-    s = q.cols
-    out = []
-    used = set()
-    for j in range(s):
-        unit = tuple(1 if c == j else 0 for c in range(s))
-        row = next(
-            i for i in range(q.rows)
-            if i not in used and q.entries[i] == unit
-        )
-        used.add(row)
-        out.append(row)
-    return out
 
 
 @dataclass(frozen=True)
@@ -152,7 +133,6 @@ __all__ = [
     "ReconstructionOutcome",
     "ReconstructionReport",
     "cut_lattices_isometric",
-    "delete_loops",
     "flow_lattices_isometric",
     "mixed_isometric",
     "reconstruct_matroid",

@@ -1,8 +1,9 @@
 """Per-subset rank routines that the GF(2) echelon form replaced.
 
 `flowlattice.matroid` reads circuits, co-loops and independent rows off
-one echelon form of the representation mod 2, and `flowlattice.rebuild`
-takes a certificate's unimodular block from the same independent rows.
+one echelon form of the representation mod 2; on a TU certificate the
+same independent rows are the unimodular block that `flowlattice.rebuild`
+takes as the pivot columns of its Gauss-Jordan elimination.
 These are the earlier routines, which rank (or take the determinant of)
 column or row subsets one at a time over the rationals; the tests
 compare the two for exact equality.

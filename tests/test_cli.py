@@ -1,8 +1,47 @@
+import pytest
+
 from flowlattice.cli import run
 
 from conftest import BOWTIE, K4, TRIANGLE, TWO_TRIANGLES
 
 A_POS_TEXT = "gram 4\n3 1 1 2\n1 3 1 2\n1 1 3 2\n2 2 2 5\n"
+K4_GRAM_TEXT = "gram 3\n3 1 -1\n1 3 1\n-1 1 3\n"
+K4_RECONSTRUCT_OUT = """\
+VERDICT G-FEASIBLE
+GRAM
+gram 3
+3 1 -1
+1 3 1
+-1 1 3
+X
+6 3
+1 1 0
+1 0 1
+0 1 1
+1 0 0
+0 1 0
+0 0 1
+CERTIFICATE
+6 3
+1 1 0
+1 0 -1
+0 1 1
+1 0 0
+0 1 0
+0 0 -1
+STANDARD-FORM
+3 6
+1 0 0 -1 1 0
+0 1 0 -1 0 1
+0 0 1 0 -1 1
+MATROID
+matroid 3 6
+e1 e2 e3 e4 e5 e6
+3 6
+1 0 0 -1 1 0
+0 1 0 -1 0 1
+0 0 1 0 -1 1
+"""
 
 
 def graph_file(tmp_path, name, edges):
@@ -33,6 +72,17 @@ class TestTuCheck:
     def test_missing_file(self, capsys):
         assert run(["tu-check", "/nonexistent"]) == 2
         assert "ERROR BAD-INPUT" in capsys.readouterr().out
+
+    def test_tu_implies_wu_without_enumeration(self, tmp_path, capsys, monkeypatch):
+        import flowlattice.intmat as intmat_mod
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("weak unimodularity enumerated on a TU input")
+
+        monkeypatch.setattr(intmat_mod, "is_weakly_unimodular", refuse)
+        f = write(tmp_path, "m.mat", "2 3\n1 0 1\n0 1 1\n")
+        assert run(["tu-check", f]) == 0
+        assert capsys.readouterr().out == "TU yes\nWU yes\n"
 
 
 class TestCircuitsAndColoops:
@@ -163,6 +213,18 @@ class TestGramCommands:
         assert "VERDICT G-FEASIBLE" in out
         assert "MATROID" in out and "matroid 3 4" in out
 
+    def test_reconstruct_prints_skeleton_from_certificate(self, tmp_path, capsys,
+                                                          monkeypatch):
+        import flowlattice.gram as gram_mod
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_x recomputed the g table")
+
+        monkeypatch.setattr(gram_mod, "build_x", refuse)
+        f = write(tmp_path, "k4.gram", K4_GRAM_TEXT)
+        assert run(["reconstruct", f]) == 0
+        assert capsys.readouterr().out == K4_RECONSTRUCT_OUT
+
     def test_reconstruct_infeasible(self, tmp_path, capsys):
         f = write(tmp_path, "a.gram", A_POS_TEXT)
         assert run(["reconstruct", f]) == 1
@@ -226,6 +288,19 @@ class TestErrors:
         f = write(tmp_path, "a.gram", A_POS_TEXT)
         assert run(["--tu-bound", "0", "gtest", f]) == 2
         assert "ERROR BAD-BOUND" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["x", "2.5", "0", "-3", ""])
+    @pytest.mark.parametrize("env,verb,text", [
+        ("FLOWLAT_TU_BOUND", "tu-check", "2 2\n1 0\n1 1\n"),
+        ("FLOWLAT_CIRCUIT_BOUND", "circuits", "1 2\n2 3\n3 1\n"),
+        ("FLOWLAT_SUBSET_BOUND", "gtest", A_POS_TEXT),
+    ], ids=["tu", "circuit", "subset"])
+    def test_bad_env_bound(self, tmp_path, capsys, monkeypatch, env, verb, text, value):
+        monkeypatch.setenv(env, value)
+        f = write(tmp_path, "input", text)
+        assert run([verb, f]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("ERROR BAD-INPUT") and env in out
 
     def test_deterministic_output(self, tmp_path, capsys):
         f = graph_file(tmp_path, "k.graph", K4)

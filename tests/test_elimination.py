@@ -1,0 +1,263 @@
+"""The fraction-free Gauss-Jordan core against the eliminations it replaced.
+
+Every caller of `intmat._gauss_jordan` is compared for exact equality,
+values and errors alike, with the routine it replaced in
+`elimination_oracles`, on seeded random inputs and on the criterion-07
+reconstruction sweep.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+import elimination_oracles as oracle
+from flowlattice.errors import DimensionError, FormatError, MembershipError, NotABaseError
+from flowlattice.flows import FlowLattice, FlowVector, _coeff_box, fundamental_basis, gram_of
+from flowlattice.gram import GramMatrix
+from flowlattice.intmat import IntegerMatrix, _gauss_jordan, determinant, rank
+from flowlattice.matroid import (
+    RegularMatroid,
+    _independent_row_subset,
+    coordinatize,
+    dual,
+    first_base,
+    from_graph,
+)
+from flowlattice.rebuild import reconstruct_matroid
+
+from conftest import bridgeless_graphs
+
+
+def outcome(fn, *args):
+    """The value, or the type and message of the error raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - errors are compared too
+        return type(exc), str(exc)
+
+
+def random_matrix(rng, rows, cols):
+    """Small entries, often sparse, with planted zero and dependent lines."""
+    sparse = rng.random() < 0.5
+    a = [[0 if sparse and rng.random() < 0.6 else rng.randint(-3, 3)
+          for _ in range(cols)] for _ in range(rows)]
+    if rows >= 3 and rng.random() < 0.3:
+        i, j, k = rng.sample(range(rows), 3)
+        a[k] = [rng.randint(-2, 2) * x + rng.randint(-2, 2) * y
+                for x, y in zip(a[i], a[j])]
+    if cols and rng.random() < 0.2:
+        j = rng.randrange(cols)
+        for row in a:
+            row[j] = 0
+    if rows == 0:
+        return IntegerMatrix.empty(0, cols)
+    return IntegerMatrix.from_rows(a)
+
+
+def fraction_rref(rows):
+    """Reduced row echelon form over the rationals, pivot rows swapped up."""
+    a = [[Fraction(x) for x in r] for r in rows]
+    r = 0
+    for c in range(len(a[0]) if a else 0):
+        pivot = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(len(a)):
+            if i != r:
+                a[i] = [x - a[i][c] * y for x, y in zip(a[i], a[r])]
+        r += 1
+    return a
+
+
+def random_multigraph(rng):
+    nv = rng.randint(2, 6)
+    edges = [(rng.randint(1, nv), rng.randint(1, nv)) for _ in range(rng.randint(1, 9))]
+    return edges
+
+
+class TestCore:
+    def test_reduced_rows_and_leading_minors(self, rng):
+        for _ in range(1500):
+            m = random_matrix(rng, rng.randint(0, 6), rng.randint(0, 6))
+            reduced, cols, order, pivots = _gauss_jordan(m.entries)
+            assert len(cols) == oracle.rank(m)
+            for k, p in enumerate(pivots):
+                block = m.submatrix(order[:k + 1], cols[:k + 1])
+                assert p == oracle.determinant(block)
+            d = pivots[-1] if pivots else 1
+            assert [[Fraction(x, d) for x in row] for row in reduced] == \
+                fraction_rref(m.entries)
+
+    def test_width_limits_the_pivot_columns(self, rng):
+        for _ in range(300):
+            m = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 6))
+            width = rng.randint(0, m.cols)
+            _, cols, _, _ = _gauss_jordan(m.entries, width)
+            assert cols == _gauss_jordan(m.select_columns(range(width)).entries)[1]
+
+
+class TestRankAndDeterminant:
+    def test_against_oracles(self, rng):
+        for _ in range(3000):
+            n = rng.randint(0, 6)
+            m = random_matrix(rng, n, n if rng.random() < 0.6 else rng.randint(0, 6))
+            assert rank(m) == oracle.rank(m)
+            assert outcome(determinant, m) == outcome(oracle.determinant, m)
+
+
+class TestGramOf:
+    def test_against_k_determinants(self, rng):
+        failures = 0
+        for _ in range(2000):
+            n = rng.randint(1, 6)
+            cols = [list(c) for c in random_matrix(rng, n, rng.randint(1, 5)).columns()]
+            if len(cols) > 1 and rng.random() < 0.2:
+                cols[-1] = list(cols[rng.randrange(len(cols) - 1)])
+            got, want = outcome(gram_of, cols), outcome(oracle.gram_of, cols)
+            assert got == want
+            failures += isinstance(want, tuple)
+        assert 200 < failures < 1800
+
+
+class TestCoefficients:
+    @staticmethod
+    def by_fractions(basis, v):
+        x = oracle._solve_exact(basis, v.coords)
+        if x is None:
+            raise MembershipError("vector lies outside the rational span of the basis")
+        if any(f.denominator != 1 for f in x):
+            raise MembershipError("vector is a rational but not integral combination")
+        return tuple(int(f) for f in x)
+
+    def test_against_fraction_solve(self, rng):
+        kinds = set()
+        for _ in range(1000):
+            n, s = rng.randint(1, 6), rng.randint(1, 4)
+            b0 = random_matrix(rng, n, s)
+            if oracle.rank(b0) < s:
+                continue
+            t = IntegerMatrix.from_rows(
+                [[rng.randint(-2, 2) for _ in range(s)] for _ in range(s)])
+            if oracle.determinant(t) == 0:
+                continue
+            basis = b0 * t
+            x = IntegerMatrix.from_columns([[rng.randint(-3, 3) for _ in range(s)]])
+            v = list((b0 * x).column(0))
+            if rng.random() < 0.3:
+                v[rng.randrange(n)] += rng.choice([-1, 1])
+            lat = FlowLattice.from_basis(basis)
+            got = outcome(lat.coefficients, FlowVector.of(v))
+            assert got == outcome(self.by_fractions, basis, FlowVector.of(v))
+            kinds.add(got if isinstance(got, tuple) and got[0] is MembershipError else "ok")
+        assert len(kinds) == 3
+
+    def test_rejects_wrong_length(self, k4):
+        lat = fundamental_basis(k4)
+        for v in ((1, 1), (1, 1, 1, 0, 0, 0, 0)):
+            with pytest.raises(DimensionError):
+                lat.coefficients(FlowVector.of(v))
+
+
+class TestCoeffBox:
+    def test_against_fraction_inverse(self, rng):
+        for _ in range(500):
+            n = rng.randint(1, 5)
+            b = random_matrix(rng, n + rng.randint(0, 2), n)
+            if oracle.rank(b) < n:
+                continue
+            g = GramMatrix(b.transpose() * b)
+            bound = rng.randint(0, 40)
+            assert _coeff_box(g, bound) == oracle._coeff_box(g, bound)
+
+    def test_indefinite_matches(self):
+        for rows in ([[1, 2], [2, 1]], [[2, 3, 0], [3, 2, 1], [0, 1, 5]]):
+            g = GramMatrix.from_rows(rows)
+            assert outcome(_coeff_box, g, 7) == outcome(oracle._coeff_box, g, 7)
+
+    def test_singular_rejected(self):
+        with pytest.raises(FormatError, match="singular"):
+            _coeff_box(GramMatrix.from_rows([[1, 1], [1, 1]]), 3)
+
+
+class TestBases:
+    def test_first_base_and_coordinatize(self, rng):
+        for _ in range(300):
+            m = from_graph(random_multigraph(rng))
+            for mat in (m, dual(m)):
+                assert first_base(mat) == oracle.first_base(mat)
+                for _ in range(5):
+                    base = rng.sample(range(mat.size), mat.rank)
+                    assert outcome(coordinatize, mat, base) == \
+                        outcome(oracle.coordinatize, mat, base)
+
+    def test_row_deficient_has_no_base(self):
+        m = RegularMatroid.from_rep(
+            ("a", "b"), IntegerMatrix.from_rows([[1, 1], [1, 1]]), validate=False)
+        assert outcome(first_base, m) == outcome(oracle.first_base, m)
+
+    @pytest.mark.parametrize("rows,det", [
+        ([[1, 1], [-1, 1]], 2), ([[1, 1], [1, -1]], -2), ([[0, 2], [1, 0]], -2)])
+    def test_non_unit_block(self, rows, det):
+        m = RegularMatroid.from_rep(
+            ("a", "b", "c"),
+            IntegerMatrix.from_rows(rows).hstack(IntegerMatrix.from_rows([[1], [0]])),
+            validate=False)
+        with pytest.raises(NotABaseError) as got:
+            coordinatize(m, (0, 1))
+        with pytest.raises(NotABaseError) as want:
+            oracle.coordinatize(m, (0, 1))
+        assert got.value.subset == (0, 1)
+        assert got.value.certificate == want.value.certificate == \
+            f"determinant {det} is not a unit"
+
+    def test_singular_block(self):
+        m = RegularMatroid.from_rep(
+            ("a", "b"), IntegerMatrix.from_rows([[1, 2], [2, 4]]), validate=False)
+        assert outcome(coordinatize, m, (0, 1)) == outcome(oracle.coordinatize, m, (0, 1))
+
+
+def check_reconstruction(gram):
+    """q, the standard form and coordinates against the replaced routines."""
+    rep = reconstruct_matroid(gram).report
+    cert, q = rep.certificate, rep.g_positive_basis
+    block = cert.select_rows(_independent_row_subset(cert))
+    assert q == cert * oracle._integer_inverse(block)
+    ident = oracle._identity_block_rows(q)
+    other = [i for i in range(q.rows) if i not in ident]
+    assert rep.standard_form == IntegerMatrix.identity(len(other)).hstack(
+        -q.select_rows(other))
+    span = FlowLattice.from_basis(cert)
+    for j in range(q.cols):
+        v = FlowVector.of(q.column(j))
+        assert span.coefficients(v) == TestCoefficients.by_fractions(cert, v)
+
+
+class TestReconstructionSweep:
+    """Every base of every bridgeless graph on <= 5 nodes, as in criterion 07."""
+
+    def test_against_replaced_eliminations(self):
+        total = 0
+        for edges in bridgeless_graphs(5):
+            m = from_graph(edges)
+            assert first_base(m) == oracle.first_base(m)
+            for base in oracle.bases(m):
+                assert coordinatize(m, base) == oracle.coordinatize(m, base)
+                lat = fundamental_basis(m, base)
+                assert gram_of(lat.basis) == oracle.gram_of(lat.basis)
+                check_reconstruction(lat.gram)
+                total += 1
+        assert total == 418
+
+    def test_parallel_elements(self, rng):
+        # parallel elements repeat unit rows in q; the first of each is I_s
+        repeated = 0
+        for _ in range(200):
+            m = from_graph(random_multigraph(rng))
+            if m.corank:
+                gram = fundamental_basis(m).gram
+                check_reconstruction(gram)
+                q = reconstruct_matroid(gram).report.g_positive_basis
+                repeated += len(set(q.entries)) < q.rows
+        assert repeated > 20

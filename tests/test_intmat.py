@@ -87,7 +87,7 @@ def brute_kernel_vectors(m, coord_bound):
 
 
 def in_integer_span(columns, v):
-    from flowlattice.flows import _solve_exact
+    from elimination_oracles import _solve_exact
 
     if not columns:
         return all(x == 0 for x in v)

@@ -58,7 +58,6 @@ class TestReconstruct:
         assert (m.rank, m.size) == (3, 4)
         assert circuits(m) == ((0, 1, 2, 3),)
         assert out.report.standard_form.rows == 3
-        assert out.report.zero_rows == 0
 
     def test_triangle_gram(self):
         out = reconstruct_matroid(GramMatrix.from_rows([[3]]))
