@@ -274,14 +274,14 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    for flag, env in _BOUND_FLAGS.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            if value <= 0:
-                print("ERROR BAD-BOUND: bounds must be positive")
-                return 2
-            os.environ[env] = str(value)
+    flags = {env: getattr(args, flag) for flag, env in _BOUND_FLAGS.items()
+             if getattr(args, flag) is not None}
+    if any(value <= 0 for value in flags.values()):
+        print("ERROR BAD-BOUND: bounds must be positive")
+        return 2
+    saved = {env: os.environ[env] for env in flags if env in os.environ}
     try:
+        os.environ.update({env: str(value) for env, value in flags.items()})
         return args.fn(args)
     except BoundExceededError as exc:
         print(f"ERROR BOUND-EXCEEDED: {exc}")
@@ -295,6 +295,11 @@ def run(argv) -> int:
     except FlowLatticeError as exc:
         print(f"ERROR BAD-INPUT: {exc}")
         return 2
+    finally:
+        # the flags bind this call only
+        for env in flags:
+            os.environ.pop(env, None)
+        os.environ.update(saved)
 
 
 def main() -> None:

@@ -2,8 +2,8 @@
 
 Support statistics of subset families, triple classification, the
 derived set functions on the subset lattice, the nonnegativity/positivity
-flags, the canonical {0,1} skeleton, signing search, and the decision of
-realizability as U^T.U for a totally unimodular U.
+flags, the canonical {0,1} skeleton and its TU signing (built directly),
+and the decision of realizability as U^T.U for a totally unimodular U.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from .errors import BoundExceededError, DimensionError, FlowLatticeError, Format
 from .intmat import (
     IntegerMatrix,
     _env_bound,
+    _gated_order,
     is_totally_unimodular,
     parse_matrix,
     sharp,
@@ -201,23 +202,7 @@ def f_table(a: GramMatrix, bound: int | None = None) -> list[int]:
     b = subset_bound(bound)
     if s > b:
         raise BoundExceededError("matrix order", s, b)
-    table = [0] * (1 << s)
-    for mask in range(1, 1 << s):
-        idx = list(_mask_elements(mask))
-        if len(idx) == 1:
-            table[mask] = a.entry(idx[0], idx[0])
-            continue
-        neg = any(
-            triple_sign(a, t) is TripleSign.NEGATIVE
-            for t in itertools.combinations(idx, 3)
-        )
-        if neg:
-            table[mask] = 0
-        else:
-            table[mask] = min(
-                abs(a.entry(i, j)) for i, j in itertools.combinations(idx, 2)
-            )
-    return table
+    return [f_value(a, _mask_elements(mask)) for mask in range(1 << s)]
 
 
 def g_table(a: GramMatrix, bound: int | None = None) -> list[int]:
@@ -308,11 +293,11 @@ def build_x(a: GramMatrix, bound: int | None = None) -> IntegerMatrix:
 
 
 def _signing_skeleton(x: IntegerMatrix):
-    """Spanning-forest position fixing for the sign search.
+    """Spanning-forest position fixing for the signing.
 
     Positions on a spanning forest of the bipartite row-column graph may
-    be fixed to +1: any signing can be moved there by negating rows and
-    columns.  Returns (forest_positions, free_positions).
+    be fixed to +1: negating rows and columns moves any signing there, to
+    exactly one matrix.  Returns (forest_positions, free_positions).
     """
     for row in x.entries:
         for v in row:
@@ -339,34 +324,56 @@ def _signing_skeleton(x: IntegerMatrix):
     return forest, free
 
 
-def _signings(x: IntegerMatrix):
-    """All sign patterns modulo row/column negation, lexicographic order."""
-    _, free = _signing_skeleton(x)
-    base = [list(r) for r in x.entries]
-    for signs in itertools.product((1, -1), repeat=len(free)):
-        cand = [row[:] for row in base]
-        for (i, j), s in zip(free, signs):
-            cand[i][j] = s
-        yield IntegerMatrix.from_rows(cand)
+def _camion_signing(x: IntegerMatrix, forest, free) -> IntegerMatrix:
+    """The one signing of x, up to row and column negation, that can be TU.
+
+    Forest entries are +1.  Each next free entry has its row and column
+    closest in the graph of entries signed so far, so with a shortest path
+    it closes a cycle with no chord in x (a chord would have closer ends).
+    A TU matrix makes such a cycle singular: its sum is 0 mod 4 (Camion 1965).
+    """
+    m = x.rows
+    cand = [list(r) for r in x.entries]
+    # node -> [(neighbour, signed entry)]; column j is node m + j
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(m + x.cols)]
+    for i, j in forest:
+        adj[i].append((m + j, 1))
+        adj[m + j].append((i, 1))
+    trees: dict = {}
+    while free:
+        trees.update({i: _bfs(adj, i) for i in {i for i, _ in free} - trees.keys()})
+        i, j = min(free, key=lambda e: trees[e[0]][m + e[1]][0])
+        free.remove((i, j))
+        # the cycle sum with the new entry at +1
+        cand[i][j] = 1 if (trees[i][m + j][1] + 1) % 4 == 0 else -1
+        adj[i].append((m + j, cand[i][j]))
+        adj[m + j].append((i, cand[i][j]))
+        # where the depths of i and j differ by 1, a tree keeps its distances and
+        # the new entry is no chord of its paths; other trees are rebuilt
+        trees = {s: t for s, t in trees.items() if i not in t or abs(t[i][0] - t[m + j][0]) == 1}
+    return IntegerMatrix.from_rows(cand)
 
 
-def _quick_2x2_ok(u: IntegerMatrix) -> bool:
-    e = u.entries
-    for i, k in itertools.combinations(range(u.rows), 2):
-        for j, l in itertools.combinations(range(u.cols), 2):
-            if abs(e[i][j] * e[k][l] - e[i][l] * e[k][j]) > 1:
-                return False
-    return True
+def _bfs(adj, source) -> dict:
+    """node -> (distance from source, sum of the entries on the path), breadth first."""
+    tree, queue = {source: (0, 0)}, [source]
+    for u in queue:
+        dist, total = tree[u]
+        for v, entry in adj[u]:
+            if v not in tree:
+                tree[v] = (dist + 1, total + entry)
+                queue.append(v)
+    return tree
 
 
 def tu_signing(x: IntegerMatrix, bound: int | None = None) -> IntegerMatrix | None:
     """A totally unimodular matrix with entrywise absolute value x, if any."""
     if min(x.rows, x.cols) == 0:
         return x
-    for cand in _signings(x):
-        if _quick_2x2_ok(cand) and is_totally_unimodular(cand, bound):
-            return cand
-    return None
+    forest, free = _signing_skeleton(x)
+    _gated_order(x, bound)  # before the construction, whose cost grows with x
+    cand = _camion_signing(x, forest, free)
+    return cand if is_totally_unimodular(cand, bound) else None
 
 
 @dataclass(frozen=True)
@@ -386,11 +393,9 @@ def _match_column_signs(g: IntegerMatrix, a: GramMatrix) -> list[int] | None:
     Components of the nonzero off-diagonal graph get their least vertex
     fixed to +1, making the result canonical.
     """
+    if sharp(g) != sharp(a.mat):
+        return None
     s = a.order
-    for i in range(s):
-        for j in range(s):
-            if abs(g.entries[i][j]) != abs(a.entry(i, j)):
-                return None
     signs = [0] * s
     for root in range(s):
         if signs[root]:
@@ -413,27 +418,20 @@ def _match_column_signs(g: IntegerMatrix, a: GramMatrix) -> list[int] | None:
 
 
 def is_g_feasible(a: GramMatrix, bound: int | None = None) -> Feasibility:
-    """Search for a TU certificate whose column Gram matrix equals a.
+    """The TU certificate whose column Gram matrix equals a, if any.
 
-    Pipeline: classification gate, skeleton construction, then signing
-    enumeration modulo row/column negation with a Gram-compatibility
-    filter before the exact TU check.
+    Pipeline: classification gate, skeleton, its one TU signing up to row
+    and column negation (`tu_signing`), then the column signs matching a.
     """
     cls, g = _classify_table(a, bound)
     if not cls.g_nonnegative:
         return Feasibility(False, None, cls, f"NOT-G-NONNEGATIVE S={cls.witness}")
-    x = _skeleton(cls, g)
-    for cand in _signings(x):
-        g0 = cand.transpose() * cand
-        signs = _match_column_signs(g0, a)
-        if signs is None:
-            continue
-        if not (_quick_2x2_ok(cand) and is_totally_unimodular(cand)):
-            continue
-        cert = IntegerMatrix.from_rows(
-            [[v * signs[j] for j, v in enumerate(row)] for row in cand.entries]
-        )
-        if cert.transpose() * cert != a.mat:
-            raise FlowLatticeError("signed certificate does not Gram back to the input")
-        return Feasibility(True, cert, cls)
-    return Feasibility(False, None, cls, "NO-MATCHING-SIGNING")
+    u = tu_signing(_skeleton(cls, g))
+    signs = None if u is None else _match_column_signs(u.transpose() * u, a)
+    if signs is None:
+        return Feasibility(False, None, cls, "NO-MATCHING-SIGNING")
+    cert = IntegerMatrix.from_rows([[v * signs[j] for j, v in enumerate(row)]
+                                    for row in u.entries])
+    if cert.transpose() * cert != a.mat:
+        raise FlowLatticeError("signed certificate does not Gram back to the input")
+    return Feasibility(True, cert, cls)

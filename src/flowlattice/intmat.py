@@ -44,10 +44,13 @@ class IntegerMatrix:
     entries: tuple[tuple[int, ...], ...]
     row_labels: tuple[str, ...] | None = None
     col_labels: tuple[str, ...] | None = None
-    # column count of a zero-row matrix; ignored when entries is nonempty
+    # column count of a zero-row matrix; reset to 0 when entries is nonempty,
+    # so equality and hashing see entries, labels and shape only
     empty_cols: int = 0
 
     def __post_init__(self):
+        if self.entries and self.empty_cols:
+            object.__setattr__(self, "empty_cols", 0)
         widths = {len(r) for r in self.entries}
         if len(widths) > 1:
             raise DimensionError("ragged rows")
@@ -389,6 +392,15 @@ def _tu_core(m: IntegerMatrix) -> IntegerMatrix | None:
             return IntegerMatrix(tuple(rows))
 
 
+def _gated_order(m: IntegerMatrix, bound: int | None) -> int:
+    """min(rows, cols), the largest minor order; raises past the TU bound."""
+    k = min(m.rows, m.cols)
+    b = tu_bound(bound)
+    if k > b:
+        raise BoundExceededError("min(rows, cols)", k, b)
+    return k
+
+
 def is_totally_unimodular(m: IntegerMatrix, bound: int | None = None) -> UnimodularityCheck:
     """Every square submatrix has determinant in {-1, 0, +1}.
 
@@ -401,10 +413,7 @@ def is_totally_unimodular(m: IntegerMatrix, bound: int | None = None) -> Unimodu
     {0, +-1}), the input itself is enumerated ascending by submatrix
     order, so the witness is the lexicographically least one.
     """
-    order_cap = min(m.rows, m.cols)
-    b = tu_bound(bound)
-    if order_cap > b:
-        raise BoundExceededError("min(rows, cols)", order_cap, b)
+    order_cap = _gated_order(m, bound)
     core = _tu_core(m)
     if core is not None and _check_minors(core, range(1, min(core.rows, core.cols) + 1)):
         return UnimodularityCheck(True)
@@ -413,10 +422,7 @@ def is_totally_unimodular(m: IntegerMatrix, bound: int | None = None) -> Unimodu
 
 def is_weakly_unimodular(m: IntegerMatrix, bound: int | None = None) -> UnimodularityCheck:
     """Every maximal square submatrix has determinant in {-1, 0, +1}."""
-    k = min(m.rows, m.cols)
-    b = tu_bound(bound)
-    if k > b:
-        raise BoundExceededError("min(rows, cols)", k, b)
+    k = _gated_order(m, bound)
     if k == 0:
         return UnimodularityCheck(True)
     return _check_minors(m, (k,))

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import FlowLatticeError
-from .gram import Classification, Feasibility, GramMatrix, classify, is_g_feasible
+from .gram import Feasibility, GramMatrix, is_g_feasible
 from .intmat import IntegerMatrix, _gauss_jordan
 from .matroid import (
     IsomorphismResult,
@@ -23,8 +23,8 @@ def to_g_positive_basis(a: GramMatrix, certificate: IntegerMatrix) -> tuple[Inte
     q = U B^-1, where B is the lexicographically least invertible s-by-s
     row block of U: Gauss-Jordan on U^T takes B's rows as its pivot
     columns and ends at d (U B^-1)^T, d = det B up to sign.  B has unit
-    determinant, so q spans the same lattice, holds I_s in B's rows, and
-    its Gram matrix gains strictly positive singleton values.
+    determinant, so q spans the same lattice, is TU, and holds I_s in
+    B's rows, which makes its Gram matrix g-positive.
     """
     rows, cols, _, pivots = _gauss_jordan(certificate.transpose().entries)
     if len(cols) < certificate.cols:
@@ -32,11 +32,10 @@ def to_g_positive_basis(a: GramMatrix, certificate: IntegerMatrix) -> tuple[Inte
     d = pivots[-1] if pivots else 1
     q = IntegerMatrix.from_columns([[x // d for x in row] for row in rows],
                                    nrows=certificate.rows)
-    gram_q = GramMatrix(q.transpose() * q)
-    cls = classify(gram_q)
-    if not cls.g_positive:
+    # |d| > 1: B is not unimodular and q would span a different lattice
+    if abs(d) != 1 or tuple(q.entries[c] for c in cols) != IntegerMatrix.identity(q.cols).entries:
         raise FlowLatticeError("transformed basis failed the positivity gate")
-    return q, gram_q
+    return q, GramMatrix(q.transpose() * q)
 
 
 @dataclass(frozen=True)
@@ -65,7 +64,7 @@ class ReconstructionOutcome:
 def reconstruct_matroid(a: GramMatrix, bound: int | None = None) -> ReconstructionOutcome:
     """Rebuild the co-loop-free minor whose flow lattice has Gram matrix a.
 
-    Feasibility search, change to a basis containing an identity block,
+    Feasibility check, change to a basis containing an identity block,
     then reading the standard form off the stacked block shape.
     """
     feas = is_g_feasible(a, bound)

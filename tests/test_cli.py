@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from flowlattice.cli import run
@@ -301,6 +303,33 @@ class TestErrors:
         assert run([verb, f]) == 2
         out = capsys.readouterr().out
         assert out.startswith("ERROR BAD-INPUT") and env in out
+
+    def test_bound_flag_binds_one_call(self, tmp_path, capsys):
+        f = write(tmp_path, "m.mat", "2 2\n1 0\n1 1\n")
+        assert run(["--tu-bound", "1", "tu-check", f]) == 2
+        assert "ERROR BOUND-EXCEEDED" in capsys.readouterr().out
+        assert run(["tu-check", f]) == 0
+        assert capsys.readouterr().out == "TU yes\nWU yes\n"
+
+    def test_bound_flag_restores_the_environment(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("FLOWLAT_TU_BOUND", "5")
+        monkeypatch.delenv("FLOWLAT_SUBSET_BOUND", raising=False)
+        f = write(tmp_path, "a.gram", A_POS_TEXT)
+        assert run(["--tu-bound", "1", "--subset-bound", "3", "gtest", f]) == 2
+        assert os.environ["FLOWLAT_TU_BOUND"] == "5"
+        assert "FLOWLAT_SUBSET_BOUND" not in os.environ
+        assert run(["--tu-bound", "1", "--subset-bound", "0", "gtest", f]) == 2
+        assert "ERROR BAD-BOUND" in capsys.readouterr().out.splitlines()[-1]
+        assert os.environ["FLOWLAT_TU_BOUND"] == "5"
+
+    def test_tu_bound_gates_every_signing(self, tmp_path, capsys):
+        """The TU check runs on every non-empty input, found or refuted."""
+        for text, verb in ((A_POS_TEXT, "reconstruct"), (K4_GRAM_TEXT, "reconstruct"),
+                           ("3 3\n1 1 0\n0 1 1\n1 0 1\n", "signing"),
+                           ("3 4\n1 1 0 1\n1 0 1 1\n0 1 1 1\n", "signing")):
+            f = write(tmp_path, "input", text)
+            assert run(["--tu-bound", "2", verb, f]) == 2
+            assert capsys.readouterr().out.startswith("ERROR BOUND-EXCEEDED")
 
     def test_deterministic_output(self, tmp_path, capsys):
         f = graph_file(tmp_path, "k.graph", K4)

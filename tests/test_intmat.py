@@ -276,6 +276,23 @@ class TestTotallyUnimodularCore:
         assert core.rows <= k.rows and core.cols <= k.cols
 
 
+class TestEquality:
+    def test_column_count_of_nonempty_matrix_ignored(self):
+        a = IntegerMatrix(((1, 0), (0, 1)), empty_cols=7)
+        b = IntegerMatrix.from_rows([[1, 0], [0, 1]])
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert IntegerMatrix(((), ()), empty_cols=4) == IntegerMatrix.from_rows([(), ()])
+
+    def test_shape_and_labels_still_count(self):
+        assert IntegerMatrix.empty(0, 3) != IntegerMatrix.empty(0, 5)
+        assert IntegerMatrix.empty(0, 3) == IntegerMatrix((), empty_cols=3)
+        assert IntegerMatrix.empty(0, 0) != IntegerMatrix.empty(2, 0)
+        rows = [[1, 2], [3, 4]]
+        assert IntegerMatrix.from_rows(rows, col_labels=("a", "b")) != \
+            IntegerMatrix.from_rows(rows)
+        assert IntegerMatrix.from_rows(rows) != IntegerMatrix.from_rows([[1, 2], [3, 5]])
+
+
 class TestSharp:
     def test_basic(self):
         assert sharp(M([[-1, 0], [1, -1]])) == M([[1, 0], [1, 1]])

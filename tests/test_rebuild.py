@@ -1,5 +1,6 @@
 import pytest
 
+from flowlattice.errors import FlowLatticeError
 from flowlattice.flows import fundamental_basis
 from flowlattice.gram import GramMatrix, classify, is_g_feasible
 from flowlattice.intmat import IntegerMatrix, is_totally_unimodular, rank
@@ -48,6 +49,32 @@ class TestGPositiveBasis:
         for j in range(q.cols):
             coeffs = span.coefficients(FlowVector.of(q.column(j)))
             assert all(isinstance(c, int) for c in coeffs)
+
+    def test_positivity_gate_reads_no_g_table(self, k4, monkeypatch):
+        import flowlattice.gram as gram_mod
+
+        lat = fundamental_basis(k4)
+        cert = is_g_feasible(lat.gram).certificate
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("g table built for the transformed basis")
+
+        monkeypatch.setattr(gram_mod, "_classify_table", refuse)
+        q, gq = to_g_positive_basis(lat.gram, cert)
+        assert gq.mat == q.transpose() * q
+
+    def test_g_positive_on_the_sweep(self):
+        for edges in bridgeless_graphs(5):
+            m = from_graph(edges)
+            for base in bases(m):
+                a = fundamental_basis(m, base).gram
+                _, gq = to_g_positive_basis(a, is_g_feasible(a).certificate)
+                assert classify(gq).g_positive
+
+    def test_non_unimodular_block_rejected(self):
+        # B = [2]: q = U B^-1 would not span the certificate's lattice
+        with pytest.raises(FlowLatticeError, match="positivity gate"):
+            to_g_positive_basis(GramMatrix.from_rows([[4]]), IntegerMatrix.from_rows([[2]]))
 
 
 class TestReconstruct:
