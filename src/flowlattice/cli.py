@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import flows, gram, intmat, matroid, rebuild
@@ -245,33 +246,38 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(f"--{flag.replace('_', '-')}", type=int, default=None)
     sub = p.add_subparsers(dest="verb", required=True)
 
-    def add(name, fn, *specs):
+    def add(name, *specs):
         sp = sub.add_parser(name)
         for spec in specs:
             sp.add_argument(*spec[0], **spec[1])
-        sp.set_defaults(fn=fn)
 
+    # verb v runs cmd_<v with '-' as '_'>, looked up when it runs
     farg = (("file",), {})
-    add("tu-check", cmd_tu_check, farg)
-    add("circuits", cmd_circuits, farg)
-    add("coloops", cmd_coloops, farg)
-    add("flows", cmd_flows, farg, (("--base",), {"default": None}))
-    add("cuts", cmd_cuts, farg, (("--base",), {"default": None}))
-    add("decompose", cmd_decompose, farg, (("vector",), {}))
-    add("simple", cmd_simple, farg, (("vector",), {}))
-    add("gtest", cmd_gtest, farg)
-    add("xmatrix", cmd_xmatrix, farg)
-    add("signing", cmd_signing, farg)
-    add("reconstruct", cmd_reconstruct, farg)
-    add("isometric", cmd_isometric, (("file1",), {}), (("file2",), {}),
+    add("tu-check", farg)
+    add("circuits", farg)
+    add("coloops", farg)
+    add("flows", farg, (("--base",), {"default": None}))
+    add("cuts", farg, (("--base",), {"default": None}))
+    add("decompose", farg, (("vector",), {}))
+    add("simple", farg, (("vector",), {}))
+    add("gtest", farg)
+    add("xmatrix", farg)
+    add("signing", farg)
+    add("reconstruct", farg)
+    add("isometric", (("file1",), {}), (("file2",), {}),
         (("--mode",), {"choices": ["flow", "cut", "mixed"], "default": "flow"}))
     return p
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use and never changed."""
+    return build_parser()
+
+
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     flags = {env: getattr(args, flag) for flag, env in _BOUND_FLAGS.items()
@@ -282,7 +288,7 @@ def run(argv) -> int:
     saved = {env: os.environ[env] for env in flags if env in os.environ}
     try:
         os.environ.update({env: str(value) for env, value in flags.items()})
-        return args.fn(args)
+        return globals()["cmd_" + args.verb.replace("-", "_")](args)
     except BoundExceededError as exc:
         print(f"ERROR BOUND-EXCEEDED: {exc}")
         return 2

@@ -1,21 +1,27 @@
 """Lattices of integer flows and cuts.
 
 Fundamental bases, Gram matrices, signed-circuit flows, consistent
-decomposition into conforming simple flows, and the metric simplicity
-test by bounded enumeration inside the Gram ellipsoid.  Definiteness,
-lattice coordinates and the enumeration box come from the fraction-free
+decomposition into conforming simple flows (one loop over bitmask
+supports), and the metric simplicity test by Fincke-Pohst enumeration of
+the Gram ellipsoid.  Definiteness, lattice coordinates and the exact
+LDL^T that bounds the enumeration come from the fraction-free
 Gauss-Jordan elimination of `intmat`, so all arithmetic is over the
 integers.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, lcm
 
-from .errors import DefinitenessError, DimensionError, FormatError, MembershipError
+from .errors import (
+    DefinitenessError,
+    DimensionError,
+    FlowLatticeError,
+    FormatError,
+    MembershipError,
+)
 from .gram import GramMatrix
 from .intmat import IntegerMatrix, _gauss_jordan, integer_kernel_basis
 from .matroid import RegularMatroid, circuits, coordinatize, first_base
@@ -86,16 +92,22 @@ def gram_of(columns) -> GramMatrix:
     else:
         b = IntegerMatrix.from_columns(columns)
     g = b.transpose() * b
-    # Sylvester's criterion in one pass.  g is positive semidefinite, so a
-    # zero pivot has only zeros below it: up to the first skipped column no
-    # row is swapped, pivot k is the leading minor of order k + 1, and the
-    # skipped column k marks a vanishing one.
-    _, cols, _, pivots = _gauss_jordan(g.entries)
-    for k in range(g.rows):
-        minor = pivots[k] if k < len(cols) and cols[k] == k else 0
+    _, cols, order, pivots = _gauss_jordan(g.entries)
+    _require_positive_minors(cols, order, pivots, g.rows)
+    return GramMatrix(g)
+
+
+def _require_positive_minors(cols, order, pivots, n: int) -> None:
+    """Sylvester's criterion on the elimination of a symmetric n x n matrix.
+
+    Up to the first vanishing leading minor no column is skipped and no
+    row is swapped, so pivot k is the leading minor of order k + 1; a
+    skipped column or a swap at step k marks a vanishing one.
+    """
+    for k in range(n):
+        minor = pivots[k] if k < len(cols) and cols[k] == k and order[k] == k else 0
         if minor <= 0:
             raise DefinitenessError(k + 1, minor)
-    return GramMatrix(g)
 
 
 @dataclass(frozen=True)
@@ -197,7 +209,7 @@ def _circuit_flow(m: RegularMatroid, circuit: tuple[int, ...]) -> FlowVector:
         raise MembershipError(f"subset {circuit} does not support a unique flow line")
     local = k.column(0)
     if any(abs(x) != 1 for x in local):
-        raise AssertionError("circuit flow is not a unit vector pattern")
+        raise FlowLatticeError("circuit flow is not a unit vector pattern")
     coords = [0] * m.size
     for pos, e in enumerate(circuit):
         coords[e] = local[pos]
@@ -214,26 +226,20 @@ def simple_flows(m: RegularMatroid, bound: int | None = None) -> list[FlowVector
     return sorted(out, key=lambda v: v.coords)
 
 
-def _find_conforming(m: RegularMatroid, circs, beta: FlowVector) -> FlowVector:
-    """A simple flow with support inside and signs agreeing with beta."""
-    supp = set(beta.support)
-    circuit = next(c for c in circs if set(c) <= supp)
-    alpha = _circuit_flow(m, circuit)
-    e = min(alpha.support, key=lambda i: (abs(beta.coords[i]), i))
-    if alpha.coords[e] * beta.coords[e] < 0:
-        alpha = -alpha
-    c = abs(beta.coords[e])
-    rest = beta - alpha.scaled(c)
-    if rest.is_zero:
-        return alpha
-    return _find_conforming(m, circs, rest)
-
-
 def consistent_decompose(lat: FlowLattice, beta: FlowVector) -> list[FlowVector]:
     """Express a flow as a sum of simple flows, support- and sign-consistently.
 
-    Deterministic: at each step the conforming flow is derived from the
-    lexicographically least circuit inside the current support.
+    Deterministic: each part comes from a chain of steps on the rest of
+    the flow.  A step takes the first circuit, in (size, lex) order, whose
+    bitmask lies inside the support of the current vector, signs its flow
+    alpha to agree with the vector at the element e of least |value|
+    (least index on ties), and subtracts |value at e| * alpha.  The chain
+    ends at the alpha that leaves zero; that alpha is the part, and the
+    next part starts from the flow minus the parts so far.  The support
+    shrinks at every step, so a chain has at most as many steps as the
+    ground set has elements.  Within one call, supports already met map
+    to their first circuit, and each circuit's pair (alpha, -alpha) is
+    built once and shared by every part that uses it.
     """
     if lat.source is None:
         raise MembershipError("decomposition needs a lattice with a source matroid")
@@ -248,12 +254,30 @@ def consistent_decompose(lat: FlowLattice, beta: FlowVector) -> list[FlowVector]
                 equation=(i, row),
             )
     circs = circuits(m)
+    masks = [sum(1 << e for e in c) for c in circs]
+    first: dict[int, int] = {}
+    pairs: dict[int, tuple[FlowVector, FlowVector]] = {}
     parts: list[FlowVector] = []
-    current = beta
-    while not current.is_zero:
-        alpha = _find_conforming(m, circs, current)
+    current = beta.coords
+    while any(current):
+        rest = current
+        while True:
+            supp = sum(1 << e for e, x in enumerate(rest) if x)
+            k = first.get(supp)
+            if k is None:
+                k = first[supp] = next(j for j, cm in enumerate(masks) if not cm & ~supp)
+            pair = pairs.get(k)
+            if pair is None:
+                alpha = _circuit_flow(m, circs[k])
+                pair = pairs[k] = (alpha, -alpha)
+            e = min(circs[k], key=lambda j: (abs(rest[j]), j))
+            alpha = pair[pair[0].coords[e] * rest[e] < 0]
+            c = abs(rest[e])
+            rest = tuple(x - c * a for x, a in zip(rest, alpha.coords))
+            if not any(rest):
+                break
         parts.append(alpha)
-        current = current - alpha
+        current = tuple(x - a for x, a in zip(current, alpha.coords))
     return parts
 
 
@@ -267,32 +291,69 @@ class SimpleMetricResult:
         return self.simple
 
 
-def _coeff_box(gram: GramMatrix, bound: int) -> list[int]:
-    """Per-coordinate enumeration limits from the inverse Gram diagonal.
-
-    |y_i| <= isqrt(floor((G^-1)_ii * bound)); Gauss-Jordan on [G | I]
-    ends at [d I | d G^-1], which gives the floor as
-    (d (G^-1)_ii * bound) // d.
-    """
-    n = gram.order
-    rows, cols, _, pivots = _gauss_jordan(
-        [row + tuple(int(i == j) for j in range(n))
-         for i, row in enumerate(gram.mat.entries)], n)
-    if len(cols) < n:
-        raise FormatError("Gram matrix is singular")
-    d = pivots[-1] if pivots else 1
-    return [isqrt(rows[i][n + i] * bound // d) for i in range(n)]
-
-
 def enumerate_coefficients(gram: GramMatrix, bound: int):
-    """All integer coefficient tuples y with y^T.G.y <= bound, lex order."""
-    limits = _coeff_box(gram, bound)
-    g = gram.mat.entries
+    """All integer coefficient tuples y with y^T.G.y <= bound, lex order.
+
+    Fincke-Pohst: a depth-first walk whose nodes all lie in projections
+    of the ellipsoid, so the cost is its points and the nodes above them,
+    not the bounding box.  With H the Gram matrix in reversed order
+    (z_i = y_{s-1-i}, so y_1 is the outermost variable and the points
+    come out in lex order) and u_k row k of its forward Bareiss form,
+    H = sum_k u_k^T u_k / (p_k p_{k-1}), where p_k = u_k[k] is the
+    leading minor of order k + 1 and p_{-1} = 1.  Scaled by the lcm N of
+    the p_k p_{k-1}, the form is sum_k w_k L_k^2 with integer weights
+    w_k = N / (p_k p_{k-1}) and L_k = p_k z_k + c_k, c_k depending on
+    z_{k+1..} only.  Level k keeps exactly the z_k with
+    w_k L_k^2 <= R, the budget left of N * bound.
+
+    A negative bound yields nothing; a singular Gram matrix raises
+    FormatError and a nonsingular one that is not positive definite
+    raises DefinitenessError.
+    """
     s = gram.order
-    for y in itertools.product(*[range(-l, l + 1) for l in limits]):
-        q = sum(g[i][j] * y[i] * y[j] for i in range(s) for j in range(s))
-        if q <= bound:
-            yield y, q
+    g = gram.mat.entries
+    _, cols, order, pivots = _gauss_jordan(g)
+    if len(cols) < s:
+        raise FormatError("Gram matrix is singular")
+    _require_positive_minors(cols, order, pivots, s)
+    if bound < 0:
+        return
+    if not s:
+        yield (), 0
+        return
+    h = [row[::-1] for row in g[::-1]]
+    u = [_gauss_jordan(h, k)[0][k] for k in range(s)]
+    p = [u[k][k] for k in range(s)]
+    den = [a * b for a, b in zip(p, [1] + p)]
+    n = lcm(*den)
+    w = [n // d for d in den]
+    top = n * bound
+    z, c, hi = [0] * s, [0] * s, [0] * s
+    budget = [0] * s + [top]
+    k = s - 1
+    while True:
+        # open level k: the range of z_k under the budget left by z_{k+1..}
+        row, pk = u[k], p[k]
+        c[k] = ck = sum(row[j] * z[j] for j in range(k + 1, s))
+        t = isqrt(budget[k + 1] // w[k])
+        lo, hi[k] = -((t + ck) // pk), (t - ck) // pk
+        if k:
+            z[k] = lo - 1
+        else:
+            head, spent = tuple(z[:0:-1]), top - budget[1]
+            for z0 in range(lo, hi[0] + 1):
+                lk = pk * z0 + ck
+                yield head + (z0,), (spent + w[0] * lk * lk) // n
+            k = 1
+        # step the innermost level that has values left, then descend
+        while k < s and z[k] >= hi[k]:
+            k += 1
+        if k == s:
+            return
+        z[k] += 1
+        lk = p[k] * z[k] + c[k]
+        budget[k] = budget[k + 1] - w[k] * lk * lk
+        k -= 1
 
 
 def is_simple_metric(lat: FlowLattice, alpha) -> SimpleMetricResult:
@@ -310,15 +371,15 @@ def is_simple_metric(lat: FlowLattice, alpha) -> SimpleMetricResult:
             raise DimensionError("coefficient length differs from lattice rank")
     if not any(x):
         raise FormatError("simple elements are nonzero")
-    g = lat.gram.mat.entries
-    s = lat.lattice_rank
-    bound = sum(g[i][j] * x[i] * x[j] for i in range(s) for j in range(s))
+    gx = [sum(a * b for a, b in zip(row, x)) for row in lat.gram.mat.entries]
+    bound = sum(a * b for a, b in zip(x, gx))
     for y, qy in enumerate_coefficients(lat.gram, bound):
         if not any(y) or y == x:
             continue
-        z = tuple(a - b for a, b in zip(x, y))
-        inner = sum(g[i][j] * y[i] * z[j] for i in range(s) for j in range(s))
+        # <y, x - y> = y^T G x - y^T G y
+        inner = sum(a * b for a, b in zip(y, gx)) - qy
         if inner >= 0:
+            z = tuple(a - b for a, b in zip(x, y))
             return SimpleMetricResult(
                 False, (lat.vector(y), lat.vector(z)), inner
             )

@@ -143,7 +143,7 @@ def phi_gamma(family: SupportFamily, subset) -> tuple[int, int]:
         if membership == target:
             gamma_direct += 1
     if gamma_alt != gamma_direct:
-        raise AssertionError(
+        raise FlowLatticeError(
             f"inclusion/exclusion disagrees with direct count: {gamma_alt} != {gamma_direct}"
         )
     return phi, gamma_alt
@@ -302,7 +302,7 @@ def _signing_skeleton(x: IntegerMatrix):
     for row in x.entries:
         for v in row:
             if v not in (0, 1):
-                raise FormatError("signing search expects a {0,1} matrix")
+                raise FormatError("signing expects a {0,1} matrix")
     parent: dict = {}
 
     def find(u):

@@ -202,6 +202,11 @@ class TestGramCommands:
         assert run(["signing", xf]) == 1
         assert "NO-TU-SIGNING" in capsys.readouterr().out
 
+    def test_signing_rejects_non_binary(self, tmp_path, capsys):
+        f = write(tmp_path, "x.mat", "2 2\n1 2\n0 1\n")
+        assert run(["signing", f]) == 2
+        assert capsys.readouterr().out == "ERROR BAD-INPUT: signing expects a {0,1} matrix\n"
+
     def test_signing_found(self, tmp_path, capsys):
         f = write(tmp_path, "x.mat", "4 4\n1 0 0 1\n1 1 0 0\n0 1 1 0\n0 0 1 1\n")
         assert run(["signing", f]) == 0
@@ -264,6 +269,30 @@ class TestIsometric:
         f2 = graph_file(tmp_path, "t.graph", TRIANGLE)
         assert run(["isometric", f1, f2]) == 0
         capsys.readouterr()
+
+
+class TestParser:
+    def test_built_once_and_verbs_resolved_per_call(self, tmp_path, capsys, monkeypatch):
+        import flowlattice.cli as cli_mod
+
+        f = write(tmp_path, "m.mat", "2 2\n1 0\n1 1\n")
+        assert run(["tu-check", f]) == 0
+        assert capsys.readouterr().out == "TU yes\nWU yes\n"
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("parser rebuilt")
+
+        seen = []
+
+        def patched(args):
+            seen.append(args.file)
+            return 1
+
+        monkeypatch.setattr(cli_mod, "build_parser", refuse)
+        monkeypatch.setattr(cli_mod, "cmd_tu_check", patched)
+        assert run(["tu-check", f]) == 1
+        assert seen == [f]
+        assert capsys.readouterr().out == ""
 
 
 class TestErrors:

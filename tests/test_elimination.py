@@ -11,8 +11,9 @@ from fractions import Fraction
 import pytest
 
 import elimination_oracles as oracle
+from flows_oracles import _coeff_box
 from flowlattice.errors import DimensionError, FormatError, MembershipError, NotABaseError
-from flowlattice.flows import FlowLattice, FlowVector, _coeff_box, fundamental_basis, gram_of
+from flowlattice.flows import FlowLattice, FlowVector, fundamental_basis, gram_of
 from flowlattice.gram import GramMatrix
 from flowlattice.intmat import IntegerMatrix, _gauss_jordan, determinant, rank
 from flowlattice.matroid import (
