@@ -8,10 +8,10 @@ Exit status: 0 = affirmative/success, 1 = negative decision,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from functools import cache
 from pathlib import Path
+from types import MappingProxyType
 
 from . import flows, gram, intmat, matroid, rebuild
 from .errors import (
@@ -21,13 +21,6 @@ from .errors import (
     MembershipError,
     NotABaseError,
 )
-
-_BOUND_FLAGS = {
-    "tu_bound": "FLOWLAT_TU_BOUND",
-    "circuit_bound": "FLOWLAT_CIRCUIT_BOUND",
-    "iso_bound": "FLOWLAT_ISO_BOUND",
-    "subset_bound": "FLOWLAT_SUBSET_BOUND",
-}
 
 
 def _read(path: str) -> str:
@@ -161,12 +154,11 @@ def cmd_simple(args) -> int:
 
 def cmd_gtest(args) -> int:
     a = gram.parse_gram(_read(args.file))
-    cls = gram.classify(a)
+    cls, table = gram._classify_table(a, None)
     if not cls.g_nonnegative:
         print(f"NOT-G-NONNEGATIVE S={{{','.join(str(i + 1) for i in cls.witness)}}}")
         return 1
     print("G-POSITIVE" if cls.g_positive else "G-NONNEGATIVE")
-    table = gram.g_table(a)
     ftab = gram.f_table(a)
     for mask in range(1, 1 << a.order):
         if table[mask] or ftab[mask]:
@@ -242,8 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--porcelain", action="store_true",
                    help="stable machine-readable output")
-    for flag in _BOUND_FLAGS:
-        p.add_argument(f"--{flag.replace('_', '-')}", type=int, default=None)
+    for kind in intmat.BOUND_DEFAULTS:
+        p.add_argument(f"--{kind}-bound", type=int, default=None)
     sub = p.add_subparsers(dest="verb", required=True)
 
     def add(name, *specs):
@@ -280,14 +272,14 @@ def run(argv) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    flags = {env: getattr(args, flag) for flag, env in _BOUND_FLAGS.items()
-             if getattr(args, flag) is not None}
+    flags = {kind: value for kind in intmat.BOUND_DEFAULTS
+             if (value := getattr(args, f"{kind}_bound")) is not None}
     if any(value <= 0 for value in flags.values()):
         print("ERROR BAD-BOUND: bounds must be positive")
         return 2
-    saved = {env: os.environ[env] for env in flags if env in os.environ}
+    # the flags bind this call only
+    token = intmat.call_bounds.set(MappingProxyType(flags))
     try:
-        os.environ.update({env: str(value) for env, value in flags.items()})
         return globals()["cmd_" + args.verb.replace("-", "_")](args)
     except BoundExceededError as exc:
         print(f"ERROR BOUND-EXCEEDED: {exc}")
@@ -302,10 +294,7 @@ def run(argv) -> int:
         print(f"ERROR BAD-INPUT: {exc}")
         return 2
     finally:
-        # the flags bind this call only
-        for env in flags:
-            os.environ.pop(env, None)
-        os.environ.update(saved)
+        intmat.call_bounds.reset(token)
 
 
 def main() -> None:

@@ -48,7 +48,7 @@ class DefinitenessError(FlowLatticeError, ValueError):
         self.minor = minor
         super().__init__(
             f"leading principal minor of order {order} is {minor}; "
-            "columns are not linearly independent"
+            "the Gram matrix is not positive definite"
         )
 
 

@@ -12,7 +12,6 @@ integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import isqrt, lcm
 
 from .errors import (
@@ -200,7 +199,6 @@ def _canonical_sign(coords) -> tuple[int, ...]:
     return tuple(coords)
 
 
-@lru_cache(maxsize=None)
 def _circuit_flow(m: RegularMatroid, circuit: tuple[int, ...]) -> FlowVector:
     """The sign-canonical simple flow supported on the given circuit."""
     sub = m.rep.select_columns(circuit)
@@ -218,12 +216,8 @@ def _circuit_flow(m: RegularMatroid, circuit: tuple[int, ...]) -> FlowVector:
 
 def simple_flows(m: RegularMatroid, bound: int | None = None) -> list[FlowVector]:
     """Both signed flows for every circuit, sorted by coordinates."""
-    out = []
-    for c in circuits(m, bound):
-        alpha = _circuit_flow(m, c)
-        out.append(alpha)
-        out.append(-alpha)
-    return sorted(out, key=lambda v: v.coords)
+    circuits(m, bound)  # the ground-size gate
+    return sorted((v for pair in m._signed_pairs for v in pair), key=lambda v: v.coords)
 
 
 def consistent_decompose(lat: FlowLattice, beta: FlowVector) -> list[FlowVector]:
@@ -238,8 +232,8 @@ def consistent_decompose(lat: FlowLattice, beta: FlowVector) -> list[FlowVector]
     next part starts from the flow minus the parts so far.  The support
     shrinks at every step, so a chain has at most as many steps as the
     ground set has elements.  Within one call, supports already met map
-    to their first circuit, and each circuit's pair (alpha, -alpha) is
-    built once and shared by every part that uses it.
+    to their first circuit; each circuit's pair (alpha, -alpha) is built
+    once per matroid and shared by every part that uses it.
     """
     if lat.source is None:
         raise MembershipError("decomposition needs a lattice with a source matroid")
@@ -254,9 +248,9 @@ def consistent_decompose(lat: FlowLattice, beta: FlowVector) -> list[FlowVector]
                 equation=(i, row),
             )
     circs = circuits(m)
+    pairs = m._signed_pairs
     masks = [sum(1 << e for e in c) for c in circs]
     first: dict[int, int] = {}
-    pairs: dict[int, tuple[FlowVector, FlowVector]] = {}
     parts: list[FlowVector] = []
     current = beta.coords
     while any(current):
@@ -266,10 +260,7 @@ def consistent_decompose(lat: FlowLattice, beta: FlowVector) -> list[FlowVector]
             k = first.get(supp)
             if k is None:
                 k = first[supp] = next(j for j, cm in enumerate(masks) if not cm & ~supp)
-            pair = pairs.get(k)
-            if pair is None:
-                alpha = _circuit_flow(m, circs[k])
-                pair = pairs[k] = (alpha, -alpha)
+            pair = pairs[k]
             e = min(circs[k], key=lambda j: (abs(rest[j]), j))
             alpha = pair[pair[0].coords[e] * rest[e] < 0]
             c = abs(rest[e])

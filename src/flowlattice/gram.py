@@ -12,23 +12,14 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import BoundExceededError, DimensionError, FlowLatticeError, FormatError
+from .errors import DimensionError, FlowLatticeError, FormatError
 from .intmat import (
     IntegerMatrix,
-    _env_bound,
-    _gated_order,
+    _gate,
     is_totally_unimodular,
     parse_matrix,
     sharp,
 )
-
-DEFAULT_SUBSET_BOUND = 20
-
-
-def subset_bound(override: int | None = None) -> int:
-    if override is not None:
-        return override
-    return _env_bound("FLOWLAT_SUBSET_BOUND", DEFAULT_SUBSET_BOUND)
 
 
 @dataclass(frozen=True)
@@ -198,10 +189,7 @@ def f_value(a: GramMatrix, subset) -> int:
 
 
 def f_table(a: GramMatrix, bound: int | None = None) -> list[int]:
-    s = a.order
-    b = subset_bound(bound)
-    if s > b:
-        raise BoundExceededError("matrix order", s, b)
+    s = _gate("subset", "matrix order", a.order, bound)
     return [f_value(a, _mask_elements(mask)) for mask in range(1 << s)]
 
 
@@ -371,7 +359,8 @@ def tu_signing(x: IntegerMatrix, bound: int | None = None) -> IntegerMatrix | No
     if min(x.rows, x.cols) == 0:
         return x
     forest, free = _signing_skeleton(x)
-    _gated_order(x, bound)  # before the construction, whose cost grows with x
+    # before the construction, whose cost grows with x
+    _gate("tu", "min(rows, cols)", min(x.rows, x.cols), bound)
     cand = _camion_signing(x, forest, free)
     return cand if is_totally_unimodular(cand, bound) else None
 

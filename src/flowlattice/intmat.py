@@ -3,25 +3,41 @@
 Dense matrices of arbitrary-precision integers; one fraction-free
 (Bareiss) Gauss-Jordan elimination that yields rank, determinant,
 leading minors, exact solves and inverses; saturated integer kernels;
-and total/weak unimodularity tests by explicit submatrix enumeration
-(total unimodularity on the matrix reduced by unit and parallel lines).
+total/weak unimodularity tests by explicit submatrix enumeration
+(total unimodularity on the matrix reduced by unit and parallel lines);
+and the size bounds that gate every enumeration of the package.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
+from contextvars import ContextVar
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .errors import BoundExceededError, DimensionError, FormatError
 
-DEFAULT_TU_BOUND = 10
+# default of each bound kind, in the order of the CLI's --<kind>-bound flags
+BOUND_DEFAULTS = MappingProxyType({"tu": 10, "circuit": 20, "iso": 12, "subset": 20})
+
+# the bound flags of the current `cli.run` call, kind -> value
+call_bounds: ContextVar = ContextVar("call_bounds", default=MappingProxyType({}))
 
 
-def _env_bound(name: str, default: int) -> int:
+def _bound(kind: str, override: int | None = None) -> int:
+    """The bound of a kind: the override, else the current call's flag,
+    else FLOWLAT_<KIND>_BOUND (read only here, when it is consulted),
+    else the default."""
+    if override is not None:
+        return override
+    flag = call_bounds.get().get(kind)
+    if flag is not None:
+        return flag
+    name = f"FLOWLAT_{kind.upper()}_BOUND"
     raw = os.environ.get(name)
     if raw is None:
-        return default
+        return BOUND_DEFAULTS[kind]
     try:
         value = int(raw)
         if value > 0:
@@ -31,10 +47,12 @@ def _env_bound(name: str, default: int) -> int:
     raise FormatError(f"{name} must be a positive integer, got {raw!r}")
 
 
-def tu_bound(override: int | None = None) -> int:
-    if override is not None:
-        return override
-    return _env_bound("FLOWLAT_TU_BOUND", DEFAULT_TU_BOUND)
+def _gate(kind: str, what: str, size: int, override: int | None = None) -> int:
+    """size, if within the bound of its kind; raises BoundExceededError past it."""
+    b = _bound(kind, override)
+    if size > b:
+        raise BoundExceededError(what, size, b)
+    return size
 
 
 @dataclass(frozen=True)
@@ -74,6 +92,8 @@ class IntegerMatrix:
         cols = [tuple(int(x) for x in c) for c in cols]
         if not cols:
             return IntegerMatrix.from_rows([()] * (nrows or 0))
+        if not cols[0]:
+            return IntegerMatrix((), empty_cols=len(cols))
         return IntegerMatrix.from_rows(zip(*cols))
 
     @staticmethod
@@ -392,15 +412,6 @@ def _tu_core(m: IntegerMatrix) -> IntegerMatrix | None:
             return IntegerMatrix(tuple(rows))
 
 
-def _gated_order(m: IntegerMatrix, bound: int | None) -> int:
-    """min(rows, cols), the largest minor order; raises past the TU bound."""
-    k = min(m.rows, m.cols)
-    b = tu_bound(bound)
-    if k > b:
-        raise BoundExceededError("min(rows, cols)", k, b)
-    return k
-
-
 def is_totally_unimodular(m: IntegerMatrix, bound: int | None = None) -> UnimodularityCheck:
     """Every square submatrix has determinant in {-1, 0, +1}.
 
@@ -413,7 +424,7 @@ def is_totally_unimodular(m: IntegerMatrix, bound: int | None = None) -> Unimodu
     {0, +-1}), the input itself is enumerated ascending by submatrix
     order, so the witness is the lexicographically least one.
     """
-    order_cap = _gated_order(m, bound)
+    order_cap = _gate("tu", "min(rows, cols)", min(m.rows, m.cols), bound)
     core = _tu_core(m)
     if core is not None and _check_minors(core, range(1, min(core.rows, core.cols) + 1)):
         return UnimodularityCheck(True)
@@ -422,7 +433,7 @@ def is_totally_unimodular(m: IntegerMatrix, bound: int | None = None) -> Unimodu
 
 def is_weakly_unimodular(m: IntegerMatrix, bound: int | None = None) -> UnimodularityCheck:
     """Every maximal square submatrix has determinant in {-1, 0, +1}."""
-    k = _gated_order(m, bound)
+    k = _gate("tu", "min(rows, cols)", min(m.rows, m.cols), bound)
     if k == 0:
         return UnimodularityCheck(True)
     return _check_minors(m, (k,))

@@ -10,32 +10,17 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
-from .errors import BoundExceededError, FormatError, NotABaseError
+from .errors import FormatError, NotABaseError
 from .intmat import (
     IntegerMatrix,
-    _env_bound,
+    _gate,
     _gauss_jordan,
     determinant,
     is_totally_unimodular,
     rank,
 )
-
-DEFAULT_CIRCUIT_BOUND = 20
-DEFAULT_ISO_BOUND = 12
-
-
-def circuit_bound(override: int | None = None) -> int:
-    if override is not None:
-        return override
-    return _env_bound("FLOWLAT_CIRCUIT_BOUND", DEFAULT_CIRCUIT_BOUND)
-
-
-def iso_bound(override: int | None = None) -> int:
-    if override is not None:
-        return override
-    return _env_bound("FLOWLAT_ISO_BOUND", DEFAULT_ISO_BOUND)
 
 
 @dataclass(frozen=True)
@@ -53,6 +38,10 @@ class RegularMatroid:
     `[I_r | -K]` standard form of `reconstruct_matroid`: K is a block of
     q = U B^-1, where U is the TU-checked certificate and B an invertible
     s-by-s block of it, so det B = +-1 and q is a pivot of U, hence TU).
+
+    Each matroid computes its circuits, its co-loop-contracted minor and
+    its signed circuit flows at most once, on first use, and keeps them
+    for its own lifetime; they take no part in equality, hashing or repr.
     """
 
     ground: tuple[str, ...]
@@ -94,6 +83,51 @@ class RegularMatroid:
         header = f"matroid {self.rank} {self.size}\n"
         labels = " ".join(self.ground) + "\n" if self.ground else "\n"
         return header + labels + self.rep.text()
+
+    @cached_property
+    def _circuits(self) -> tuple[tuple[int, ...], ...]:
+        """Minimal nonempty supports of the GF(2) cycle space.
+
+        Every cycle-space vector is visited once by Gray-code XOR over the
+        basis; in popcount order a vector is a circuit iff it contains no
+        circuit found before it.
+        """
+        _, basis = _gf2_echelon(self.rep)
+        vectors = [0] * (1 << len(basis))
+        for i in range(1, len(vectors)):
+            vectors[i] = vectors[i - 1] ^ basis[(i & -i).bit_length() - 1]
+        vectors.sort(key=int.bit_count)
+        found: list[int] = []
+        for v in vectors[1:]:
+            if not any(c & v == c for c in found):
+                found.append(v)
+        return tuple(sorted(
+            (tuple(j for j in range(self.size) if v >> j & 1) for v in found),
+            key=lambda c: (len(c), c),
+        ))
+
+    @cached_property
+    def _core(self) -> "RegularMatroid | None":
+        """The minor with every co-loop contracted; None when there is no
+        co-loop (the minor is the matroid itself, and None keeps it out of
+        a reference cycle with itself)."""
+        _, coloops = loops_and_coloops(self)
+        if not coloops:
+            return None
+        keep = [j for j in range(self.size) if j not in set(coloops)]
+        trimmed = self.rep.select_columns(keep)
+        rep = trimmed.select_rows(_independent_row_subset(trimmed))
+        return RegularMatroid.from_rep(
+            tuple(self.ground[j] for j in keep), rep, validate=False
+        )
+
+    @cached_property
+    def _signed_pairs(self) -> tuple:
+        """(alpha, -alpha) for each circuit, in circuit order, alpha its
+        sign-canonical flow."""
+        from .flows import _circuit_flow  # flows builds on this module
+
+        return tuple((a, -a) for a in (_circuit_flow(self, c) for c in self._circuits))
 
 
 def _gf2_echelon(rep: IntegerMatrix) -> tuple[list[int], list[int]]:
@@ -274,35 +308,10 @@ def dual(m: RegularMatroid, base=None) -> RegularMatroid:
     return RegularMatroid.from_rep(ground, rep, validate=False)
 
 
-@lru_cache(maxsize=None)
-def _circuits_cached(m: RegularMatroid) -> tuple[tuple[int, ...], ...]:
-    """Minimal nonempty supports of the GF(2) cycle space.
-
-    Every cycle-space vector is visited once by Gray-code XOR over the
-    basis; in popcount order a vector is a circuit iff it contains no
-    circuit found before it.
-    """
-    _, basis = _gf2_echelon(m.rep)
-    vectors = [0] * (1 << len(basis))
-    for i in range(1, len(vectors)):
-        vectors[i] = vectors[i - 1] ^ basis[(i & -i).bit_length() - 1]
-    vectors.sort(key=int.bit_count)
-    found: list[int] = []
-    for v in vectors[1:]:
-        if not any(c & v == c for c in found):
-            found.append(v)
-    return tuple(sorted(
-        (tuple(j for j in range(m.size) if v >> j & 1) for v in found),
-        key=lambda c: (len(c), c),
-    ))
-
-
 def circuits(m: RegularMatroid, bound: int | None = None) -> tuple[tuple[int, ...], ...]:
     """All minimal dependent sets, as sorted index tuples, canonically ordered."""
-    b = circuit_bound(bound)
-    if m.size > b:
-        raise BoundExceededError("ground size", m.size, b)
-    return _circuits_cached(m)
+    _gate("circuit", "ground size", m.size, bound)
+    return m._circuits
 
 
 def loops_and_coloops(m: RegularMatroid) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -317,19 +326,9 @@ def loops_and_coloops(m: RegularMatroid) -> tuple[tuple[int, ...], tuple[int, ..
     return loops, coloops
 
 
-@lru_cache(maxsize=None)
 def contract_coloops(m: RegularMatroid) -> RegularMatroid:
     """The minor with every co-loop contracted (no co-loops remain)."""
-    _, coloops = loops_and_coloops(m)
-    if not coloops:
-        return m
-    keep = [j for j in range(m.size) if j not in set(coloops)]
-    trimmed = m.rep.select_columns(keep)
-    rows = _independent_row_subset(trimmed)
-    rep = trimmed.select_rows(rows)
-    return RegularMatroid.from_rep(
-        tuple(m.ground[j] for j in keep), rep, validate=False
-    )
+    return m._core or m
 
 
 def delete_loops(m: RegularMatroid) -> RegularMatroid:
@@ -370,9 +369,7 @@ def is_isomorphic(m: RegularMatroid, n: RegularMatroid,
     Pruned by rank, circuit-size multiset, and per-element circuit
     profiles; returns the lexicographically least bijection found.
     """
-    b = iso_bound(bound)
-    if max(m.size, n.size) > b:
-        raise BoundExceededError("ground size", max(m.size, n.size), b)
+    _gate("iso", "ground size", max(m.size, n.size), bound)
     if m.size != n.size or m.rank != n.rank:
         return IsomorphismResult(False)
     cm = circuits(m)

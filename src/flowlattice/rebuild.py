@@ -17,7 +17,7 @@ from .matroid import (
 )
 
 
-def to_g_positive_basis(a: GramMatrix, certificate: IntegerMatrix) -> tuple[IntegerMatrix, GramMatrix]:
+def to_g_positive_basis(certificate: IntegerMatrix) -> tuple[IntegerMatrix, GramMatrix]:
     """Change of basis turning a TU certificate into one containing I_s.
 
     q = U B^-1, where B is the lexicographically least invertible s-by-s
@@ -71,7 +71,7 @@ def reconstruct_matroid(a: GramMatrix, bound: int | None = None) -> Reconstructi
     if not feas:
         return ReconstructionOutcome(False, None, feas)
     u = feas.certificate
-    q, _ = to_g_positive_basis(a, u)
+    q, _ = to_g_positive_basis(u)
     s = q.cols
     # the rows holding I_s in column order: each is the first row equal to its unit vector
     ident_rows = [q.entries.index(unit) for unit in IntegerMatrix.identity(s).entries]

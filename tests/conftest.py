@@ -117,18 +117,6 @@ def bridgeless_graphs(max_nodes):
     return out
 
 
-@pytest.fixture(autouse=True)
-def clean_flowlat_env():
-    """The CLI writes bound flags into os.environ; isolate every test."""
-    import os
-
-    saved = {k: v for k, v in os.environ.items() if k.startswith("FLOWLAT_")}
-    yield
-    for k in [k for k in os.environ if k.startswith("FLOWLAT_")]:
-        del os.environ[k]
-    os.environ.update(saved)
-
-
 @pytest.fixture
 def rng():
     return random.Random(20240824)

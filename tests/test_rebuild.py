@@ -30,7 +30,7 @@ class TestGPositiveBasis:
     def test_identity_block_appears(self, k4):
         lat = fundamental_basis(k4)
         cert = is_g_feasible(lat.gram).certificate
-        q, gq = to_g_positive_basis(lat.gram, cert)
+        q, gq = to_g_positive_basis(cert)
         assert classify(gq).g_positive
         units = {
             tuple(1 if c == j else 0 for c in range(q.cols))
@@ -42,7 +42,7 @@ class TestGPositiveBasis:
         # q = cert . F with F unimodular, so the column lattices agree
         lat = fundamental_basis(k4)
         cert = is_g_feasible(lat.gram).certificate
-        q, _ = to_g_positive_basis(lat.gram, cert)
+        q, _ = to_g_positive_basis(cert)
         from flowlattice.flows import FlowLattice, FlowVector
 
         span = FlowLattice.from_basis(cert)
@@ -60,7 +60,7 @@ class TestGPositiveBasis:
             raise AssertionError("g table built for the transformed basis")
 
         monkeypatch.setattr(gram_mod, "_classify_table", refuse)
-        q, gq = to_g_positive_basis(lat.gram, cert)
+        q, gq = to_g_positive_basis(cert)
         assert gq.mat == q.transpose() * q
 
     def test_g_positive_on_the_sweep(self):
@@ -68,13 +68,13 @@ class TestGPositiveBasis:
             m = from_graph(edges)
             for base in bases(m):
                 a = fundamental_basis(m, base).gram
-                _, gq = to_g_positive_basis(a, is_g_feasible(a).certificate)
+                _, gq = to_g_positive_basis(is_g_feasible(a).certificate)
                 assert classify(gq).g_positive
 
     def test_non_unimodular_block_rejected(self):
         # B = [2]: q = U B^-1 would not span the certificate's lattice
         with pytest.raises(FlowLatticeError, match="positivity gate"):
-            to_g_positive_basis(GramMatrix.from_rows([[4]]), IntegerMatrix.from_rows([[2]]))
+            to_g_positive_basis(IntegerMatrix.from_rows([[2]]))
 
 
 class TestReconstruct:

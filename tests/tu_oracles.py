@@ -10,13 +10,13 @@ the two for exact equality, witnesses included.
 import itertools
 
 from flowlattice.errors import BoundExceededError
-from flowlattice.intmat import UnimodularityCheck, _minor_det, tu_bound
+from flowlattice.intmat import UnimodularityCheck, _bound, _minor_det
 
 
 def tu_by_enumeration(m, bound=None) -> UnimodularityCheck:
     """Ascending by submatrix order; the first witness is lexicographically least."""
     order_cap = min(m.rows, m.cols)
-    b = tu_bound(bound)
+    b = _bound("tu", bound)
     if order_cap > b:
         raise BoundExceededError("min(rows, cols)", order_cap, b)
     memo: dict = {}
