@@ -167,12 +167,11 @@ def delta(a: GramMatrix) -> tuple[tuple[int, int, int], ...]:
 
 
 def _mask_elements(mask: int):
-    i = 0
+    """The set bits of mask, ascending."""
     while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def f_value(a: GramMatrix, subset) -> int:
@@ -189,8 +188,35 @@ def f_value(a: GramMatrix, subset) -> int:
 
 
 def f_table(a: GramMatrix, bound: int | None = None) -> list[int]:
+    """`f_value` on every subset mask, each built from two smaller masks.
+
+    A mask of three or more elements, t its top and b its bottom one, has
+    every pair and every triple without t or without b, besides the pair
+    {b, t} and the triples {b, j, t}.  So it has a negative triple iff
+    mask - t or mask - b has one or some j in it closes one with b and t,
+    and its least |a_ij| is the least of theirs and |a_bt|.
+    """
     s = _gate("subset", "matrix order", a.order, bound)
-    return [f_value(a, _mask_elements(mask)) for mask in range(1 << s)]
+    e = a.mat.entries
+    # closing[b][t]: the j whose triple with b and t is negative, as a mask
+    closing = [[sum(1 << j for j in range(s) if e[b][j] * e[j][t] * e[t][b] < 0)
+                for t in range(s)] for b in range(s)]
+    f = [0] * (1 << s)
+    negative = bytearray(1 << s)
+    for mask in range(1, 1 << s):
+        t = mask.bit_length() - 1
+        b = (mask & -mask).bit_length() - 1
+        if t == b:
+            f[mask] = e[t][t]
+            continue
+        without_t, without_b = mask ^ (1 << t), mask ^ (1 << b)
+        if without_t == 1 << b:
+            f[mask] = abs(e[b][t])
+        elif negative[without_t] or negative[without_b] or closing[b][t] & mask:
+            negative[mask] = 1
+        else:
+            f[mask] = min(f[without_t], f[without_b], abs(e[b][t]))
+    return f
 
 
 def g_table(a: GramMatrix, bound: int | None = None) -> list[int]:
@@ -315,43 +341,99 @@ def _signing_skeleton(x: IntegerMatrix):
 def _camion_signing(x: IntegerMatrix, forest, free) -> IntegerMatrix:
     """The one signing of x, up to row and column negation, that can be TU.
 
-    Forest entries are +1.  Each next free entry has its row and column
-    closest in the graph of entries signed so far, so with a shortest path
-    it closes a cycle with no chord in x (a chord would have closer ends).
-    A TU matrix makes such a cycle singular: its sum is 0 mod 4 (Camion 1965).
+    Forest entries are +1.  Each free entry is signed so that a cycle it
+    closes through signed entries, with no chord in x, sums to 0 mod 4: a
+    TU matrix makes such a cycle singular (Camion 1965).  An entry that
+    closes a 4-cycle with three signed entries is signed at once, since a
+    2x2 block has no room for a chord; each signed entry wakes the waiting
+    entries it lets close one.  When none is left, a waiting entry takes
+    its shortest path through signed entries; while another waiting entry
+    joins a row and a column of that path, it has a shorter path and takes
+    over, so the cycle finally closed has no chord in x.
     """
-    m = x.rows
+    m, n = x.rows, x.cols
     cand = [list(r) for r in x.entries]
-    # node -> [(neighbour, signed entry)]; column j is node m + j
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(m + x.cols)]
+    # bit j of rows[i] and bit i of cols[j]: entry (i, j) is signed;
+    # likewise waiting[i] and waiting_cols[j] for entries that close no 4-cycle yet
+    rows, cols = [0] * m, [0] * n
+    waiting, waiting_cols = [0] * m, [0] * n
     for i, j in forest:
-        adj[i].append((m + j, 1))
-        adj[m + j].append((i, 1))
-    trees: dict = {}
-    while free:
-        trees.update({i: _bfs(adj, i) for i in {i for i, _ in free} - trees.keys()})
-        i, j = min(free, key=lambda e: trees[e[0]][m + e[1]][0])
-        free.remove((i, j))
-        # the cycle sum with the new entry at +1
-        cand[i][j] = 1 if (trees[i][m + j][1] + 1) % 4 == 0 else -1
-        adj[i].append((m + j, cand[i][j]))
-        adj[m + j].append((i, cand[i][j]))
-        # where the depths of i and j differ by 1, a tree keeps its distances and
-        # the new entry is no chord of its paths; other trees are rebuilt
-        trees = {s: t for s, t in trees.items() if i not in t or abs(t[i][0] - t[m + j][0]) == 1}
-    return IntegerMatrix.from_rows(cand)
+        rows[i] |= 1 << j
+        cols[j] |= 1 << i
+
+    def four_cycle(i, j):
+        """The sum of the other entries of a signed 4-cycle through (i, j), or None."""
+        for jj in _mask_elements(rows[i]):
+            common = cols[j] & cols[jj]
+            if common:
+                ii = (common & -common).bit_length() - 1
+                return cand[i][jj] + cand[ii][jj] + cand[ii][j]
+        return None
+
+    def sign(i, j, total):
+        cand[i][j] = 1 if (total + 1) % 4 == 0 else -1
+        rows[i] |= 1 << j
+        cols[j] |= 1 << i
+        if not any(waiting):
+            return
+        # waiting entries closing a 4-cycle with (i, j): in its row, in its
+        # column, or opposite it
+        woken = [(i, l) for l in _mask_elements(waiting[i]) if cols[l] & cols[j]]
+        woken += [(k, j) for k in _mask_elements(waiting_cols[j]) if rows[k] & rows[i]]
+        woken += [(k, l) for k in _mask_elements(cols[j])
+                  for l in _mask_elements(waiting[k] & rows[i])]
+        for k, l in woken:
+            if waiting[k] >> l & 1:
+                waiting[k] ^= 1 << l
+                waiting_cols[l] ^= 1 << k
+                queue.append((k, l))
+
+    queue = list(free)
+    while True:
+        for i, j in queue:
+            total = four_cycle(i, j)
+            if total is None:
+                waiting[i] |= 1 << j
+                waiting_cols[j] |= 1 << i
+            else:
+                sign(i, j, total)
+        queue.clear()
+        i = next((i for i in range(m) if waiting[i]), None)
+        if i is None:
+            return IntegerMatrix.from_rows(cand)
+        j = (waiting[i] & -waiting[i]).bit_length() - 1
+        while True:
+            prev = _bfs(rows, cols, i)
+            path = [m + j]
+            while path[-1] != i:
+                path.append(prev[path[-1]])
+            on_rows = sum(1 << u for u in path if u < m)
+            on_cols = sum(1 << (u - m) for u in path if u >= m)
+            chord = next(((k, l) for k in _mask_elements(on_rows)
+                          for l in _mask_elements(waiting[k] & on_cols) if (k, l) != (i, j)),
+                         None)
+            if chord is None:
+                break
+            i, j = chord
+        waiting[i] ^= 1 << j
+        waiting_cols[j] ^= 1 << i
+        sign(i, j, sum(cand[min(u, v)][max(u, v) - m] for u, v in zip(path, path[1:])))
 
 
-def _bfs(adj, source) -> dict:
-    """node -> (distance from source, sum of the entries on the path), breadth first."""
-    tree, queue = {source: (0, 0)}, [source]
+def _bfs(rows, cols, source) -> dict:
+    """node -> the node before it on a shortest path from row `source`
+    through signed entries, breadth first; row i is node i and column j
+    node len(rows) + j."""
+    m = len(rows)
+    prev, queue = {source: None}, [source]
     for u in queue:
-        dist, total = tree[u]
-        for v, entry in adj[u]:
-            if v not in tree:
-                tree[v] = (dist + 1, total + entry)
+        near = (m + j for j in _mask_elements(rows[u])) if u < m else \
+            _mask_elements(cols[u - m])
+        for v in near:
+            if v not in prev:
+                prev[v] = u
                 queue.append(v)
-    return tree
+    return prev
 
 
 def tu_signing(x: IntegerMatrix, bound: int | None = None) -> IntegerMatrix | None:

@@ -3,9 +3,13 @@
 Dense matrices of arbitrary-precision integers; one fraction-free
 (Bareiss) Gauss-Jordan elimination that yields rank, determinant,
 leading minors, exact solves and inverses; saturated integer kernels;
-total/weak unimodularity tests by explicit submatrix enumeration
-(total unimodularity on the matrix reduced by unit and parallel lines);
-and the size bounds that gate every enumeration of the package.
+total and weak unimodularity tests; and the size bounds that gate every
+enumeration of the package.  Total unimodularity is decided on the
+matrix reduced by unit and parallel lines, block by block: a block is
+settled by a verified network or co-network realization in polynomial
+time, and only a block with neither is decided by enumerating its
+minors.  A "no" enumerates the input for the lexicographically least
+witness.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 from .errors import BoundExceededError, DimensionError, FormatError
+from .network import network_scaling
 
 # default of each bound kind, in the order of the CLI's --<kind>-bound flags
 BOUND_DEFAULTS = MappingProxyType({"tu": 10, "circuit": 20, "iso": 12, "subset": 20})
@@ -412,6 +417,37 @@ def _tu_core(m: IntegerMatrix) -> IntegerMatrix | None:
             return IntegerMatrix(tuple(rows))
 
 
+def _blocks(m: IntegerMatrix) -> list[tuple[list[int], list[int]]]:
+    """Row and column indices of the connected components of the graph
+    joining row i to column j wherever m[i][j] != 0; zero lines omitted."""
+    blocks, seen = [], set()
+    for start in range(m.rows):
+        if start in seen or not any(m.entries[start]):
+            continue
+        rows, cols = [start], []
+        seen.add(start)
+        for i in rows:
+            for j, x in enumerate(m.entries[i]):
+                if x and j not in cols:
+                    cols.append(j)
+                    for k in range(m.rows):
+                        if m.entries[k][j] and k not in seen:
+                            seen.add(k)
+                            rows.append(k)
+        blocks.append((sorted(rows), sorted(cols)))
+    return blocks
+
+
+def _block_is_tu(b: IntegerMatrix) -> bool:
+    """A connected {0, +-1} matrix is TU: by a verified network realization
+    of it or of its transpose, else by enumerating its minors."""
+    for rows in (b.entries, tuple(zip(*b.entries))):
+        verdict = network_scaling(rows)
+        if verdict is not None:
+            return verdict
+    return bool(_check_minors(b, range(1, min(b.rows, b.cols) + 1)))
+
+
 def is_totally_unimodular(m: IntegerMatrix, bound: int | None = None) -> UnimodularityCheck:
     """Every square submatrix has determinant in {-1, 0, +1}.
 
@@ -420,13 +456,21 @@ def is_totally_unimodular(m: IntegerMatrix, bound: int | None = None) -> Unimodu
     row expands along it to +-(a smaller minor) or 0, one through two
     +-parallel rows is singular, and one through only the later row has
     the earlier row's |det|; likewise for columns.  So the core is TU iff
-    the input is.  When the core is not TU (or has an entry outside
-    {0, +-1}), the input itself is enumerated ascending by submatrix
-    order, so the witness is the lexicographically least one.
+    the input is.  A square submatrix of a block-diagonal matrix is
+    singular or a product of minors of the blocks, so the core is TU iff
+    each of its connected blocks is (`_blocks`).  A block is TU when it
+    or its transpose rescales to a network matrix, and not TU when a
+    tree realizes its support but the signs do not rescale
+    (`network.network_scaling`, checked entry by entry); only a block
+    with neither realization has its minors enumerated.  When the core
+    is not TU (or has an entry outside {0, +-1}), the input itself is
+    enumerated ascending by submatrix order, so the witness is the
+    lexicographically least one.
     """
     order_cap = _gate("tu", "min(rows, cols)", min(m.rows, m.cols), bound)
     core = _tu_core(m)
-    if core is not None and _check_minors(core, range(1, min(core.rows, core.cols) + 1)):
+    if core is not None and all(_block_is_tu(core.submatrix(rows, cols))
+                                for rows, cols in _blocks(core)):
         return UnimodularityCheck(True)
     return _check_minors(m, range(1, order_cap + 1))
 

@@ -39,9 +39,10 @@ class RegularMatroid:
     q = U B^-1, where U is the TU-checked certificate and B an invertible
     s-by-s block of it, so det B = +-1 and q is a pivot of U, hence TU).
 
-    Each matroid computes its circuits, its co-loop-contracted minor and
-    its signed circuit flows at most once, on first use, and keeps them
-    for its own lifetime; they take no part in equality, hashing or repr.
+    Each matroid computes its cycle-space basis, its circuits, its
+    co-loop-contracted minor, its dual on the least base and its signed
+    circuit flows at most once, on first use, and keeps them for its own
+    lifetime; they take no part in equality, hashing or repr.
     """
 
     ground: tuple[str, ...]
@@ -85,6 +86,11 @@ class RegularMatroid:
         return header + labels + self.rep.text()
 
     @cached_property
+    def _cycle_basis(self) -> list[int]:
+        """A basis of the GF(2) cycle space, as `_gf2_echelon` gives it."""
+        return _gf2_echelon(self.rep)[1]
+
+    @cached_property
     def _circuits(self) -> tuple[tuple[int, ...], ...]:
         """Minimal nonempty supports of the GF(2) cycle space.
 
@@ -92,7 +98,7 @@ class RegularMatroid:
         basis; in popcount order a vector is a circuit iff it contains no
         circuit found before it.
         """
-        _, basis = _gf2_echelon(self.rep)
+        basis = self._cycle_basis
         vectors = [0] * (1 << len(basis))
         for i in range(1, len(vectors)):
             vectors[i] = vectors[i - 1] ^ basis[(i & -i).bit_length() - 1]
@@ -120,6 +126,11 @@ class RegularMatroid:
         return RegularMatroid.from_rep(
             tuple(self.ground[j] for j in keep), rep, validate=False
         )
+
+    @cached_property
+    def _dual(self) -> "RegularMatroid":
+        """`dual(self)` on the lexicographically least base."""
+        return dual(self, first_base(self))
 
     @cached_property
     def _signed_pairs(self) -> tuple:
@@ -298,9 +309,13 @@ def coordinatize(m: RegularMatroid, base) -> StandardForm:
 
 
 def dual(m: RegularMatroid, base=None) -> RegularMatroid:
-    """Dual matroid represented by [-L^T I_s], ground labels permuted to match."""
+    """Dual matroid represented by [-L^T I_s], ground labels permuted to match.
+
+    Without a base, the lexicographically least one is used, and m keeps
+    that dual for its lifetime.
+    """
     if base is None:
-        base = first_base(m)
+        return m._dual
     sf = coordinatize(m, base)
     s = m.corank
     rep = (-sf.l_block.transpose()).hstack(IntegerMatrix.identity(s))
@@ -320,7 +335,7 @@ def loops_and_coloops(m: RegularMatroid) -> tuple[tuple[int, ...], tuple[int, ..
         j for j in range(m.size) if all(x == 0 for x in m.rep.column(j))
     )
     touched = 0
-    for v in _gf2_echelon(m.rep)[1]:
+    for v in m._cycle_basis:
         touched |= v
     coloops = tuple(j for j in range(m.size) if not touched >> j & 1)
     return loops, coloops

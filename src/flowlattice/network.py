@@ -1,0 +1,224 @@
+"""Network matrices: graph realization of a support, checked entry by entry.
+
+A network matrix N has a directed tree whose edges index its rows and,
+for each column, a path in that tree: N[e][c] is +1 where the path of c
+runs along e, -1 where it runs against e, and 0 where it misses e.
+Network matrices are totally unimodular, and so are their transposes and
+every matrix made from one by negating rows and columns (Tutte 1960;
+Schrijver 1986, section 19.3).
+
+`network_scaling` finds a tree whose paths carry the support of a
+matrix, if one exists (the graph-realization problem), and then checks
+the matrix against the network matrix of that tree independently of
+how the tree was found.  A faulty realizer can therefore cost time,
+never a wrong verdict.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+
+def _realize(rows, cols, fresh):
+    """A tree whose edges are `rows`, in which every support in `cols` is
+    the edge set of a path: row -> (vertex, vertex), or None if none exists.
+
+    The rows and columns must form a connected bipartite graph.  Vertices
+    are drawn from the iterator `fresh`.  When every support has at most
+    two rows, a star realizes them all.  Otherwise a row r0 is chosen
+    whose removal leaves at least two bridges: the components of the
+    remaining rows joined by the supports that miss r0.  Such a row
+    exists in any realization (an inner edge of a path of three or more
+    edges), and each bridge lies on one side of r0.  A bridge i is
+    realized recursively together with r0, which then hangs off the
+    bridge at one vertex a_i, with the traces c ∩ R_i of the supports
+    through r0 as paths from a_i.  Two bridges sharing a support
+    through r0 can lie on one side of r0 only if one hangs at the end
+    of a single trace of the other; the bridges that cannot are put on
+    opposite sides by a 2-colouring (Tutte 1960, "An algorithm for
+    determining whether a given binary matroid is graphic").  Each
+    bridge then hangs at the end of that trace in the lowest bridge
+    above it on its side, or else at r0's end on its side.
+    """
+    cols = list(dict.fromkeys(c for c in cols if c))
+    if all(len(c) <= 2 for c in cols):
+        centre = next(fresh)
+        return {r: (centre, next(fresh)) for r in rows}
+    for r0 in rows:
+        parts = _bridges(rows, cols, r0)
+        if len(parts) > 1:
+            return _glue(r0, parts, cols, fresh)
+    return None
+
+
+def _bridges(rows, cols, r0) -> list[list]:
+    """Rows other than r0, grouped by the supports that miss r0."""
+    owner = {r: r for r in rows if r != r0}
+
+    def find(r):
+        while owner[r] != r:
+            owner[r] = owner[owner[r]]
+            r = owner[r]
+        return r
+
+    for c in cols:
+        if r0 not in c:
+            first, *rest = c
+            for r in rest:
+                owner[find(r)] = find(first)
+    parts: dict = {}
+    for r in owner:
+        parts.setdefault(find(r), []).append(r)
+    return list(parts.values())
+
+
+def _glue(r0, parts, cols, fresh):
+    """`_realize` for a row r0 with at least two bridges."""
+    through = [c for c in cols if r0 in c]
+    trees, traces, tops, ends = [], [], [], []
+    for part in parts:
+        rows = frozenset(part)
+        trace = {k: c & rows for k, c in enumerate(through) if c & rows}
+        own = [c for c in cols if r0 not in c and c <= rows]
+        tree = _realize(part + [r0], own + [p | {r0} for p in trace.values()], fresh)
+        if tree is None:
+            return None
+        top = [v for v in tree[r0] if any(v in tree[r] for r in part)]
+        if len(top) != 1:
+            return None
+        end = {}
+        for p in set(trace.values()):
+            odd = _odd_vertices(tree[r] for r in p) - {top[0]}
+            if len(odd) != 1:
+                return None
+            end[p] = odd.pop()
+        trees.append(tree)
+        traces.append(trace)
+        tops.append(top[0])
+        ends.append(end)
+
+    def below(j, i):
+        """Every support through bridge j crosses bridge i on one trace."""
+        return traces[j].keys() <= traces[i].keys() and \
+            len({traces[i][k] for k in traces[j]}) == 1
+
+    def above(i, j):
+        return below(j, i) and not (below(i, j) and j < i)
+
+    n = len(parts)
+    side = [None] * n
+    for start in range(n):
+        if side[start] is not None:
+            continue
+        side[start] = 0
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for j in range(n):
+                if j == i or not traces[i].keys() & traces[j].keys() \
+                        or below(i, j) or below(j, i):
+                    continue
+                if side[j] is None:
+                    side[j] = 1 - side[i]
+                    stack.append(j)
+                elif side[j] == side[i]:
+                    return None
+    link = (next(fresh), next(fresh))
+    tree = {r0: link}
+    for j in range(n):
+        ups = [i for i in range(n) if i != j and side[i] == side[j] and above(i, j)]
+        lowest = [p for p in ups if not any(above(p, q) for q in ups if q != p)]
+        if not ups:
+            hang = link[side[j]]
+        elif len(lowest) == 1:
+            p = lowest[0]
+            hang = ends[p][traces[p][next(iter(traces[j]))]]
+        else:
+            return None
+        for r in parts[j]:
+            tree[r] = tuple(hang if v == tops[j] else v for v in trees[j][r])
+    return tree
+
+
+def _odd_vertices(edges) -> set:
+    """The vertices of odd degree in a collection of edges."""
+    odd: set = set()
+    for edge in edges:
+        odd ^= set(edge)
+    return odd
+
+
+def _tree_paths(tree, nrows: int, supports):
+    """For each support, its path in the tree as {row: +-1}, +1 where the
+    path runs from parent to child; None if `tree` is not a tree on the
+    rows 0..nrows-1 or some support is not the edge set of a path."""
+    if sorted(tree) != list(range(nrows)):
+        return None
+    adj: dict = {}
+    for r, (u, v) in tree.items():
+        adj.setdefault(u, []).append((v, r))
+        adj.setdefault(v, []).append((u, r))
+    root = next(iter(adj), None)
+    parent, depth = {root: None}, {root: 0}
+    queue = [root]
+    for u in queue:
+        for v, r in adj.get(u, ()):
+            if v not in parent:
+                parent[v], depth[v] = (u, r), depth[u] + 1
+                queue.append(v)
+    # n edges joining n + 1 vertices into one component form a tree
+    if len(adj) != nrows + 1 or len(parent) != len(adj):
+        return None
+    paths = []
+    for support in supports:
+        path = {}
+        odd = _odd_vertices(tree[r] for r in support)
+        if len(odd) == 2:
+            a, b = odd
+            while a != b:
+                if depth[a] >= depth[b]:
+                    a, r = parent[a]
+                    path[r] = -1
+                else:
+                    b, r = parent[b]
+                    path[r] = 1
+        if path.keys() != support:
+            return None
+        paths.append(path)
+    return paths
+
+
+def network_scaling(rows) -> bool | None:
+    """Decide a connected {0, +-1} matrix against the network matrices.
+
+    True: the matrix is D_r N D_c for a network matrix N and +-1 diagonal
+    matrices D_r, D_c, so it is totally unimodular.  False: a tree realizes
+    its support, so N is a TU signing of that support, but the matrix is no
+    rescaling of N; a {0,1} matrix has at most one TU signing up to
+    negating rows and columns (Camion 1965), so the matrix is not TU.
+    None: no tree realizes its support; nothing is decided.
+    """
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    supports = [frozenset(i for i in range(nrows) if rows[i][j]) for j in range(ncols)]
+    tree = _realize(list(range(nrows)), supports, itertools.count())
+    paths = None if tree is None else _tree_paths(tree, nrows, supports)
+    if paths is None:
+        return None
+    # D_r and D_c read along a spanning forest of the nonzero entries
+    dr, dc = [0] * nrows, [0] * ncols
+    for start in range(nrows):
+        if dr[start]:
+            continue
+        dr[start] = 1
+        queue = [start]
+        for i in queue:
+            for j in range(ncols):
+                if rows[i][j] and not dc[j]:
+                    dc[j] = rows[i][j] * dr[i] * paths[j][i]
+                    for k in paths[j]:
+                        if not dr[k]:
+                            dr[k] = rows[k][j] * paths[j][k] * dc[j]
+                            queue.append(k)
+    return all(rows[i][j] == dr[i] * paths[j].get(i, 0) * dc[j]
+               for i in range(nrows) for j in range(ncols))

@@ -17,14 +17,12 @@ from .matroid import (
 )
 
 
-def to_g_positive_basis(certificate: IntegerMatrix) -> tuple[IntegerMatrix, GramMatrix]:
-    """Change of basis turning a TU certificate into one containing I_s.
+def _g_positive_basis(certificate: IntegerMatrix) -> tuple[IntegerMatrix, list[int]]:
+    """q = U B^-1 and the rows of U forming B, which hold I_s in q, in order.
 
-    q = U B^-1, where B is the lexicographically least invertible s-by-s
-    row block of U: Gauss-Jordan on U^T takes B's rows as its pivot
-    columns and ends at d (U B^-1)^T, d = det B up to sign.  B has unit
-    determinant, so q spans the same lattice, is TU, and holds I_s in
-    B's rows, which makes its Gram matrix g-positive.
+    B is the lexicographically least invertible s-by-s row block of U:
+    Gauss-Jordan on U^T takes B's rows as its pivot columns and ends at
+    d (U B^-1)^T, d = det B up to sign.
     """
     rows, cols, _, pivots = _gauss_jordan(certificate.transpose().entries)
     if len(cols) < certificate.cols:
@@ -35,6 +33,18 @@ def to_g_positive_basis(certificate: IntegerMatrix) -> tuple[IntegerMatrix, Gram
     # |d| > 1: B is not unimodular and q would span a different lattice
     if abs(d) != 1 or tuple(q.entries[c] for c in cols) != IntegerMatrix.identity(q.cols).entries:
         raise FlowLatticeError("transformed basis failed the positivity gate")
+    return q, cols
+
+
+def to_g_positive_basis(certificate: IntegerMatrix) -> tuple[IntegerMatrix, GramMatrix]:
+    """Change of basis turning a TU certificate into one containing I_s.
+
+    q = U B^-1, where B is the lexicographically least invertible s-by-s
+    row block of U.  B has unit determinant, so q spans the same lattice,
+    is TU, and holds I_s in B's rows, which makes its Gram matrix
+    g-positive.  Returns q and that Gram matrix.
+    """
+    q, _ = _g_positive_basis(certificate)
     return q, GramMatrix(q.transpose() * q)
 
 
@@ -71,10 +81,8 @@ def reconstruct_matroid(a: GramMatrix, bound: int | None = None) -> Reconstructi
     if not feas:
         return ReconstructionOutcome(False, None, feas)
     u = feas.certificate
-    q, _ = to_g_positive_basis(u)
+    q, ident_rows = _g_positive_basis(u)
     s = q.cols
-    # the rows holding I_s in column order: each is the first row equal to its unit vector
-    ident_rows = [q.entries.index(unit) for unit in IntegerMatrix.identity(s).entries]
     other_rows = [i for i in range(q.rows) if i not in set(ident_rows)]
     k_block = q.select_rows(other_rows)
     l_block = -k_block

@@ -269,3 +269,44 @@ class TestFeasibility:
         res = is_g_feasible(GramMatrix(flipped))
         assert res
         assert res.certificate.transpose() * res.certificate == flipped
+
+
+class TestFTableFromSmallerMasks:
+    """`f_table` builds each mask from two smaller ones; `f_value` tests
+    every triple and pair of the mask afresh."""
+
+    @staticmethod
+    def by_f_value(a):
+        return [f_value(a, [i for i in range(a.order) if mask >> i & 1])
+                for mask in range(1 << a.order)]
+
+    def test_reconstruction_sweep(self):
+        from conftest import bridgeless_graphs
+        from flowlattice.gram import f_table
+        from flowlattice.matroid import bases
+
+        total = 0
+        for edges in bridgeless_graphs(5):
+            m = from_graph(edges)
+            for base in bases(m):
+                a = fundamental_basis(m, base).gram
+                assert f_table(a) == self.by_f_value(a)
+                total += 1
+        assert total == 418
+
+    def test_random_with_zeros_and_negative_triples(self, rng):
+        from flowlattice.gram import f_table
+
+        zeros = negative = 0
+        for _ in range(1500):
+            s = rng.randint(0, 7)
+            rows = [[0] * s for _ in range(s)]
+            for i in range(s):
+                rows[i][i] = rng.randint(1, 6)
+                for j in range(i):
+                    rows[i][j] = rows[j][i] = rng.choice((0, 0, 1, -1, 2, -2, 3))
+            a = GramMatrix.from_rows(rows)
+            assert f_table(a) == self.by_f_value(a)
+            zeros += any(0 in r for r in rows)
+            negative += bool(delta(a))
+        assert zeros > 500 and negative > 500

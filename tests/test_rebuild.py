@@ -213,3 +213,82 @@ class TestIsometryDecisions:
         assert mixed_isometric(k4, d).isometric == bool(
             flow_lattices_isometric(k4, dual(d))
         )
+
+
+class TestIdentityRowsFromPivots:
+    """`reconstruct_matroid` takes the I_s rows of q from the elimination's
+    pivot columns, where it used to search q for each unit vector."""
+
+    @staticmethod
+    def standard_form_by_search(certificate):
+        q, _ = to_g_positive_basis(certificate)
+        s = q.cols
+        ident = [q.entries.index(u) for u in IntegerMatrix.identity(s).entries]
+        other = [i for i in range(q.rows) if i not in ident]
+        l_block = -q.select_rows(other)
+        r = len(other)
+        return IntegerMatrix.identity(r).hstack(l_block) if r else \
+            IntegerMatrix((), empty_cols=s)
+
+    def test_standard_form_on_the_sweep(self):
+        total = 0
+        for edges in bridgeless_graphs(5):
+            m = from_graph(edges)
+            for base in bases(m):
+                out = reconstruct_matroid(fundamental_basis(m, base).gram)
+                rep = out.report
+                assert rep.standard_form == self.standard_form_by_search(rep.certificate)
+                total += 1
+        assert total == 418
+
+    def test_no_gram_matrix_of_q_is_built(self, k4, monkeypatch):
+        import flowlattice.rebuild as rebuild_mod
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("Gram matrix of q built")
+
+        monkeypatch.setattr(rebuild_mod, "GramMatrix", refuse)
+        assert reconstruct_matroid(fundamental_basis(k4).gram)
+
+
+class TestDualKeptOnTheMatroid:
+    GRAPHS = (
+        [(1, 2), (2, 3), (3, 1), (3, 4), (4, 1), (1, 1), (2, 4)],
+        [(1, 2), (2, 3), (3, 1), (3, 4), (4, 1), (2, 2), (1, 3)],
+    )
+
+    def test_repeated_cut_isometry_echelons_each_matroid_once(self, monkeypatch):
+        import flowlattice.matroid as matroid_mod
+
+        m, n = (from_graph(g) for g in self.GRAPHS)
+        seen = []
+        echelon = matroid_mod._gf2_echelon
+
+        def spy(rep):
+            seen.append(rep)
+            return echelon(rep)
+
+        monkeypatch.setattr(matroid_mod, "_gf2_echelon", spy)
+        first = cut_lattices_isometric(m, n)
+        calls = len(seen)
+        for _ in range(2):
+            assert cut_lattices_isometric(m, n) == first
+        assert len(seen) == calls > 0
+        assert len({id(rep) for rep in seen}) == calls
+        assert dual(m) is dual(m) and dual(n) is dual(n)
+
+    def test_dual_on_a_given_base_is_not_kept(self, k4):
+        base = next(bases(k4))
+        assert dual(k4, base) == dual(k4) and dual(k4, base) is not dual(k4, base)
+
+    def test_matroids_are_freed(self):
+        import gc
+        import weakref
+
+        m, n = (from_graph(g) for g in self.GRAPHS)
+        cut_lattices_isometric(m, n)
+        mixed_isometric(m, n)
+        refs = [weakref.ref(x) for x in (m, n, dual(m), dual(n))]
+        del m, n
+        gc.collect()
+        assert all(r() is None for r in refs)

@@ -273,3 +273,40 @@ class TestOneSigningPath:
         lat = fundamental_basis(k4)
         assert is_g_feasible(lat.gram)
         assert seen == [build_x(lat.gram)]
+
+
+class TestWideAllOnes:
+    """Every free entry of an all-ones matrix closes a 4-cycle with the
+    forest, so the signing runs no breadth-first search."""
+
+    @pytest.mark.parametrize("shape", [(10, 200), (200, 10)])
+    def test_no_search(self, monkeypatch, shape):
+        searches = []
+        bfs = gram._bfs
+
+        def counted(*args):
+            searches.append(args)
+            return bfs(*args)
+
+        monkeypatch.setattr(gram, "_bfs", counted)
+        rows, cols = shape
+        x = IntegerMatrix.from_rows([[1] * cols for _ in range(rows)])
+        forest, free = _signing_skeleton(x)
+        assert len(free) == 1791
+        u = gram._camion_signing(x, forest, free)
+        assert searches == [] and sharp(u) == x
+        assert tu_signing(x) == u
+
+    def test_searches_where_no_four_cycle_closes(self, monkeypatch):
+        """A 6-cycle has no 4-cycle: its one free entry is signed by a search."""
+        searches = []
+        bfs = gram._bfs
+
+        def counted(*args):
+            searches.append(args)
+            return bfs(*args)
+
+        monkeypatch.setattr(gram, "_bfs", counted)
+        x = IntegerMatrix.from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+        assert tu_signing(x) == oracle.tu_signing(x)
+        assert len(searches) == 1
