@@ -1,0 +1,96 @@
+"""Byte-for-byte replay of the `flowlat` transcript in tests/golden/.
+
+Each case runs `cli.run` on the files of tests/golden/inputs/, from
+tests/golden/, once as listed and once with `--porcelain` in front.
+tests/golden/expected/<case>.out holds "exit <status>" on its first
+line and the stdout of the run after it, unchanged.
+
+To record the transcript again (only when an output change is
+intended), run from the root of the checkout:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import os
+from pathlib import Path
+
+import pytest
+
+from flowlattice.cli import run
+
+GOLDEN = Path(__file__).parent / "golden"
+
+_GRAPHS = {
+    "k4": ("inputs/k4.graph", "inputs/k4.vec", "1 -1 0 1 0 0"),
+    "pendant": ("inputs/pendant.graph", "1 1 1 0 0", "0 0 0 0 3"),
+    "matroid": ("inputs/k4.matroid", "1 1 0 1 0 0", "2 0 2 1 1 -1"),
+}
+
+CASES = {}
+for _name, (_file, _vec, _other) in _GRAPHS.items():
+    CASES |= {
+        f"circuits-{_name}": ["circuits", _file],
+        f"coloops-{_name}": ["coloops", _file],
+        f"flows-{_name}": ["flows", _file],
+        f"cuts-{_name}": ["cuts", _file],
+        f"decompose-{_name}": ["decompose", _file, _vec],
+        f"simple-{_name}": ["simple", _file, _vec],
+        f"simple-{_name}-other": ["simple", _file, _other],
+    }
+CASES |= {
+    "flows-k4-base": ["flows", "inputs/k4.graph", "--base", "1,2,5"],
+    "cuts-matroid-base": ["cuts", "inputs/k4.matroid", "--base", "2 3 4"],
+    "flows-k4-not-a-base": ["flows", "inputs/k4.graph", "--base", "1,2,4"],
+    "isometric-flow": ["isometric", "inputs/k4.graph", "inputs/k4.matroid"],
+    "isometric-cut": ["isometric", "inputs/k4.graph", "inputs/k4.matroid", "--mode", "cut"],
+    "isometric-mixed": ["isometric", "inputs/k4.graph", "inputs/k4.matroid",
+                        "--mode", "mixed"],
+    "isometric-pendant": ["isometric", "inputs/pendant.graph", "inputs/k4.graph"],
+}
+for _name in ("k4", "infeasible", "negative"):
+    for _verb in ("gtest", "xmatrix", "reconstruct"):
+        CASES[f"{_verb}-{_name}"] = [_verb, f"inputs/{_name}.gram"]
+for _name in ("tu", "det2", "fano", "nonunit"):
+    for _verb in ("tu-check", "signing"):
+        CASES[f"{_verb}-{_name}"] = [_verb, f"inputs/{_name}.mat"]
+CASES |= {
+    "tu-check-tu-bound-2": ["--tu-bound", "2", "tu-check", "inputs/tu.mat"],
+    "tu-check-short": ["tu-check", "inputs/short.mat"],
+}
+CASES |= {f"{name}-porcelain": ["--porcelain"] + argv for name, argv in list(CASES.items())}
+
+
+def transcript(argv) -> str:
+    """"exit <status>" and the stdout of `cli.run(argv)`, run from tests/golden/."""
+    out = io.StringIO()
+    here = os.getcwd()
+    os.chdir(GOLDEN)
+    try:
+        with contextlib.redirect_stdout(out):
+            status = run(argv)
+    finally:
+        os.chdir(here)
+    return f"exit {status}\n{out.getvalue()}"
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_transcript(name):
+    expected = (GOLDEN / "expected" / f"{name}.out").read_bytes()
+    assert transcript(CASES[name]).encode() == expected
+
+
+def test_every_verb_covered():
+    from flowlattice import cli
+
+    verbs = {name[4:].replace("_", "-") for name in vars(cli) if name.startswith("cmd_")}
+    parser = cli.build_parser()
+    for porcelain in (False, True):
+        assert {parser.parse_args(argv).verb for argv in CASES.values()
+                if (argv[0] == "--porcelain") == porcelain} == verbs
+
+
+if __name__ == "__main__":
+    for name, argv in CASES.items():
+        (GOLDEN / "expected" / f"{name}.out").write_bytes(transcript(argv).encode())
