@@ -33,13 +33,9 @@ def _read(path: str) -> str:
 def load_matroid(path: str) -> matroid.RegularMatroid:
     """Matroid file if the header says so, otherwise a graph edge list."""
     text = _read(path)
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.split()[0] == "matroid":
-            return matroid.parse_matroid(text)
-        break
+    lines = intmat._content_lines(text)
+    if lines and lines[0].split()[0] == "matroid":
+        return matroid.parse_matroid(text)
     return matroid.from_graph(matroid.parse_graph(text))
 
 

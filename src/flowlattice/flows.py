@@ -22,7 +22,7 @@ from .errors import (
     MembershipError,
 )
 from .gram import GramMatrix
-from .intmat import IntegerMatrix, _gauss_jordan, integer_kernel_basis
+from .intmat import IntegerMatrix, _content_lines, _gauss_jordan, integer_kernel_basis
 from .matroid import RegularMatroid, circuits, coordinatize, first_base
 
 
@@ -73,11 +73,7 @@ class FlowVector:
 
 
 def parse_flow_vector(text: str) -> FlowVector:
-    tokens = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            tokens.extend(line.replace(",", " ").split())
+    tokens = [t for line in _content_lines(text) for t in line.replace(",", " ").split()]
     try:
         return FlowVector.of(int(t) for t in tokens)
     except ValueError as exc:
@@ -163,8 +159,8 @@ def _unpermute_rows(mat: IntegerMatrix, perm) -> IntegerMatrix:
     """Row i of mat describes ambient position perm[i]; undo the permutation."""
     rows = [None] * mat.rows
     for i, p in enumerate(perm):
-        rows[p] = list(mat.entries[i])
-    return IntegerMatrix.from_rows(rows)
+        rows[p] = mat.entries[i]
+    return IntegerMatrix(tuple(rows), empty_cols=mat.cols)
 
 
 def fundamental_basis(m: RegularMatroid, base=None) -> FlowLattice:

@@ -15,8 +15,9 @@ from enum import Enum
 from .errors import DimensionError, FlowLatticeError, FormatError
 from .intmat import (
     IntegerMatrix,
+    _content_lines,
     _gate,
-    is_totally_unimodular,
+    _tu_verdict,
     parse_matrix,
     sharp,
 )
@@ -57,11 +58,7 @@ class GramMatrix:
 
 def parse_gram(text: str) -> GramMatrix:
     """Gram file: line "gram s" then s rows of s integers."""
-    lines = []
-    for ln in text.splitlines():
-        ln = ln.split("#", 1)[0].strip()
-        if ln:
-            lines.append(ln)
+    lines = _content_lines(text)
     if not lines or lines[0].split()[0] != "gram":
         raise FormatError("gram file must start with 'gram s'")
     head = lines[0].split()
@@ -231,7 +228,7 @@ def g_table(a: GramMatrix, bound: int | None = None) -> list[int]:
     return g
 
 
-def g_value(a: GramMatrix, subset, bound: int | None = None) -> int:
+def g_value(a: GramMatrix, subset) -> int:
     idx = set(subset)
     rest = [i for i in range(a.order) if i not in idx]
     total = 0
@@ -290,7 +287,7 @@ def _skeleton(cls: Classification, g: list[int]) -> IntegerMatrix:
         rows = [r for r in rows if sum(r) != 1]
     rows.sort(key=lambda r: (-sum(r), tuple(-x for x in r)))
     rows += singles
-    x = IntegerMatrix.from_rows(rows) if rows else IntegerMatrix((), empty_cols=s)
+    x = IntegerMatrix(tuple(rows), empty_cols=s)
     if x.rows != -g[0]:
         raise FlowLatticeError(f"skeleton has {x.rows} rows, g(empty) = {g[0]}")
     return x
@@ -400,7 +397,7 @@ def _camion_signing(x: IntegerMatrix, forest, free) -> IntegerMatrix:
         queue.clear()
         i = next((i for i in range(m) if waiting[i]), None)
         if i is None:
-            return IntegerMatrix.from_rows(cand)
+            return IntegerMatrix(tuple(map(tuple, cand)), empty_cols=n)
         j = (waiting[i] & -waiting[i]).bit_length() - 1
         while True:
             prev = _bfs(rows, cols, i)
@@ -438,13 +435,11 @@ def _bfs(rows, cols, source) -> dict:
 
 def tu_signing(x: IntegerMatrix, bound: int | None = None) -> IntegerMatrix | None:
     """A totally unimodular matrix with entrywise absolute value x, if any."""
-    if min(x.rows, x.cols) == 0:
-        return x
     forest, free = _signing_skeleton(x)
     # before the construction, whose cost grows with x
     _gate("tu", "min(rows, cols)", min(x.rows, x.cols), bound)
     cand = _camion_signing(x, forest, free)
-    return cand if is_totally_unimodular(cand, bound) else None
+    return cand if _tu_verdict(cand) else None
 
 
 @dataclass(frozen=True)
@@ -501,8 +496,8 @@ def is_g_feasible(a: GramMatrix, bound: int | None = None) -> Feasibility:
     signs = None if u is None else _match_column_signs(u.transpose() * u, a)
     if signs is None:
         return Feasibility(False, None, cls, "NO-MATCHING-SIGNING")
-    cert = IntegerMatrix.from_rows([[v * signs[j] for j, v in enumerate(row)]
-                                    for row in u.entries])
+    cert = IntegerMatrix(tuple(tuple(v * signs[j] for j, v in enumerate(row))
+                               for row in u.entries), empty_cols=u.cols)
     if cert.transpose() * cert != a.mat:
         raise FlowLatticeError("signed certificate does not Gram back to the input")
     return Feasibility(True, cert, cls)

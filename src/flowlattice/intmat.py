@@ -62,61 +62,45 @@ def _gate(kind: str, what: str, size: int, override: int | None = None) -> int:
 
 @dataclass(frozen=True)
 class IntegerMatrix:
-    """Immutable dense matrix of Python ints, row-major."""
+    """Immutable dense matrix of Python ints, row-major.
+
+    Every shape is built the one way, `IntegerMatrix(rows, empty_cols=width)`:
+    the width is read off the rows when there are any, and kept only when
+    there are none.
+    """
 
     entries: tuple[tuple[int, ...], ...]
-    row_labels: tuple[str, ...] | None = None
-    col_labels: tuple[str, ...] | None = None
     # column count of a zero-row matrix; reset to 0 when entries is nonempty,
-    # so equality and hashing see entries, labels and shape only
+    # so equality and hashing see entries and shape only
     empty_cols: int = 0
 
     def __post_init__(self):
         if self.entries and self.empty_cols:
             object.__setattr__(self, "empty_cols", 0)
-        widths = {len(r) for r in self.entries}
-        if len(widths) > 1:
+        if len({len(r) for r in self.entries}) > 1:
             raise DimensionError("ragged rows")
-        if self.row_labels is not None:
-            if len(self.row_labels) != self.rows or len(set(self.row_labels)) != self.rows:
-                raise DimensionError("row labels must be unique and match row count")
-        if self.col_labels is not None:
-            if len(self.col_labels) != self.cols or len(set(self.col_labels)) != self.cols:
-                raise DimensionError("column labels must be unique and match column count")
 
     @staticmethod
-    def from_rows(rows, row_labels=None, col_labels=None) -> "IntegerMatrix":
-        return IntegerMatrix(
-            tuple(tuple(int(x) for x in r) for r in rows),
-            None if row_labels is None else tuple(row_labels),
-            None if col_labels is None else tuple(col_labels),
-        )
+    def from_rows(rows) -> "IntegerMatrix":
+        return IntegerMatrix(tuple(tuple(int(x) for x in r) for r in rows))
 
     @staticmethod
-    def from_columns(cols, nrows: int | None = None) -> "IntegerMatrix":
-        cols = [tuple(int(x) for x in c) for c in cols]
-        if not cols:
-            return IntegerMatrix.from_rows([()] * (nrows or 0))
-        if not cols[0]:
-            return IntegerMatrix((), empty_cols=len(cols))
-        return IntegerMatrix.from_rows(zip(*cols))
-
-    @staticmethod
-    def empty(rows: int, cols: int) -> "IntegerMatrix":
-        if rows == 0:
-            return IntegerMatrix((), empty_cols=cols)
-        return IntegerMatrix.from_rows([()] * rows) if cols == 0 else \
-            IntegerMatrix.zeros(rows, cols)
-
-    @staticmethod
-    def identity(n: int) -> "IntegerMatrix":
-        return IntegerMatrix.from_rows(
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        )
+    def from_columns(cols, nrows: int = 0) -> "IntegerMatrix":
+        """The matrix with these columns; nrows is its row count when there
+        are no columns."""
+        return IntegerMatrix(tuple(tuple(int(x) for x in c) for c in cols),
+                             empty_cols=nrows).transpose()
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "IntegerMatrix":
-        return IntegerMatrix.from_rows([[0] * cols for _ in range(rows)])
+        return IntegerMatrix(((0,) * cols,) * rows, empty_cols=cols)
+
+    empty = zeros
+
+    @staticmethod
+    def identity(n: int) -> "IntegerMatrix":
+        return IntegerMatrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)),
+                             empty_cols=n)
 
     @property
     def rows(self) -> int:
@@ -130,12 +114,6 @@ class IntegerMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i][j]
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(r[j] for r in self.entries)
 
@@ -143,18 +121,13 @@ class IntegerMatrix:
         return [self.column(j) for j in range(self.cols)]
 
     def transpose(self) -> "IntegerMatrix":
-        if not self.entries:
-            return IntegerMatrix.from_rows([()] * self.empty_cols)
-        if self.cols == 0:
-            return IntegerMatrix((), empty_cols=self.rows)
-        return IntegerMatrix.from_rows(zip(*self.entries))
+        return IntegerMatrix(tuple(self.columns()), empty_cols=self.rows)
 
     def submatrix(self, row_idx, col_idx) -> "IntegerMatrix":
-        row_idx, col_idx = list(row_idx), list(col_idx)
-        if not row_idx:
-            return IntegerMatrix((), empty_cols=len(col_idx))
-        return IntegerMatrix.from_rows(
-            [[self.entries[i][j] for j in col_idx] for i in row_idx]
+        col_idx = tuple(col_idx)
+        return IntegerMatrix(
+            tuple(tuple(self.entries[i][j] for j in col_idx) for i in row_idx),
+            empty_cols=len(col_idx),
         )
 
     def select_columns(self, col_idx) -> "IntegerMatrix":
@@ -166,36 +139,32 @@ class IntegerMatrix:
     def hstack(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.rows != other.rows:
             raise DimensionError("hstack: row counts differ")
-        if not self.entries:
-            return IntegerMatrix((), empty_cols=self.cols + other.cols)
-        return IntegerMatrix.from_rows(
-            [a + b for a, b in zip(self.entries, other.entries)]
-        )
+        return IntegerMatrix(tuple(a + b for a, b in zip(self.entries, other.entries)),
+                             empty_cols=self.cols + other.cols)
 
     def vstack(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.cols != other.cols:
             raise DimensionError("vstack: column counts differ")
-        return IntegerMatrix.from_rows(self.entries + other.entries)
+        return IntegerMatrix(self.entries + other.entries, empty_cols=self.cols)
 
     def __mul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.cols != other.rows:
             raise DimensionError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        if not self.entries:
-            return IntegerMatrix((), empty_cols=other.cols)
-        ot = list(zip(*other.entries)) if other.entries else [()] * other.cols
-        return IntegerMatrix.from_rows(
-            [[sum(a * b for a, b in zip(row, col)) for col in ot] for row in self.entries]
+        ot = other.transpose().entries
+        return IntegerMatrix(
+            tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
+                  for row in self.entries),
+            empty_cols=other.cols,
         )
 
     def __neg__(self) -> "IntegerMatrix":
         return self.scale(-1)
 
     def scale(self, c: int) -> "IntegerMatrix":
-        if not self.entries:
-            return IntegerMatrix((), empty_cols=self.empty_cols)
-        return IntegerMatrix.from_rows([[c * x for x in r] for r in self.entries])
+        return IntegerMatrix(tuple(tuple(c * x for x in r) for r in self.entries),
+                             empty_cols=self.cols)
 
     def text(self) -> str:
         """Render in the shared matrix text format."""
@@ -207,32 +176,30 @@ class IntegerMatrix:
         return self.text().rstrip("\n")
 
 
+def _content_lines(text: str) -> list[str]:
+    """The lines of text with each '#' comment cut off, stripped, blank ones dropped."""
+    return [ln for ln in (line.split("#", 1)[0].strip() for line in text.splitlines()) if ln]
+
+
 def parse_matrix(text: str) -> IntegerMatrix:
     """Parse the shared matrix text format: "rows cols" then the entries.
 
-    '#' begins a comment line; entries may wrap across lines.
+    '#' begins a comment; entries may wrap across lines.
     """
-    tokens = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            tokens.extend(line.split())
+    tokens = [t for line in _content_lines(text) for t in line.split()]
     if len(tokens) < 2:
         raise FormatError("matrix text needs a 'rows cols' header")
     try:
         rows, cols = int(tokens[0]), int(tokens[1])
-        body = [int(t) for t in tokens[2:]]
+        body = tuple(int(t) for t in tokens[2:])
     except ValueError as exc:
         raise FormatError(f"non-integer token in matrix text: {exc}") from exc
     if rows < 0 or cols < 0 or len(body) != rows * cols:
         raise FormatError(
             f"expected {rows}x{cols} = {rows * cols} entries, got {len(body)}"
         )
-    if rows == 0:
-        return IntegerMatrix((), empty_cols=cols)
-    return IntegerMatrix.from_rows(
-        [body[i * cols:(i + 1) * cols] for i in range(rows)]
-    )
+    return IntegerMatrix(tuple(body[i * cols:(i + 1) * cols] for i in range(rows)),
+                         empty_cols=cols)
 
 
 def _gauss_jordan(rows, width: int | None = None):
@@ -303,9 +270,8 @@ def integer_kernel_basis(m: IntegerMatrix) -> IntegerMatrix:
     columns (not merely a finite-index sublattice).
     """
     n, r = m.cols, m.rows
-    work = [list(col) + [1 if i == j else 0 for j in range(n)]
-            for i, col in enumerate(zip(*m.entries))] if m.entries else \
-           [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    work = [list(col) + [int(i == j) for j in range(n)]
+            for i, col in enumerate(m.columns())]
     # work is n rows of [m^T | I_n]
     pivot_row = 0
     for col in range(r):
@@ -332,9 +298,8 @@ def integer_kernel_basis(m: IntegerMatrix) -> IntegerMatrix:
 
 def sharp(m: IntegerMatrix) -> IntegerMatrix:
     """Entrywise absolute value."""
-    if not m.entries:
-        return IntegerMatrix((), empty_cols=m.empty_cols)
-    return IntegerMatrix.from_rows([[abs(x) for x in r] for r in m.entries])
+    return IntegerMatrix(tuple(tuple(abs(x) for x in r) for r in m.entries),
+                         empty_cols=m.cols)
 
 
 @dataclass(frozen=True)
@@ -410,11 +375,12 @@ def _tu_core(m: IntegerMatrix) -> IntegerMatrix | None:
         return None
     rows = list(m.entries)
     while True:
-        shape = (len(rows), len(rows[0]) if rows else 0)
         cols = _strip_lines(list(zip(*_strip_lines(rows))))
-        rows = list(zip(*cols))
-        if (len(rows), len(cols)) == shape:
-            return IntegerMatrix(tuple(rows))
+        stripped = list(zip(*cols))
+        # a fixpoint: nothing was stripped, so the rows come back unchanged
+        if stripped == rows:
+            return IntegerMatrix(tuple(rows), empty_cols=len(cols))
+        rows = stripped
 
 
 def _blocks(m: IntegerMatrix) -> list[tuple[list[int], list[int]]]:
@@ -448,29 +414,36 @@ def _block_is_tu(b: IntegerMatrix) -> bool:
     return bool(_check_minors(b, range(1, min(b.rows, b.cols) + 1)))
 
 
+def _tu_verdict(m: IntegerMatrix) -> bool:
+    """Whether m is TU, ungated and without a witness.
+
+    The verdict is decided on the reduced core (`_tu_core`): a square
+    submatrix through a unit row expands along it to +-(a smaller minor)
+    or 0, one through two +-parallel rows is singular, and one through
+    only the later row has the earlier row's |det|; likewise for columns.
+    So the core is TU iff m is.  A square submatrix of a block-diagonal
+    matrix is singular or a product of minors of the blocks, so the core
+    is TU iff each of its connected blocks is (`_blocks`).  A block is TU
+    when it or its transpose rescales to a network matrix, and not TU
+    when a tree realizes its support but the signs do not rescale
+    (`network.network_scaling`, checked entry by entry); only a block
+    with neither realization has its minors enumerated.
+    """
+    core = _tu_core(m)
+    return core is not None and all(_block_is_tu(core.submatrix(rows, cols))
+                                    for rows, cols in _blocks(core))
+
+
 def is_totally_unimodular(m: IntegerMatrix, bound: int | None = None) -> UnimodularityCheck:
     """Every square submatrix has determinant in {-1, 0, +1}.
 
-    The bound gates the input's min(rows, cols).  The verdict is decided
-    on the reduced core (`_tu_core`): a square submatrix through a unit
-    row expands along it to +-(a smaller minor) or 0, one through two
-    +-parallel rows is singular, and one through only the later row has
-    the earlier row's |det|; likewise for columns.  So the core is TU iff
-    the input is.  A square submatrix of a block-diagonal matrix is
-    singular or a product of minors of the blocks, so the core is TU iff
-    each of its connected blocks is (`_blocks`).  A block is TU when it
-    or its transpose rescales to a network matrix, and not TU when a
-    tree realizes its support but the signs do not rescale
-    (`network.network_scaling`, checked entry by entry); only a block
-    with neither realization has its minors enumerated.  When the core
-    is not TU (or has an entry outside {0, +-1}), the input itself is
-    enumerated ascending by submatrix order, so the witness is the
-    lexicographically least one.
+    The bound gates the input's min(rows, cols); the verdict is
+    `_tu_verdict`.  When it is no, the input itself is enumerated
+    ascending by submatrix order, so the witness is the lexicographically
+    least one.
     """
     order_cap = _gate("tu", "min(rows, cols)", min(m.rows, m.cols), bound)
-    core = _tu_core(m)
-    if core is not None and all(_block_is_tu(core.submatrix(rows, cols))
-                                for rows, cols in _blocks(core)):
+    if _tu_verdict(m):
         return UnimodularityCheck(True)
     return _check_minors(m, range(1, order_cap + 1))
 

@@ -15,10 +15,12 @@ from functools import cached_property
 from .errors import FormatError, NotABaseError
 from .intmat import (
     IntegerMatrix,
+    _content_lines,
     _gate,
     _gauss_jordan,
     determinant,
     is_totally_unimodular,
+    parse_matrix,
     rank,
 )
 
@@ -194,7 +196,7 @@ def from_graph(edges, labels=None) -> RegularMatroid:
             continue
         d[vindex[head]][j] = 1
         d[vindex[tail]][j] = -1
-    full = IntegerMatrix.from_rows(d)
+    full = IntegerMatrix(tuple(map(tuple, d)), empty_cols=len(edges))
     kept = _independent_row_subset(full)
     rep = full.select_rows(kept)
     if labels is None:
@@ -205,10 +207,7 @@ def from_graph(edges, labels=None) -> RegularMatroid:
 def parse_graph(text: str) -> list[tuple]:
     """Edge list: lines "tail head" with integer vertex ids; '#' comments."""
     edges = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line in _content_lines(text):
         parts = line.split()
         if len(parts) != 2:
             raise FormatError(f"graph line needs two vertex ids: {line!r}")
@@ -221,11 +220,10 @@ def parse_graph(text: str) -> list[tuple]:
 
 def parse_matroid(text: str) -> RegularMatroid:
     """Matroid file: "matroid r m", ground labels, then the matrix text."""
-    lines = [ln for ln in text.splitlines()
-             if ln.split("#", 1)[0].strip()]
-    if not lines or not lines[0].split("#", 1)[0].split()[0] == "matroid":
+    lines = _content_lines(text)
+    if not lines or lines[0].split()[0] != "matroid":
         raise FormatError("matroid file must start with 'matroid r m'")
-    head = lines[0].split("#", 1)[0].split()
+    head = lines[0].split()
     if len(head) != 3:
         raise FormatError("matroid header must be 'matroid r m'")
     try:
@@ -234,11 +232,9 @@ def parse_matroid(text: str) -> RegularMatroid:
         raise FormatError(f"non-integer field in matroid header: {exc}") from exc
     if len(lines) < 2:
         raise FormatError("matroid file missing ground label line")
-    labels = tuple(lines[1].split("#", 1)[0].split())
+    labels = tuple(lines[1].split())
     if len(labels) != m:
         raise FormatError(f"expected {m} ground labels, got {len(labels)}")
-    from .intmat import parse_matrix
-
     rep = parse_matrix("\n".join(lines[2:]))
     if rep.rows != r or rep.cols != m:
         raise FormatError("matrix shape disagrees with matroid header")
@@ -247,13 +243,6 @@ def parse_matroid(text: str) -> RegularMatroid:
 
 def subset_rank(m: RegularMatroid, subset) -> int:
     return rank(m.rep.select_columns(sorted(subset)))
-
-
-def is_base(m: RegularMatroid, subset) -> bool:
-    subset = sorted(subset)
-    if len(subset) != m.rank:
-        return False
-    return determinant(m.rep.select_columns(subset)) != 0
 
 
 def bases(m: RegularMatroid):
@@ -303,8 +292,7 @@ def coordinatize(m: RegularMatroid, base) -> StandardForm:
     if abs(d) != 1:
         det = determinant(m.rep.select_columns(base))
         raise NotABaseError(base, f"determinant {det} is not a unit")
-    mat = IntegerMatrix.from_rows([[d * x for x in row] for row in rows]) if rows \
-        else IntegerMatrix.empty(0, m.size)
+    mat = IntegerMatrix(tuple(tuple(d * x for x in row) for row in rows), empty_cols=m.size)
     return StandardForm(mat, perm, base)
 
 

@@ -82,14 +82,10 @@ def reconstruct_matroid(a: GramMatrix, bound: int | None = None) -> Reconstructi
         return ReconstructionOutcome(False, None, feas)
     u = feas.certificate
     q, ident_rows = _g_positive_basis(u)
-    s = q.cols
     other_rows = [i for i in range(q.rows) if i not in set(ident_rows)]
-    k_block = q.select_rows(other_rows)
-    l_block = -k_block
-    r = len(other_rows)
-    rep = IntegerMatrix.identity(r).hstack(l_block) if r else \
-        IntegerMatrix((), empty_cols=s)
-    ground = tuple(f"e{i + 1}" for i in range(r + s))
+    l_block = -q.select_rows(other_rows)
+    rep = IntegerMatrix.identity(l_block.rows).hstack(l_block)
+    ground = tuple(f"e{i + 1}" for i in range(rep.cols))
     matroid = RegularMatroid.from_rep(ground, rep, validate=False)
     if any(not any(row) for row in l_block.entries):
         raise FlowLatticeError("reconstructed block has a zero row")

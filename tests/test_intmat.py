@@ -288,8 +288,6 @@ class TestEquality:
         assert IntegerMatrix.empty(0, 3) == IntegerMatrix((), empty_cols=3)
         assert IntegerMatrix.empty(0, 0) != IntegerMatrix.empty(2, 0)
         rows = [[1, 2], [3, 4]]
-        assert IntegerMatrix.from_rows(rows, col_labels=("a", "b")) != \
-            IntegerMatrix.from_rows(rows)
         assert IntegerMatrix.from_rows(rows) != IntegerMatrix.from_rows([[1, 2], [3, 5]])
 
 
@@ -319,3 +317,92 @@ class TestTextFormat:
 
         with pytest.raises(FormatError):
             parse_matrix("2 2\n1 0 0 1 1")
+
+
+SHAPES = [(0, 0), (0, 3), (3, 0), (2, 3)]
+
+
+def _sample(rows, cols):
+    """A rows x cols matrix of distinct positive entries."""
+    return IntegerMatrix(
+        tuple(tuple(1 + i * cols + j for j in range(cols)) for i in range(rows)),
+        empty_cols=cols,
+    )
+
+
+def _expect(m, rows, cols, entries):
+    """m has the shape rows x cols and the given row lists as entries."""
+    assert (m.rows, m.cols) == (rows, cols)
+    assert m == (IntegerMatrix.from_rows(entries) if rows else IntegerMatrix.empty(0, cols))
+
+
+@pytest.mark.parametrize("rows, cols", SHAPES)
+class TestEveryShape:
+    """Each constructor and matrix-valued operation keeps both dimensions,
+    whichever of them is zero."""
+
+    def test_constructors(self, rows, cols):
+        m = _sample(rows, cols)
+        entries = [list(r) for r in m.entries]
+        _expect(m, rows, cols, entries)
+        _expect(IntegerMatrix.from_columns(m.columns(), nrows=rows), rows, cols, entries)
+        _expect(parse_matrix(m.text()), rows, cols, entries)
+        zero = [[0] * cols for _ in range(rows)]
+        _expect(IntegerMatrix.zeros(rows, cols), rows, cols, zero)
+        _expect(IntegerMatrix.empty(rows, cols), rows, cols, zero)
+        for n in (rows, cols):
+            _expect(IntegerMatrix.identity(n), n, n,
+                    [[int(i == j) for j in range(n)] for i in range(n)])
+
+    def test_transpose_and_selections(self, rows, cols):
+        m = _sample(rows, cols)
+        entries = [list(r) for r in m.entries]
+        _expect(m.transpose(), cols, rows, [list(c) for c in zip(*entries)] or [[]] * cols)
+        _expect(m.transpose().transpose(), rows, cols, entries)
+        _expect(m.select_columns(range(cols)), rows, cols, entries)
+        _expect(m.select_rows(range(rows)), rows, cols, entries)
+        _expect(m.submatrix([], range(cols)), 0, cols, [])
+        _expect(m.submatrix(range(rows), []), rows, 0, [[]] * rows)
+        _expect(m.select_rows(reversed(range(rows))), rows, cols, entries[::-1])
+
+    def test_stacking(self, rows, cols):
+        m = _sample(rows, cols)
+        entries = [list(r) for r in m.entries]
+        _expect(m.hstack(m), rows, 2 * cols, [r + r for r in entries])
+        _expect(m.vstack(m), 2 * rows, cols, entries + entries)
+        _expect(m.hstack(IntegerMatrix.zeros(rows, 0)), rows, cols, entries)
+        _expect(m.vstack(IntegerMatrix.zeros(0, cols)), rows, cols, entries)
+
+    def test_products(self, rows, cols):
+        m = _sample(rows, cols)
+        entries = [list(r) for r in m.entries]
+        _expect(m * IntegerMatrix.identity(cols), rows, cols, entries)
+        _expect(IntegerMatrix.identity(rows) * m, rows, cols, entries)
+        _expect(m * IntegerMatrix.zeros(cols, 2), rows, 2, [[0, 0]] * rows)
+        gram = [[sum(r[i] * r[j] for r in entries) for j in range(cols)] for i in range(cols)]
+        _expect(m.transpose() * m, cols, cols, gram)
+
+    def test_entrywise(self, rows, cols):
+        m = _sample(rows, cols)
+        entries = [list(r) for r in m.entries]
+        _expect(-m, rows, cols, [[-x for x in r] for r in entries])
+        _expect(m.scale(3), rows, cols, [[3 * x for x in r] for r in entries])
+        _expect(sharp(-m), rows, cols, entries)
+
+    def test_kernel(self, rows, cols):
+        m = _sample(rows, cols)
+        k = integer_kernel_basis(m)
+        assert (k.rows, k.cols) == (cols, cols - rank(m))
+        assert m * k == IntegerMatrix.zeros(rows, k.cols)
+
+
+class TestRaggedColumns:
+    def test_from_columns(self):
+        with pytest.raises(DimensionError):
+            IntegerMatrix.from_columns([[1, 0, 0], [0, 1]])
+
+    def test_gram_of(self):
+        from flowlattice.flows import gram_of
+
+        with pytest.raises(DimensionError):
+            gram_of([[1, 0, 0], [0, 1]])

@@ -235,10 +235,9 @@ class TestOneSigningPath:
                 return fn(*args, **kwargs)
             return wrapper
 
-        tu = counted("tu", gram.is_totally_unimodular)
         match = counted("match", gram._match_column_signs)
-        for mod in (gram, oracle):
-            monkeypatch.setattr(mod, "is_totally_unimodular", tu)
+        for mod, verdict in ((gram, "_tu_verdict"), (oracle, "is_totally_unimodular")):
+            monkeypatch.setattr(mod, verdict, counted("tu", getattr(mod, verdict)))
             monkeypatch.setattr(mod, "_match_column_signs", match)
         return calls
 
@@ -261,6 +260,23 @@ class TestOneSigningPath:
         assert counts["tu"] == 2
         assert not oracle.is_g_feasible(GramMatrix.from_rows(INFEASIBLE_GRAM))
         assert counts["match"] == 2 ** 9
+
+    def test_fano_planted_enumerates_no_witness(self, monkeypatch):
+        """The verdict on a non-TU candidate stops at its core block: the
+        whole candidate is never enumerated for a witness."""
+        from flowlattice import intmat
+
+        seen = []
+        check = intmat._check_minors
+
+        def spy(m, orders):
+            seen.append(m)
+            return check(m, orders)
+
+        monkeypatch.setattr(intmat, "_check_minors", spy)
+        x = IntegerMatrix.from_rows(FANO_PLANTED)
+        assert tu_signing(x) is None
+        assert all((m.rows, m.cols) != (x.rows, x.cols) for m in seen)
 
     def test_feasibility_goes_through_tu_signing(self, monkeypatch, k4):
         seen = []
