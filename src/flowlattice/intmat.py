@@ -2,14 +2,17 @@
 
 Dense matrices of arbitrary-precision integers; one fraction-free
 (Bareiss) Gauss-Jordan elimination that yields rank, determinant,
-leading minors, exact solves and inverses; saturated integer kernels;
-total and weak unimodularity tests; and the size bounds that gate every
-enumeration of the package.  Total unimodularity is decided on the
-matrix reduced by unit and parallel lines, block by block: a block is
-settled by a verified network or co-network realization in polynomial
-time, and only a block with neither is decided by enumerating its
-minors.  A "no" enumerates the input for the lexicographically least
-witness.
+leading minors, exact solves and inverses, and is the only determinant
+code of the package; saturated integer kernels; total and weak
+unimodularity tests; and the size bounds that gate every enumeration of
+the package.  Total unimodularity is decided on the matrix reduced by
+unit and parallel lines, block by block: a block is settled by a
+verified network or co-network realization in polynomial time, and only
+a block with neither is searched for an Eulerian submatrix whose
+entries sum to 2 mod 4 (Camion 1965).  A "no" runs the same search on
+the input, order by order, for the lexicographically least witness.
+Weak unimodularity is decided by one elimination and the TU verdict of
+its reduced rows; only a "no" enumerates maximal minors for a witness.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .errors import BoundExceededError, DimensionError, FormatError
+from .errors import BoundExceededError, DimensionError, FlowLatticeError, FormatError
 from .network import network_scaling
 
 # default of each bound kind, in the order of the CLI's --<kind>-bound flags
@@ -194,6 +197,11 @@ def parse_matrix(text: str) -> IntegerMatrix:
         body = tuple(int(t) for t in tokens[2:])
     except ValueError as exc:
         raise FormatError(f"non-integer token in matrix text: {exc}") from exc
+    # empty rows hold no entries, so only the line count bounds them (one
+    # blank line each, as `text` writes them) before any is allocated
+    if cols == 0 and rows > len(text.splitlines()):
+        raise FormatError(f"{rows} empty rows need one line each, "
+                          f"got {len(text.splitlines())} lines")
     if rows < 0 or cols < 0 or len(body) != rows * cols:
         raise FormatError(
             f"expected {rows}x{cols} = {rows * cols} entries, got {len(body)}"
@@ -319,37 +327,29 @@ class UnimodularityCheck:
         return self.ok
 
 
-def _minor_det(m: IntegerMatrix, rows: tuple, cols: tuple, memo: dict) -> int:
-    key = (rows, cols)
-    got = memo.get(key)
-    if got is not None:
-        return got
-    if len(rows) == 1:
-        d = m.entries[rows[0]][cols[0]]
-    else:
-        d = 0
-        rest = rows[1:]
-        sign = 1
-        for j, c in enumerate(cols):
-            a = m.entries[rows[0]][c]
-            if a:
-                d += sign * a * _minor_det(m, rest, cols[:j] + cols[j + 1:], memo)
-            sign = -sign
-    memo[key] = d
-    return d
+def _eulerian_witness(m: IntegerMatrix, k: int) -> tuple[tuple, tuple] | None:
+    """The lexicographically least (rows, cols) of a k x k submatrix of the
+    {0, +-1} matrix m that is Eulerian (an even number of nonzero entries in
+    each of its rows and columns) and whose entries sum to 2 mod 4; None if
+    there is none.
 
-
-def _check_minors(m: IntegerMatrix, orders) -> UnimodularityCheck:
-    """Minors of the given orders, ascending; fails on the lexicographically
-    least (order, rows, cols) one with |det| > 1."""
-    memo: dict = {}
-    for k in orders:
-        for rows in itertools.combinations(range(m.rows), k):
-            for cols in itertools.combinations(range(m.cols), k):
-                d = _minor_det(m, rows, cols, memo)
-                if abs(d) > 1:
-                    return UnimodularityCheck(False, rows, cols, d)
-    return UnimodularityCheck(True)
+    Camion (1965; Schrijver 1986, Thm 19.3): m is TU iff no order has one.
+    When every minor of order below k lies in {0, +-1}, these are exactly
+    the k x k minors with |det| > 1: such a minor is minimally non-TU, so
+    Eulerian with sum 2 mod 4, and an Eulerian submatrix with sum 2 mod 4
+    is not TU while its proper minors are.  A minimally non-TU submatrix
+    is nonsingular, so each of its columns meets its rows an even, nonzero
+    number of times; only those columns are tried.
+    """
+    for rows in itertools.combinations(range(m.rows), k):
+        sub = [m.entries[i] for i in rows]
+        counts = [sum(1 for r in sub if r[j]) for j in range(m.cols)]
+        eligible = [j for j, n in enumerate(counts) if n and n % 2 == 0]
+        for cols in itertools.combinations(eligible, k):
+            if (all(sum(1 for j in cols if r[j]) % 2 == 0 for r in sub)
+                    and sum(r[j] for r in sub for j in cols) % 4 == 2):
+                return rows, cols
+    return None
 
 
 def _strip_lines(lines: list) -> list:
@@ -406,12 +406,12 @@ def _blocks(m: IntegerMatrix) -> list[tuple[list[int], list[int]]]:
 
 def _block_is_tu(b: IntegerMatrix) -> bool:
     """A connected {0, +-1} matrix is TU: by a verified network realization
-    of it or of its transpose, else by enumerating its minors."""
+    of it or of its transpose, else by Camion's test (`_eulerian_witness`)."""
     for rows in (b.entries, tuple(zip(*b.entries))):
         verdict = network_scaling(rows)
         if verdict is not None:
             return verdict
-    return bool(_check_minors(b, range(1, min(b.rows, b.cols) + 1)))
+    return not any(_eulerian_witness(b, k) for k in range(2, min(b.rows, b.cols) + 1))
 
 
 def _tu_verdict(m: IntegerMatrix) -> bool:
@@ -427,7 +427,8 @@ def _tu_verdict(m: IntegerMatrix) -> bool:
     when it or its transpose rescales to a network matrix, and not TU
     when a tree realizes its support but the signs do not rescale
     (`network.network_scaling`, checked entry by entry); only a block
-    with neither realization has its minors enumerated.
+    with neither realization is searched for an Eulerian submatrix with
+    entry sum 2 mod 4 (Camion), and computes no determinant.
     """
     core = _tu_core(m)
     return core is not None and all(_block_is_tu(core.submatrix(rows, cols))
@@ -438,19 +439,51 @@ def is_totally_unimodular(m: IntegerMatrix, bound: int | None = None) -> Unimodu
     """Every square submatrix has determinant in {-1, 0, +1}.
 
     The bound gates the input's min(rows, cols); the verdict is
-    `_tu_verdict`.  When it is no, the input itself is enumerated
-    ascending by submatrix order, so the witness is the lexicographically
-    least one.
+    `_tu_verdict`.  When it is no, the witness is the lexicographically
+    least (order, rows, cols) minor of the input with |det| > 1: an entry
+    outside {0, +-1}, else the least `_eulerian_witness` of the lowest
+    order that has one, with its Bareiss determinant.
     """
     order_cap = _gate("tu", "min(rows, cols)", min(m.rows, m.cols), bound)
     if _tu_verdict(m):
         return UnimodularityCheck(True)
-    return _check_minors(m, range(1, order_cap + 1))
+    for i, row in enumerate(m.entries):
+        for j, x in enumerate(row):
+            if abs(x) > 1:
+                return UnimodularityCheck(False, (i,), (j,), x)
+    for k in range(2, order_cap + 1):
+        found = _eulerian_witness(m, k)
+        if found:
+            return UnimodularityCheck(False, *found, determinant(m.submatrix(*found)))
+    raise FlowLatticeError("broken invariant: the TU verdict is no, yet no "
+                           "Eulerian submatrix has entry sum 2 mod 4")
 
 
 def is_weakly_unimodular(m: IntegerMatrix, bound: int | None = None) -> UnimodularityCheck:
-    """Every maximal square submatrix has determinant in {-1, 0, +1}."""
+    """Every maximal square submatrix has determinant in {-1, 0, +1}.
+
+    The bound gates k = min(rows, cols).  One Bareiss elimination decides
+    the verdict, of w = m, or of its transpose when m has more rows than
+    columns, so that w has k rows.  Rank below k makes every maximal minor
+    0.  Otherwise the reduced rows are d B^-1 w, B the pivot columns of w
+    and d = +-det B the last pivot.  They hold d I_k, so they are TU only
+    if d = +-1, and then their maximal minors are +- those of w; a matrix
+    holding I_k is TU iff its maximal minors lie in {0, +-1}.  So m is WU
+    iff the reduced rows are TU.  Only a "no" enumerates the maximal
+    minors of m in lexicographic order, one Bareiss determinant each, for
+    the least witness.
+    """
     k = _gate("tu", "min(rows, cols)", min(m.rows, m.cols), bound)
     if k == 0:
         return UnimodularityCheck(True)
-    return _check_minors(m, (k,))
+    w = m if m.rows <= m.cols else m.transpose()
+    reduced, pivot_cols, _, _ = _gauss_jordan(w.entries)
+    if len(pivot_cols) < k or _tu_verdict(IntegerMatrix(tuple(map(tuple, reduced)))):
+        return UnimodularityCheck(True)
+    for rows in itertools.combinations(range(m.rows), k):
+        for cols in itertools.combinations(range(m.cols), k):
+            d = determinant(m.submatrix(rows, cols))
+            if abs(d) > 1:
+                return UnimodularityCheck(False, rows, cols, d)
+    raise FlowLatticeError("broken invariant: the WU verdict is no, yet every "
+                           "maximal minor is in {-1, 0, +1}")

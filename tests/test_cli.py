@@ -310,6 +310,11 @@ class TestErrors:
         assert run(["gtest", f]) == 2
         assert "ERROR BAD-INPUT" in capsys.readouterr().out
 
+    def test_zero_width_header_past_the_text(self, tmp_path, capsys):
+        f = write(tmp_path, "wide.mat", "100000000 0\n")
+        assert run(["tu-check", f]) == 2
+        assert "ERROR BAD-INPUT" in capsys.readouterr().out
+
     def test_non_integer_matroid_header(self, tmp_path, capsys):
         f = write(tmp_path, "bad.matroid", "matroid a b\ne1 e2\n1 2\n1 1\n")
         assert run(["circuits", f]) == 2

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowlattice.errors import BoundExceededError, DimensionError
+from flowlattice import intmat
+from flowlattice.errors import BoundExceededError, DimensionError, FlowLatticeError, FormatError
 from flowlattice.intmat import (
     IntegerMatrix,
     _tu_core,
@@ -19,7 +20,7 @@ from flowlattice.intmat import (
 )
 
 from conftest import det_cofactor
-from tu_oracles import tu_by_enumeration
+from tu_oracles import tu_by_enumeration, wu_by_enumeration
 
 
 def M(rows):
@@ -215,10 +216,11 @@ def _signed_interval_rows(rnd, r, c):
 
 
 def _assert_same_check(m, **kw):
-    got, want = is_totally_unimodular(m, **kw), tu_by_enumeration(m, **kw)
-    assert (got.ok, got.witness_rows, got.witness_cols, got.witness_det) == \
-        (want.ok, want.witness_rows, want.witness_cols, want.witness_det)
-    return got.ok
+    """TU and WU of m equal the enumeration oracles' (ok, rows, cols, det);
+    returns the TU verdict."""
+    got = [check(m, **kw) for check in (is_totally_unimodular, is_weakly_unimodular)]
+    assert got == [oracle(m, **kw) for oracle in (tu_by_enumeration, wu_by_enumeration)]
+    return got[0].ok
 
 
 class TestTotallyUnimodularCore:
@@ -276,6 +278,130 @@ class TestTotallyUnimodularCore:
         assert core.rows <= k.rows and core.cols <= k.cols
 
 
+def _identity_then(rnd, k, extra):
+    """[I_k | X] for a random k x extra {-1, 0, 1} matrix X, columns shuffled."""
+    rows = [[int(i == j) for j in range(k)] + [rnd.choice((-1, 0, 1)) for _ in range(extra)]
+            for i in range(k)]
+    perm = rnd.sample(range(k + extra), k + extra)
+    return [[r[j] for j in perm] for r in rows]
+
+
+def _combine_rows(rnd, rows, count):
+    """rows with count random {-1, 0, 1} combinations of them inserted."""
+    rows = [list(r) for r in rows]
+    for _ in range(count):
+        coeffs = [rnd.choice((-1, 0, 1)) for _ in rows]
+        new = [sum(a * x for a, x in zip(coeffs, col)) for col in zip(*rows)]
+        rows.insert(rnd.randint(0, len(rows)), new)
+    return rows
+
+
+class TestWeaklyUnimodularOracle:
+    """The elimination verdict against enumerating the maximal minors."""
+
+    def test_full_rank_identity_blocks(self):
+        """[I | X] is WU iff TU; U [I | X] keeps WU when det U = +-1 and
+        loses it when det U = 2, whatever it does to TU."""
+        rnd = random.Random(41)
+        verdicts = []
+        for trial in range(300):
+            k, extra = rnd.randint(1, 4), rnd.randint(0, 4)
+            rows = _identity_then(rnd, k, extra)
+            if trial % 3 and k > 1:
+                # add row j to row i (det 1), or double row i (det 2)
+                i, j = rnd.sample(range(k), 2)
+                u = [[int(a == b) for b in range(k)] for a in range(k)]
+                if trial % 3 == 1:
+                    u[i][j] = 1
+                else:
+                    u[i][i] = 2
+                rows = (M(u) * M(rows)).entries
+            m = M(rows) if rnd.random() < 0.5 else M(rows).transpose()
+            _assert_same_check(m)
+            verdicts.append(is_weakly_unimodular(m).ok)
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_rank_deficient(self):
+        rnd = random.Random(43)
+        deficient = 0
+        for _ in range(200):
+            r, c = rnd.randint(1, 3), rnd.randint(2, 6)
+            base = [[rnd.choice((-1, 0, 1)) for _ in range(c)] for _ in range(r)]
+            rows = _combine_rows(rnd, base, rnd.randint(1, c - r if c > r else 1))
+            m = M(rows) if rnd.random() < 0.5 else M(rows).transpose()
+            if rank(m) < min(m.rows, m.cols):
+                deficient += 1
+                assert is_weakly_unimodular(m)
+            _assert_same_check(m)
+        assert deficient > 100
+
+
+def _padded_odd_cycle(n):
+    """[C_n | I_n], C_n the 0/1 incidence of a cycle; det C_n = 2 for odd n."""
+    return M([[int(j in (i, (i + 1) % n)) for j in range(n)] + [int(j == i) for j in range(n)]
+              for i in range(n)])
+
+
+@pytest.fixture
+def no_determinant(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a minor's determinant was computed")
+
+    monkeypatch.setattr(intmat, "determinant", refuse)
+
+
+class TestScale:
+    """Inputs on which the memoized cofactor enumeration ran for seconds."""
+
+    def test_padded_odd_cycle(self, monkeypatch):
+        dets = []
+        det = intmat.determinant
+
+        def spy(m):
+            dets.append(m)
+            return det(m)
+
+        monkeypatch.setattr(intmat, "determinant", spy)
+        got = is_totally_unimodular(_padded_odd_cycle(9))
+        nine = tuple(range(9))
+        assert (got.ok, got.witness_rows, got.witness_cols, got.witness_det) == \
+            (False, nine, nine, 2)
+        assert len(dets) == 1
+
+    def test_wu_yes_computes_no_minor(self, no_determinant):
+        from flowlattice.matroid import from_graph
+
+        edges = [(i, (i + 1) % 9) for i in range(9)] + [(i, (i + 2) % 9) for i in range(9)]
+        rep = from_graph(edges).rep
+        assert (rep.rows, rep.cols) == (8, 18)
+        # adding twice row 1 to row 0 keeps every maximal minor and breaks TU
+        u = M([[int(i == j) + 2 * ((i, j) == (0, 1)) for j in range(8)] for i in range(8)])
+        for m in (rep, rep.transpose(), u * rep, M([[2, 1], [1, 1]])):
+            assert is_weakly_unimodular(m)
+        assert not intmat._tu_verdict(u * rep)
+
+    def test_late_wu_witness(self):
+        """[I_8 | 0 | X] with the det -2 pair of X in its last two columns."""
+        pair = [[1, 1], [1, -1]] + [[0, 0]] * 6
+        m = M([[int(i == j) for j in range(8)] + [0] * 8 + pair[i] for i in range(8)])
+        got = is_weakly_unimodular(m)
+        assert (got.ok, got.witness_rows, got.witness_cols, got.witness_det) == \
+            (False, tuple(range(8)), (2, 3, 4, 5, 6, 7, 16, 17), -2)
+        assert got == wu_by_enumeration(m)
+
+
+class TestBrokenInvariant:
+    """A "no" verdict whose witness search finds nothing raises; it never
+    turns into a "yes"."""
+
+    def test_no_verdict_without_witness(self, monkeypatch):
+        monkeypatch.setattr(intmat, "_tu_verdict", lambda m: False)
+        for check, m in ((is_totally_unimodular, IntegerMatrix.identity(3)),
+                         (is_weakly_unimodular, M([[1, 0, 1], [0, 1, 1]]))):
+            with pytest.raises(FlowLatticeError, match="broken invariant"):
+                check(m)
+
+
 class TestEquality:
     def test_column_count_of_nonempty_matrix_ignored(self):
         a = IntegerMatrix(((1, 0), (0, 1)), empty_cols=7)
@@ -313,10 +439,15 @@ class TestTextFormat:
         assert parse_matrix("# c\n2 2\n1 0 # trailing\n0 1") == IntegerMatrix.identity(2)
 
     def test_bad_count(self):
-        from flowlattice.errors import FormatError
-
         with pytest.raises(FormatError):
             parse_matrix("2 2\n1 0 0 1 1")
+
+    def test_empty_rows_bounded_by_lines(self):
+        """A zero-width header is refused, before any row is built, when
+        it names more rows than the text has lines."""
+        with pytest.raises(FormatError):
+            parse_matrix("100000000 0")
+        assert parse_matrix("2 0\n\n") == IntegerMatrix.empty(2, 0)
 
 
 SHAPES = [(0, 0), (0, 3), (3, 0), (2, 3)]

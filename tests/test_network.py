@@ -135,9 +135,9 @@ def oracle_cases(rng):
 @pytest.fixture
 def no_minors(monkeypatch):
     def refuse(*args):
-        raise AssertionError("a minor was enumerated")
+        raise AssertionError("the Eulerian fallback was searched")
 
-    monkeypatch.setattr(intmat, "_minor_det", refuse)
+    monkeypatch.setattr(intmat, "_eulerian_witness", refuse)
 
 
 class TestAgainstEnumeration:
@@ -193,39 +193,41 @@ class TestCompleteness:
         assert is_totally_unimodular(m)
 
     def test_r10_reaches_the_enumeration(self, monkeypatch):
-        enumerated = []
-        check_minors = intmat._check_minors
+        searched = []
+        eulerian_witness = intmat._eulerian_witness
 
-        def spy(m, orders):
-            enumerated.append(m.entries)
-            return check_minors(m, orders)
+        def spy(m, k):
+            searched.append(m.entries)
+            return eulerian_witness(m, k)
 
-        monkeypatch.setattr(intmat, "_check_minors", spy)
+        monkeypatch.setattr(intmat, "_eulerian_witness", spy)
         m = IntegerMatrix.from_rows(R10)
         assert network.network_scaling(R10) is None
         assert network.network_scaling(m.transpose().entries) is None
         assert is_totally_unimodular(m)
-        assert enumerated == [R10]
+        # once per order 2..5, and R10 alone
+        assert searched == [R10] * 4
 
 
     def test_signs_that_do_not_scale_go_straight_to_the_input(self, rng, monkeypatch):
         """A realized support with signs that do not rescale is no TU
-        block (Camion), so only the input is enumerated, for its witness."""
-        enumerated = []
-        check_minors = intmat._check_minors
+        block (Camion), so only the input is searched, for its witness."""
+        searched = []
+        eulerian_witness = intmat._eulerian_witness
 
-        def spy(m, orders):
-            enumerated.append(m)
-            return check_minors(m, orders)
+        def spy(m, k):
+            searched.append(m)
+            return eulerian_witness(m, k)
 
-        monkeypatch.setattr(intmat, "_check_minors", spy)
+        monkeypatch.setattr(intmat, "_eulerian_witness", spy)
         refuted = 0
         for _ in range(100):
             m = flip_one(rng, random_network(rng, 7, 10))
-            enumerated.clear()
+            searched.clear()
             got = is_totally_unimodular(m)
             refuted += not got
-            assert enumerated == ([] if got else [m])
+            # once per order from 2 up to the witness's, and the input alone
+            assert searched == ([] if got else [m] * (len(got.witness_rows) - 1))
             assert got == oracle.tu_by_enumeration(m)
         assert refuted > 25
 

@@ -267,13 +267,13 @@ class TestOneSigningPath:
         from flowlattice import intmat
 
         seen = []
-        check = intmat._check_minors
+        eulerian_witness = intmat._eulerian_witness
 
-        def spy(m, orders):
+        def spy(m, k):
             seen.append(m)
-            return check(m, orders)
+            return eulerian_witness(m, k)
 
-        monkeypatch.setattr(intmat, "_check_minors", spy)
+        monkeypatch.setattr(intmat, "_eulerian_witness", spy)
         x = IntegerMatrix.from_rows(FANO_PLANTED)
         assert tu_signing(x) is None
         assert all((m.rows, m.cols) != (x.rows, x.cols) for m in seen)

@@ -1,29 +1,62 @@
-"""Total unimodularity by enumerating every minor of the input.
+"""Total and weak unimodularity by enumerating every minor of the input.
 
 `flowlattice.intmat.is_totally_unimodular` decides the verdict on the
 matrix left after stripping zero, unit and +-parallel rows and columns,
-and enumerates the input only when that core is not TU.  This is the
-earlier routine, which always enumerates the input; the tests compare
-the two for exact equality, witnesses included.
+and names its witness by Camion's Eulerian test; `is_weakly_unimodular`
+decides by one elimination.  These are the earlier routines, which
+expand every minor by cofactors with a memo; the tests compare the two
+for exact equality, witnesses included.
 """
 
 import itertools
 
 from flowlattice.errors import BoundExceededError
-from flowlattice.intmat import UnimodularityCheck, _bound, _minor_det
+from flowlattice.intmat import UnimodularityCheck, _bound
 
 
-def tu_by_enumeration(m, bound=None) -> UnimodularityCheck:
-    """Ascending by submatrix order; the first witness is lexicographically least."""
+def _minor_det(m, rows: tuple, cols: tuple, memo: dict) -> int:
+    """Determinant of m[rows, cols] by expansion along its first row."""
+    key = (rows, cols)
+    got = memo.get(key)
+    if got is not None:
+        return got
+    if len(rows) == 1:
+        d = m.entries[rows[0]][cols[0]]
+    else:
+        d = 0
+        rest = rows[1:]
+        sign = 1
+        for j, c in enumerate(cols):
+            a = m.entries[rows[0]][c]
+            if a:
+                d += sign * a * _minor_det(m, rest, cols[:j] + cols[j + 1:], memo)
+            sign = -sign
+    memo[key] = d
+    return d
+
+
+def _check_minors(m, orders, bound) -> UnimodularityCheck:
+    """Minors of the given orders, ascending; fails on the lexicographically
+    least (order, rows, cols) one with |det| > 1."""
     order_cap = min(m.rows, m.cols)
     b = _bound("tu", bound)
     if order_cap > b:
         raise BoundExceededError("min(rows, cols)", order_cap, b)
     memo: dict = {}
-    for k in range(1, order_cap + 1):
+    for k in orders(order_cap):
         for rows in itertools.combinations(range(m.rows), k):
             for cols in itertools.combinations(range(m.cols), k):
                 d = _minor_det(m, rows, cols, memo)
                 if abs(d) > 1:
                     return UnimodularityCheck(False, rows, cols, d)
     return UnimodularityCheck(True)
+
+
+def tu_by_enumeration(m, bound=None) -> UnimodularityCheck:
+    """Every order, ascending; the first witness is lexicographically least."""
+    return _check_minors(m, lambda cap: range(1, cap + 1), bound)
+
+
+def wu_by_enumeration(m, bound=None) -> UnimodularityCheck:
+    """The maximal order only; the first witness is lexicographically least."""
+    return _check_minors(m, lambda cap: (cap,) if cap else (), bound)
