@@ -35,15 +35,20 @@ def _minor_det(m, rows: tuple, cols: tuple, memo: dict) -> int:
     return d
 
 
-def _check_minors(m, orders, bound) -> UnimodularityCheck:
-    """Minors of the given orders, ascending; fails on the lexicographically
-    least (order, rows, cols) one with |det| > 1."""
+def _order_cap(m, bound) -> int:
+    """min(rows, cols), gated by the TU bound as `intmat` gates it."""
     order_cap = min(m.rows, m.cols)
     b = _bound("tu", bound)
     if order_cap > b:
         raise BoundExceededError("min(rows, cols)", order_cap, b)
+    return order_cap
+
+
+def _check_minors(m, orders) -> UnimodularityCheck:
+    """Minors of the given orders, ascending; fails on the lexicographically
+    least (order, rows, cols) one with |det| > 1."""
     memo: dict = {}
-    for k in orders(order_cap):
+    for k in orders:
         for rows in itertools.combinations(range(m.rows), k):
             for cols in itertools.combinations(range(m.cols), k):
                 d = _minor_det(m, rows, cols, memo)
@@ -54,9 +59,10 @@ def _check_minors(m, orders, bound) -> UnimodularityCheck:
 
 def tu_by_enumeration(m, bound=None) -> UnimodularityCheck:
     """Every order, ascending; the first witness is lexicographically least."""
-    return _check_minors(m, lambda cap: range(1, cap + 1), bound)
+    return _check_minors(m, range(1, _order_cap(m, bound) + 1))
 
 
 def wu_by_enumeration(m, bound=None) -> UnimodularityCheck:
     """The maximal order only; the first witness is lexicographically least."""
-    return _check_minors(m, lambda cap: (cap,) if cap else (), bound)
+    k = _order_cap(m, bound)
+    return _check_minors(m, (k,) if k else ())
