@@ -123,13 +123,12 @@ def cmd_decompose(args) -> int:
     lat = flows.fundamental_basis(m)
     beta = load_vector(args.vector)
     parts = flows.consistent_decompose(lat, beta)
+    text = cache(flows.FlowVector.text)  # parts repeat: one text per distinct part
     for p in parts:
-        print(p.text())
-    total = flows.FlowVector.of([0] * m.size)
-    for p in parts:
-        total = total + p
-    print("sum OK" if total == beta else "sum MISMATCH")
-    return 0 if total == beta else 1
+        print(text(p))
+    total = tuple(map(sum, zip([0] * m.size, *(p.coords for p in parts))))
+    print("sum OK" if total == beta.coords else "sum MISMATCH")
+    return 0 if total == beta.coords else 1
 
 
 def cmd_simple(args) -> int:

@@ -1,12 +1,12 @@
 """Lattices of integer flows and cuts.
 
 Fundamental bases, Gram matrices, signed-circuit flows, consistent
-decomposition into conforming simple flows (one loop over bitmask
-supports), and the metric simplicity test by Fincke-Pohst enumeration of
-the Gram ellipsoid.  Definiteness, lattice coordinates and the exact
-LDL^T that bounds the enumeration come from the fraction-free
-Gauss-Jordan elimination of `intmat`, so all arithmetic is over the
-integers.
+decomposition into conforming simple flows (one chain of eliminations
+on bitmask supports per run of equal parts), and the metric simplicity
+test by Fincke-Pohst enumeration of the Gram ellipsoid.  Definiteness,
+lattice coordinates and the exact LDL^T that bounds the enumeration
+come from the fraction-free Gauss-Jordan elimination of `intmat`, so
+all arithmetic is over the integers.
 """
 
 from __future__ import annotations
@@ -230,6 +230,23 @@ def consistent_decompose(lat: FlowLattice, beta: FlowVector) -> list[FlowVector]
     ground set has elements.  Within one call, supports already met map
     to their first circuit; each circuit's pair (alpha, -alpha) is built
     once per matroid and shared by every part that uses it.
+
+    One chain serves a whole run of equal parts.  Write its steps as
+    (C_i, e_i, c_i), rest_0 = v and rest_i = rest_{i-1} - c_i alpha_i,
+    so that rest_{k-1} = c_k alpha.  The run length T is the least of
+    c_k and of |rest_{i-1}[j]| - c_i + [j > e_i] over i < k and j in
+    C_i & C_k.  For 0 <= t < T the chain from v - t alpha makes the
+    same choices, each rest shifted by -t alpha, and ends at alpha: a
+    step changes only values on its circuit, never flips a sign (c_i is
+    the least |value| there) and zeroes e_i, so e_i is not in C_k and
+    every rest agrees with alpha in sign on C_k; the shift lowers those
+    |values| by t and keeps the others.  The bound keeps each e_i least
+    under (|value|, index), and with it C_i, alpha_i and c_i, and keeps
+    the values on C_k nonzero, and with them every support (a value on
+    C_k that no earlier step touches is c_k); the last support is C_k,
+    whose only circuit is C_k itself.  At t = T the chain first differs
+    by zeroing an element of C_k, or ends a step early at alpha_{k-1},
+    so the next chain starts a new run: there is one chain per run.
     """
     if lat.source is None:
         raise MembershipError("decomposition needs a lattice with a source matroid")
@@ -248,23 +265,48 @@ def consistent_decompose(lat: FlowLattice, beta: FlowVector) -> list[FlowVector]
     masks = [sum(1 << e for e in c) for c in circs]
     first: dict[int, int] = {}
     parts: list[FlowVector] = []
-    current = beta.coords
-    while any(current):
-        rest = current
-        while True:
-            supp = sum(1 << e for e, x in enumerate(rest) if x)
-            k = first.get(supp)
+    current = list(beta.coords)
+    supp = sum(1 << e for e, x in enumerate(current) if x)
+    while supp:
+        rest, left, steps = current[:], supp, []
+        while left:
+            k = first.get(left)
             if k is None:
-                k = first[supp] = next(j for j, cm in enumerate(masks) if not cm & ~supp)
-            pair = pairs[k]
-            e = min(circs[k], key=lambda j: (abs(rest[j]), j))
+                k = next((j for j, cm in enumerate(masks) if not cm & ~left), None)
+                if k is None:
+                    raise FlowLatticeError("broken invariant: no circuit inside a flow's support")
+                first[left] = k
+            circ, pair = circs[k], pairs[k]
+            sizes = [abs(rest[j]) for j in circ]
+            c = min(sizes)
+            e = circ[sizes.index(c)]
             alpha = pair[pair[0].coords[e] * rest[e] < 0]
-            c = abs(rest[e])
-            rest = tuple(x - c * a for x, a in zip(rest, alpha.coords))
-            if not any(rest):
-                break
-        parts.append(alpha)
-        current = tuple(x - a for x, a in zip(current, alpha.coords))
+            a = alpha.coords
+            steps.append((circ, e, c, a))
+            for j in circ:
+                rest[j] -= c * a[j]
+                if not rest[j]:
+                    left &= ~(1 << j)
+            if rest[e]:
+                raise FlowLatticeError("broken invariant: a chain step left its element nonzero")
+        # the run length T: walk back from rest_{k-1} = c_k alpha, keeping
+        # mag[j] = |rest_{i-1}[j]| on C_k
+        circ, _, run, a = steps.pop()
+        mag = dict.fromkeys(circ, run)
+        for ci, e, c, ai in reversed(steps):
+            for j in ci:
+                if j in mag:
+                    mag[j] += c * ai[j] * a[j]
+                    bound = mag[j] - c + (j > e)
+                    if bound < run:
+                        run = bound
+        if run < 1:
+            raise FlowLatticeError(f"broken invariant: run length {run} < 1")
+        parts += [alpha] * run
+        for j in circ:
+            current[j] -= run * a[j]
+            if not current[j]:
+                supp &= ~(1 << j)
     return parts
 
 

@@ -1,12 +1,16 @@
-"""Flow-lattice routines that the ellipsoid walk and the bitmask loop replaced.
+"""Flow-lattice routines that the ellipsoid walk and the run-length loop replaced.
 
 `flowlattice.flows.enumerate_coefficients` now walks the Gram ellipsoid
 depth first over an exact LDL^T (Fincke-Pohst), and
-`consistent_decompose` runs one loop over bitmask supports.  These are
-the earlier routines, kept verbatim: the inverse-diagonal box, the box
-scan, the metric simplicity test over that scan, and the recursive
-conforming-flow search.  The tests compare them with the library for
-exact equality, order and errors included.
+`consistent_decompose` emits each part with the length of its run, one
+chain of eliminations per run.  These are the earlier routines, kept
+verbatim: the inverse-diagonal box, the box scan, the metric simplicity
+test over that scan, the recursive conforming-flow search, and
+`decompose_by_chains`, the loop over bitmask supports that runs one
+chain per part.  The recursive search is the slow oracle for small
+flows; `decompose_by_chains` is fast enough to check flows of workload
+size and larger.  The tests compare them with the library for exact
+equality, order and errors included.
 """
 
 import itertools
@@ -59,6 +63,58 @@ def consistent_decompose(lat: FlowLattice, beta: FlowVector) -> list[FlowVector]
         alpha = _find_conforming(m, circs, current)
         parts.append(alpha)
         current = current - alpha
+    return parts
+
+
+def decompose_by_chains(lat: FlowLattice, beta: FlowVector) -> list[FlowVector]:
+    """Express a flow as a sum of simple flows, support- and sign-consistently.
+
+    Deterministic: each part comes from a chain of steps on the rest of
+    the flow.  A step takes the first circuit, in (size, lex) order, whose
+    bitmask lies inside the support of the current vector, signs its flow
+    alpha to agree with the vector at the element e of least |value|
+    (least index on ties), and subtracts |value at e| * alpha.  The chain
+    ends at the alpha that leaves zero; that alpha is the part, and the
+    next part starts from the flow minus the parts so far.  The support
+    shrinks at every step, so a chain has at most as many steps as the
+    ground set has elements.  Within one call, supports already met map
+    to their first circuit; each circuit's pair (alpha, -alpha) is built
+    once per matroid and shared by every part that uses it.
+    """
+    if lat.source is None:
+        raise MembershipError("decomposition needs a lattice with a source matroid")
+    m = lat.source
+    if len(beta.coords) != m.size:
+        raise DimensionError("flow length differs from ground size")
+    for i, row in enumerate(m.rep.entries):
+        lhs = sum(a * b for a, b in zip(row, beta.coords))
+        if lhs != 0:
+            raise MembershipError(
+                f"not a flow: row {i} gives {lhs} != 0",
+                equation=(i, row),
+            )
+    circs = circuits(m)
+    pairs = m._signed_pairs
+    masks = [sum(1 << e for e in c) for c in circs]
+    first: dict[int, int] = {}
+    parts: list[FlowVector] = []
+    current = beta.coords
+    while any(current):
+        rest = current
+        while True:
+            supp = sum(1 << e for e, x in enumerate(rest) if x)
+            k = first.get(supp)
+            if k is None:
+                k = first[supp] = next(j for j, cm in enumerate(masks) if not cm & ~supp)
+            pair = pairs[k]
+            e = min(circs[k], key=lambda j: (abs(rest[j]), j))
+            alpha = pair[pair[0].coords[e] * rest[e] < 0]
+            c = abs(rest[e])
+            rest = tuple(x - c * a for x, a in zip(rest, alpha.coords))
+            if not any(rest):
+                break
+        parts.append(alpha)
+        current = tuple(x - a for x, a in zip(current, alpha.coords))
     return parts
 
 

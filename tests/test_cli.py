@@ -146,6 +146,21 @@ class TestDecomposeAndSimple:
         assert out.count("1 1 1") == 2
         assert "sum OK" in out
 
+    def test_decompose_zero_flow(self, tmp_path, capsys):
+        f = graph_file(tmp_path, "t.graph", TRIANGLE)
+        assert run(["decompose", f, "0 0 0"]) == 0
+        assert capsys.readouterr().out == "sum OK\n"
+
+    def test_decompose_sum_mismatch(self, tmp_path, capsys, monkeypatch):
+        import flowlattice.flows as flows_mod
+
+        decompose = flows_mod.consistent_decompose
+        monkeypatch.setattr(flows_mod, "consistent_decompose",
+                            lambda lat, beta: decompose(lat, beta)[1:])
+        f = graph_file(tmp_path, "t.graph", TRIANGLE)
+        assert run(["decompose", f, "2 2 2"]) == 1
+        assert capsys.readouterr().out == "1 1 1\nsum MISMATCH\n"
+
     def test_decompose_rejects_non_flow(self, tmp_path, capsys):
         f = graph_file(tmp_path, "t.graph", TRIANGLE)
         assert run(["decompose", f, "1 0 0"]) == 2

@@ -1,17 +1,23 @@
-"""The ellipsoid walk and the bitmask decomposition against the routines they replaced.
+"""The ellipsoid walk and the run-length decomposition against the routines they replaced.
 
 `enumerate_coefficients`, `is_simple_metric` and `consistent_decompose`
 are compared for exact equality -- the full (y, q) list in order, the
-witnesses, the part lists, and errors alike -- with the box scan and
-the recursive conforming-flow search in `flows_oracles`, on seeded
-positive definite Gram matrices, on the flow lattices of K4, K3,3, the
-prism, the wheel W5, K5 and the Petersen graph, and on random
-multigraphs with loops and parallel edges.
+witnesses, the part lists, and errors alike -- with the box scan, the
+recursive conforming-flow search and `decompose_by_chains` (one chain
+of eliminations per part) in `flows_oracles`, on seeded positive
+definite Gram matrices, on the flow lattices of K4, K3,3, the prism,
+the wheel W5, K5 and the Petersen graph, on those of their duals and
+of R10 and its dual, and on random multigraphs with loops and parallel
+edges.  Decompositions are checked at the benchmark's scale (+-200
+coefficients) and beyond: the scale tests count chain steps instead of
+timing them.
 
 The box scan costs the number of points in its box, which grows with
 the bound; where a drawn input's box holds more than `BOX_CAP` points
 the bound is halved (Gram tests) or the query redrawn (sampled
-simplicity queries), so the oracle stays cheap enough to run.
+simplicity queries), so the oracle stays cheap enough to run.  The
+recursive search costs about 0.1 s per +-200 flow on K5, so it is run
+up to +-60 only.
 """
 
 import itertools
@@ -32,9 +38,11 @@ from flowlattice.flows import (
 )
 from flowlattice.gram import GramMatrix
 from flowlattice.intmat import IntegerMatrix, rank
-from flowlattice.matroid import RegularMatroid, from_graph
+from flowlattice.matroid import RegularMatroid, dual, from_graph
+from test_matroid import r10
 
 BOX_CAP = 20_000
+RECURSIVE_CAP = 60    # largest coefficient given to the recursive decomposition
 
 
 def _cycle(k):
@@ -90,6 +98,25 @@ def random_multigraph(rng, max_edges=8):
     return edges
 
 
+def same_decomposition(lat, beta, recursive=True):
+    """consistent_decompose against decompose_by_chains -- the same part
+    objects in the same order, or the same error -- and, when asked,
+    against the recursive search."""
+    got = outcome(consistent_decompose, lat, beta)
+    want = outcome(oracle.decompose_by_chains, lat, beta)
+    assert got == want
+    if isinstance(got, list):
+        assert all(p is q for p, q in zip(got, want))
+    if recursive:
+        assert got == outcome(oracle.consistent_decompose, lat, beta)
+    return got
+
+
+def runs(parts):
+    """The number of runs of one repeated part object."""
+    return sum(1 for i, p in enumerate(parts) if not i or p is not parts[i - 1])
+
+
 def result(res):
     witness = None if res.witness is None else tuple(w.coords for w in res.witness)
     return res.simple, witness, res.witness_inner
@@ -98,6 +125,18 @@ def result(res):
 @pytest.fixture(scope="module")
 def lattices():
     return {name: fundamental_basis(from_graph(edges)) for name, edges in LATTICES.items()}
+
+
+@pytest.fixture(scope="module")
+def decompose_lattices(lattices):
+    """The graphic lattices, the (cographic) lattices of their duals, and
+    the lattices of R10 and its dual; a name with * is a dual's."""
+    out = dict(lattices)
+    for name, lat in lattices.items():
+        out[name + "*"] = fundamental_basis(dual(lat.source))
+    out["R10"] = fundamental_basis(r10())
+    out["R10*"] = fundamental_basis(dual(out["R10"].source))
+    return out
 
 
 class TestEnumerateCoefficients:
@@ -228,7 +267,7 @@ class TestDecompose:
         for lat in lattices.values():
             for _ in range(12):
                 beta = lat.vector([rng.randint(-60, 60) for _ in range(lat.lattice_rank)])
-                assert consistent_decompose(lat, beta) == oracle.consistent_decompose(lat, beta)
+                same_decomposition(lat, beta)
 
     def test_multigraph_flows(self):
         rng = random.Random(73)
@@ -239,7 +278,28 @@ class TestDecompose:
             for _ in range(2):
                 beta = lat.vector([rng.randint(-60, 60) for _ in range(s)]) if s else \
                     FlowVector.of([0] * m.size)
-                assert consistent_decompose(lat, beta) == oracle.consistent_decompose(lat, beta)
+                same_decomposition(lat, beta)
+
+    @pytest.mark.parametrize("coeff", [1, 3, 60, 200])
+    def test_workload_scale(self, decompose_lattices, coeff):
+        """Every lattice, graphic, cographic and R10, at the benchmark's
+        +-200 and below; a vector one off a flow must fail alike."""
+        rng = random.Random(coeff)
+        for lat in decompose_lattices.values():
+            for _ in range(4):
+                beta = lat.vector([rng.randint(-coeff, coeff) for _ in range(lat.lattice_rank)])
+                same_decomposition(lat, beta, coeff <= RECURSIVE_CAP)
+            off = FlowVector.of([1] + [0] * (lat.ambient - 1))
+            got = same_decomposition(lat, beta + off, coeff <= RECURSIVE_CAP)
+            assert isinstance(got, tuple) and issubclass(got[0], FlowLatticeError)
+
+    @pytest.mark.parametrize("coeff", [1, 3, 60, 200])
+    def test_multigraph_workload_scale(self, coeff):
+        rng = random.Random(f"multigraph {coeff}")
+        for _ in range(60):
+            lat = fundamental_basis(from_graph(random_multigraph(rng, max_edges=10)))
+            beta = lat.vector([rng.randint(-coeff, coeff) for _ in range(lat.lattice_rank)])
+            same_decomposition(lat, beta, coeff <= RECURSIVE_CAP)
 
     def test_zero_flow(self, lattices):
         for lat in lattices.values():
@@ -262,10 +322,88 @@ class TestDecompose:
                            (cut_basis(k4), FlowVector.of((0,) * 6))):
             got = outcome(consistent_decompose, where, bad)
             assert got == outcome(oracle.consistent_decompose, where, bad)
+            assert got == outcome(oracle.decompose_by_chains, where, bad)
             assert isinstance(got, tuple) and issubclass(got[0], FlowLatticeError)
 
 
+class CountingPairs(tuple):
+    """A matroid's (alpha, -alpha) pairs that count their item reads: the
+    decomposition reads one pair per chain step."""
+
+    reads = 0
+
+    def __getitem__(self, k):
+        self.reads += 1
+        return super().__getitem__(k)
+
+
+def counted_decompose(lat, beta):
+    """The parts of beta and the number of chain steps taken."""
+    m = lat.source
+    spy = m.__dict__["_signed_pairs"] = CountingPairs(m._signed_pairs)
+    return consistent_decompose(lat, beta), spy.reads
+
+
+class TestDecomposeAtScale:
+    """Flows far past the benchmark's, checked by exact output and by a
+    count of chain steps, never by a clock: the work follows the runs of
+    equal parts, not the parts."""
+
+    # coefficients of a W5 flow whose 234 parts come in 5 runs
+    W5_COEFFS = (-27, -195, 12, 96, -39)
+
+    def test_multiple_of_one_circuit(self):
+        lat = fundamental_basis(from_graph(LATTICES["K5"]))
+        alpha = simple_flows(lat.source)[7]
+        parts, steps = counted_decompose(lat, alpha.scaled(10 ** 5))
+        assert parts == [alpha] * 10 ** 5
+        assert all(p is alpha for p in parts)
+        assert steps == 1
+
+    def test_w5_scaled_by_100(self):
+        lat = fundamental_basis(from_graph(LATTICES["W5"]))
+        beta = lat.vector(self.W5_COEFFS)
+        parts, steps = counted_decompose(lat, beta)
+        big, big_steps = counted_decompose(lat, beta.scaled(100))
+        assert (len(parts), runs(parts)) == (234, 5)
+        assert (len(big), runs(big)) == (23_400, 5)
+        assert big_steps == steps <= lat.source.size * runs(parts)
+        same_decomposition(lat, beta.scaled(100), recursive=False)
+
+    def test_one_chain_per_run(self):
+        """Consecutive chains end at different parts, so there is one chain
+        per run of the output, of at most one step per ground element."""
+        rng = random.Random(79)
+        for m in (from_graph(LATTICES["K4"]), from_graph(LATTICES["W5"]),
+                  from_graph(LATTICES["K5"]), dual(from_graph(LATTICES["K5"])), r10()):
+            lat = fundamental_basis(m)
+            for _ in range(4):
+                beta = lat.vector([rng.randint(-200, 200) for _ in range(lat.lattice_rank)])
+                parts, steps = counted_decompose(lat, beta)
+                assert steps <= lat.source.size * runs(parts) < lat.source.size * len(parts)
+
+
 class TestInvariants:
+    def test_missing_circuit(self):
+        """A support that holds no circuit is a broken invariant, not a
+        StopIteration."""
+        m = from_graph(LATTICES["K4"])
+        lat = fundamental_basis(m)
+        beta = m._signed_pairs[0][0]
+        m.__dict__["_circuits"] = m._circuits[1:]
+        m.__dict__["_signed_pairs"] = m._signed_pairs[1:]
+        with pytest.raises(FlowLatticeError, match="broken invariant: no circuit"):
+            consistent_decompose(lat, beta)
+
+    def test_step_that_does_not_zero_its_element(self):
+        m = from_graph(LATTICES["K4"])
+        lat = fundamental_basis(m)
+        beta = m._signed_pairs[0][0]
+        bad = FlowVector.of((2, -1, 0, 1, 0, 0))
+        m.__dict__["_signed_pairs"] = ((bad, -bad),) + m._signed_pairs[1:]
+        with pytest.raises(FlowLatticeError, match="broken invariant: a chain step"):
+            consistent_decompose(lat, beta)
+
     def test_non_unimodular_loop_column(self):
         m = RegularMatroid.from_rep(("a", "b"), IntegerMatrix.from_rows([[1, 2]]),
                                     validate=False)

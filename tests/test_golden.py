@@ -58,6 +58,7 @@ for _name in ("tu", "det2", "fano", "nonunit"):
 CASES |= {
     "tu-check-tu-bound-2": ["--tu-bound", "2", "tu-check", "inputs/tu.mat"],
     "tu-check-short": ["tu-check", "inputs/short.mat"],
+    "decompose-w5-large": ["decompose", "inputs/w5.graph", "inputs/w5-large.vec"],
 }
 CASES |= {f"{name}-porcelain": ["--porcelain"] + argv for name, argv in list(CASES.items())}
 
