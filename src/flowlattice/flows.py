@@ -2,11 +2,12 @@
 
 Fundamental bases, Gram matrices, signed-circuit flows, consistent
 decomposition into conforming simple flows (one chain of eliminations
-on bitmask supports per run of equal parts), and the metric simplicity
-test by Fincke-Pohst enumeration of the Gram ellipsoid.  Definiteness,
-lattice coordinates and the exact LDL^T that bounds the enumeration
-come from the fraction-free Gauss-Jordan elimination of `intmat`, so
-all arithmetic is over the integers.
+on bitmask supports per run of equal parts, and two passes over a
+block of runs that repeats for all its repetitions), and the metric
+simplicity test by Fincke-Pohst enumeration of the Gram ellipsoid.
+Definiteness, lattice coordinates and the exact LDL^T that bounds the
+enumeration come from the fraction-free Gauss-Jordan elimination of
+`intmat`, so all arithmetic is over the integers.
 """
 
 from __future__ import annotations
@@ -247,6 +248,27 @@ def consistent_decompose(lat: FlowLattice, beta: FlowVector) -> list[FlowVector]
     whose only circuit is C_k itself.  At t = T the chain first differs
     by zeroing an element of C_k, or ends a step early at alpha_{k-1},
     so the next chain starts a new run: there is one chain per run.
+
+    One pass over a block of runs serves every repetition of it.  A
+    run's signature is its start support, the start's positive-sign mask,
+    (support, e_i) at each step, and T; its slacks, which stay >= 0, are
+    c_i - 1 at each step, |rest_{i-1}[j]| - c_i - [j < e_i] for j in C_i,
+    and b - T for each candidate b of T.  When the last p signatures
+    repeat the p before them, the block has run from v_0 (s = 0) and from
+    v_1 = v_0 - d (s = 1).  Fix its decisions (circuit, e_i, sign and T):
+    then from v_s = v_0 - s d every value is affine in s, as c_i is the
+    signed value at e_i and no sign flips.  A slack that is >= 0 on
+    [0, S] keeps each sign, each argmin and each nonzero value (every
+    element of a support is zeroed later, so it sits in a later step's
+    circuit, where its slack gives |value| >= c >= 1); a value that is
+    zero at s = 0 and s = 1 is zero for every s, so every support is
+    kept; and T, a minimum of affine candidates, is concave, equal at
+    s = 0 and s = 1 and >= T on [0, S], hence constant there.  So the
+    block repeats exactly for s = 0, ..., S, where S is the least
+    floor(sigma_0 / (sigma_0 - sigma_1)) over the slacks that fall from
+    sigma_0 to sigma_1, and the flow goes on from v_0 - (S + 1) d.  Every
+    part agrees in sign with the flow, so d != 0 lowers the mass, and a
+    block whose slacks never fall cannot repeat forever.
     """
     if lat.source is None:
         raise MembershipError("decomposition needs a lattice with a source matroid")
@@ -264,11 +286,10 @@ def consistent_decompose(lat: FlowLattice, beta: FlowVector) -> list[FlowVector]
     pairs = m._signed_pairs
     masks = [sum(1 << e for e in c) for c in circs]
     first: dict[int, int] = {}
-    parts: list[FlowVector] = []
-    current = list(beta.coords)
-    supp = sum(1 << e for e, x in enumerate(current) if x)
-    while supp:
-        rest, left, steps = current[:], supp, []
+
+    def chain(current, supp):
+        """The part, its run length T, the run's signature and its slacks."""
+        rest, left, steps, picks, slacks = current[:], supp, [], [], []
         while left:
             k = first.get(left)
             if k is None:
@@ -283,6 +304,9 @@ def consistent_decompose(lat: FlowLattice, beta: FlowVector) -> list[FlowVector]
             alpha = pair[pair[0].coords[e] * rest[e] < 0]
             a = alpha.coords
             steps.append((circ, e, c, a))
+            picks.append((left, e))
+            slacks.append(c - 1)
+            slacks += [size - c - (j < e) for j, size in zip(circ, sizes)]
             for j in circ:
                 rest[j] -= c * a[j]
                 if not rest[j]:
@@ -293,20 +317,51 @@ def consistent_decompose(lat: FlowLattice, beta: FlowVector) -> list[FlowVector]
         # mag[j] = |rest_{i-1}[j]| on C_k
         circ, _, run, a = steps.pop()
         mag = dict.fromkeys(circ, run)
+        candidates = [run]
         for ci, e, c, ai in reversed(steps):
             for j in ci:
                 if j in mag:
                     mag[j] += c * ai[j] * a[j]
-                    bound = mag[j] - c + (j > e)
-                    if bound < run:
-                        run = bound
+                    candidates.append(mag[j] - c + (j > e))
+        run = min(candidates)
         if run < 1:
             raise FlowLatticeError(f"broken invariant: run length {run} < 1")
+        slacks += [b - run for b in candidates]
+        positive = sum(1 << j for j, x in enumerate(current) if x > 0)
+        return alpha, run, (supp, positive, tuple(picks), run), slacks
+
+    parts: list[FlowVector] = []
+    current = list(beta.coords)
+    supp = sum(1 << e for e, x in enumerate(current) if x)
+    last: dict[tuple, int] = {}     # signature -> index of its last run in history
+    history: list[tuple] = []       # (signature, slacks, start, parts before) per run
+    while supp:
+        alpha, run, sig, slacks = chain(current, supp)
+        r = len(history)
+        history.append((sig, slacks, current[:], len(parts)))
         parts += [alpha] * run
-        for j in circ:
-            current[j] -= run * a[j]
-            if not current[j]:
-                supp &= ~(1 << j)
+        a = alpha.coords
+        for j, x in enumerate(a):
+            if x:
+                current[j] -= run * x
+                if not current[j]:
+                    supp &= ~(1 << j)
+        i = last.get(sig)
+        last[sig] = r
+        if i is None or 2 * i + 1 < r or any(
+                history[i - q][0] != history[r - q][0] for q in range(1, r - i)):
+            continue
+        # runs i+1-p..i and i+1..r (p = r - i) are one block at s = 0 and s = 1
+        lo, hi = history[2 * i + 1 - r:i + 1], history[i + 1:]
+        falls = [x // (x - y) for h0, h1 in zip(lo, hi) for x, y in zip(h0[1], h1[1]) if y < x]
+        if not falls:
+            raise FlowLatticeError("broken invariant: a repeating block lowers no slack")
+        s = min(falls)
+        parts += parts[hi[0][3]:] * (s - 1)
+        current = [x0 - (s + 1) * (x0 - x1) for x0, x1 in zip(lo[0][2], hi[0][2])]
+        supp = sum(1 << e for e, x in enumerate(current) if x)
+        last.clear()
+        history.clear()
     return parts
 
 

@@ -1,10 +1,11 @@
-"""The ellipsoid walk and the run-length decomposition against the routines they replaced.
+"""The ellipsoid walk and the periodic decomposition against the routines they replaced.
 
 `enumerate_coefficients`, `is_simple_metric` and `consistent_decompose`
 are compared for exact equality -- the full (y, q) list in order, the
 witnesses, the part lists, and errors alike -- with the box scan, the
-recursive conforming-flow search and `decompose_by_chains` (one chain
-of eliminations per part) in `flows_oracles`, on seeded positive
+recursive conforming-flow search, `decompose_by_chains` (one chain of
+eliminations per part) and `decompose_by_runs` (one chain per run of
+equal parts) in `flows_oracles`, on seeded positive
 definite Gram matrices, on the flow lattices of K4, K3,3, the prism,
 the wheel W5, K5 and the Petersen graph, on those of their duals and
 of R10 and its dual, and on random multigraphs with loops and parallel
@@ -99,14 +100,15 @@ def random_multigraph(rng, max_edges=8):
 
 
 def same_decomposition(lat, beta, recursive=True):
-    """consistent_decompose against decompose_by_chains -- the same part
-    objects in the same order, or the same error -- and, when asked,
-    against the recursive search."""
+    """consistent_decompose against decompose_by_chains and
+    decompose_by_runs -- the same part objects in the same order, or the
+    same error -- and, when asked, against the recursive search."""
     got = outcome(consistent_decompose, lat, beta)
-    want = outcome(oracle.decompose_by_chains, lat, beta)
-    assert got == want
-    if isinstance(got, list):
-        assert all(p is q for p, q in zip(got, want))
+    for oracle_loop in (oracle.decompose_by_chains, oracle.decompose_by_runs):
+        want = outcome(oracle_loop, lat, beta)
+        assert got == want
+        if isinstance(got, list):
+            assert all(p is q for p, q in zip(got, want))
     if recursive:
         assert got == outcome(oracle.consistent_decompose, lat, beta)
     return got
@@ -337,17 +339,18 @@ class CountingPairs(tuple):
         return super().__getitem__(k)
 
 
-def counted_decompose(lat, beta):
+def counted_decompose(lat, beta, decompose=consistent_decompose):
     """The parts of beta and the number of chain steps taken."""
     m = lat.source
     spy = m.__dict__["_signed_pairs"] = CountingPairs(m._signed_pairs)
-    return consistent_decompose(lat, beta), spy.reads
+    return decompose(lat, beta), spy.reads
 
 
 class TestDecomposeAtScale:
     """Flows far past the benchmark's, checked by exact output and by a
     count of chain steps, never by a clock: the work follows the runs of
-    equal parts, not the parts."""
+    equal parts, not the parts, and a block of runs that repeats costs
+    two passes, not one per repetition."""
 
     # coefficients of a W5 flow whose 234 parts come in 5 runs
     W5_COEFFS = (-27, -195, 12, 96, -39)
@@ -381,6 +384,29 @@ class TestDecomposeAtScale:
                 beta = lat.vector([rng.randint(-200, 200) for _ in range(lat.lattice_rank)])
                 parts, steps = counted_decompose(lat, beta)
                 assert steps <= lat.source.size * runs(parts) < lat.source.size * len(parts)
+
+
+    def test_alternating_parts_scaled_by_100(self):
+        """Flows whose parts alternate, with at least ten runs per distinct
+        part: scaled by 100, each takes at most 50 chain steps more (at
+        most 45 on these flows; the run-length loop takes about 100 times
+        as many), and never more steps than the run-length loop."""
+        rng = random.Random(83)
+        for name in ("K5", "K33", "W5"):
+            lat = fundamental_basis(from_graph(LATTICES[name]))
+            done = 0
+            while done < 4:
+                beta = lat.vector([rng.randint(-200, 200) for _ in range(lat.lattice_rank)])
+                parts, steps = counted_decompose(lat, beta)
+                if runs(parts) < 10 * len({id(p) for p in parts}):
+                    continue
+                big, big_steps = counted_decompose(lat, beta.scaled(100))
+                assert big_steps <= steps + 50
+                for flow, got, taken in ((beta, parts, steps), (beta.scaled(100), big, big_steps)):
+                    want, by_runs = counted_decompose(lat, flow, oracle.decompose_by_runs)
+                    assert got == want and all(p is q for p, q in zip(got, want))
+                    assert taken <= by_runs
+                done += 1
 
 
 class TestInvariants:

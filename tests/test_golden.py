@@ -59,6 +59,7 @@ CASES |= {
     "tu-check-tu-bound-2": ["--tu-bound", "2", "tu-check", "inputs/tu.mat"],
     "tu-check-short": ["tu-check", "inputs/short.mat"],
     "decompose-w5-large": ["decompose", "inputs/w5.graph", "inputs/w5-large.vec"],
+    "decompose-k5-large": ["decompose", "inputs/k5.graph", "inputs/k5-large.vec"],
 }
 CASES |= {f"{name}-porcelain": ["--porcelain"] + argv for name, argv in list(CASES.items())}
 

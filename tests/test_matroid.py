@@ -216,7 +216,7 @@ class TestNoPerSubsetRank:
 
         monkeypatch.setattr(matroid_module, "rank", boom)
         monkeypatch.setattr(matroid_module, "subset_rank", boom)
-        # fresh labels, so the lru caches cannot answer from an earlier test
+        # a new matroid starts with empty caches, so no earlier test's result can answer
         graph = edges + [(0, 99)]
         m = from_graph(graph, labels=[f"guard{j}" for j in range(len(graph))])
         assert circuits(m)
