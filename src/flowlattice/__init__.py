@@ -37,6 +37,7 @@ from .gram import (
 )
 from .intmat import (
     IntegerMatrix,
+    bounds,
     determinant,
     integer_kernel_basis,
     is_totally_unimodular,

@@ -11,7 +11,6 @@ import argparse
 import sys
 from functools import cache
 from pathlib import Path
-from types import MappingProxyType
 
 from . import flows, gram, intmat, matroid, rebuild
 from .errors import (
@@ -149,7 +148,7 @@ def cmd_simple(args) -> int:
 
 def cmd_gtest(args) -> int:
     a = gram.parse_gram(_read(args.file))
-    cls, table = gram._classify_table(a, None)
+    cls, table = gram._classify_table(a)
     if not cls.g_nonnegative:
         print(f"NOT-G-NONNEGATIVE S={{{','.join(str(i + 1) for i in cls.witness)}}}")
         return 1
@@ -267,15 +266,16 @@ def run(argv) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    flags = {kind: value for kind in intmat.BOUND_DEFAULTS
-             if (value := getattr(args, f"{kind}_bound")) is not None}
-    if any(value <= 0 for value in flags.values()):
-        print("ERROR BAD-BOUND: bounds must be positive")
-        return 2
-    # the flags bind this call only
-    token = intmat.call_bounds.set(MappingProxyType(flags))
     try:
-        return globals()["cmd_" + args.verb.replace("-", "_")](args)
+        # the flags bind this call only
+        scope = intmat.bounds(**{kind: value for kind in intmat.BOUND_DEFAULTS
+                                 if (value := getattr(args, f"{kind}_bound")) is not None})
+    except ValueError as exc:
+        print(f"ERROR BAD-BOUND: {exc}")
+        return 2
+    try:
+        with scope:
+            return globals()["cmd_" + args.verb.replace("-", "_")](args)
     except BoundExceededError as exc:
         print(f"ERROR BOUND-EXCEEDED: {exc}")
         return 2
@@ -288,8 +288,6 @@ def run(argv) -> int:
     except FlowLatticeError as exc:
         print(f"ERROR BAD-INPUT: {exc}")
         return 2
-    finally:
-        intmat.call_bounds.reset(token)
 
 
 def main() -> None:

@@ -211,9 +211,9 @@ def _circuit_flow(m: RegularMatroid, circuit: tuple[int, ...]) -> FlowVector:
     return FlowVector(_canonical_sign(coords))
 
 
-def simple_flows(m: RegularMatroid, bound: int | None = None) -> list[FlowVector]:
+def simple_flows(m: RegularMatroid) -> list[FlowVector]:
     """Both signed flows for every circuit, sorted by coordinates."""
-    circuits(m, bound)  # the ground-size gate
+    circuits(m)  # the corank gate
     return sorted((v for pair in m._signed_pairs for v in pair), key=lambda v: v.coords)
 
 
@@ -375,8 +375,8 @@ class SimpleMetricResult:
         return self.simple
 
 
-def enumerate_coefficients(gram: GramMatrix, bound: int):
-    """All integer coefficient tuples y with y^T.G.y <= bound, lex order.
+def enumerate_coefficients(gram: GramMatrix, norm: int):
+    """All integer coefficient tuples y with y^T.G.y <= norm, lex order.
 
     Fincke-Pohst: a depth-first walk whose nodes all lie in projections
     of the ellipsoid, so the cost is its points and the nodes above them,
@@ -388,9 +388,9 @@ def enumerate_coefficients(gram: GramMatrix, bound: int):
     the p_k p_{k-1}, the form is sum_k w_k L_k^2 with integer weights
     w_k = N / (p_k p_{k-1}) and L_k = p_k z_k + c_k, c_k depending on
     z_{k+1..} only.  Level k keeps exactly the z_k with
-    w_k L_k^2 <= R, the budget left of N * bound.
+    w_k L_k^2 <= R, the budget left of N * norm.
 
-    A negative bound yields nothing; a singular Gram matrix raises
+    A negative norm yields nothing; a singular Gram matrix raises
     FormatError and a nonsingular one that is not positive definite
     raises DefinitenessError.
     """
@@ -400,7 +400,7 @@ def enumerate_coefficients(gram: GramMatrix, bound: int):
     if len(cols) < s:
         raise FormatError("Gram matrix is singular")
     _require_positive_minors(cols, order, pivots, s)
-    if bound < 0:
+    if norm < 0:
         return
     if not s:
         yield (), 0
@@ -411,7 +411,7 @@ def enumerate_coefficients(gram: GramMatrix, bound: int):
     den = [a * b for a, b in zip(p, [1] + p)]
     n = lcm(*den)
     w = [n // d for d in den]
-    top = n * bound
+    top = n * norm
     z, c, hi = [0] * s, [0] * s, [0] * s
     budget = [0] * s + [top]
     k = s - 1
@@ -456,8 +456,8 @@ def is_simple_metric(lat: FlowLattice, alpha) -> SimpleMetricResult:
     if not any(x):
         raise FormatError("simple elements are nonzero")
     gx = [sum(a * b for a, b in zip(row, x)) for row in lat.gram.mat.entries]
-    bound = sum(a * b for a, b in zip(x, gx))
-    for y, qy in enumerate_coefficients(lat.gram, bound):
+    norm = sum(a * b for a, b in zip(x, gx))
+    for y, qy in enumerate_coefficients(lat.gram, norm):
         if not any(y) or y == x:
             continue
         # <y, x - y> = y^T G x - y^T G y

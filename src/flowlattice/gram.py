@@ -184,7 +184,7 @@ def f_value(a: GramMatrix, subset) -> int:
     return min(abs(a.entry(i, j)) for i, j in itertools.combinations(idx, 2))
 
 
-def f_table(a: GramMatrix, bound: int | None = None) -> list[int]:
+def f_table(a: GramMatrix) -> list[int]:
     """`f_value` on every subset mask, each built from two smaller masks.
 
     A mask of three or more elements, t its top and b its bottom one, has
@@ -193,7 +193,7 @@ def f_table(a: GramMatrix, bound: int | None = None) -> list[int]:
     mask - t or mask - b has one or some j in it closes one with b and t,
     and its least |a_ij| is the least of theirs and |a_bt|.
     """
-    s = _gate("subset", "matrix order", a.order, bound)
+    s = _gate("subset", "matrix order", a.order)
     e = a.mat.entries
     # closing[b][t]: the j whose triple with b and t is negative, as a mask
     closing = [[sum(1 << j for j in range(s) if e[b][j] * e[j][t] * e[t][b] < 0)
@@ -216,10 +216,10 @@ def f_table(a: GramMatrix, bound: int | None = None) -> list[int]:
     return f
 
 
-def g_table(a: GramMatrix, bound: int | None = None) -> list[int]:
+def g_table(a: GramMatrix) -> list[int]:
     """Alternating superset sums of the f table, via the subset-lattice transform."""
     s = a.order
-    g = f_table(a, bound)
+    g = f_table(a)
     for i in range(s):
         bit = 1 << i
         for mask in range(1 << s):
@@ -248,10 +248,10 @@ class Classification:
         return self.g_nonnegative
 
 
-def _classify_table(a: GramMatrix, bound: int | None) -> tuple[Classification, list[int]]:
+def _classify_table(a: GramMatrix) -> tuple[Classification, list[int]]:
     """The classification together with the g table it was read from."""
     s = a.order
-    g = g_table(a, bound)
+    g = g_table(a)
     for mask in range(1, 1 << s):
         if g[mask] < 0:
             return Classification(False, False, tuple(_mask_elements(mask))), g
@@ -264,8 +264,8 @@ def _classify_table(a: GramMatrix, bound: int | None) -> tuple[Classification, l
     return Classification(True, True), g
 
 
-def classify(a: GramMatrix, bound: int | None = None) -> Classification:
-    return _classify_table(a, bound)[0]
+def classify(a: GramMatrix) -> Classification:
+    return _classify_table(a)[0]
 
 
 def _skeleton(cls: Classification, g: list[int]) -> IntegerMatrix:
@@ -293,14 +293,14 @@ def _skeleton(cls: Classification, g: list[int]) -> IntegerMatrix:
     return x
 
 
-def build_x(a: GramMatrix, bound: int | None = None) -> IntegerMatrix:
+def build_x(a: GramMatrix) -> IntegerMatrix:
     """The {0,1} row-multiset encoding the positive subset values.
 
     Rows sorted by descending support size then descending lexicographic
     order; for a positive classification the singleton rows are placed
     last, forming an identity block.
     """
-    return _skeleton(*_classify_table(a, bound))
+    return _skeleton(*_classify_table(a))
 
 
 def _signing_skeleton(x: IntegerMatrix):
@@ -433,12 +433,9 @@ def _bfs(rows, cols, source) -> dict:
     return prev
 
 
-def tu_signing(x: IntegerMatrix, bound: int | None = None) -> IntegerMatrix | None:
+def tu_signing(x: IntegerMatrix) -> IntegerMatrix | None:
     """A totally unimodular matrix with entrywise absolute value x, if any."""
-    forest, free = _signing_skeleton(x)
-    # before the construction, whose cost grows with x
-    _gate("tu", "min(rows, cols)", min(x.rows, x.cols), bound)
-    cand = _camion_signing(x, forest, free)
+    cand = _camion_signing(x, *_signing_skeleton(x))
     return cand if _tu_verdict(cand) else None
 
 
@@ -483,13 +480,13 @@ def _match_column_signs(g: IntegerMatrix, a: GramMatrix) -> list[int] | None:
     return signs
 
 
-def is_g_feasible(a: GramMatrix, bound: int | None = None) -> Feasibility:
+def is_g_feasible(a: GramMatrix) -> Feasibility:
     """The TU certificate whose column Gram matrix equals a, if any.
 
     Pipeline: classification gate, skeleton, its one TU signing up to row
     and column negation (`tu_signing`), then the column signs matching a.
     """
-    cls, g = _classify_table(a, bound)
+    cls, g = _classify_table(a)
     if not cls.g_nonnegative:
         return Feasibility(False, None, cls, f"NOT-G-NONNEGATIVE S={cls.witness}")
     u = tu_signing(_skeleton(cls, g))

@@ -4,21 +4,22 @@ Dense matrices of arbitrary-precision integers; one fraction-free
 (Bareiss) Gauss-Jordan elimination that yields rank, determinant,
 leading minors, exact solves and inverses, and is the only determinant
 code of the package; saturated integer kernels; total and weak
-unimodularity tests; and the size bounds that gate every enumeration of
-the package.  Total unimodularity is decided on the matrix reduced by
-unit and parallel lines, block by block: a block is settled by a
-verified network or co-network realization in polynomial time, and only
-a block with neither is searched for an Eulerian submatrix whose
-entries sum to 2 mod 4 (Camion 1965).  A "no" runs the same search on
-the input, order by order, for the lexicographically least witness.
-Weak unimodularity is decided by one elimination and the TU verdict of
-its reduced rows; only a "no" enumerates maximal minors for a witness.
+unimodularity tests; and `bounds`, the one place that sets the bounds
+each exponential search checks.  Total unimodularity is decided on the
+matrix reduced by unit and parallel lines, block by block: a block is
+settled by a verified network or co-network realization in polynomial
+time, and only a block with neither is searched for an Eulerian
+submatrix whose entries sum to 2 mod 4 (Camion 1965).  A "no" runs the
+same search on the input, order by order, for the lexicographically
+least witness.  Weak unimodularity is decided by one elimination and
+the TU verdict of its reduced rows; only a "no" enumerates maximal
+minors for a witness.  The TU bound gates the order of these searches.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
+from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -29,35 +30,37 @@ from .network import network_scaling
 # default of each bound kind, in the order of the CLI's --<kind>-bound flags
 BOUND_DEFAULTS = MappingProxyType({"tu": 10, "circuit": 20, "iso": 12, "subset": 20})
 
-# the bound flags of the current `cli.run` call, kind -> value
+# the bounds of the enclosing `bounds` scopes, kind -> value
 call_bounds: ContextVar = ContextVar("call_bounds", default=MappingProxyType({}))
 
 
-def _bound(kind: str, override: int | None = None) -> int:
-    """The bound of a kind: the override, else the current call's flag,
-    else FLOWLAT_<KIND>_BOUND (read only here, when it is consulted),
-    else the default."""
-    if override is not None:
-        return override
-    flag = call_bounds.get().get(kind)
-    if flag is not None:
-        return flag
-    name = f"FLOWLAT_{kind.upper()}_BOUND"
-    raw = os.environ.get(name)
-    if raw is None:
-        return BOUND_DEFAULTS[kind]
+def bounds(**limits: int):
+    """A scope binding bounds by kind for every call inside it, nested ones
+    included: `with bounds(tu=12):`.  An inner scope keeps the outer one's
+    other kinds; each restores on exit, by exception too.  An unknown kind
+    or a value that is not a positive int raises ValueError on the call."""
+    for kind, value in limits.items():
+        if kind not in BOUND_DEFAULTS or type(value) is not int:
+            raise ValueError(f"bound kinds are {', '.join(BOUND_DEFAULTS)}, with int "
+                             f"values; got {kind}={value!r}")
+        if value <= 0:
+            raise ValueError("bounds must be positive")
+    return _scope(limits)
+
+
+@contextmanager
+def _scope(limits: dict):
+    token = call_bounds.set(MappingProxyType({**call_bounds.get(), **limits}))
     try:
-        value = int(raw)
-        if value > 0:
-            return value
-    except ValueError:
-        pass
-    raise FormatError(f"{name} must be a positive integer, got {raw!r}")
+        yield
+    finally:
+        call_bounds.reset(token)
 
 
-def _gate(kind: str, what: str, size: int, override: int | None = None) -> int:
-    """size, if within the bound of its kind; raises BoundExceededError past it."""
-    b = _bound(kind, override)
+def _gate(kind: str, what: str, size: int) -> int:
+    """size, if within the bound of its kind (the innermost scope's value, else
+    the default); raises BoundExceededError past it."""
+    b = call_bounds.get().get(kind, BOUND_DEFAULTS[kind])
     if size > b:
         raise BoundExceededError(what, size, b)
     return size
@@ -339,8 +342,9 @@ def _eulerian_witness(m: IntegerMatrix, k: int) -> tuple[tuple, tuple] | None:
     Eulerian with sum 2 mod 4, and an Eulerian submatrix with sum 2 mod 4
     is not TU while its proper minors are.  A minimally non-TU submatrix
     is nonsingular, so each of its columns meets its rows an even, nonzero
-    number of times; only those columns are tried.
+    number of times; only those columns are tried.  The TU bound gates k.
     """
+    _gate("tu", "Eulerian search order", k)
     for rows in itertools.combinations(range(m.rows), k):
         sub = [m.entries[i] for i in rows]
         counts = [sum(1 for r in sub if r[j]) for j in range(m.cols)]
@@ -415,7 +419,7 @@ def _block_is_tu(b: IntegerMatrix) -> bool:
 
 
 def _tu_verdict(m: IntegerMatrix) -> bool:
-    """Whether m is TU, ungated and without a witness.
+    """Whether m is TU, without a witness.
 
     The verdict is decided on the reduced core (`_tu_core`): a square
     submatrix through a unit row expands along it to +-(a smaller minor)
@@ -435,23 +439,22 @@ def _tu_verdict(m: IntegerMatrix) -> bool:
                                     for rows, cols in _blocks(core))
 
 
-def is_totally_unimodular(m: IntegerMatrix, bound: int | None = None) -> UnimodularityCheck:
+def is_totally_unimodular(m: IntegerMatrix) -> UnimodularityCheck:
     """Every square submatrix has determinant in {-1, 0, +1}.
 
-    The bound gates the input's min(rows, cols); the verdict is
-    `_tu_verdict`.  When it is no, the witness is the lexicographically
-    least (order, rows, cols) minor of the input with |det| > 1: an entry
-    outside {0, +-1}, else the least `_eulerian_witness` of the lowest
-    order that has one, with its Bareiss determinant.
+    The verdict is `_tu_verdict`.  When it is no, the witness is the
+    lexicographically least (order, rows, cols) minor of the input with
+    |det| > 1: an entry outside {0, +-1}, else the least `_eulerian_witness`
+    of the lowest order that has one, with its Bareiss determinant.  Only
+    those searches, of a core block or of the input, are gated.
     """
-    order_cap = _gate("tu", "min(rows, cols)", min(m.rows, m.cols), bound)
     if _tu_verdict(m):
         return UnimodularityCheck(True)
     for i, row in enumerate(m.entries):
         for j, x in enumerate(row):
             if abs(x) > 1:
                 return UnimodularityCheck(False, (i,), (j,), x)
-    for k in range(2, order_cap + 1):
+    for k in range(2, min(m.rows, m.cols) + 1):
         found = _eulerian_witness(m, k)
         if found:
             return UnimodularityCheck(False, *found, determinant(m.submatrix(*found)))
@@ -459,10 +462,10 @@ def is_totally_unimodular(m: IntegerMatrix, bound: int | None = None) -> Unimodu
                            "Eulerian submatrix has entry sum 2 mod 4")
 
 
-def is_weakly_unimodular(m: IntegerMatrix, bound: int | None = None) -> UnimodularityCheck:
+def is_weakly_unimodular(m: IntegerMatrix) -> UnimodularityCheck:
     """Every maximal square submatrix has determinant in {-1, 0, +1}.
 
-    The bound gates k = min(rows, cols).  One Bareiss elimination decides
+    Let k = min(rows, cols).  One Bareiss elimination decides
     the verdict, of w = m, or of its transpose when m has more rows than
     columns, so that w has k rows.  Rank below k makes every maximal minor
     0.  Otherwise the reduced rows are d B^-1 w, B the pivot columns of w
@@ -471,15 +474,16 @@ def is_weakly_unimodular(m: IntegerMatrix, bound: int | None = None) -> Unimodul
     holding I_k is TU iff its maximal minors lie in {0, +-1}.  So m is WU
     iff the reduced rows are TU.  Only a "no" enumerates the maximal
     minors of m in lexicographic order, one Bareiss determinant each, for
-    the least witness.
+    the least witness; the TU bound gates its order k.
     """
-    k = _gate("tu", "min(rows, cols)", min(m.rows, m.cols), bound)
+    k = min(m.rows, m.cols)
     if k == 0:
         return UnimodularityCheck(True)
     w = m if m.rows <= m.cols else m.transpose()
     reduced, pivot_cols, _, _ = _gauss_jordan(w.entries)
     if len(pivot_cols) < k or _tu_verdict(IntegerMatrix(tuple(map(tuple, reduced)))):
         return UnimodularityCheck(True)
+    _gate("tu", "maximal-minor search order", k)
     for rows in itertools.combinations(range(m.rows), k):
         for cols in itertools.combinations(range(m.cols), k):
             d = determinant(m.submatrix(rows, cols))

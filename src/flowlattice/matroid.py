@@ -311,9 +311,10 @@ def dual(m: RegularMatroid, base=None) -> RegularMatroid:
     return RegularMatroid.from_rep(ground, rep, validate=False)
 
 
-def circuits(m: RegularMatroid, bound: int | None = None) -> tuple[tuple[int, ...], ...]:
-    """All minimal dependent sets, as sorted index tuples, canonically ordered."""
-    _gate("circuit", "ground size", m.size, bound)
+def circuits(m: RegularMatroid) -> tuple[tuple[int, ...], ...]:
+    """All minimal dependent sets, as sorted index tuples, canonically ordered;
+    the bound gates the corank, as 2^corank cycle-space vectors are visited."""
+    _gate("circuit", "corank", m.corank)
     return m._circuits
 
 
@@ -365,14 +366,13 @@ def _element_profiles(m: RegularMatroid, circ) -> list[tuple]:
     return [tuple(sorted(p.items())) for p in per]
 
 
-def is_isomorphic(m: RegularMatroid, n: RegularMatroid,
-                  bound: int | None = None) -> IsomorphismResult:
+def is_isomorphic(m: RegularMatroid, n: RegularMatroid) -> IsomorphismResult:
     """Search for a ground bijection carrying circuits onto circuits.
 
     Pruned by rank, circuit-size multiset, and per-element circuit
     profiles; returns the lexicographically least bijection found.
     """
-    _gate("iso", "ground size", max(m.size, n.size), bound)
+    _gate("iso", "ground size", max(m.size, n.size))
     if m.size != n.size or m.rank != n.rank:
         return IsomorphismResult(False)
     cm = circuits(m)

@@ -71,13 +71,13 @@ class ReconstructionOutcome:
         return None if self.feasibility is None else self.feasibility.reason
 
 
-def reconstruct_matroid(a: GramMatrix, bound: int | None = None) -> ReconstructionOutcome:
+def reconstruct_matroid(a: GramMatrix) -> ReconstructionOutcome:
     """Rebuild the co-loop-free minor whose flow lattice has Gram matrix a.
 
     Feasibility check, change to a basis containing an identity block,
     then reading the standard form off the stacked block shape.
     """
-    feas = is_g_feasible(a, bound)
+    feas = is_g_feasible(a)
     if not feas:
         return ReconstructionOutcome(False, None, feas)
     u = feas.certificate
@@ -110,25 +110,22 @@ class IsometryDecision:
         return self.isometric
 
 
-def flow_lattices_isometric(m: RegularMatroid, n: RegularMatroid,
-                            bound: int | None = None) -> IsometryDecision:
+def flow_lattices_isometric(m: RegularMatroid, n: RegularMatroid) -> IsometryDecision:
     """Flow lattices are isometric iff the co-loop-free minors are isomorphic."""
     mc = contract_coloops(m)
     nc = contract_coloops(n)
-    iso = is_isomorphic(mc, nc, bound)
+    iso = is_isomorphic(mc, nc)
     return IsometryDecision(bool(iso), iso, mc, nc)
 
 
-def cut_lattices_isometric(m: RegularMatroid, n: RegularMatroid,
-                           bound: int | None = None) -> IsometryDecision:
+def cut_lattices_isometric(m: RegularMatroid, n: RegularMatroid) -> IsometryDecision:
     """Cut lattices compare through duality: loops become co-loops."""
-    return flow_lattices_isometric(dual(m), dual(n), bound)
+    return flow_lattices_isometric(dual(m), dual(n))
 
 
-def mixed_isometric(m: RegularMatroid, n: RegularMatroid,
-                    bound: int | None = None) -> IsometryDecision:
+def mixed_isometric(m: RegularMatroid, n: RegularMatroid) -> IsometryDecision:
     """Flow lattice of the first against the cut lattice of the second."""
-    return flow_lattices_isometric(m, dual(n), bound)
+    return flow_lattices_isometric(m, dual(n))
 
 
 __all__ = [

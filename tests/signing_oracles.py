@@ -41,24 +41,24 @@ def _quick_2x2_ok(u: IntegerMatrix) -> bool:
     return True
 
 
-def tu_signing(x: IntegerMatrix, bound: int | None = None) -> IntegerMatrix | None:
+def tu_signing(x: IntegerMatrix) -> IntegerMatrix | None:
     """A totally unimodular matrix with entrywise absolute value x, if any."""
     if min(x.rows, x.cols) == 0:
         return x
     for cand in _signings(x):
-        if _quick_2x2_ok(cand) and is_totally_unimodular(cand, bound):
+        if _quick_2x2_ok(cand) and is_totally_unimodular(cand):
             return cand
     return None
 
 
-def is_g_feasible(a, bound: int | None = None) -> Feasibility:
+def is_g_feasible(a) -> Feasibility:
     """Search for a TU certificate whose column Gram matrix equals a.
 
     Pipeline: classification gate, skeleton construction, then signing
     enumeration modulo row/column negation with a Gram-compatibility
     filter before the exact TU check.
     """
-    cls, g = _classify_table(a, bound)
+    cls, g = _classify_table(a)
     if not cls.g_nonnegative:
         return Feasibility(False, None, cls, f"NOT-G-NONNEGATIVE S={cls.witness}")
     x = _skeleton(cls, g)

@@ -102,9 +102,13 @@ class TestCircuitsAndColoops:
         assert "coloops {e4}" in out
 
     def test_bound_flag(self, tmp_path, capsys):
+        """The circuit bound gates the corank (3 for K4), not the ground size."""
         f = graph_file(tmp_path, "k.graph", K4)
-        assert run(["--circuit-bound", "3", "circuits", f]) == 2
-        assert "ERROR BOUND-EXCEEDED" in capsys.readouterr().out
+        assert run(["--circuit-bound", "3", "circuits", f]) == 0
+        assert capsys.readouterr().out.startswith("circuits 7\n")
+        assert run(["--circuit-bound", "2", "circuits", f]) == 2
+        assert capsys.readouterr().out == ("ERROR BOUND-EXCEEDED: instance too large for "
+                                           "exact enumeration: corank = 3 > 2\n")
 
 
 class TestFlowsAndCuts:
@@ -340,6 +344,14 @@ class TestErrors:
         assert run(["--tu-bound", "0", "gtest", f]) == 2
         assert "ERROR BAD-BOUND" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("flag", ["--tu-bound", "--circuit-bound", "--iso-bound",
+                                      "--subset-bound"])
+    def test_bad_bound_line(self, tmp_path, capsys, flag, value):
+        f = write(tmp_path, "a.gram", A_POS_TEXT)
+        assert run([flag, value, "gtest", f]) == 2
+        assert capsys.readouterr().out == "ERROR BAD-BOUND: bounds must be positive\n"
+
     @pytest.mark.parametrize("value", ["x", "2.5", "0", "-3", ""])
     @pytest.mark.parametrize("env,verb,text", [
         ("FLOWLAT_TU_BOUND", "tu-check", "2 2\n1 0\n1 1\n"),
@@ -347,38 +359,47 @@ class TestErrors:
         ("FLOWLAT_SUBSET_BOUND", "gtest", A_POS_TEXT),
     ], ids=["tu", "circuit", "subset"])
     def test_bad_env_bound(self, tmp_path, capsys, monkeypatch, env, verb, text, value):
-        monkeypatch.setenv(env, value)
+        """No FLOWLAT_* variable is read: a bad one changes nothing."""
         f = write(tmp_path, "input", text)
-        assert run([verb, f]) == 2
-        out = capsys.readouterr().out
-        assert out.startswith("ERROR BAD-INPUT") and env in out
+        assert run([verb, f]) == 0
+        clean = capsys.readouterr().out
+        monkeypatch.setenv(env, value)
+        assert run([verb, f]) == 0
+        assert capsys.readouterr().out == clean
 
     def test_bound_flag_binds_one_call(self, tmp_path, capsys):
-        f = write(tmp_path, "m.mat", "2 2\n1 0\n1 1\n")
-        assert run(["--tu-bound", "1", "tu-check", f]) == 2
-        assert "ERROR BOUND-EXCEEDED" in capsys.readouterr().out
-        assert run(["tu-check", f]) == 0
-        assert capsys.readouterr().out == "TU yes\nWU yes\n"
+        # the det-2 3-cycle: its witness search reaches order 3
+        f = write(tmp_path, "m.mat", "3 3\n1 1 0\n0 1 1\n1 0 1\n")
+        assert run(["--tu-bound", "2", "tu-check", f]) == 2
+        assert capsys.readouterr().out == ("ERROR BOUND-EXCEEDED: instance too large for "
+                                           "exact enumeration: Eulerian search order = 3 > 2\n")
+        assert run(["tu-check", f]) == 1
+        assert capsys.readouterr().out.startswith("TU no  witness rows=[0, 1, 2]")
 
-    def test_bound_flag_restores_the_environment(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("FLOWLAT_TU_BOUND", "5")
-        monkeypatch.delenv("FLOWLAT_SUBSET_BOUND", raising=False)
+    def test_bound_flag_restores_the_environment(self, tmp_path, capsys):
+        before = dict(os.environ)
         f = write(tmp_path, "a.gram", A_POS_TEXT)
         assert run(["--tu-bound", "1", "--subset-bound", "3", "gtest", f]) == 2
-        assert os.environ["FLOWLAT_TU_BOUND"] == "5"
-        assert "FLOWLAT_SUBSET_BOUND" not in os.environ
+        assert dict(os.environ) == before
         assert run(["--tu-bound", "1", "--subset-bound", "0", "gtest", f]) == 2
         assert "ERROR BAD-BOUND" in capsys.readouterr().out.splitlines()[-1]
-        assert os.environ["FLOWLAT_TU_BOUND"] == "5"
+        assert dict(os.environ) == before
 
-    def test_tu_bound_gates_every_signing(self, tmp_path, capsys):
-        """The TU check runs on every non-empty input, found or refuted."""
-        for text, verb in ((A_POS_TEXT, "reconstruct"), (K4_GRAM_TEXT, "reconstruct"),
-                           ("3 3\n1 1 0\n0 1 1\n1 0 1\n", "signing"),
-                           ("3 4\n1 1 0 1\n1 0 1 1\n0 1 1 1\n", "signing")):
+    def test_tu_bound_gates_only_the_search(self, tmp_path, capsys):
+        """Signing and reconstruction build and realize without a bound; only
+        a block that no tree realizes (the Fano matrix) is searched."""
+        for text, verb in ((K4_GRAM_TEXT, "reconstruct"),
+                           ("3 3\n1 1 0\n0 1 1\n1 0 1\n", "signing")):
             f = write(tmp_path, "input", text)
-            assert run(["--tu-bound", "2", verb, f]) == 2
-            assert capsys.readouterr().out.startswith("ERROR BOUND-EXCEEDED")
+            status = run([verb, f])
+            out = capsys.readouterr().out
+            assert run(["--tu-bound", "1", verb, f]) == status == 0
+            assert capsys.readouterr().out == out
+        f = write(tmp_path, "input", "3 4\n1 1 0 1\n1 0 1 1\n0 1 1 1\n")
+        assert run(["--tu-bound", "2", "signing", f]) == 2
+        assert capsys.readouterr().out == ("ERROR BOUND-EXCEEDED: instance too large for "
+                                           "exact enumeration: Eulerian search order = 3 > 2\n")
+        assert run(["signing", f]) == 1
 
     def test_deterministic_output(self, tmp_path, capsys):
         f = graph_file(tmp_path, "k.graph", K4)

@@ -44,9 +44,9 @@ def test_gtest_builds_the_f_table_twice(tmp_path, capsys, monkeypatch):
     calls = []
     f_table = gram.f_table
 
-    def counted(a, bound=None):
+    def counted(a):
         calls.append(a)
-        return f_table(a, bound)
+        return f_table(a)
 
     monkeypatch.setattr(gram, "f_table", counted)
     p = tmp_path / "a.gram"

@@ -57,6 +57,7 @@ for _name in ("tu", "det2", "fano", "nonunit"):
         CASES[f"{_verb}-{_name}"] = [_verb, f"inputs/{_name}.mat"]
 CASES |= {
     "tu-check-tu-bound-2": ["--tu-bound", "2", "tu-check", "inputs/tu.mat"],
+    "tu-check-det2-tu-bound-2": ["--tu-bound", "2", "tu-check", "inputs/det2.mat"],
     "tu-check-short": ["tu-check", "inputs/short.mat"],
     "decompose-w5-large": ["decompose", "inputs/w5.graph", "inputs/w5-large.vec"],
     "decompose-k5-large": ["decompose", "inputs/k5.graph", "inputs/k5-large.vec"],

@@ -22,6 +22,7 @@ from flowlattice.gram import (
 )
 from flowlattice.intmat import (
     IntegerMatrix,
+    bounds,
     is_totally_unimodular,
     is_weakly_unimodular,
     sharp,
@@ -148,7 +149,8 @@ class TestFAndG:
 
     def test_bound(self):
         with pytest.raises(BoundExceededError):
-            g_table(G(A_POS), bound=3)
+            with bounds(subset=3):
+                g_table(G(A_POS))
 
 
 class TestClassify:
@@ -161,7 +163,8 @@ class TestClassify:
         bad = G([[1, 1, 0], [1, 1, 1], [0, 1, 1]])
         cls = classify(bad)
         assert not cls.g_nonnegative
-        t = g_table(bad, bound=3)
+        with bounds(subset=3):
+            t = g_table(bad)
         mask = sum(1 << i for i in cls.witness)
         assert t[mask] < 0
 

@@ -10,6 +10,7 @@ from flowlattice.errors import BoundExceededError, DimensionError, FlowLatticeEr
 from flowlattice.intmat import (
     IntegerMatrix,
     _tu_core,
+    bounds,
     determinant,
     integer_kernel_basis,
     is_totally_unimodular,
@@ -177,10 +178,14 @@ class TestUnimodularity:
                 assert is_totally_unimodular(m)
 
     def test_bound_error(self):
-        big = IntegerMatrix.identity(11)
-        with pytest.raises(BoundExceededError):
-            is_totally_unimodular(big)
-        assert is_totally_unimodular(big, bound=11)
+        # the odd 11-cycle: its one minor with |det| > 1 is itself
+        cycle = M([[int(j in (i, (i + 1) % 11)) for j in range(11)] for i in range(11)])
+        with pytest.raises(BoundExceededError) as exc:
+            is_totally_unimodular(cycle)
+        assert (exc.value.what, exc.value.size, exc.value.bound) == \
+            ("Eulerian search order", 11, 10)
+        with bounds(tu=11):
+            assert is_totally_unimodular(cycle).witness_det == 2
 
 
 def _plant_rows(rnd, rows, width, count):
@@ -215,11 +220,11 @@ def _signed_interval_rows(rnd, r, c):
     return rows
 
 
-def _assert_same_check(m, **kw):
+def _assert_same_check(m):
     """TU and WU of m equal the enumeration oracles' (ok, rows, cols, det);
     returns the TU verdict."""
-    got = [check(m, **kw) for check in (is_totally_unimodular, is_weakly_unimodular)]
-    assert got == [oracle(m, **kw) for oracle in (tu_by_enumeration, wu_by_enumeration)]
+    got = [check(m) for check in (is_totally_unimodular, is_weakly_unimodular)]
+    assert got == [oracle(m) for oracle in (tu_by_enumeration, wu_by_enumeration)]
     return got[0].ok
 
 
@@ -250,16 +255,23 @@ class TestTotallyUnimodularCore:
         for rows, cols in ((0, 0), (0, 4), (4, 0)):
             assert _assert_same_check(IntegerMatrix.empty(rows, cols))
 
-    def test_bound_gates_the_input_not_the_core(self):
-        # the core of I_4 and of [K; K; I_2] is small; the gate still reads the input
-        stacked = M([[1, 1], [1, 1], [-1, -1], [1, 0], [0, 1]])
-        for m, b in ((IntegerMatrix.identity(4), 3), (stacked, 1)):
-            for check in (is_totally_unimodular, tu_by_enumeration):
+    def test_bound_gates_the_search_not_the_input(self):
+        """Stripping and realization run at any size; only an Eulerian or
+        maximal-minor search is gated, on the order it reaches."""
+        det2 = M([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+        padded = det2.hstack(IntegerMatrix.identity(3)).vstack(M([[1, 1, 0, 0, 0, 0]] * 2))
+        with bounds(tu=1):
+            assert is_totally_unimodular(IntegerMatrix.identity(40))
+            assert is_weakly_unimodular(M([[1, 1], [1, 1], [-1, -1], [1, 0], [0, 1]]))
+        with bounds(tu=2):
+            for check, what in ((is_totally_unimodular, "Eulerian search order"),
+                                (is_weakly_unimodular, "maximal-minor search order")):
                 with pytest.raises(BoundExceededError) as exc:
-                    check(m, bound=b)
-                assert (exc.value.what, exc.value.size, exc.value.bound) == \
-                    ("min(rows, cols)", min(m.rows, m.cols), b)
-            assert _assert_same_check(m, bound=b + 1)
+                    check(det2)
+                assert (exc.value.what, exc.value.size, exc.value.bound) == (what, 3, 2)
+            with pytest.raises(BoundExceededError):
+                is_totally_unimodular(padded)
+        assert _assert_same_check(padded) is False
 
     @pytest.mark.parametrize("name", ["K4", "K5", "K33", "Petersen"])
     def test_core_of_stacked_certificate_within_k(self, name):

@@ -5,7 +5,7 @@ import pytest
 
 import flowlattice.matroid as matroid_module
 from flowlattice.errors import BoundExceededError, FormatError, NotABaseError
-from flowlattice.intmat import IntegerMatrix, determinant, is_totally_unimodular, rank
+from flowlattice.intmat import IntegerMatrix, bounds, determinant, is_totally_unimodular, rank
 from flowlattice.matroid import (
     RegularMatroid,
     bases,
@@ -168,9 +168,13 @@ class TestCircuits:
         assert circuits(m) == tuple(itertools.combinations(range(4), 2))
 
     def test_bound(self):
+        """The bound gates the corank (3 for U(1, 4)), not the ground size."""
         m = u1n(4)
-        with pytest.raises(BoundExceededError):
-            circuits(m, bound=3)
+        with bounds(circuit=3):
+            assert len(circuits(m)) == 6
+        with bounds(circuit=2), pytest.raises(BoundExceededError) as exc:
+            circuits(m)
+        assert (exc.value.what, exc.value.size, exc.value.bound) == ("corank", 3, 2)
 
 
 class TestAgainstRankOracles:
@@ -351,7 +355,8 @@ class TestIsomorphism:
 
     def test_bound(self, k4):
         with pytest.raises(BoundExceededError):
-            is_isomorphic(k4, k4, bound=5)
+            with bounds(iso=5):
+                is_isomorphic(k4, k4)
 
     def test_random_column_permutations(self, rng):
         m = from_graph(BOWTIE)

@@ -16,7 +16,7 @@ import pytest
 
 import tu_oracles as oracle
 from flowlattice import intmat, network
-from flowlattice.intmat import IntegerMatrix, is_totally_unimodular
+from flowlattice.intmat import IntegerMatrix, bounds, is_totally_unimodular
 
 # the reduced representation of R10: TU, but neither it nor its transpose
 # has a tree realizing its support (R10 is neither graphic nor cographic)
@@ -143,22 +143,24 @@ def no_minors(monkeypatch):
 class TestAgainstEnumeration:
     def test_network_matrices_transposes_and_flips(self, rng):
         verdicts = []
-        for x in oracle_cases(rng):
-            got = is_totally_unimodular(x, 12)
-            assert got == oracle.tu_by_enumeration(x, 12)
-            verdicts.append(got.ok)
+        with bounds(tu=12):
+            for x in oracle_cases(rng):
+                got = is_totally_unimodular(x)
+                assert got == oracle.tu_by_enumeration(x)
+                verdicts.append(got.ok)
         assert verdicts.count(False) > 100 and verdicts.count(True) > 600
 
     def test_block_mixes_with_r10_and_fano(self, rng):
         verdicts = []
-        for other in (R10, FANO_PLANTED):
-            for _ in range(6):
-                a = random_network(rng, 3, 4)
-                for x in (a, flip_one(rng, a)):
-                    m = block_mix(rng, x, IntegerMatrix.from_rows(other))
-                    got = is_totally_unimodular(m, 12)
-                    assert got == oracle.tu_by_enumeration(m, 12)
-                    verdicts.append(got.ok)
+        with bounds(tu=12):
+            for other in (R10, FANO_PLANTED):
+                for _ in range(6):
+                    a = random_network(rng, 3, 4)
+                    for x in (a, flip_one(rng, a)):
+                        m = block_mix(rng, x, IntegerMatrix.from_rows(other))
+                        got = is_totally_unimodular(m)
+                        assert got == oracle.tu_by_enumeration(m)
+                        verdicts.append(got.ok)
         assert True in verdicts and False in verdicts
 
 
@@ -166,10 +168,12 @@ class TestCompleteness:
     """Network matrices and their transposes never reach the enumeration."""
 
     def test_random_network_matrices(self, rng, no_minors):
-        for _ in range(200):
-            m = random_network(rng, 12, 16)
-            assert is_totally_unimodular(m, 28)
-            assert is_totally_unimodular(m.transpose(), 28)
+        # no search runs, so no TU bound is reached, however low
+        with bounds(tu=1):
+            for _ in range(200):
+                m = random_network(rng, 12, 16)
+                assert is_totally_unimodular(m)
+                assert is_totally_unimodular(m.transpose())
 
     def test_realizer_finds_every_network_block(self, rng):
         """Each block of a network matrix's core is realized as it stands,
@@ -250,5 +254,6 @@ class TestSoundness:
         monkeypatch.setattr(network, "_realize", wrong)
         cases = [x for x, _ in zip(oracle_cases(rng), range(120))]
         cases += [IntegerMatrix.from_rows(R10), IntegerMatrix.from_rows(FANO_PLANTED)]
-        for x in cases:
-            assert is_totally_unimodular(x, 12) == oracle.tu_by_enumeration(x, 12)
+        with bounds(tu=12):
+            for x in cases:
+                assert is_totally_unimodular(x) == oracle.tu_by_enumeration(x)

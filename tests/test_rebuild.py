@@ -1,13 +1,16 @@
+import random
+
 import pytest
 
 from flowlattice.errors import FlowLatticeError
 from flowlattice.flows import fundamental_basis
 from flowlattice.gram import GramMatrix, classify, is_g_feasible
-from flowlattice.intmat import IntegerMatrix, is_totally_unimodular, rank
+from flowlattice.intmat import IntegerMatrix, bounds, is_totally_unimodular, rank
 from flowlattice.matroid import (
     _independent_row_subset,
     bases,
     circuits,
+    contract_coloops,
     dual,
     from_graph,
     is_isomorphic,
@@ -161,6 +164,32 @@ class TestReconstructionSweep:
         monkeypatch.setattr(matroid_mod, "is_totally_unimodular", refuse)
         out = reconstruct_matroid(fundamental_basis(k4).gram)
         assert is_isomorphic(out.report.matroid, k4)
+
+
+class TestReconstructionAtScale:
+    """Coranks 11-16, past any TU bound's reach: the certificate's order is
+    the corank, but its realization is polynomial and never searched."""
+
+    @staticmethod
+    def random_graph(rng, n, s):
+        """A random spanning tree on n vertices and s random extra edges."""
+        edges = [(v, rng.randrange(v)) for v in range(1, n)]
+        edges += [tuple(rng.sample(range(n), 2)) for _ in range(s)]
+        rng.shuffle(edges)
+        return edges
+
+    @pytest.mark.parametrize("s", range(11, 17))
+    def test_fundamental_grams(self, s):
+        rng = random.Random(s)
+        for n in (6, 8):
+            m = from_graph(self.random_graph(rng, n, s))
+            a = fundamental_basis(m).gram
+            out = reconstruct_matroid(a)
+            cert = out.report.certificate
+            assert cert.cols == s and cert.transpose() * cert == a.mat
+            core = contract_coloops(m)
+            with bounds(iso=core.size, circuit=s):
+                assert is_isomorphic(out.report.matroid, core)
 
 
 class TestIsometryDecisions:

@@ -14,7 +14,7 @@ from flowlattice import gram
 from flowlattice.errors import BoundExceededError
 from flowlattice.flows import fundamental_basis
 from flowlattice.gram import GramMatrix, _signing_skeleton, build_x, is_g_feasible, tu_signing
-from flowlattice.intmat import IntegerMatrix, sharp
+from flowlattice.intmat import IntegerMatrix, bounds, sharp
 from flowlattice.matroid import bases, from_graph
 
 from conftest import bridgeless_graphs
@@ -146,17 +146,29 @@ class TestTuSigningAgainstEnumeration:
         for _ in range(40):
             x = network_matrix(rng, 10, 16)
             forest, _ = _signing_skeleton(x)
-            got = tu_signing(x, 16)
+            got = tu_signing(x)
             assert got is not None and sharp(got) == x
             assert all(got.entries[i][j] == 1 for i, j in forest)
 
     def test_bound_errors(self, rng):
+        """Under a TU bound the answer is the unbounded oracle's, or a refusal
+        of the Eulerian search; at min(rows, cols) nothing is refused."""
+        refused = 0
         for _ in range(300):
             x = random_01(rng)
             if free_count(x) > MAX_FREE:
                 continue
-            for bound in range(1, min(x.rows, x.cols) + 1):
-                assert outcome(tu_signing, x, bound) == outcome(oracle.tu_signing, x, bound)
+            want = outcome(oracle.tu_signing, x)
+            cap = min(x.rows, x.cols)
+            for bound in range(1, cap + 1):
+                with bounds(tu=bound):
+                    got = outcome(tu_signing, x)
+                if got != want:
+                    assert bound < cap and got == (
+                        BoundExceededError, "instance too large for exact enumeration: "
+                        f"Eulerian search order = {bound + 1} > {bound}")
+                    refused += 1
+        assert refused > 10
 
     def test_non_binary_empty_and_oversized_inputs(self):
         ones = [[1] * 40 for _ in range(40)]
@@ -165,15 +177,15 @@ class TestTuSigningAgainstEnumeration:
                   IntegerMatrix.from_rows(ones), IntegerMatrix.from_rows(ones[:-1] + [[2] * 40])):
             assert outcome(tu_signing, x) == outcome(oracle.tu_signing, x)
 
-    def test_bound_checked_before_the_construction(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("signing built past the TU bound")
-
-        monkeypatch.setattr(gram, "_camion_signing", refuse)
-        with pytest.raises(BoundExceededError):
-            tu_signing(IntegerMatrix.from_rows([[1] * 40 for _ in range(40)]))
-        with pytest.raises(BoundExceededError):
-            tu_signing(IntegerMatrix.from_rows([[1, 1, 1], [1, 1, 1]]), 1)
+    def test_construction_is_not_gated(self, monkeypatch):
+        """The construction and a realized verdict run at any size; only a
+        block that no tree realizes is searched, under the TU bound."""
+        with bounds(tu=1):
+            for x in (IntegerMatrix.from_rows([[1] * 40 for _ in range(40)]),
+                      IntegerMatrix.from_rows([[1, 1, 1], [1, 1, 1]])):
+                assert tu_signing(x) == x
+            with pytest.raises(BoundExceededError):
+                tu_signing(IntegerMatrix.from_rows(FANO))
 
 
 class TestFeasibilityAgainstEnumeration:
@@ -204,11 +216,11 @@ class TestFeasibilityAgainstEnumeration:
             infeasible += got.reason == "NO-MATCHING-SIGNING"
         assert infeasible > 5
 
-    def test_tu_bound_from_environment(self, monkeypatch):
+    def test_tu_bound_from_scope(self):
         a = GramMatrix.from_rows(INFEASIBLE_GRAM)
-        for bound in ("2", "6", "10"):
-            monkeypatch.setenv("FLOWLAT_TU_BOUND", bound)
-            assert outcome(is_g_feasible, a) == outcome(oracle.is_g_feasible, a)
+        for bound in (2, 6, 10):
+            with bounds(tu=bound):
+                assert outcome(is_g_feasible, a) == outcome(oracle.is_g_feasible, a)
 
     def test_empty_gram(self):
         a = GramMatrix(IntegerMatrix.empty(0, 0))
@@ -281,9 +293,9 @@ class TestOneSigningPath:
     def test_feasibility_goes_through_tu_signing(self, monkeypatch, k4):
         seen = []
 
-        def spy(x, bound=None):
+        def spy(x):
             seen.append(x)
-            return tu_signing(x, bound)
+            return tu_signing(x)
 
         monkeypatch.setattr(gram, "tu_signing", spy)
         lat = fundamental_basis(k4)

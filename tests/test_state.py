@@ -1,5 +1,7 @@
-"""Bound flags bind one `cli.run` call without touching the environment,
-and each matroid owns the values it computes about itself."""
+"""Bounds are bound by `bounds` scopes only: the CLI's flags bind one
+`cli.run` call without touching the environment, and a library scope
+reaches the checks nested in the calls it encloses.  Each matroid owns
+the values it computes about itself."""
 
 import gc
 import os
@@ -10,12 +12,16 @@ import pytest
 from flowlattice import cli, intmat, matroid
 from flowlattice.errors import BoundExceededError
 from flowlattice.flows import consistent_decompose, fundamental_basis, simple_flows
-from flowlattice.intmat import IntegerMatrix, is_totally_unimodular
+from flowlattice.gram import f_table
+from flowlattice.intmat import IntegerMatrix, bounds, is_totally_unimodular
 from flowlattice.matroid import circuits, contract_coloops, from_graph
+from flowlattice.rebuild import flow_lattices_isometric, reconstruct_matroid
 
 from conftest import BOWTIE, K4
 
 TU_TEXT = "2 2\n1 0\n1 1\n"
+DET2 = IntegerMatrix.from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+K33 = [(a, b) for a in (1, 2, 3) for b in (4, 5, 6)]  # corank 4
 
 
 def write(tmp_path, name, text):
@@ -26,8 +32,6 @@ def write(tmp_path, name, text):
 
 class TestBoundFlags:
     def test_environment_unchanged_while_the_verb_runs(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("FLOWLAT_TU_BOUND", "5")
-        monkeypatch.delenv("FLOWLAT_SUBSET_BOUND", raising=False)
         before = dict(os.environ)
         seen = []
 
@@ -56,25 +60,23 @@ class TestBoundFlags:
         assert dict(intmat.call_bounds.get()) == {}
 
     def test_precedence(self, tmp_path, monkeypatch):
-        """An explicit bound beats the call's flag, which beats FLOWLAT_*."""
+        """A `bounds` scope inside the call beats the call's flag, which
+        beats the default; the FLOWLAT_* variables are never read."""
         seen = []
-        m = IntegerMatrix.identity(3)
 
         def record(args):
-            seen.append(bool(is_totally_unimodular(m, 3)))
+            with bounds(tu=3):
+                seen.append(is_totally_unimodular(DET2).witness_det)
             with pytest.raises(BoundExceededError):
-                is_totally_unimodular(m)
+                is_totally_unimodular(DET2)
             return 0
 
         monkeypatch.setattr(cli, "cmd_tu_check", record)
-        monkeypatch.setenv("FLOWLAT_TU_BOUND", "5")
+        monkeypatch.setenv("FLOWLAT_TU_BOUND", "2")
         f = write(tmp_path, "m.mat", TU_TEXT)
         assert cli.run(["--tu-bound", "2", "tu-check", f]) == 0
-        assert seen == [True]
-        assert is_totally_unimodular(m)
-        monkeypatch.setenv("FLOWLAT_TU_BOUND", "2")
-        with pytest.raises(BoundExceededError):
-            is_totally_unimodular(m)
+        assert seen == [2]
+        assert not is_totally_unimodular(DET2)
 
     @pytest.mark.parametrize("env,argv", [
         ("FLOWLAT_ISO_BOUND", ["tu-check"]),
@@ -85,6 +87,48 @@ class TestBoundFlags:
         f = write(tmp_path, "m.mat", TU_TEXT)
         assert cli.run(argv + [f]) == 0
         assert capsys.readouterr().out == "TU yes\nWU yes\n"
+
+
+class TestBoundsScope:
+    @pytest.mark.parametrize("limits", [{"depth": 3}, {"tu": 0}, {"tu": -3}, {"iso": 2.5},
+                                        {"circuit": "4"}, {"subset": True}, {"tu": None}])
+    def test_rejects_bad_limits(self, limits):
+        with pytest.raises(ValueError):
+            bounds(**limits)
+        assert dict(intmat.call_bounds.get()) == {}
+
+    def test_nested_scopes_merge_and_restore(self):
+        with bounds(tu=3, iso=7):
+            with bounds(tu=5, circuit=4):
+                assert dict(intmat.call_bounds.get()) == {"tu": 5, "iso": 7, "circuit": 4}
+            assert dict(intmat.call_bounds.get()) == {"tu": 3, "iso": 7}
+        assert dict(intmat.call_bounds.get()) == {}
+
+    def test_restored_after_an_exception(self):
+        a = fundamental_basis(from_graph(K4)).gram
+        with pytest.raises(BoundExceededError) as exc:
+            with bounds(tu=4):
+                with bounds(subset=2):
+                    f_table(a)
+        assert (exc.value.what, exc.value.size, exc.value.bound) == ("matrix order", 3, 2)
+        assert dict(intmat.call_bounds.get()) == {}
+        assert len(f_table(a)) == 8
+
+    def test_reaches_nested_checks(self):
+        """The circuit gate inside `is_isomorphic` and the subset gate inside
+        `is_g_feasible` see the scope of the outer call."""
+        m = from_graph(K33)
+        assert flow_lattices_isometric(m, m)
+        with bounds(circuit=3):
+            with pytest.raises(BoundExceededError) as exc:
+                flow_lattices_isometric(m, m)
+        assert (exc.value.what, exc.value.size) == ("corank", 4)
+        a = fundamental_basis(m).gram
+        assert reconstruct_matroid(a)
+        with bounds(subset=3):
+            with pytest.raises(BoundExceededError) as exc:
+                reconstruct_matroid(a)
+        assert (exc.value.what, exc.value.size) == ("matrix order", 4)
 
 
 class TestMatroidCaches:
@@ -121,12 +165,13 @@ class TestMatroidCaches:
         calls = []
         echelon = matroid._gf2_echelon
         monkeypatch.setattr(matroid, "_gf2_echelon", lambda rep: calls.append(rep) or echelon(rep))
-        with pytest.raises(BoundExceededError):
-            circuits(m, bound=5)
-        assert calls == []
+        with bounds(circuit=2):
+            with pytest.raises(BoundExceededError):
+                circuits(m)
+            assert calls == []
         circuits(m)
-        with pytest.raises(BoundExceededError):
-            circuits(m, bound=5)
+        with bounds(circuit=2), pytest.raises(BoundExceededError):
+            circuits(m)
 
     def test_core_is_stored(self):
         m = from_graph(BOWTIE + [(5, 6)])

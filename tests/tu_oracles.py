@@ -10,8 +10,7 @@ for exact equality, witnesses included.
 
 import itertools
 
-from flowlattice.errors import BoundExceededError
-from flowlattice.intmat import UnimodularityCheck, _bound
+from flowlattice.intmat import UnimodularityCheck, _gate
 
 
 def _minor_det(m, rows: tuple, cols: tuple, memo: dict) -> int:
@@ -35,13 +34,9 @@ def _minor_det(m, rows: tuple, cols: tuple, memo: dict) -> int:
     return d
 
 
-def _order_cap(m, bound) -> int:
-    """min(rows, cols), gated by the TU bound as `intmat` gates it."""
-    order_cap = min(m.rows, m.cols)
-    b = _bound("tu", bound)
-    if order_cap > b:
-        raise BoundExceededError("min(rows, cols)", order_cap, b)
-    return order_cap
+def _order_cap(m) -> int:
+    """min(rows, cols), gated by the TU bound of the enclosing `bounds` scope."""
+    return _gate("tu", "min(rows, cols)", min(m.rows, m.cols))
 
 
 def _check_minors(m, orders) -> UnimodularityCheck:
@@ -57,12 +52,12 @@ def _check_minors(m, orders) -> UnimodularityCheck:
     return UnimodularityCheck(True)
 
 
-def tu_by_enumeration(m, bound=None) -> UnimodularityCheck:
+def tu_by_enumeration(m) -> UnimodularityCheck:
     """Every order, ascending; the first witness is lexicographically least."""
-    return _check_minors(m, range(1, _order_cap(m, bound) + 1))
+    return _check_minors(m, range(1, _order_cap(m) + 1))
 
 
-def wu_by_enumeration(m, bound=None) -> UnimodularityCheck:
+def wu_by_enumeration(m) -> UnimodularityCheck:
     """The maximal order only; the first witness is lexicographically least."""
-    k = _order_cap(m, bound)
+    k = _order_cap(m)
     return _check_minors(m, (k,) if k else ())
