@@ -150,7 +150,7 @@ def cmd_gtest(args) -> int:
     a = gram.parse_gram(_read(args.file))
     cls, table = gram._classify_table(a)
     if not cls.g_nonnegative:
-        print(f"NOT-G-NONNEGATIVE S={{{','.join(str(i + 1) for i in cls.witness)}}}")
+        print(cls.refusal())
         return 1
     print("G-POSITIVE" if cls.g_positive else "G-NONNEGATIVE")
     ftab = gram.f_table(a)

@@ -5,24 +5,23 @@ decomposition into conforming simple flows (one chain of eliminations
 on bitmask supports per run of equal parts, and two passes over a
 block of runs that repeats for all its repetitions), and the metric
 simplicity test by Fincke-Pohst enumeration of the Gram ellipsoid.
+That test walks only the half-ball of possible witnesses: y splits x
+with <y, x - y> >= 0 iff Q(2y - x) <= Q(x), so it enumerates the points
+t = 2y - x of the parity class of x in the norm ellipsoid of x, in the
+lex order of y, and stops at the first one other than +-x.
 Definiteness, lattice coordinates and the exact LDL^T that bounds the
-enumeration come from the fraction-free Gauss-Jordan elimination of
-`intmat`, so all arithmetic is over the integers.
+enumeration (built once per `GramMatrix`) come from the fraction-free
+Gauss-Jordan elimination of `intmat`, so all arithmetic is over the
+integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt, lcm
+from math import isqrt
 
-from .errors import (
-    DefinitenessError,
-    DimensionError,
-    FlowLatticeError,
-    FormatError,
-    MembershipError,
-)
-from .gram import GramMatrix
+from .errors import DimensionError, FlowLatticeError, FormatError, MembershipError
+from .gram import GramMatrix, _require_positive_minors
 from .intmat import IntegerMatrix, _content_lines, _gauss_jordan, integer_kernel_basis
 from .matroid import RegularMatroid, circuits, coordinatize, first_base
 
@@ -91,19 +90,6 @@ def gram_of(columns) -> GramMatrix:
     _, cols, order, pivots = _gauss_jordan(g.entries)
     _require_positive_minors(cols, order, pivots, g.rows)
     return GramMatrix(g)
-
-
-def _require_positive_minors(cols, order, pivots, n: int) -> None:
-    """Sylvester's criterion on the elimination of a symmetric n x n matrix.
-
-    Up to the first vanishing leading minor no column is skipped and no
-    row is swapped, so pivot k is the leading minor of order k + 1; a
-    skipped column or a swap at step k marks a vanishing one.
-    """
-    for k in range(n):
-        minor = pivots[k] if k < len(cols) and cols[k] == k and order[k] == k else 0
-        if minor <= 0:
-            raise DefinitenessError(k + 1, minor)
 
 
 @dataclass(frozen=True)
@@ -375,42 +361,36 @@ class SimpleMetricResult:
         return self.simple
 
 
-def enumerate_coefficients(gram: GramMatrix, norm: int):
+def enumerate_coefficients(gram: GramMatrix, norm: int, parity=None):
     """All integer coefficient tuples y with y^T.G.y <= norm, lex order.
 
     Fincke-Pohst: a depth-first walk whose nodes all lie in projections
     of the ellipsoid, so the cost is its points and the nodes above them,
     not the bounding box.  With H the Gram matrix in reversed order
     (z_i = y_{s-1-i}, so y_1 is the outermost variable and the points
-    come out in lex order) and u_k row k of its forward Bareiss form,
-    H = sum_k u_k^T u_k / (p_k p_{k-1}), where p_k = u_k[k] is the
-    leading minor of order k + 1 and p_{-1} = 1.  Scaled by the lcm N of
-    the p_k p_{k-1}, the form is sum_k w_k L_k^2 with integer weights
-    w_k = N / (p_k p_{k-1}) and L_k = p_k z_k + c_k, c_k depending on
-    z_{k+1..} only.  Level k keeps exactly the z_k with
-    w_k L_k^2 <= R, the budget left of N * norm.
+    come out in lex order), the form scaled by N is sum_k w_k L_k^2 with
+    integer weights w_k and L_k = p_k z_k + c_k, c_k depending on
+    z_{k+1..} only (`GramMatrix._ldl`, built once per Gram matrix).
+    Level k keeps exactly the z_k with w_k L_k^2 <= R, the budget left
+    of N * norm.  Given a `parity` tuple, only the y with
+    y_i = parity_i (mod 2) are walked: each level starts at its first
+    value of that parity and steps by 2.
 
     A negative norm yields nothing; a singular Gram matrix raises
     FormatError and a nonsingular one that is not positive definite
     raises DefinitenessError.
     """
     s = gram.order
-    g = gram.mat.entries
-    _, cols, order, pivots = _gauss_jordan(g)
-    if len(cols) < s:
-        raise FormatError("Gram matrix is singular")
-    _require_positive_minors(cols, order, pivots, s)
+    u, p, w, n = gram._ldl
+    if parity is not None and len(parity) != s:
+        raise DimensionError("parity length differs from the Gram order")
     if norm < 0:
         return
     if not s:
         yield (), 0
         return
-    h = [row[::-1] for row in g[::-1]]
-    u = [_gauss_jordan(h, k)[0][k] for k in range(s)]
-    p = [u[k][k] for k in range(s)]
-    den = [a * b for a, b in zip(p, [1] + p)]
-    n = lcm(*den)
-    w = [n // d for d in den]
+    step = 1 if parity is None else 2
+    par = [0] * s if parity is None else [x % 2 for x in parity[::-1]]
     top = n * norm
     z, c, hi = [0] * s, [0] * s, [0] * s
     budget = [0] * s + [top]
@@ -421,20 +401,21 @@ def enumerate_coefficients(gram: GramMatrix, norm: int):
         c[k] = ck = sum(row[j] * z[j] for j in range(k + 1, s))
         t = isqrt(budget[k + 1] // w[k])
         lo, hi[k] = -((t + ck) // pk), (t - ck) // pk
+        lo += (par[k] - lo) % step
         if k:
-            z[k] = lo - 1
+            z[k] = lo - step
         else:
             head, spent = tuple(z[:0:-1]), top - budget[1]
-            for z0 in range(lo, hi[0] + 1):
+            for z0 in range(lo, hi[0] + 1, step):
                 lk = pk * z0 + ck
                 yield head + (z0,), (spent + w[0] * lk * lk) // n
             k = 1
         # step the innermost level that has values left, then descend
-        while k < s and z[k] >= hi[k]:
+        while k < s and z[k] + step > hi[k]:
             k += 1
         if k == s:
             return
-        z[k] += 1
+        z[k] += step
         lk = p[k] * z[k] + c[k]
         budget[k] = budget[k + 1] - w[k] * lk * lk
         k -= 1
@@ -443,9 +424,14 @@ def enumerate_coefficients(gram: GramMatrix, norm: int):
 def is_simple_metric(lat: FlowLattice, alpha) -> SimpleMetricResult:
     """Metric simplicity: every two-part split has negative inner product.
 
-    Enumerates candidate summands inside the Gram ellipsoid of the given
-    element's norm; any split with nonnegative inner product is a
-    witness (the first in lexicographic coefficient order is returned).
+    A split x = y + (x - y) with y not 0 or x is a witness when
+    <y, x - y> >= 0.  Since 4 <y, x - y> = Q(x) - Q(2y - x), the
+    witnesses are the lattice points t = 2y - x with t = x (mod 2) and
+    Q(t) <= Q(x), other than t = x and t = -x: the half-ball of centre
+    x/2 and radius |x|/2, walked as the parity class of x in the norm
+    ellipsoid of x.  The map y -> 2y - x keeps lex order, so the first
+    such t gives the lexicographically least witness y, and its inner
+    product is (Q(x) - Q(t)) / 4.
     """
     if isinstance(alpha, FlowVector):
         x = lat.coefficients(alpha)
@@ -455,16 +441,12 @@ def is_simple_metric(lat: FlowLattice, alpha) -> SimpleMetricResult:
             raise DimensionError("coefficient length differs from lattice rank")
     if not any(x):
         raise FormatError("simple elements are nonzero")
-    gx = [sum(a * b for a, b in zip(row, x)) for row in lat.gram.mat.entries]
-    norm = sum(a * b for a, b in zip(x, gx))
-    for y, qy in enumerate_coefficients(lat.gram, norm):
-        if not any(y) or y == x:
-            continue
-        # <y, x - y> = y^T G x - y^T G y
-        inner = sum(a * b for a, b in zip(y, gx)) - qy
-        if inner >= 0:
+    g = lat.gram.mat.entries
+    norm = sum(a * gij * b for a, row in zip(x, g) for gij, b in zip(row, x))
+    neg = tuple(-a for a in x)
+    for t, qt in enumerate_coefficients(lat.gram, norm, parity=x):
+        if t != x and t != neg:
+            y = tuple((a + b) // 2 for a, b in zip(x, t))
             z = tuple(a - b for a, b in zip(x, y))
-            return SimpleMetricResult(
-                False, (lat.vector(y), lat.vector(z)), inner
-            )
+            return SimpleMetricResult(False, (lat.vector(y), lat.vector(z)), (norm - qt) // 4)
     return SimpleMetricResult(True)

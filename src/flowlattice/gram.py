@@ -4,6 +4,8 @@ Support statistics of subset families, triple classification, the
 derived set functions on the subset lattice, the nonnegativity/positivity
 flags, the canonical {0,1} skeleton and its TU signing (built directly),
 and the decision of realizability as U^T.U for a totally unimodular U.
+Each `GramMatrix` also keeps the exact LDL^T that bounds the
+Fincke-Pohst walks of `flows`, built on first use.
 """
 
 from __future__ import annotations
@@ -11,12 +13,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from math import lcm
 
-from .errors import DimensionError, FlowLatticeError, FormatError
+from .errors import DefinitenessError, DimensionError, FlowLatticeError, FormatError
 from .intmat import (
     IntegerMatrix,
     _content_lines,
     _gate,
+    _gauss_jordan,
     _tu_verdict,
     parse_matrix,
     sharp,
@@ -54,6 +59,45 @@ class GramMatrix:
     def text(self) -> str:
         body = self.mat.text().split("\n", 1)[1]
         return f"gram {self.order}\n" + body
+
+    @cached_property
+    def _ldl(self) -> tuple:
+        """The exact LDL^T of the reversed matrix, (u, p, w, N), built once.
+
+        With H the matrix in reversed order and u_k row k of its forward
+        Bareiss form, H = sum_k u_k^T u_k / (p_k p_{k-1}), where
+        p_k = u_k[k] is the leading minor of order k + 1 and p_{-1} = 1;
+        N is the lcm of the p_k p_{k-1} and w_k = N / (p_k p_{k-1}), so
+        N H = sum_k w_k u_k^T u_k over the integers.  A singular matrix
+        raises FormatError and a nonsingular one that is not positive
+        definite raises DefinitenessError; an error is not stored, so it
+        is raised again on every access.
+        """
+        s = self.order
+        g = self.mat.entries
+        _, cols, order, pivots = _gauss_jordan(g)
+        if len(cols) < s:
+            raise FormatError("Gram matrix is singular")
+        _require_positive_minors(cols, order, pivots, s)
+        h = [row[::-1] for row in g[::-1]]
+        u = [_gauss_jordan(h, k)[0][k] for k in range(s)]
+        p = [u[k][k] for k in range(s)]
+        den = [a * b for a, b in zip(p, [1] + p)]
+        n = lcm(*den)
+        return u, p, [n // d for d in den], n
+
+
+def _require_positive_minors(cols, order, pivots, n: int) -> None:
+    """Sylvester's criterion on the elimination of a symmetric n x n matrix.
+
+    Up to the first vanishing leading minor no column is skipped and no
+    row is swapped, so pivot k is the leading minor of order k + 1; a
+    skipped column or a swap at step k marks a vanishing one.
+    """
+    for k in range(n):
+        minor = pivots[k] if k < len(cols) and cols[k] == k and order[k] == k else 0
+        if minor <= 0:
+            raise DefinitenessError(k + 1, minor)
 
 
 def parse_gram(text: str) -> GramMatrix:
@@ -246,6 +290,10 @@ class Classification:
 
     def __bool__(self) -> bool:
         return self.g_nonnegative
+
+    def refusal(self) -> str:
+        """The failed g-nonnegativity with its witness subset, 1-based."""
+        return "NOT-G-NONNEGATIVE S={" + ",".join(str(i + 1) for i in self.witness) + "}"
 
 
 def _classify_table(a: GramMatrix) -> tuple[Classification, list[int]]:
@@ -488,7 +536,7 @@ def is_g_feasible(a: GramMatrix) -> Feasibility:
     """
     cls, g = _classify_table(a)
     if not cls.g_nonnegative:
-        return Feasibility(False, None, cls, f"NOT-G-NONNEGATIVE S={cls.witness}")
+        return Feasibility(False, None, cls, cls.refusal())
     u = tu_signing(_skeleton(cls, g))
     signs = None if u is None else _match_column_signs(u.transpose() * u, a)
     if signs is None:

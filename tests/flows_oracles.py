@@ -1,7 +1,8 @@
 """Flow-lattice routines that the ellipsoid walk and the periodic loop replaced.
 
 `flowlattice.flows.enumerate_coefficients` now walks the Gram ellipsoid
-depth first over an exact LDL^T (Fincke-Pohst), and
+depth first over an exact LDL^T (Fincke-Pohst), `is_simple_metric`
+walks only the half-ball of possible witnesses, and
 `consistent_decompose` emits a whole repeating block of runs at once.
 These are the earlier routines, kept verbatim: the inverse-diagonal
 box, the box scan, the metric simplicity test over that scan, the

@@ -60,7 +60,7 @@ def is_g_feasible(a) -> Feasibility:
     """
     cls, g = _classify_table(a)
     if not cls.g_nonnegative:
-        return Feasibility(False, None, cls, f"NOT-G-NONNEGATIVE S={cls.witness}")
+        return Feasibility(False, None, cls, cls.refusal())
     x = _skeleton(cls, g)
     for cand in _signings(x):
         g0 = cand.transpose() * cand

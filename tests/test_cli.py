@@ -1,3 +1,4 @@
+import itertools
 import os
 
 import pytest
@@ -191,6 +192,18 @@ class TestDecomposeAndSimple:
         out = capsys.readouterr().out
         assert "NOT-SIMPLE" in out and "inner 3" in out
 
+    def test_simple_no_at_large_coefficients(self, tmp_path, capsys):
+        """A K5 flow with coefficients up to +-40, once beyond reach."""
+        f = graph_file(tmp_path, "k5.graph", list(itertools.combinations(range(1, 6), 2)))
+        flow = [79, -63, -2, -14, 18, 34, 27, -36, -9, -4]
+        assert run(["simple", f, " ".join(map(str, flow))]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "NOT-SIMPLE"
+        beta, gamma = ([int(t) for t in line.split()[2:]] for line in lines[1:3])
+        assert [b + c for b, c in zip(beta, gamma)] == flow and any(beta) and any(gamma)
+        inner = sum(b * c for b, c in zip(beta, gamma))
+        assert lines[3] == f"inner {inner}" and inner >= 0
+
     def test_vector_from_file(self, tmp_path, capsys):
         f = graph_file(tmp_path, "t.graph", TRIANGLE)
         v = write(tmp_path, "v.vec", "1 1 1\n")
@@ -211,6 +224,13 @@ class TestGramCommands:
         f = write(tmp_path, "b.gram", "gram 3\n1 1 0\n1 1 1\n0 1 1\n")
         assert run(["gtest", f]) == 1
         assert "NOT-G-NONNEGATIVE S={" in capsys.readouterr().out
+
+    def test_reconstruct_names_the_gtest_witness(self, tmp_path, capsys):
+        f = write(tmp_path, "b.gram", "gram 3\n1 1 0\n1 1 1\n0 1 1\n")
+        assert run(["gtest", f]) == 1
+        assert capsys.readouterr().out == "NOT-G-NONNEGATIVE S={2}\n"
+        assert run(["reconstruct", f]) == 1
+        assert capsys.readouterr().out == "VERDICT NOT-G-FEASIBLE NOT-G-NONNEGATIVE S={2}\n"
 
     def test_xmatrix_then_signing(self, tmp_path, capsys):
         f = write(tmp_path, "a.gram", A_POS_TEXT)

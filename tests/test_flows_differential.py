@@ -9,9 +9,12 @@ equal parts) in `flows_oracles`, on seeded positive
 definite Gram matrices, on the flow lattices of K4, K3,3, the prism,
 the wheel W5, K5 and the Petersen graph, on those of their duals and
 of R10 and its dual, and on random multigraphs with loops and parallel
-edges.  Decompositions are checked at the benchmark's scale (+-200
-coefficients) and beyond: the scale tests count chain steps instead of
-timing them.
+edges.  The walk restricted to a parity class is compared with the
+plain walk filtered to that class.  Decompositions are checked at the
+benchmark's scale (+-200 coefficients) and beyond: the scale tests count
+chain steps instead of timing them.  Metric simplicity is checked at
++-40 and +-10^6 coefficients on K5, K6, K7 and the Petersen graph
+against signed-circuit membership, where the box scan cannot follow.
 
 The box scan costs the number of points in its box, which grows with
 the bound; where a drawn input's box holds more than `BOX_CAP` points
@@ -27,7 +30,7 @@ import random
 import pytest
 
 import flows_oracles as oracle
-from flowlattice.errors import DefinitenessError, FlowLatticeError, FormatError
+from flowlattice.errors import DefinitenessError, DimensionError, FlowLatticeError, FormatError
 from flowlattice.flows import (
     FlowVector,
     consistent_decompose,
@@ -77,11 +80,28 @@ def box_points(gram, bound):
 
 
 def same_enumeration(gram, bound):
+    """The walk against the box scan, and each parity walk against the
+    walk filtered to its class; the parities are the first and last
+    points walked, which reach negative values, and all ones."""
     while bound and box_points(gram, bound) > BOX_CAP:
         bound //= 2
     got = list(enumerate_coefficients(gram, bound))
     assert got == list(oracle.enumerate_coefficients(gram, bound))
+    for parity in {got[0][0], got[-1][0], (1,) * gram.order}:
+        want = [(y, q) for y, q in got if all((a - b) % 2 == 0 for a, b in zip(y, parity))]
+        assert list(enumerate_coefficients(gram, bound, parity=parity)) == want
     return got
+
+
+def boxed_query(lat, rng, coeff):
+    """A nonzero +-coeff coefficient vector whose box scan holds at most
+    BOX_CAP points, drawn again until one does."""
+    g = lat.gram.mat.entries
+    while True:
+        y = tuple(rng.randint(-coeff, coeff) for _ in range(lat.lattice_rank))
+        norm = sum(a * gij * b for a, row in zip(y, g) for gij, b in zip(row, y))
+        if any(y) and box_points(lat.gram, norm) <= BOX_CAP:
+            return y
 
 
 def random_multigraph(rng, max_edges=8):
@@ -154,6 +174,26 @@ class TestEnumerateCoefficients:
             same_enumeration(GramMatrix(b.transpose() * b), rng.randint(0, 60))
             done += 1
 
+    def test_perturbed_grams(self):
+        """B^T B plus a random nonnegative diagonal and a large multiple of
+        C^T C: skewed ellipsoids whose parity classes leave many levels
+        empty."""
+        rng = random.Random(62)
+        done = 0
+        while done < 150:
+            s = rng.randint(1, 6)
+            b = IntegerMatrix.from_rows(
+                [[rng.randint(-3, 3) for _ in range(s)] for _ in range(s)])
+            c = [[rng.randint(-1, 1) for _ in range(s)] for _ in range(rng.randint(0, s))]
+            big = rng.choice((1, 10, 1000))
+            g = b.transpose() * b
+            rows = [[g.entries[i][j] + (rng.randint(0, 2) if i == j else 0)
+                     + big * sum(r[i] * r[j] for r in c) for j in range(s)] for i in range(s)]
+            if rank(IntegerMatrix.from_rows(rows)) < s:
+                continue
+            same_enumeration(GramMatrix.from_rows(rows), rng.randint(0, 80))
+            done += 1
+
     def test_multigraph_grams(self):
         rng = random.Random(67)
         done = 0
@@ -188,6 +228,10 @@ class TestEnumerateCoefficients:
                           if a * a + b * b <= 1000)
         assert len(expected) == 3149
         assert list(enumerate_coefficients(g, 3000)) == expected
+        # a odd and b even: the parity class walks its own 784 points
+        odd_even = [(y, q) for y, q in expected if y[0] % 2 and not y[3] % 2]
+        assert len(odd_even) == 784
+        assert list(enumerate_coefficients(g, 3000, parity=(1, 3, -1, 0, 2, -4))) == odd_even
 
 
 class TestEnumerationInput:
@@ -195,18 +239,27 @@ class TestEnumerationInput:
         for g in (lattices["K4"].gram, GramMatrix.from_rows([[1]]),
                   GramMatrix(IntegerMatrix.empty(0, 0))):
             assert list(enumerate_coefficients(g, -1)) == []
+            assert list(enumerate_coefficients(g, -1, parity=(1,) * g.order)) == []
 
     def test_order_zero(self):
         g = GramMatrix(IntegerMatrix.empty(0, 0))
         for bound in (0, 5):
             assert list(enumerate_coefficients(g, bound)) == [((), 0)]
+            assert list(enumerate_coefficients(g, bound, parity=())) == [((), 0)]
             assert list(oracle.enumerate_coefficients(g, bound)) == [((), 0)]
+
+    def test_parity_length(self, lattices):
+        for parity in ((), (1, 0), (1, 0, 0, 0)):
+            with pytest.raises(DimensionError):
+                list(enumerate_coefficients(lattices["K4"].gram, 3, parity=parity))
 
     @pytest.mark.parametrize("bound", [-1, 3])
     def test_singular(self, bound):
         for rows in ([[1, 1], [1, 1]], [[2, 1, 3], [1, 2, 3], [3, 3, 6]]):
-            with pytest.raises(FormatError, match="Gram matrix is singular"):
-                list(enumerate_coefficients(GramMatrix.from_rows(rows), bound))
+            g = GramMatrix.from_rows(rows)
+            for parity in (None, (1,) * g.order):
+                with pytest.raises(FormatError, match="Gram matrix is singular"):
+                    list(enumerate_coefficients(g, bound, parity=parity))
 
     @pytest.mark.parametrize("rows,order,minor", [
         ([[1, 2], [2, 1]], 2, -3),
@@ -216,10 +269,12 @@ class TestEnumerationInput:
     ])
     @pytest.mark.parametrize("bound", [-1, 7])
     def test_not_positive_definite(self, rows, order, minor, bound):
-        with pytest.raises(DefinitenessError) as exc:
-            list(enumerate_coefficients(GramMatrix.from_rows(rows), bound))
-        assert isinstance(exc.value, ValueError)
-        assert (exc.value.order, exc.value.minor) == (order, minor)
+        g = GramMatrix.from_rows(rows)
+        for parity in (None, (1,) * g.order):
+            with pytest.raises(DefinitenessError) as exc:
+                list(enumerate_coefficients(g, bound, parity=parity))
+            assert isinstance(exc.value, ValueError)
+            assert (exc.value.order, exc.value.minor) == (order, minor)
 
 
 class TestSimpleMetric:
@@ -255,12 +310,69 @@ class TestSimpleMetric:
             assert result(is_simple_metric(lat, v)) == result(oracle.is_simple_metric(lat, v))
             done += 1
 
+    @pytest.mark.parametrize("name", ["K4", "K33", "prism", "W5", "K5"])
+    def test_random_queries(self, lattices, name):
+        lat = lattices[name]
+        rng = random.Random(f"+-3 {name}")
+        for _ in range(40):
+            y = boxed_query(lat, rng, 3)
+            assert result(is_simple_metric(lat, y)) == result(oracle.is_simple_metric(lat, y))
+
+    def test_multigraph_queries(self):
+        rng = random.Random(83)
+        done = 0
+        while done < 150:
+            lat = fundamental_basis(from_graph(random_multigraph(rng, max_edges=10)))
+            if not 1 <= lat.lattice_rank <= 6:
+                continue
+            y = boxed_query(lat, rng, 3)
+            assert result(is_simple_metric(lat, y)) == result(oracle.is_simple_metric(lat, y))
+            done += 1
+
     def test_errors(self, lattices):
         lat = lattices["K4"]
         for bad in ((0, 0, 0), (1, 0), (1, 0, 0, 0), FlowVector.of((1, 0, 0, 0, 0, 0)),
                     FlowVector.of((1, 1))):
             assert outcome(is_simple_metric, lat, bad) == \
                 outcome(oracle.is_simple_metric, lat, bad)
+
+
+class TestSimpleMetricAtScale:
+    """Queries at +-40 and +-10^6 and multiples of circuit flows, far
+    beyond the box scan (a +-40 K5 query walked the whole norm ellipsoid
+    for minutes), at default bounds: the verdict is signed-circuit
+    membership (criterion 10), and a "no" splits the flow into two
+    nonzero parts whose inner product is the reported one, >= 0."""
+
+    GRAPHS = {name: LATTICES[name] for name in ("K5", "Petersen")} | {
+        "K6": list(itertools.combinations(range(6), 2)),
+        "K7": list(itertools.combinations(range(7), 2)),
+    }
+
+    @pytest.mark.parametrize("name", ["K5", "K6", "K7", "Petersen"])
+    def test_verdicts_and_witnesses(self, name):
+        m = from_graph(self.GRAPHS[name])
+        lat = fundamental_basis(m)
+        flows = simple_flows(m)
+        signed = {f.coords for f in flows}
+        rng = random.Random(f"scale {name}")
+        queries = [lat.vector([rng.randint(-c, c) for _ in range(lat.lattice_rank)])
+                   for c in (40, 10 ** 6) for _ in range(25)]
+        queries += [f.scaled(k) for f in rng.sample(flows, 10) for k in (1, 2, -10 ** 6)]
+        queries += [f.scaled(rng.randint(1, 10 ** 6)) + g.scaled(rng.randint(1, 10 ** 6))
+                    for f, g in (rng.sample(flows, 2) for _ in range(10))]
+        simple = 0
+        for v in queries:
+            if v.is_zero:
+                continue
+            res = is_simple_metric(lat, v)
+            assert bool(res) == (v.coords in signed)
+            simple += bool(res)
+            if not res:
+                b, c = res.witness
+                assert not b.is_zero and not c.is_zero and b + c == v
+                assert b.dot(c) == res.witness_inner >= 0
+        assert simple >= 10
 
 
 class TestDecompose:

@@ -242,7 +242,7 @@ class TestFeasibility:
 
     def test_not_nonnegative_reason(self):
         res = is_g_feasible(G([[1, 1, 0], [1, 1, 1], [0, 1, 1]]))
-        assert not res and res.reason.startswith("NOT-G-NONNEGATIVE")
+        assert not res and res.reason == "NOT-G-NONNEGATIVE S={2}"
 
     def test_single_four_feasible(self):
         res = is_g_feasible(G([[4]]))

@@ -1,18 +1,25 @@
 """Bounds are bound by `bounds` scopes only: the CLI's flags bind one
 `cli.run` call without touching the environment, and a library scope
-reaches the checks nested in the calls it encloses.  Each matroid owns
-the values it computes about itself."""
+reaches the checks nested in the calls it encloses.  Each matroid, and
+each Gram matrix, owns the values it computes about itself."""
 
 import gc
+import itertools
 import os
 import weakref
 
 import pytest
 
-from flowlattice import cli, intmat, matroid
-from flowlattice.errors import BoundExceededError
-from flowlattice.flows import consistent_decompose, fundamental_basis, simple_flows
-from flowlattice.gram import f_table
+from flowlattice import cli, gram, intmat, matroid
+from flowlattice.errors import BoundExceededError, DefinitenessError, FormatError
+from flowlattice.flows import (
+    consistent_decompose,
+    enumerate_coefficients,
+    fundamental_basis,
+    is_simple_metric,
+    simple_flows,
+)
+from flowlattice.gram import GramMatrix, f_table
 from flowlattice.intmat import IntegerMatrix, bounds, is_totally_unimodular
 from flowlattice.matroid import circuits, contract_coloops, from_graph
 from flowlattice.rebuild import flow_lattices_isometric, reconstruct_matroid
@@ -194,3 +201,35 @@ class TestMatroidCaches:
         contract_coloops(m)
         simple_flows(m)
         assert m == fresh and hash(m) == hash(fresh) and repr(m) == repr(fresh)
+
+
+class TestGramFactor:
+    def test_built_once_per_gram_matrix(self, monkeypatch):
+        lat = fundamental_basis(from_graph(K4))
+        calls = []
+        eliminate = gram._gauss_jordan
+        monkeypatch.setattr(gram, "_gauss_jordan",
+                            lambda *args: calls.append(args) or eliminate(*args))
+        queries = [y for y in itertools.product((-1, 0, 1), repeat=3) if any(y)][:12]
+        for y in queries:
+            is_simple_metric(lat, y)
+        # one elimination for Sylvester's criterion and one per row of the factor
+        assert len(queries) == 12 and len(calls) == lat.lattice_rank + 1
+
+    def test_outside_equality_hash_and_repr(self):
+        g = fundamental_basis(from_graph(K4)).gram
+        list(enumerate_coefficients(g, 4))
+        fresh = GramMatrix(g.mat)
+        assert "_ldl" in g.__dict__ and "_ldl" not in fresh.__dict__
+        assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
+
+    @pytest.mark.parametrize("rows,error", [
+        ([[1, 1], [1, 1]], FormatError),
+        ([[1, 2], [2, 1]], DefinitenessError),
+    ])
+    def test_errors_raised_on_every_call(self, rows, error):
+        g = GramMatrix.from_rows(rows)
+        for parity in (None, (1, 0), None):
+            with pytest.raises(error):
+                list(enumerate_coefficients(g, 3, parity=parity))
+        assert "_ldl" not in g.__dict__
