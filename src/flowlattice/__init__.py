@@ -39,7 +39,6 @@ from .intmat import (
     IntegerMatrix,
     bounds,
     determinant,
-    integer_kernel_basis,
     is_totally_unimodular,
     is_weakly_unimodular,
     parse_matrix,
@@ -52,7 +51,6 @@ from .matroid import (
     circuits,
     contract_coloops,
     coordinatize,
-    delete_loops,
     dual,
     first_base,
     from_graph,

@@ -1,6 +1,7 @@
 """Lattices of integer flows and cuts.
 
-Fundamental bases, Gram matrices, signed-circuit flows, consistent
+Fundamental bases, Gram matrices, signed-circuit flows (read off the
+one free column of a Bareiss pass over a circuit's columns), consistent
 decomposition into conforming simple flows (one chain of eliminations
 on bitmask supports per run of equal parts, and two passes over a
 block of runs that repeats for all its repetitions), and the metric
@@ -9,10 +10,11 @@ That test walks only the half-ball of possible witnesses: y splits x
 with <y, x - y> >= 0 iff Q(2y - x) <= Q(x), so it enumerates the points
 t = 2y - x of the parity class of x in the norm ellipsoid of x, in the
 lex order of y, and stops at the first one other than +-x.
-Definiteness, lattice coordinates and the exact LDL^T that bounds the
-enumeration (built once per `GramMatrix`) come from the fraction-free
-Gauss-Jordan elimination of `intmat`, so all arithmetic is over the
-integers.
+Definiteness and the exact LDL^T that bounds the enumeration come
+from one fraction-free Gauss-Jordan elimination per Gram matrix, which
+`gram_of` runs as its check and hands to the `GramMatrix` it returns;
+lattice coordinates and circuit flows come from the same core of
+`intmat`, so all arithmetic is over the integers.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .errors import DimensionError, FlowLatticeError, FormatError, MembershipError
-from .gram import GramMatrix, _require_positive_minors
-from .intmat import IntegerMatrix, _content_lines, _gauss_jordan, integer_kernel_basis
+from .gram import GramMatrix, _positive_definite
+from .intmat import IntegerMatrix, _content_lines, _gauss_jordan
 from .matroid import RegularMatroid, circuits, coordinatize, first_base
 
 
@@ -81,15 +83,13 @@ def parse_flow_vector(text: str) -> FlowVector:
 
 
 def gram_of(columns) -> GramMatrix:
-    """Exact Gram matrix of independent columns; rejects dependent input."""
+    """Exact Gram matrix of independent columns, its LDL^T built by the
+    same one elimination that checks it; rejects dependent input."""
     if isinstance(columns, IntegerMatrix):
         b = columns
     else:
         b = IntegerMatrix.from_columns(columns)
-    g = b.transpose() * b
-    _, cols, order, pivots = _gauss_jordan(g.entries)
-    _require_positive_minors(cols, order, pivots, g.rows)
-    return GramMatrix(g)
+    return _positive_definite(b.transpose() * b)
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,7 @@ class FlowLattice:
         if len(v.coords) != self.ambient:
             raise DimensionError("vector length differs from the ambient dimension")
         s = self.lattice_rank
-        rows, cols, _, pivots = _gauss_jordan(
+        rows, cols, _, pivots, _ = _gauss_jordan(
             [row + (b,) for row, b in zip(self.basis.entries, v.coords)], s)
         if len(cols) < s or any(row[s] for row in rows[s:]):
             raise MembershipError("vector lies outside the rational span of the basis")
@@ -183,17 +183,26 @@ def _canonical_sign(coords) -> tuple[int, ...]:
 
 
 def _circuit_flow(m: RegularMatroid, circuit: tuple[int, ...]) -> FlowVector:
-    """The sign-canonical simple flow supported on the given circuit."""
-    sub = m.rep.select_columns(circuit)
-    k = integer_kernel_basis(sub)
-    if k.cols != 1:
+    """The sign-canonical simple flow supported on the given circuit.
+
+    A Bareiss pass over the circuit's columns, ending at d times their
+    reduced row echelon form, leaves one free column f, so the kernel is
+    spanned by d e_f - sum_k row_k[f] e_{c_k} (c_k the pivot columns);
+    the pivots of a TU matrix are +-1, so that vector over d is the flow.
+    """
+    rows, cols, _, pivots, _ = _gauss_jordan(m.rep.select_columns(circuit).entries)
+    free = [j for j in range(len(circuit)) if j not in cols]
+    if len(free) != 1:
         raise MembershipError(f"subset {circuit} does not support a unique flow line")
-    local = k.column(0)
-    if any(abs(x) != 1 for x in local):
+    f, d = free[0], pivots[-1] if pivots else 1
+    local = [d] * len(circuit)
+    for c, row in zip(cols, rows):
+        local[c] = -row[f]
+    if any(abs(x) != abs(d) for x in local):
         raise FlowLatticeError("circuit flow is not a unit vector pattern")
     coords = [0] * m.size
-    for pos, e in enumerate(circuit):
-        coords[e] = local[pos]
+    for e, x in zip(circuit, local):
+        coords[e] = x // d
     return FlowVector(_canonical_sign(coords))
 
 

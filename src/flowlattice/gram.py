@@ -5,7 +5,9 @@ derived set functions on the subset lattice, the nonnegativity/positivity
 flags, the canonical {0,1} skeleton and its TU signing (built directly),
 and the decision of realizability as U^T.U for a totally unimodular U.
 Each `GramMatrix` also keeps the exact LDL^T that bounds the
-Fincke-Pohst walks of `flows`, built on first use.
+Fincke-Pohst walks of `flows`: the pivot rows of one Bareiss pass over
+the reversed matrix, whose pivots also decide positive definiteness.
+It is built on first use, or by `flows.gram_of` in its check.
 """
 
 from __future__ import annotations
@@ -62,42 +64,66 @@ class GramMatrix:
 
     @cached_property
     def _ldl(self) -> tuple:
-        """The exact LDL^T of the reversed matrix, (u, p, w, N), built once.
-
-        With H the matrix in reversed order and u_k row k of its forward
-        Bareiss form, H = sum_k u_k^T u_k / (p_k p_{k-1}), where
-        p_k = u_k[k] is the leading minor of order k + 1 and p_{-1} = 1;
-        N is the lcm of the p_k p_{k-1} and w_k = N / (p_k p_{k-1}), so
-        N H = sum_k w_k u_k^T u_k over the integers.  A singular matrix
-        raises FormatError and a nonsingular one that is not positive
-        definite raises DefinitenessError; an error is not stored, so it
-        is raised again on every access.
-        """
-        s = self.order
-        g = self.mat.entries
-        _, cols, order, pivots = _gauss_jordan(g)
-        if len(cols) < s:
-            raise FormatError("Gram matrix is singular")
-        _require_positive_minors(cols, order, pivots, s)
-        h = [row[::-1] for row in g[::-1]]
-        u = [_gauss_jordan(h, k)[0][k] for k in range(s)]
-        p = [u[k][k] for k in range(s)]
-        den = [a * b for a, b in zip(p, [1] + p)]
-        n = lcm(*den)
-        return u, p, [n // d for d in den], n
+        """`_factor` of the matrix, built once.  A singular matrix raises
+        FormatError and a nonsingular one that is not positive definite
+        raises DefinitenessError; an error is not stored, so it is raised
+        again on every access."""
+        factor = _factor(self.mat.entries)
+        if factor is None:
+            rank, error = _least_failing_minor(self.mat.entries)
+            raise FormatError("Gram matrix is singular") if rank < self.order else error
+        return factor
 
 
-def _require_positive_minors(cols, order, pivots, n: int) -> None:
-    """Sylvester's criterion on the elimination of a symmetric n x n matrix.
+def _factor(g) -> tuple | None:
+    """The exact LDL^T of the reversed symmetric matrix g, from one
+    Bareiss pass; None if g is not positive definite.
+
+    With H the matrix in reversed order and u_k the pivot row chosen at
+    step k (row k of H's forward Bareiss form),
+    H = sum_k u_k^T u_k / (p_k p_{k-1}), where p_k = u_k[k] is the
+    leading minor of order k + 1 and p_{-1} = 1; N is the lcm of the
+    p_k p_{k-1} and w_k = N / (p_k p_{k-1}), so N H = sum_k w_k u_k^T u_k
+    over the integers.  By Sylvester's criterion on H, g is positive
+    definite iff the pass pivots down the diagonal, with no skip or swap,
+    on positive pivots only.
+    """
+    s = len(g)
+    _, cols, order, p, u = _gauss_jordan([row[::-1] for row in g[::-1]])
+    if len(cols) < s or order != cols or min(p, default=1) <= 0:
+        return None
+    den = [a * b for a, b in zip(p, [1] + p)]
+    n = lcm(*den)
+    return u, p, [n // d for d in den], n
+
+
+def _least_failing_minor(g) -> tuple[int, DefinitenessError]:
+    """The rank of a symmetric matrix g that is not positive definite, and
+    the DefinitenessError of its least leading minor <= 0 (Sylvester's
+    criterion), both from g's own Bareiss pass.
 
     Up to the first vanishing leading minor no column is skipped and no
     row is swapped, so pivot k is the leading minor of order k + 1; a
     skipped column or a swap at step k marks a vanishing one.
     """
-    for k in range(n):
+    _, cols, order, pivots, _ = _gauss_jordan(g)
+    for k in range(len(g)):
         minor = pivots[k] if k < len(cols) and cols[k] == k and order[k] == k else 0
         if minor <= 0:
-            raise DefinitenessError(k + 1, minor)
+            return len(cols), DefinitenessError(k + 1, minor)
+    raise FlowLatticeError("broken invariant: a matrix that is not positive "
+                           "definite has positive leading minors")
+
+
+def _positive_definite(mat: IntegerMatrix) -> GramMatrix:
+    """The GramMatrix of a positive definite mat with its factor built;
+    any other mat, singular or not, raises `_least_failing_minor`'s error."""
+    factor = _factor(mat.entries)
+    if factor is None:
+        raise _least_failing_minor(mat.entries)[1]
+    a = GramMatrix(mat)
+    vars(a)["_ldl"] = factor
+    return a
 
 
 def parse_gram(text: str) -> GramMatrix:
@@ -293,7 +319,12 @@ class Classification:
 
     def refusal(self) -> str:
         """The failed g-nonnegativity with its witness subset, 1-based."""
-        return "NOT-G-NONNEGATIVE S={" + ",".join(str(i + 1) for i in self.witness) + "}"
+        return f"NOT-G-NONNEGATIVE {_subset_text(self.witness)}"
+
+
+def _subset_text(subset) -> str:
+    """A subset of 0-based indices, written 1-based: S={1,3}."""
+    return "S={" + ",".join(str(i + 1) for i in subset) + "}"
 
 
 def _classify_table(a: GramMatrix) -> tuple[Classification, list[int]]:
@@ -319,7 +350,7 @@ def classify(a: GramMatrix) -> Classification:
 def _skeleton(cls: Classification, g: list[int]) -> IntegerMatrix:
     """`build_x` from a matrix's classification and g table."""
     if not cls.g_nonnegative:
-        raise FormatError(f"matrix is not g-nonnegative; witness {cls.witness}")
+        raise FormatError(f"matrix is not g-nonnegative; witness {_subset_text(cls.witness)}")
     s = len(g).bit_length() - 1
     rows = []
     for mask in range(1, 1 << s):

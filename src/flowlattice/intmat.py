@@ -1,11 +1,11 @@
 """Exact integer matrix kernel.
 
 Dense matrices of arbitrary-precision integers; one fraction-free
-(Bareiss) Gauss-Jordan elimination that yields rank, determinant,
-leading minors, exact solves and inverses, and is the only determinant
-code of the package; saturated integer kernels; total and weak
-unimodularity tests; and `bounds`, the one place that sets the bounds
-each exponential search checks.  Total unimodularity is decided on the
+(Bareiss) Gauss-Jordan elimination, the only integer elimination of the
+package, that yields rank, determinant, leading minors, exact solves,
+inverses and kernels, and the rows of a forward elimination; total and
+weak unimodularity tests; and `bounds`, the one place that sets the
+bounds each exponential search checks.  Total unimodularity is decided on the
 matrix reduced by unit and parallel lines, block by block: a block is
 settled by a verified network or co-network realization in polynomial
 time, and only a block with neither is searched for an Eulerian
@@ -222,10 +222,13 @@ def _gauss_jordan(rows, width: int | None = None):
     becomes (p * r - r[c] * pivot row) // (previous pivot), an exact
     division (Bareiss 1968), so all entries stay integral.  Returns the
     reduced rows, the pivot columns, the original row index of each
-    pivot, and the pivot values: pivot k is the leading (k+1)-minor of
-    the row-permuted matrix on the pivot columns.  With d the last
-    pivot, the reduced rows are d times the reduced row echelon form, so
-    [M | I] for an invertible M ends at [d I | d M^-1].
+    pivot, the pivot values, and each pivot row as it was when chosen:
+    pivot k is the leading (k+1)-minor of the row-permuted matrix on the
+    pivot columns.  With d the last pivot, the reduced rows are d times
+    the reduced row echelon form, so [M | I] for an invertible M ends at
+    [d I | d M^-1].  Chosen row k has met only the pivots before it, so
+    it is row k of the forward Bareiss elimination; an update rebinds a
+    row to a new list, so none is copied.
     """
     a = [list(r) for r in rows]
     order = list(range(len(a)))
@@ -233,6 +236,7 @@ def _gauss_jordan(rows, width: int | None = None):
         width = len(a[0]) if a else 0
     cols: list[int] = []
     pivots: list[int] = []
+    chosen: list[list[int]] = []
     prev = 1
     for c in range(width):
         k = len(cols)
@@ -248,10 +252,11 @@ def _gauss_jordan(rows, width: int | None = None):
                 a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pk)]
         cols.append(c)
         pivots.append(p)
+        chosen.append(pk)
         prev = p
         if k + 1 == len(a):
             break
-    return a, cols, order[:len(cols)], pivots
+    return a, cols, order[:len(cols)], pivots, chosen
 
 
 def determinant(m: IntegerMatrix) -> int:
@@ -260,7 +265,7 @@ def determinant(m: IntegerMatrix) -> int:
         raise DimensionError(f"determinant of non-square {m.rows}x{m.cols} matrix")
     if m.rows == 0:
         return 1
-    _, cols, order, pivots = _gauss_jordan(m.entries)
+    _, cols, order, pivots, _ = _gauss_jordan(m.entries)
     if len(cols) < m.rows:
         return 0
     inversions = sum(a > b for a, b in itertools.combinations(order, 2))
@@ -270,41 +275,6 @@ def determinant(m: IntegerMatrix) -> int:
 def rank(m: IntegerMatrix) -> int:
     """Rank over the rationals: the number of Bareiss pivots."""
     return len(_gauss_jordan(m.entries)[1])
-
-
-def integer_kernel_basis(m: IntegerMatrix) -> IntegerMatrix:
-    """Basis of ker(m) over the integers: columns span ker(m) ∩ Z^cols.
-
-    Integer row reduction of [m^T | I] by unimodular operations; the
-    identity block rows facing a zeroed m^T row form a saturated basis,
-    so every integer kernel vector is an integer combination of the
-    columns (not merely a finite-index sublattice).
-    """
-    n, r = m.cols, m.rows
-    work = [list(col) + [int(i == j) for j in range(n)]
-            for i, col in enumerate(m.columns())]
-    # work is n rows of [m^T | I_n]
-    pivot_row = 0
-    for col in range(r):
-        while True:
-            live = [i for i in range(pivot_row, n) if work[i][col] != 0]
-            if not live:
-                break
-            best = min(live, key=lambda i: abs(work[i][col]))
-            work[pivot_row], work[best] = work[best], work[pivot_row]
-            done = True
-            p = work[pivot_row][col]
-            for i in range(pivot_row + 1, n):
-                if work[i][col] != 0:
-                    q = work[i][col] // p
-                    work[i] = [x - q * y for x, y in zip(work[i], work[pivot_row])]
-                    if work[i][col] != 0:
-                        done = False
-            if done:
-                pivot_row += 1
-                break
-    kernel_rows = [row[r:] for row in work[pivot_row:]]
-    return IntegerMatrix.from_columns(kernel_rows, nrows=n)
 
 
 def sharp(m: IntegerMatrix) -> IntegerMatrix:
@@ -480,7 +450,7 @@ def is_weakly_unimodular(m: IntegerMatrix) -> UnimodularityCheck:
     if k == 0:
         return UnimodularityCheck(True)
     w = m if m.rows <= m.cols else m.transpose()
-    reduced, pivot_cols, _, _ = _gauss_jordan(w.entries)
+    reduced, pivot_cols, _, _, _ = _gauss_jordan(w.entries)
     if len(pivot_cols) < k or _tu_verdict(IntegerMatrix(tuple(map(tuple, reduced)))):
         return UnimodularityCheck(True)
     _gate("tu", "maximal-minor search order", k)

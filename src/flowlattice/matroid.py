@@ -1,8 +1,8 @@
 """Regular matroids as TU representations.
 
 Construction from directed multigraphs, base coordinatization, duality,
-circuit enumeration, loops/co-loops and the minors obtained by removing
-them, and isomorphism testing on circuit families.
+circuit enumeration, loops/co-loops and the minor with every co-loop
+contracted, and isomorphism testing on circuit families.
 """
 
 from __future__ import annotations
@@ -285,7 +285,7 @@ def coordinatize(m: RegularMatroid, base) -> StandardForm:
     if len(base) != m.rank or len(set(base)) != len(base):
         raise NotABaseError(base, f"expected {m.rank} distinct elements")
     perm = base + tuple(j for j in range(m.size) if j not in set(base))
-    rows, cols, _, pivots = _gauss_jordan(m.rep.select_columns(perm).entries, m.rank)
+    rows, cols, _, pivots, _ = _gauss_jordan(m.rep.select_columns(perm).entries, m.rank)
     if len(cols) < m.rank:
         raise NotABaseError(base, "vanishing r-by-r determinant")
     d = pivots[-1] if pivots else 1
@@ -333,19 +333,6 @@ def loops_and_coloops(m: RegularMatroid) -> tuple[tuple[int, ...], tuple[int, ..
 def contract_coloops(m: RegularMatroid) -> RegularMatroid:
     """The minor with every co-loop contracted (no co-loops remain)."""
     return m._core or m
-
-
-def delete_loops(m: RegularMatroid) -> RegularMatroid:
-    """The minor with every loop (zero column) deleted."""
-    loops, _ = loops_and_coloops(m)
-    if not loops:
-        return m
-    keep = [j for j in range(m.size) if j not in set(loops)]
-    return RegularMatroid.from_rep(
-        tuple(m.ground[j] for j in keep),
-        m.rep.select_columns(keep),
-        validate=False,
-    )
 
 
 @dataclass(frozen=True)

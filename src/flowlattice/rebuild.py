@@ -24,7 +24,7 @@ def _g_positive_basis(certificate: IntegerMatrix) -> tuple[IntegerMatrix, list[i
     Gauss-Jordan on U^T takes B's rows as its pivot columns and ends at
     d (U B^-1)^T, d = det B up to sign.
     """
-    rows, cols, _, pivots = _gauss_jordan(certificate.transpose().entries)
+    rows, cols, _, pivots, _ = _gauss_jordan(certificate.transpose().entries)
     if len(cols) < certificate.cols:
         raise FlowLatticeError("certificate has deficient column rank")
     d = pivots[-1] if pivots else 1

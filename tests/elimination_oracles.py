@@ -2,19 +2,28 @@
 
 `flowlattice.intmat._gauss_jordan` now gives rank, determinant, leading
 minors, lattice coordinates, inverses and the lexicographically least
-base in one pass each.  These are the earlier routines: a Bareiss
-determinant, `Fraction` Gauss-Jordan rank, solve and inverse, a
+base in one pass each, and the flow of a circuit off the one free
+column of a pass over its columns.  These are the earlier routines: a
+Bareiss determinant, `Fraction` Gauss-Jordan rank, solve and inverse, a
 fraction-free inverse, a determinant scan over all r-subsets for the
-first base, and one determinant per leading minor for the Gram check.
-The tests compare them with the library for exact equality, errors
-included.
+first base, one determinant per leading minor for the Gram check, and
+the saturated integer kernel (a Euclidean row reduction) with the
+circuit flow read off it.  The tests compare them with the library for
+exact equality, errors included.
 """
 
 import itertools
 from fractions import Fraction
 from math import isqrt
 
-from flowlattice.errors import DefinitenessError, DimensionError, NotABaseError
+from flowlattice.errors import (
+    DefinitenessError,
+    DimensionError,
+    FlowLatticeError,
+    MembershipError,
+    NotABaseError,
+)
+from flowlattice.flows import FlowVector, _canonical_sign
 from flowlattice.gram import GramMatrix
 from flowlattice.intmat import IntegerMatrix
 from flowlattice.matroid import RegularMatroid, StandardForm
@@ -140,6 +149,58 @@ def gram_of(columns) -> GramMatrix:
         if minor <= 0:
             raise DefinitenessError(k, minor)
     return GramMatrix(g)
+
+
+def integer_kernel_basis(m: IntegerMatrix) -> IntegerMatrix:
+    """Basis of ker(m) over the integers: columns span ker(m) ∩ Z^cols.
+
+    Integer row reduction of [m^T | I] by unimodular operations; the
+    identity block rows facing a zeroed m^T row form a saturated basis,
+    so every integer kernel vector is an integer combination of the
+    columns (not merely a finite-index sublattice).
+    """
+    n, r = m.cols, m.rows
+    work = [list(col) + [int(i == j) for j in range(n)]
+            for i, col in enumerate(m.columns())]
+    # work is n rows of [m^T | I_n]
+    pivot_row = 0
+    for col in range(r):
+        while True:
+            live = [i for i in range(pivot_row, n) if work[i][col] != 0]
+            if not live:
+                break
+            best = min(live, key=lambda i: abs(work[i][col]))
+            work[pivot_row], work[best] = work[best], work[pivot_row]
+            done = True
+            p = work[pivot_row][col]
+            for i in range(pivot_row + 1, n):
+                if work[i][col] != 0:
+                    q = work[i][col] // p
+                    work[i] = [x - q * y for x, y in zip(work[i], work[pivot_row])]
+                    if work[i][col] != 0:
+                        done = False
+            if done:
+                pivot_row += 1
+                break
+    kernel_rows = [row[r:] for row in work[pivot_row:]]
+    return IntegerMatrix.from_columns(kernel_rows, nrows=n)
+
+
+
+
+def circuit_flow(m: RegularMatroid, circuit: tuple[int, ...]) -> FlowVector:
+    """The sign-canonical simple flow supported on the given circuit."""
+    sub = m.rep.select_columns(circuit)
+    k = integer_kernel_basis(sub)
+    if k.cols != 1:
+        raise MembershipError(f"subset {circuit} does not support a unique flow line")
+    local = k.column(0)
+    if any(abs(x) != 1 for x in local):
+        raise FlowLatticeError("circuit flow is not a unit vector pattern")
+    coords = [0] * m.size
+    for pos, e in enumerate(circuit):
+        coords[e] = local[pos]
+    return FlowVector(_canonical_sign(coords))
 
 
 def _solve_exact(m: IntegerMatrix, rhs) -> list[Fraction] | None:

@@ -3,9 +3,10 @@
 `flowlattice.flows.enumerate_coefficients` now walks the Gram ellipsoid
 depth first over an exact LDL^T (Fincke-Pohst), `is_simple_metric`
 walks only the half-ball of possible witnesses, and
-`consistent_decompose` emits a whole repeating block of runs at once.
-These are the earlier routines, kept verbatim: the inverse-diagonal
-box, the box scan, the metric simplicity test over that scan, the
+`consistent_decompose` emits a whole repeating block of runs at once;
+the LDL^T of the walk comes from one Bareiss pass.  These are the
+earlier routines, kept verbatim: that LDL^T by 1 + s eliminations, the
+inverse-diagonal box, the box scan, the metric simplicity test over that scan, the
 recursive conforming-flow search, `decompose_by_chains`, the loop over
 bitmask supports that runs one chain per part, and `decompose_by_runs`,
 the loop that runs one chain per run of equal parts.  The recursive
@@ -16,9 +17,15 @@ them with the library for exact equality, order and errors included.
 """
 
 import itertools
-from math import isqrt
+from math import isqrt, lcm
 
-from flowlattice.errors import DimensionError, FlowLatticeError, FormatError, MembershipError
+from flowlattice.errors import (
+    DefinitenessError,
+    DimensionError,
+    FlowLatticeError,
+    FormatError,
+    MembershipError,
+)
 from flowlattice.flows import FlowLattice, FlowVector, SimpleMetricResult, _circuit_flow
 from flowlattice.gram import GramMatrix
 from flowlattice.intmat import _gauss_jordan
@@ -220,6 +227,31 @@ def decompose_by_runs(lat: FlowLattice, beta: FlowVector) -> list[FlowVector]:
     return parts
 
 
+def ldl(gram: GramMatrix) -> tuple:
+    """The exact LDL^T of the reversed matrix, (u, p, w, N), by 1 + s
+    eliminations: one for the rank and Sylvester's criterion, then row k
+    of H's forward Bareiss form as row k of an elimination limited to
+    the first k columns, one per row.  A singular matrix raises
+    FormatError and a nonsingular one that is not positive definite
+    raises DefinitenessError at its least leading minor <= 0.
+    """
+    s = gram.order
+    g = gram.mat.entries
+    _, cols, order, pivots, _ = _gauss_jordan(g)
+    if len(cols) < s:
+        raise FormatError("Gram matrix is singular")
+    for k in range(s):
+        minor = pivots[k] if k < len(cols) and cols[k] == k and order[k] == k else 0
+        if minor <= 0:
+            raise DefinitenessError(k + 1, minor)
+    h = [row[::-1] for row in g[::-1]]
+    u = [_gauss_jordan(h, k)[0][k] for k in range(s)]
+    p = [u[k][k] for k in range(s)]
+    den = [a * b for a, b in zip(p, [1] + p)]
+    n = lcm(*den)
+    return u, p, [n // d for d in den], n
+
+
 def _coeff_box(gram: GramMatrix, bound: int) -> list[int]:
     """Per-coordinate enumeration limits from the inverse Gram diagonal.
 
@@ -228,7 +260,7 @@ def _coeff_box(gram: GramMatrix, bound: int) -> list[int]:
     (d (G^-1)_ii * bound) // d.
     """
     n = gram.order
-    rows, cols, _, pivots = _gauss_jordan(
+    rows, cols, _, pivots, _ = _gauss_jordan(
         [row + tuple(int(i == j) for j in range(n))
          for i, row in enumerate(gram.mat.entries)], n)
     if len(cols) < n:

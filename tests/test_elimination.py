@@ -12,13 +12,27 @@ import pytest
 
 import elimination_oracles as oracle
 from flows_oracles import _coeff_box
-from flowlattice.errors import DimensionError, FormatError, MembershipError, NotABaseError
-from flowlattice.flows import FlowLattice, FlowVector, fundamental_basis, gram_of
+from flowlattice.errors import (
+    DefinitenessError,
+    DimensionError,
+    FlowLatticeError,
+    FormatError,
+    MembershipError,
+    NotABaseError,
+)
+from flowlattice.flows import FlowLattice, FlowVector, _circuit_flow, fundamental_basis, gram_of
 from flowlattice.gram import GramMatrix
-from flowlattice.intmat import IntegerMatrix, _gauss_jordan, determinant, rank
+from flowlattice.intmat import (
+    IntegerMatrix,
+    _gauss_jordan,
+    determinant,
+    is_totally_unimodular,
+    rank,
+)
 from flowlattice.matroid import (
     RegularMatroid,
     _independent_row_subset,
+    circuits,
     coordinatize,
     dual,
     first_base,
@@ -27,6 +41,8 @@ from flowlattice.matroid import (
 from flowlattice.rebuild import reconstruct_matroid
 
 from conftest import bridgeless_graphs
+from test_flows_differential import LATTICES as GRAPHS
+from test_matroid import r10
 
 
 def outcome(fn, *args):
@@ -82,11 +98,15 @@ class TestCore:
     def test_reduced_rows_and_leading_minors(self, rng):
         for _ in range(1500):
             m = random_matrix(rng, rng.randint(0, 6), rng.randint(0, 6))
-            reduced, cols, order, pivots = _gauss_jordan(m.entries)
+            reduced, cols, order, pivots, chosen = _gauss_jordan(m.entries)
             assert len(cols) == oracle.rank(m)
             for k, p in enumerate(pivots):
                 block = m.submatrix(order[:k + 1], cols[:k + 1])
                 assert p == oracle.determinant(block)
+                # a forward Bareiss row: entry j is the minor bordering the
+                # earlier pivots' block by the pivot row and column j
+                assert chosen[k] == [oracle.determinant(
+                    m.submatrix(order[:k + 1], cols[:k] + [j])) for j in range(m.cols)]
             d = pivots[-1] if pivots else 1
             assert [[Fraction(x, d) for x in row] for row in reduced] == \
                 fraction_rref(m.entries)
@@ -95,7 +115,7 @@ class TestCore:
         for _ in range(300):
             m = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 6))
             width = rng.randint(0, m.cols)
-            _, cols, _, _ = _gauss_jordan(m.entries, width)
+            _, cols, _, _, _ = _gauss_jordan(m.entries, width)
             assert cols == _gauss_jordan(m.select_columns(range(width)).entries)[1]
 
 
@@ -120,6 +140,70 @@ class TestGramOf:
             assert got == want
             failures += isinstance(want, tuple)
         assert 200 < failures < 1800
+
+    @pytest.mark.parametrize("cols,order", [
+        ([[0, 0, 0], [1, 1, 0]], 1), ([[1, 1, 0], [0, 0, 0]], 2), ([[1, 0], [2, 0], [0, 1]], 2)])
+    def test_dependent_columns_fail_a_minor(self, cols, order):
+        """A zero column gives a zero diagonal entry: the criterion names
+        its minor before `GramMatrix` could reject the diagonal."""
+        with pytest.raises(DefinitenessError) as exc:
+            gram_of(cols)
+        assert (exc.value.order, exc.value.minor) == (order, 0)
+        assert outcome(gram_of, cols) == outcome(oracle.gram_of, cols)
+
+
+class TestCircuitFlow:
+    """Each circuit's flow, read off the free column of one Bareiss pass,
+    against the flow read off the saturated integer kernel."""
+
+    @staticmethod
+    def same_flows(m):
+        for c in circuits(m):
+            assert _circuit_flow(m, c) == oracle.circuit_flow(m, c)
+        return len(circuits(m))
+
+    def test_graphic_and_cographic(self):
+        total = 0
+        for edges in GRAPHS.values():
+            m = from_graph(edges)
+            total += self.same_flows(m) + self.same_flows(dual(m))
+        assert total == 431
+
+    def test_r10(self):
+        m = r10()
+        assert self.same_flows(m) == self.same_flows(dual(m)) == 30
+
+    def test_random_multigraphs(self, rng):
+        for _ in range(150):
+            m = from_graph(random_multigraph(rng))
+            self.same_flows(m)
+            self.same_flows(dual(m))
+
+    def test_random_tu(self, rng):
+        """Random {0, +-1} representations that are TU and of full row rank."""
+        done = 0
+        while done < 150:
+            r, n = rng.randint(1, 4), rng.randint(2, 7)
+            rep = IntegerMatrix.from_rows([[rng.choice((-1, 0, 0, 1)) for _ in range(n)]
+                                           for _ in range(r)])
+            if oracle.rank(rep) < r or not is_totally_unimodular(rep):
+                continue
+            self.same_flows(RegularMatroid.from_rep(tuple(map(str, range(n))), rep))
+            done += 1
+
+    def test_subsets_that_are_not_circuits(self, rng):
+        """Errors too: no unique flow line, or a line that is not a unit
+        pattern on a matrix that is not TU."""
+        kinds = set()
+        for _ in range(600):
+            r, n = rng.randint(1, 3), rng.randint(1, 5)
+            rep = random_matrix(rng, r, n)
+            m = RegularMatroid.from_rep(tuple(map(str, range(n))), rep, validate=False)
+            subset = tuple(sorted(rng.sample(range(n), rng.randint(1, n))))
+            got = outcome(_circuit_flow, m, subset)
+            assert got == outcome(oracle.circuit_flow, m, subset)
+            kinds.add(got[0] if isinstance(got, tuple) else "ok")
+        assert kinds == {"ok", MembershipError, FlowLatticeError}
 
 
 class TestCoefficients:

@@ -1,4 +1,4 @@
-"""The ellipsoid walk and the periodic decomposition against the routines they replaced.
+"""The ellipsoid walk, its factor and the periodic decomposition against the routines they replaced.
 
 `enumerate_coefficients`, `is_simple_metric` and `consistent_decompose`
 are compared for exact equality -- the full (y, q) list in order, the
@@ -10,7 +10,8 @@ definite Gram matrices, on the flow lattices of K4, K3,3, the prism,
 the wheel W5, K5 and the Petersen graph, on those of their duals and
 of R10 and its dual, and on random multigraphs with loops and parallel
 edges.  The walk restricted to a parity class is compared with the
-plain walk filtered to that class.  Decompositions are checked at the
+plain walk filtered to that class, and the one-pass LDL^T with the
+1 + s eliminations it replaced (`flows_oracles.ldl`).  Decompositions are checked at the
 benchmark's scale (+-200 coefficients) and beyond: the scale tests count
 chain steps instead of timing them.  Metric simplicity is checked at
 +-40 and +-10^6 coefficients on K5, K6, K7 and the Petersen graph
@@ -232,6 +233,52 @@ class TestEnumerateCoefficients:
         odd_even = [(y, q) for y, q in expected if y[0] % 2 and not y[3] % 2]
         assert len(odd_even) == 784
         assert list(enumerate_coefficients(g, 3000, parity=(1, 3, -1, 0, 2, -4))) == odd_even
+
+
+class TestFactor:
+    """The one-pass LDL^T against the 1 + s eliminations it replaced, row
+    for row, and errors alike."""
+
+    @staticmethod
+    def same_factor(g):
+        got, want = outcome(lambda: g._ldl), outcome(oracle.ldl, g)
+        assert got == want
+        return got
+
+    def test_random_grams(self):
+        rng = random.Random(71)
+        kinds = set()
+        for _ in range(600):
+            s = rng.randint(1, 6)
+            b = IntegerMatrix.from_rows(
+                [[rng.randint(-3, 3) for _ in range(s)] for _ in range(s + rng.randint(0, 2))])
+            rows = [list(r) for r in (b.transpose() * b).entries]
+            if s > 1 and rng.random() < 0.3:   # a symmetric nudge: often indefinite
+                i, j = rng.sample(range(s), 2)
+                d = rng.randint(1, 9)
+                rows[i][j] += d
+                rows[j][i] += d
+            if any(rows[k][k] <= 0 for k in range(s)):
+                continue
+            got = self.same_factor(GramMatrix.from_rows(rows))
+            kinds.add(got[0] if isinstance(got[0], type) else "ok")
+        assert kinds == {"ok", FormatError, DefinitenessError}
+
+    def test_lattice_grams(self, lattices):
+        for name in ("K4", "K33", "prism", "W5", "K5"):
+            g = lattices[name].gram
+            factor = self.same_factor(GramMatrix(g.mat))
+            # the factor `gram_of` handed over is the same one
+            assert g._ldl == factor
+
+    def test_order_zero(self):
+        assert self.same_factor(GramMatrix(IntegerMatrix.empty(0, 0))) == ([], [], [], 1)
+
+    def test_failing_matrices_name_the_same_minor(self):
+        for rows in ([[1, 1], [1, 1]], [[2, 1, 3], [1, 2, 3], [3, 3, 6]],
+                     [[1, 2, 3], [2, 1, 3], [3, 3, 6]], [[1, 2], [2, 1]],
+                     [[1, 1, 0], [1, 1, 1], [0, 1, 1]], [[1, 0, 2], [0, 1, 0], [2, 0, 1]]):
+            self.same_factor(GramMatrix.from_rows(rows))
 
 
 class TestEnumerationInput:

@@ -61,6 +61,7 @@ CASES |= {
     "tu-check-short": ["tu-check", "inputs/short.mat"],
     "decompose-w5-large": ["decompose", "inputs/w5.graph", "inputs/w5-large.vec"],
     "decompose-k5-large": ["decompose", "inputs/k5.graph", "inputs/k5-large.vec"],
+    "simple-k5-large": ["simple", "inputs/k5.graph", "inputs/k5-simple-large.vec"],
 }
 CASES |= {f"{name}-porcelain": ["--porcelain"] + argv for name, argv in list(CASES.items())}
 

@@ -12,7 +12,6 @@ from flowlattice.intmat import (
     _tu_core,
     bounds,
     determinant,
-    integer_kernel_basis,
     is_totally_unimodular,
     is_weakly_unimodular,
     parse_matrix,
@@ -21,6 +20,7 @@ from flowlattice.intmat import (
 )
 
 from conftest import det_cofactor
+from elimination_oracles import integer_kernel_basis
 from tu_oracles import tu_by_enumeration, wu_by_enumeration
 
 

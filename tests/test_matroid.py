@@ -12,7 +12,6 @@ from flowlattice.matroid import (
     circuits,
     contract_coloops,
     coordinatize,
-    delete_loops,
     dual,
     first_base,
     from_graph,
@@ -281,11 +280,6 @@ class TestMinors:
             frozenset(relabel[m.ground[e]] for e in c) for c in circuits(m)
         }
         assert {frozenset(c) for c in circuits(core)} == expect
-
-    def test_delete_loops(self):
-        m = from_graph([(1, 2), (2, 2), (2, 3), (3, 1)])
-        clean = delete_loops(m)
-        assert clean.size == 3 and loops_and_coloops(clean)[0] == ()
 
     def test_tree_contracts_to_empty(self):
         m = from_graph(PATH2)

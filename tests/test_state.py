@@ -10,9 +10,10 @@ import weakref
 
 import pytest
 
-from flowlattice import cli, gram, intmat, matroid
+from flowlattice import cli, flows, gram, intmat, matroid
 from flowlattice.errors import BoundExceededError, DefinitenessError, FormatError
 from flowlattice.flows import (
+    FlowLattice,
     consistent_decompose,
     enumerate_coefficients,
     fundamental_basis,
@@ -204,17 +205,33 @@ class TestMatroidCaches:
 
 
 class TestGramFactor:
-    def test_built_once_per_gram_matrix(self, monkeypatch):
-        lat = fundamental_basis(from_graph(K4))
+    QUERIES = [y for y in itertools.product((-1, 0, 1), repeat=3) if any(y)][:12]
+
+    @staticmethod
+    def count(monkeypatch, module):
         calls = []
-        eliminate = gram._gauss_jordan
-        monkeypatch.setattr(gram, "_gauss_jordan",
+        eliminate = module._gauss_jordan
+        monkeypatch.setattr(module, "_gauss_jordan",
                             lambda *args: calls.append(args) or eliminate(*args))
-        queries = [y for y in itertools.product((-1, 0, 1), repeat=3) if any(y)][:12]
-        for y in queries:
+        return calls
+
+    def test_built_once_per_gram_matrix(self, monkeypatch):
+        g = GramMatrix(fundamental_basis(from_graph(K4)).gram.mat)
+        lat = FlowLattice(IntegerMatrix.identity(3), g)
+        calls = self.count(monkeypatch, gram)
+        for y in self.QUERIES:
             is_simple_metric(lat, y)
-        # one elimination for Sylvester's criterion and one per row of the factor
-        assert len(queries) == 12 and len(calls) == lat.lattice_rank + 1
+        # one pass both checks the matrix and builds its factor
+        assert len(self.QUERIES) == 12 and len(calls) == 1
+
+    def test_one_elimination_over_a_lifetime(self, monkeypatch):
+        """`fundamental_basis` and 12 walks eliminate the Gram matrix once,
+        in `gram`: `gram_of` hands the factor of its check to the matrix."""
+        in_gram, in_flows = self.count(monkeypatch, gram), self.count(monkeypatch, flows)
+        lat = fundamental_basis(from_graph(K4))
+        for y in self.QUERIES:
+            is_simple_metric(lat, y)
+        assert len(in_gram) == 1 and len(in_flows) == 0
 
     def test_outside_equality_hash_and_repr(self):
         g = fundamental_basis(from_graph(K4)).gram
