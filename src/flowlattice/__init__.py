@@ -47,7 +47,6 @@ from .intmat import (
 )
 from .matroid import (
     RegularMatroid,
-    bases,
     circuits,
     contract_coloops,
     coordinatize,

@@ -1,7 +1,8 @@
 """Lattices of integer flows and cuts.
 
-Fundamental bases, Gram matrices, signed-circuit flows (read off the
-one free column of a Bareiss pass over a circuit's columns), consistent
+Fundamental and cut bases (off `matroid.coordinatize`), Gram matrices,
+signed-circuit flows (read off the one free column of a Bareiss pass
+over a circuit's columns), consistent
 decomposition into conforming simple flows (one chain of eliminations
 on bitmask supports per run of equal parts, and two passes over a
 block of runs that repeats for all its repetitions), and the metric
@@ -25,7 +26,7 @@ from math import isqrt
 from .errors import DimensionError, FlowLatticeError, FormatError, MembershipError
 from .gram import GramMatrix, _positive_definite
 from .intmat import IntegerMatrix, _content_lines, _gauss_jordan
-from .matroid import RegularMatroid, circuits, coordinatize, first_base
+from .matroid import RegularMatroid, circuits, coordinatize
 
 
 @dataclass(frozen=True)
@@ -142,37 +143,24 @@ class FlowLattice:
         return tuple(row[s] // d for row in rows[:s])
 
 
-def _unpermute_rows(mat: IntegerMatrix, perm) -> IntegerMatrix:
-    """Row i of mat describes ambient position perm[i]; undo the permutation."""
-    rows = [None] * mat.rows
-    for i, p in enumerate(perm):
-        rows[p] = mat.entries[i]
-    return IntegerMatrix(tuple(rows), empty_cols=mat.cols)
-
-
 def fundamental_basis(m: RegularMatroid, base=None) -> FlowLattice:
-    """Signed fundamental-circuit flows of a base, as basis columns.
+    """Signed fundamental-circuit flows of a base (default: the least), as
+    basis columns.
 
     Column j is the flow through the j-th non-base element, supported on
     its fundamental circuit; the stacked form is [-L; I_s] before the
     ground order is restored.
     """
-    if base is None:
-        base = first_base(m)
     sf = coordinatize(m, base)
-    s = m.corank
-    u = (-sf.l_block).vstack(IntegerMatrix.identity(s))
-    basis = _unpermute_rows(u, sf.perm)
-    return FlowLattice.from_basis(basis, source=m)
+    u = (-sf.l_block).vstack(IntegerMatrix.identity(m.corank))
+    return FlowLattice.from_basis(sf.ground_rows(u), source=m)
 
 
 def cut_basis(m: RegularMatroid, base=None) -> FlowLattice:
-    """Rows of the coordinatized representation, as cut-lattice basis columns."""
-    if base is None:
-        base = first_base(m)
+    """Rows of the representation coordinatized at a base (default: the
+    least), as cut-lattice basis columns."""
     sf = coordinatize(m, base)
-    basis = _unpermute_rows(sf.matrix.transpose(), sf.perm)
-    return FlowLattice.from_basis(basis, source=None)
+    return FlowLattice.from_basis(sf.ground_rows(sf.matrix.transpose()), source=None)
 
 
 def _canonical_sign(coords) -> tuple[int, ...]:

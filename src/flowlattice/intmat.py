@@ -127,7 +127,8 @@ class IntegerMatrix:
         return [self.column(j) for j in range(self.cols)]
 
     def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix(tuple(self.columns()), empty_cols=self.rows)
+        # with no rows, zip sees no columns: the transpose has cols empty rows
+        return IntegerMatrix(tuple(zip(*self.entries)) or ((),) * self.cols, empty_cols=self.rows)
 
     def submatrix(self, row_idx, col_idx) -> "IntegerMatrix":
         col_idx = tuple(col_idx)

@@ -2,12 +2,13 @@
 
 Construction from directed multigraphs, base coordinatization, duality,
 circuit enumeration, loops/co-loops and the minor with every co-loop
-contracted, and isomorphism testing on circuit families.
+contracted, and isomorphism testing on circuit families.  Every standard
+form [I_r L] is one elimination in `coordinatize`, on a given base or the
+least one; the least base and the dual are read off it.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -36,10 +37,10 @@ class RegularMatroid:
     over the rationals iff it is independent over GF(2) (Camion 1965).
     `from_rep` checks TU unless `validate=False`; every internal
     `validate=False` construction is TU by construction (incidence
-    matrices, column and row selections, `[-L^T I]` duals, and the
-    `[I_r | -K]` standard form of `reconstruct_matroid`: K is a block of
-    q = U B^-1, where U is the TU-checked certificate and B an invertible
-    s-by-s block of it, so det B = +-1 and q is a pivot of U, hence TU).
+    matrices, column and row selections, `[-L^T I]` duals, and the U^T and
+    `[I_r | -K]` of `reconstruct_matroid`: U is the TU-checked certificate,
+    K a block of q = U B^-1 with B an invertible s-by-s block of U, so
+    det B = +-1 and q is a pivot of U, hence TU).
 
     Each matroid computes its cycle-space basis, its circuits, its
     co-loop-contracted minor, its dual on the least base and its signed
@@ -131,8 +132,11 @@ class RegularMatroid:
 
     @cached_property
     def _dual(self) -> "RegularMatroid":
-        """`dual(self)` on the lexicographically least base."""
-        return dual(self, first_base(self))
+        """`dual(self)`: [-L^T I_s] off the standard form on the least base."""
+        sf = coordinatize(self)
+        rep = (-sf.l_block.transpose()).hstack(IntegerMatrix.identity(self.corank))
+        return RegularMatroid.from_rep(tuple(self.ground[j] for j in sf.perm), rep,
+                                       validate=False)
 
     @cached_property
     def _signed_pairs(self) -> tuple:
@@ -245,19 +249,9 @@ def subset_rank(m: RegularMatroid, subset) -> int:
     return rank(m.rep.select_columns(sorted(subset)))
 
 
-def bases(m: RegularMatroid):
-    """All bases in lexicographic order."""
-    for combo in itertools.combinations(range(m.size), m.rank):
-        if determinant(m.rep.select_columns(combo)) != 0:
-            yield combo
-
-
 def first_base(m: RegularMatroid) -> tuple[int, ...]:
-    """The lexicographically least base: the pivot columns of the representation."""
-    cols = _gauss_jordan(m.rep.entries)[1]
-    if len(cols) < m.rank:
-        raise NotABaseError((), "matroid has no base of the stated rank")
-    return tuple(cols)
+    """The lexicographically least base."""
+    return coordinatize(m).base
 
 
 @dataclass(frozen=True)
@@ -271,44 +265,52 @@ class StandardForm:
     @property
     def l_block(self) -> IntegerMatrix:
         r = self.matrix.rows
-        return self.matrix.select_columns(range(r, self.matrix.cols))
+        return IntegerMatrix(tuple(row[r:] for row in self.matrix.entries),
+                             empty_cols=self.matrix.cols - r)
+
+    def ground_rows(self, mat: IntegerMatrix) -> IntegerMatrix:
+        """mat, whose row i describes element perm[i], with its rows in ground order."""
+        rows = [None] * mat.rows
+        for i, p in enumerate(self.perm):
+            rows[p] = mat.entries[i]
+        return IntegerMatrix(tuple(rows), empty_cols=mat.cols)
 
 
-def coordinatize(m: RegularMatroid, base) -> StandardForm:
+def coordinatize(m: RegularMatroid, base=None) -> StandardForm:
     """Bring the representation to [I_r L] with the base columns first.
 
-    One Gauss-Jordan pass over the permuted representation ends at
-    [d I_r | d L], d the last pivot; the base block is unimodular iff
-    d = +-1.
+    One Gauss-Jordan pass ends at [d I_r | d L], d the last pivot; the base
+    block is unimodular iff d = +-1.  A given base is put first and pivoted
+    on; with none, the pass pivots in ground order, on the least base.
     """
-    base = tuple(sorted(base))
-    if len(base) != m.rank or len(set(base)) != len(base):
-        raise NotABaseError(base, f"expected {m.rank} distinct elements")
-    perm = base + tuple(j for j in range(m.size) if j not in set(base))
-    rows, cols, _, pivots, _ = _gauss_jordan(m.rep.select_columns(perm).entries, m.rank)
-    if len(cols) < m.rank:
-        raise NotABaseError(base, "vanishing r-by-r determinant")
+    if base is None:
+        rows, cols, _, pivots, _ = _gauss_jordan(m.rep.entries)
+        if len(cols) < m.rank:
+            raise NotABaseError((), "matroid has no base of the stated rank")
+        base = tuple(cols)
+        perm = take = base + tuple(sorted(set(range(m.size)).difference(base)))
+    else:
+        base = tuple(sorted(base))
+        if len(base) != m.rank or len(set(base)) != len(base):
+            raise NotABaseError(base, f"expected {m.rank} distinct elements")
+        perm = base + tuple(sorted(set(range(m.size)).difference(base)))
+        take = range(m.size)        # the pass runs with the base first
+        rows, cols, _, pivots, _ = _gauss_jordan(m.rep.select_columns(perm).entries, m.rank)
+        if len(cols) < m.rank:
+            raise NotABaseError(base, "vanishing r-by-r determinant")
     d = pivots[-1] if pivots else 1
     if abs(d) != 1:
         det = determinant(m.rep.select_columns(base))
         raise NotABaseError(base, f"determinant {det} is not a unit")
-    mat = IntegerMatrix(tuple(tuple(d * x for x in row) for row in rows), empty_cols=m.size)
+    mat = IntegerMatrix(tuple(tuple(d * row[j] for j in take) for row in rows),
+                        empty_cols=m.size)
     return StandardForm(mat, perm, base)
 
 
-def dual(m: RegularMatroid, base=None) -> RegularMatroid:
-    """Dual matroid represented by [-L^T I_s], ground labels permuted to match.
-
-    Without a base, the lexicographically least one is used, and m keeps
-    that dual for its lifetime.
-    """
-    if base is None:
-        return m._dual
-    sf = coordinatize(m, base)
-    s = m.corank
-    rep = (-sf.l_block.transpose()).hstack(IntegerMatrix.identity(s))
-    ground = tuple(m.ground[j] for j in sf.perm)
-    return RegularMatroid.from_rep(ground, rep, validate=False)
+def dual(m: RegularMatroid) -> RegularMatroid:
+    """Dual matroid represented by [-L^T I_s] on the lexicographically least
+    base, ground labels permuted to match; m keeps it for its lifetime."""
+    return m._dual
 
 
 def circuits(m: RegularMatroid) -> tuple[tuple[int, ...], ...]:

@@ -1,39 +1,47 @@
 """Reconstruction of the co-loop-free minor from a Gram matrix, and the
-isometry decisions for flow, cut, and mixed lattice pairs."""
+isometry decisions for flow, cut, and mixed lattice pairs.
+
+Reconstruction runs no elimination of its own: the g-positive basis
+and the rebuilt standard form are both read off `matroid.coordinatize`
+of the certificate's transpose.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import FlowLatticeError
+from .errors import FlowLatticeError, NotABaseError
 from .gram import Feasibility, GramMatrix, is_g_feasible
-from .intmat import IntegerMatrix, _gauss_jordan
+from .intmat import IntegerMatrix
 from .matroid import (
     IsomorphismResult,
     RegularMatroid,
+    StandardForm,
     contract_coloops,
+    coordinatize,
     dual,
     is_isomorphic,
 )
 
 
-def _g_positive_basis(certificate: IntegerMatrix) -> tuple[IntegerMatrix, list[int]]:
-    """q = U B^-1 and the rows of U forming B, which hold I_s in q, in order.
+def _labels(n: int) -> tuple[str, ...]:
+    return tuple(f"e{i + 1}" for i in range(n))
 
-    B is the lexicographically least invertible s-by-s row block of U:
-    Gauss-Jordan on U^T takes B's rows as its pivot columns and ends at
-    d (U B^-1)^T, d = det B up to sign.
-    """
-    rows, cols, _, pivots, _ = _gauss_jordan(certificate.transpose().entries)
-    if len(cols) < certificate.cols:
-        raise FlowLatticeError("certificate has deficient column rank")
-    d = pivots[-1] if pivots else 1
-    q = IntegerMatrix.from_columns([[x // d for x in row] for row in rows],
-                                   nrows=certificate.rows)
-    # |d| > 1: B is not unimodular and q would span a different lattice
-    if abs(d) != 1 or tuple(q.entries[c] for c in cols) != IntegerMatrix.identity(q.cols).entries:
-        raise FlowLatticeError("transformed basis failed the positivity gate")
-    return q, cols
+
+def _g_positive_basis(certificate: IntegerMatrix, ground) -> tuple[IntegerMatrix, StandardForm]:
+    """q = U B^-1, and the standard form [I_s L] of U^T, labelled `ground`,
+    that it is read off.  The least base of U^T is the lexicographically
+    least invertible s-by-s row block B of U, and the form there is
+    (B^T)^-1 U^T with B's rows first: q is its transpose in ground order,
+    and holds I_s in B's rows."""
+    try:
+        sf = coordinatize(RegularMatroid(ground, certificate.transpose()))
+    except NotABaseError as exc:
+        if not exc.subset:      # U^T has no base at all
+            raise FlowLatticeError("certificate has deficient column rank") from exc
+        # det B = +-2 or more: q would span a different lattice
+        raise FlowLatticeError("transformed basis failed the positivity gate") from exc
+    return sf.ground_rows(sf.matrix.transpose()), sf
 
 
 def to_g_positive_basis(certificate: IntegerMatrix) -> tuple[IntegerMatrix, GramMatrix]:
@@ -44,7 +52,7 @@ def to_g_positive_basis(certificate: IntegerMatrix) -> tuple[IntegerMatrix, Gram
     is TU, and holds I_s in B's rows, which makes its Gram matrix
     g-positive.  Returns q and that Gram matrix.
     """
-    q, _ = _g_positive_basis(certificate)
+    q, _ = _g_positive_basis(certificate, _labels(certificate.rows))
     return q, GramMatrix(q.transpose() * q)
 
 
@@ -74,18 +82,18 @@ class ReconstructionOutcome:
 def reconstruct_matroid(a: GramMatrix) -> ReconstructionOutcome:
     """Rebuild the co-loop-free minor whose flow lattice has Gram matrix a.
 
-    Feasibility check, change to a basis containing an identity block,
-    then reading the standard form off the stacked block shape.
+    Feasibility check, then one standard form [I_s L] of the certificate's
+    transpose: it gives the basis q containing an identity block, and the
+    rebuilt standard form [I_r -L^T].
     """
     feas = is_g_feasible(a)
     if not feas:
         return ReconstructionOutcome(False, None, feas)
     u = feas.certificate
-    q, ident_rows = _g_positive_basis(u)
-    other_rows = [i for i in range(q.rows) if i not in set(ident_rows)]
-    l_block = -q.select_rows(other_rows)
+    ground = _labels(u.rows)
+    q, sf = _g_positive_basis(u, ground)
+    l_block = -sf.l_block.transpose()
     rep = IntegerMatrix.identity(l_block.rows).hstack(l_block)
-    ground = tuple(f"e{i + 1}" for i in range(rep.cols))
     matroid = RegularMatroid.from_rep(ground, rep, validate=False)
     if any(not any(row) for row in l_block.entries):
         raise FlowLatticeError("reconstructed block has a zero row")

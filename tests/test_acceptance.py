@@ -30,7 +30,6 @@ from flowlattice.intmat import (
     sharp,
 )
 from flowlattice.matroid import (
-    bases,
     circuits,
     contract_coloops,
     coordinatize,
@@ -48,6 +47,7 @@ from conftest import (
     connected_multigraphs,
     u1n,
 )
+from elimination_oracles import bases
 
 A_POS = [[3, 1, 1, 2], [1, 3, 1, 2], [1, 1, 3, 2], [2, 2, 2, 5]]
 A_NN = [[2, 1, 0, -1], [1, 2, 1, 0], [0, 1, 2, 1], [-1, 0, 1, 2]]

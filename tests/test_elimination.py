@@ -20,7 +20,15 @@ from flowlattice.errors import (
     MembershipError,
     NotABaseError,
 )
-from flowlattice.flows import FlowLattice, FlowVector, _circuit_flow, fundamental_basis, gram_of
+from flowlattice import matroid, rebuild
+from flowlattice.flows import (
+    FlowLattice,
+    FlowVector,
+    _circuit_flow,
+    cut_basis,
+    fundamental_basis,
+    gram_of,
+)
 from flowlattice.gram import GramMatrix
 from flowlattice.intmat import (
     IntegerMatrix,
@@ -40,7 +48,7 @@ from flowlattice.matroid import (
 )
 from flowlattice.rebuild import reconstruct_matroid
 
-from conftest import bridgeless_graphs
+from conftest import K4, TWO_TRIANGLES, bridgeless_graphs
 from test_flows_differential import LATTICES as GRAPHS
 from test_matroid import r10
 
@@ -272,6 +280,7 @@ class TestBases:
             m = from_graph(random_multigraph(rng))
             for mat in (m, dual(m)):
                 assert first_base(mat) == oracle.first_base(mat)
+                assert coordinatize(mat) == oracle.coordinatize(mat, oracle.first_base(mat))
                 for _ in range(5):
                     base = rng.sample(range(mat.size), mat.rank)
                     assert outcome(coordinatize, mat, base) == \
@@ -289,18 +298,53 @@ class TestBases:
             ("a", "b", "c"),
             IntegerMatrix.from_rows(rows).hstack(IntegerMatrix.from_rows([[1], [0]])),
             validate=False)
-        with pytest.raises(NotABaseError) as got:
-            coordinatize(m, (0, 1))
         with pytest.raises(NotABaseError) as want:
             oracle.coordinatize(m, (0, 1))
-        assert got.value.subset == (0, 1)
-        assert got.value.certificate == want.value.certificate == \
-            f"determinant {det} is not a unit"
+        # (0, 1) is also the least base
+        for base in ((0, 1), None):
+            with pytest.raises(NotABaseError) as got:
+                coordinatize(m, base)
+            assert got.value.subset == (0, 1)
+            assert got.value.certificate == want.value.certificate == \
+                f"determinant {det} is not a unit"
 
     def test_singular_block(self):
         m = RegularMatroid.from_rep(
             ("a", "b"), IntegerMatrix.from_rows([[1, 2], [2, 4]]), validate=False)
         assert outcome(coordinatize, m, (0, 1)) == outcome(oracle.coordinatize, m, (0, 1))
+
+
+class TestOneEliminationPerStandardForm:
+    """A standard form is one pass of the core, on a given base or on the
+    least one, and the layers above read it without eliminating again."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        calls = []
+        eliminate = matroid._gauss_jordan
+        monkeypatch.setattr(matroid, "_gauss_jordan",
+                            lambda *args: calls.append(args) or eliminate(*args))
+        return calls
+
+    @pytest.mark.parametrize("fn", [coordinatize, first_base, dual, fundamental_basis, cut_basis])
+    def test_least_base(self, passes, fn):
+        for edges in (K4, TWO_TRIANGLES, GRAPHS["K5"]):
+            m = from_graph(edges)
+            before = len(passes)
+            fn(m)
+            assert len(passes) == before + 1
+
+    @pytest.mark.parametrize("fn", [coordinatize, fundamental_basis, cut_basis])
+    def test_given_base(self, passes, fn):
+        fn(from_graph(K4), (0, 1, 4))
+        assert len(passes) == 1
+
+    def test_reconstruction(self, passes):
+        gram = fundamental_basis(from_graph(GRAPHS["K5"])).gram
+        passes.clear()
+        assert reconstruct_matroid(gram)
+        assert len(passes) == 1
+        assert not hasattr(rebuild, "_gauss_jordan")
 
 
 def check_reconstruction(gram):
@@ -327,6 +371,7 @@ class TestReconstructionSweep:
         for edges in bridgeless_graphs(5):
             m = from_graph(edges)
             assert first_base(m) == oracle.first_base(m)
+            assert coordinatize(m) == oracle.coordinatize(m, oracle.first_base(m))
             for base in oracle.bases(m):
                 assert coordinatize(m, base) == oracle.coordinatize(m, base)
                 lat = fundamental_basis(m, base)

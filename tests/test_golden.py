@@ -62,6 +62,10 @@ CASES |= {
     "decompose-w5-large": ["decompose", "inputs/w5.graph", "inputs/w5-large.vec"],
     "decompose-k5-large": ["decompose", "inputs/k5.graph", "inputs/k5-large.vec"],
     "simple-k5-large": ["simple", "inputs/k5.graph", "inputs/k5-simple-large.vec"],
+    "reconstruct-singular": ["reconstruct", "inputs/singular.gram"],
+    "flows-k4-base-nonint": ["flows", "inputs/k4.graph", "--base", "a,b"],
+    "tu-check-nonint": ["tu-check", "inputs/nonint.mat"],
+    "circuits-nonint": ["circuits", "inputs/nonint.graph"],
 }
 CASES |= {f"{name}-porcelain": ["--porcelain"] + argv for name, argv in list(CASES.items())}
 

@@ -286,7 +286,7 @@ class TestFTableFromSmallerMasks:
     def test_reconstruction_sweep(self):
         from conftest import bridgeless_graphs
         from flowlattice.gram import f_table
-        from flowlattice.matroid import bases
+        from elimination_oracles import bases
 
         total = 0
         for edges in bridgeless_graphs(5):

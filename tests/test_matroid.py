@@ -8,7 +8,6 @@ from flowlattice.errors import BoundExceededError, FormatError, NotABaseError
 from flowlattice.intmat import IntegerMatrix, bounds, determinant, is_totally_unimodular, rank
 from flowlattice.matroid import (
     RegularMatroid,
-    bases,
     circuits,
     contract_coloops,
     coordinatize,
@@ -32,6 +31,7 @@ from conftest import (
     graph_cycles,
     u1n,
 )
+from elimination_oracles import bases
 from rank_oracles import (
     circuits_by_rank,
     coloops_by_rank,

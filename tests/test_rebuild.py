@@ -8,7 +8,6 @@ from flowlattice.gram import GramMatrix, classify, is_g_feasible
 from flowlattice.intmat import IntegerMatrix, bounds, is_totally_unimodular, rank
 from flowlattice.matroid import (
     _independent_row_subset,
-    bases,
     circuits,
     contract_coloops,
     dual,
@@ -25,6 +24,7 @@ from flowlattice.rebuild import (
 )
 
 from conftest import BOWTIE, K4, PATH2, TRIANGLE, TWO_TRIANGLES, bridgeless_graphs
+from elimination_oracles import bases
 from rank_oracles import first_unimodular_square_by_det
 from tu_oracles import tu_by_enumeration
 
@@ -78,6 +78,14 @@ class TestGPositiveBasis:
         # B = [2]: q = U B^-1 would not span the certificate's lattice
         with pytest.raises(FlowLatticeError, match="positivity gate"):
             to_g_positive_basis(IntegerMatrix.from_rows([[2]]))
+
+    def test_deficient_column_rank_rejected(self):
+        # the certificate of gram 2 / 1 1 / 1 1 has two equal columns
+        cert = is_g_feasible(GramMatrix.from_rows([[1, 1], [1, 1]])).certificate
+        assert cert == IntegerMatrix.from_rows([[1, 1]])
+        for u in (cert, IntegerMatrix.from_rows([[1, 0], [2, 0]])):
+            with pytest.raises(FlowLatticeError, match="^certificate has deficient column rank$"):
+                to_g_positive_basis(u)
 
 
 class TestReconstruct:
@@ -305,10 +313,6 @@ class TestDualKeptOnTheMatroid:
         assert len(seen) == calls > 0
         assert len({id(rep) for rep in seen}) == calls
         assert dual(m) is dual(m) and dual(n) is dual(n)
-
-    def test_dual_on_a_given_base_is_not_kept(self, k4):
-        base = next(bases(k4))
-        assert dual(k4, base) == dual(k4) and dual(k4, base) is not dual(k4, base)
 
     def test_matroids_are_freed(self):
         import gc

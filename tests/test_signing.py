@@ -15,9 +15,10 @@ from flowlattice.errors import BoundExceededError
 from flowlattice.flows import fundamental_basis
 from flowlattice.gram import GramMatrix, _signing_skeleton, build_x, is_g_feasible, tu_signing
 from flowlattice.intmat import IntegerMatrix, bounds, sharp
-from flowlattice.matroid import bases, from_graph
+from flowlattice.matroid import from_graph
 
 from conftest import bridgeless_graphs
+from elimination_oracles import bases
 
 FANO = ((1, 1, 0, 1), (1, 0, 1, 1), (0, 1, 1, 1))
 # a 6x6 matrix holding FANO in rows 0, 2, 3 and columns 3, 4, 0, 1, with 13
@@ -338,3 +339,50 @@ class TestWideAllOnes:
         x = IntegerMatrix.from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
         assert tu_signing(x) == oracle.tu_signing(x)
         assert len(searches) == 1
+
+
+class TestChordTakeover:
+    """A waiting entry that joins a row and a column of another's shortest
+    path takes over, and the cycle finally closed has no chord."""
+
+    # row 4's first waiting entry has a path that another waiting entry of
+    # row 4 cuts short; that entry takes over after a second search
+    CHORDED = (
+        (1, 0, 0, 0, 1, 1, 0, 1),
+        (0, 1, 1, 0, 0, 1, 1, 1),
+        (1, 0, 0, 0, 0, 1, 0, 1),
+        (0, 0, 0, 1, 1, 0, 0, 0),
+        (0, 1, 0, 1, 1, 0, 0, 0),
+    )
+
+    def test_chord_takes_over(self, monkeypatch):
+        sources = []
+        bfs = gram._bfs
+
+        def spy(rows, cols, source):
+            sources.append(source)
+            return bfs(rows, cols, source)
+
+        monkeypatch.setattr(gram, "_bfs", spy)
+        x = IntegerMatrix.from_rows(self.CHORDED)
+        got = tu_signing(x)
+        assert sources == [4, 4]
+        assert got is not None and got == oracle.tu_signing(x)
+
+    def test_random_01_up_to_9x9(self, rng):
+        """Seeded {0,1} matrices of every shape up to 9x9, each with at most
+        MAX_FREE free entries, against the 2^k oracle."""
+        done = refuted = 0
+        while done < 400:
+            # a forest has at most r + c - 1 entries: aim just past it
+            r, c = rng.randint(1, 9), rng.randint(1, 9)
+            p = (r + c - 1 + rng.randint(1, MAX_FREE)) / (r * c)
+            x = IntegerMatrix.from_rows(
+                [[int(rng.random() < p) for _ in range(c)] for _ in range(r)])
+            if free_count(x) > MAX_FREE:
+                continue
+            got = outcome(tu_signing, x)
+            assert got == outcome(oracle.tu_signing, x)
+            refuted += got is None
+            done += 1
+        assert refuted > 20
