@@ -22,17 +22,10 @@ from .flows import (
 from .gram import (
     Classification,
     GramMatrix,
-    SupportFamily,
-    TripleSign,
     build_x,
     classify,
-    delta,
-    f_value,
     g_table,
-    g_value,
     is_g_feasible,
-    phi_gamma,
-    triple_sign,
     tu_signing,
 )
 from .intmat import (

@@ -148,12 +148,12 @@ def cmd_simple(args) -> int:
 
 def cmd_gtest(args) -> int:
     a = gram.parse_gram(_read(args.file))
-    cls, table = gram._classify_table(a)
+    ftab = gram.f_table(a)
+    cls, table = gram._classify_table(a, ftab)
     if not cls.g_nonnegative:
         print(cls.refusal())
         return 1
     print("G-POSITIVE" if cls.g_positive else "G-NONNEGATIVE")
-    ftab = gram.f_table(a)
     for mask in range(1, 1 << a.order):
         if table[mask] or ftab[mask]:
             subset = [i + 1 for i in range(a.order) if mask >> i & 1]

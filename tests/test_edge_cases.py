@@ -39,8 +39,8 @@ class TestDefinitenessMessage:
         assert str(exc.value) == self.MESSAGE.format(0)
 
 
-def test_gtest_builds_the_f_table_twice(tmp_path, capsys, monkeypatch):
-    """Once under the classification's g table, once for the printed f values."""
+def test_gtest_builds_the_f_table_once(tmp_path, capsys, monkeypatch):
+    """The classification's g table is read from the printed f values."""
     calls = []
     f_table = gram.f_table
 
@@ -53,4 +53,4 @@ def test_gtest_builds_the_f_table_twice(tmp_path, capsys, monkeypatch):
     p.write_text("gram 4\n3 1 1 2\n1 3 1 2\n1 1 3 2\n2 2 2 5\n")
     assert run(["gtest", str(p)]) == 0
     assert capsys.readouterr().out.startswith("G-POSITIVE\n")
-    assert len(calls) == 2
+    assert len(calls) == 1

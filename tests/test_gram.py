@@ -6,18 +6,11 @@ from flowlattice.errors import BoundExceededError, DimensionError, FormatError
 from flowlattice.flows import fundamental_basis
 from flowlattice.gram import (
     GramMatrix,
-    SupportFamily,
-    TripleSign,
     build_x,
     classify,
-    delta,
-    f_value,
     g_table,
-    g_value,
     is_g_feasible,
     parse_gram,
-    phi_gamma,
-    triple_sign,
     tu_signing,
 )
 from flowlattice.intmat import (
@@ -30,6 +23,15 @@ from flowlattice.intmat import (
 from flowlattice.matroid import from_graph
 
 from conftest import K4
+from gram_oracles import (
+    SupportFamily,
+    TripleSign,
+    delta,
+    f_value,
+    g_value,
+    phi_gamma,
+    triple_sign,
+)
 
 # frozen 4x4 study matrices
 A_POS = [[3, 1, 1, 2], [1, 3, 1, 2], [1, 1, 3, 2], [2, 2, 2, 5]]

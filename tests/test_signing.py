@@ -1,4 +1,5 @@
-"""Camion's signing against the 2^k signing search it replaced.
+"""Camion's signing, and the certificate read off a Gram matrix, against
+the 2^k signing search they replaced.
 
 `tu_signing` and `is_g_feasible` are compared for exact equality, values
 and errors alike, with the enumerating routines in `signing_oracles`, on
@@ -15,10 +16,11 @@ from flowlattice.errors import BoundExceededError
 from flowlattice.flows import fundamental_basis
 from flowlattice.gram import GramMatrix, _signing_skeleton, build_x, is_g_feasible, tu_signing
 from flowlattice.intmat import IntegerMatrix, bounds, sharp
-from flowlattice.matroid import from_graph
+from flowlattice.matroid import dual, from_graph
 
 from conftest import bridgeless_graphs
 from elimination_oracles import bases
+from test_matroid import r10
 
 FANO = ((1, 1, 0, 1), (1, 0, 1, 1), (0, 1, 1, 1))
 # a 6x6 matrix holding FANO in rows 0, 2, 3 and columns 3, 4, 0, 1, with 13
@@ -78,6 +80,17 @@ def network_matrix(rng, max_vertices=6, max_extra=6):
     edges += [(rng.randint(1, nv), rng.randint(1, nv)) for _ in range(rng.randint(1, max_extra))]
     rng.shuffle(edges)
     return sharp(fundamental_basis(from_graph(edges)).basis)
+
+
+def random_gram(rng):
+    """A symmetric matrix of order 1-6, diagonal in 1..6, off it in -2..2."""
+    s = rng.randint(1, 6)
+    rows = [[0] * s for _ in range(s)]
+    for i in range(s):
+        rows[i][i] = rng.randint(1, 6)
+        for j in range(i):
+            rows[i][j] = rows[j][i] = rng.randint(-2, 2)
+    return GramMatrix.from_rows(rows)
 
 
 def perturbed(rng, a):
@@ -203,13 +216,7 @@ class TestFeasibilityAgainstEnumeration:
     def test_random_grams(self, rng):
         infeasible = 0
         for _ in range(4000):
-            s = rng.randint(1, 6)
-            rows = [[0] * s for _ in range(s)]
-            for i in range(s):
-                rows[i][i] = rng.randint(1, 6)
-                for j in range(i):
-                    rows[i][j] = rows[j][i] = rng.randint(-2, 2)
-            a = GramMatrix.from_rows(rows)
+            a = random_gram(rng)
             if gram.classify(a) and free_count(build_x(a)) > MAX_FREE:
                 continue
             got = outcome(is_g_feasible, a)
@@ -228,11 +235,48 @@ class TestFeasibilityAgainstEnumeration:
         assert is_g_feasible(a) == oracle.is_g_feasible(a)
 
 
+class TestR10Feasibility:
+    """R10 and its dual: no tree realizes either Gram matrix's certificate,
+    so its TU verdict runs the Eulerian search to order 5."""
+
+    R10_CERTIFICATE = (
+        (1, -1, 1, 0, 0), (1, -1, 0, 0, -1), (1, 0, 0, 1, -1), (0, -1, 1, -1, 0),
+        (0, 0, 1, -1, 1), (1, 0, 0, 0, 0), (0, -1, 0, 0, 0), (0, 0, 1, 0, 0),
+        (0, 0, 0, 1, 0), (0, 0, 0, 0, -1),
+    )
+    DUAL_CERTIFICATE = (
+        (1, 1, 0, -1, 0), (1, 0, -1, -1, 0), (1, 0, -1, 0, 1), (0, 1, 1, 0, -1),
+        (0, 1, 0, -1, -1), (1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, -1, 0, 0),
+        (0, 0, 0, -1, 0), (0, 0, 0, 0, 1),
+    )
+
+    @pytest.fixture(params=["r10", "dual"])
+    def case(self, request):
+        m = r10() if request.param == "r10" else dual(r10())
+        cert = self.R10_CERTIFICATE if request.param == "r10" else self.DUAL_CERTIFICATE
+        return fundamental_basis(m).gram, cert
+
+    def test_feasible_with_its_certificate(self, case):
+        a, cert = case
+        res = is_g_feasible(a)
+        assert res and res.certificate == IntegerMatrix.from_rows(cert)
+        assert res.certificate.transpose() * res.certificate == a.mat
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_refused_under_a_tu_bound(self, case, k):
+        a, _ = case
+        with bounds(tu=k), pytest.raises(BoundExceededError) as exc:
+            is_g_feasible(a)
+        assert str(exc.value) == ("instance too large for exact enumeration: "
+                                  f"Eulerian search order = {k + 1} > {k}")
+
+
 def test_column_signs_refuse_a_different_absolute_gram():
     u = IntegerMatrix.from_rows([[1, 0], [0, 1], [1, 1]])
-    assert gram._match_column_signs(u.transpose() * u, GramMatrix.from_rows([[2, -1], [-1, 2]]))
-    assert gram._match_column_signs(u.transpose() * u, GramMatrix.from_rows([[2, 2], [2, 2]])) is None
-    assert gram._match_column_signs(u.transpose() * u, GramMatrix.from_rows([[2, 0], [0, 2]])) is None
+    g = u.transpose() * u
+    assert oracle._match_column_signs(g, GramMatrix.from_rows([[2, -1], [-1, 2]]))
+    assert oracle._match_column_signs(g, GramMatrix.from_rows([[2, 2], [2, 2]])) is None
+    assert oracle._match_column_signs(g, GramMatrix.from_rows([[2, 0], [0, 2]])) is None
 
 
 class TestOneSigningPath:
@@ -248,10 +292,10 @@ class TestOneSigningPath:
                 return fn(*args, **kwargs)
             return wrapper
 
-        match = counted("match", gram._match_column_signs)
         for mod, verdict in ((gram, "_tu_verdict"), (oracle, "is_totally_unimodular")):
             monkeypatch.setattr(mod, verdict, counted("tu", getattr(mod, verdict)))
-            monkeypatch.setattr(mod, "_match_column_signs", match)
+        monkeypatch.setattr(oracle, "_match_column_signs",
+                            counted("match", oracle._match_column_signs))
         return calls
 
     def test_fano_planted_checked_once(self, counts):
@@ -265,7 +309,7 @@ class TestOneSigningPath:
         assert free_count(build_x(a)) == 9
         res = is_g_feasible(a)
         assert not res and res.reason == "NO-MATCHING-SIGNING"
-        assert counts["tu"] == 1 and counts["match"] <= 1
+        assert counts["tu"] == 1
 
     def test_counts_see_the_enumeration(self, counts):
         """The oracle, counted the same way, tries more than one signing."""
@@ -291,17 +335,65 @@ class TestOneSigningPath:
         assert tu_signing(x) is None
         assert all((m.rows, m.cols) != (x.rows, x.cols) for m in seen)
 
-    def test_feasibility_goes_through_tu_signing(self, monkeypatch, k4):
+    @pytest.mark.parametrize("rows", [None, INFEASIBLE_GRAM], ids=["k4", "infeasible"])
+    def test_feasibility_reads_its_certificate_off_the_gram(self, monkeypatch, k4, rows):
+        """One TU verdict, of the certificate itself; no signing is built."""
         seen = []
+        verdict = gram._tu_verdict
 
-        def spy(x):
-            seen.append(x)
-            return tu_signing(x)
+        def spy(m):
+            seen.append(m)
+            return verdict(m)
 
-        monkeypatch.setattr(gram, "tu_signing", spy)
-        lat = fundamental_basis(k4)
-        assert is_g_feasible(lat.gram)
-        assert seen == [build_x(lat.gram)]
+        def refuse(*args):
+            raise AssertionError("a signing was built")
+
+        monkeypatch.setattr(gram, "_tu_verdict", spy)
+        for name in ("tu_signing", "_camion_signing", "_bfs"):
+            monkeypatch.setattr(gram, name, refuse)
+        a = fundamental_basis(k4).gram if rows is None else GramMatrix.from_rows(rows)
+        res = is_g_feasible(a)
+        assert len(seen) == 1 and sharp(seen[0]) == build_x(a)
+        assert res.certificate == (seen[0] if rows is None else None)
+
+
+class TestConformalRows:
+    """Every certificate row is signed by a: u_ri u_rj = sign(a_ij) for all
+    i, j in its support."""
+
+    @staticmethod
+    def check(a):
+        res = is_g_feasible(a)
+        if not res:
+            return False
+        for row in res.certificate.entries:
+            support = [j for j, v in enumerate(row) if v]
+            for i in support:
+                for j in support:
+                    assert row[i] * row[j] == (1 if a.entry(i, j) > 0 else -1)
+        return True
+
+    def test_reconstruction_sweep(self):
+        assert all(self.check(a) for a in sweep_grams())
+
+    def test_random_feasible_grams(self, rng):
+        """Fundamental Gram matrices of random multigraphs and their duals,
+        with random column signs, and random small matrices that happen to
+        be feasible."""
+        for _ in range(300):
+            nv = rng.randint(2, 8)
+            edges = [(v, rng.randint(1, v - 1)) for v in range(2, nv + 1)]
+            edges += [(rng.randint(1, nv), rng.randint(1, nv)) for _ in range(rng.randint(1, 10))]
+            m = from_graph(edges)
+            e = fundamental_basis(rng.choice((m, dual(m)))).gram.mat.entries
+            f = [rng.choice((1, -1)) for _ in e]
+            if e:
+                assert self.check(GramMatrix.from_rows(
+                    [[f[i] * f[j] * v for j, v in enumerate(row)] for i, row in enumerate(e)]))
+        feasible = 0
+        for _ in range(3000):
+            feasible += self.check(random_gram(rng))
+        assert feasible > 100
 
 
 class TestWideAllOnes:
