@@ -277,25 +277,25 @@ def _signing_skeleton(x: IntegerMatrix):
 
     Positions on a spanning forest of the bipartite row-column graph may
     be fixed to +1: negating rows and columns moves any signing there, to
-    exactly one matrix.  Returns (forest_positions, free_positions).
+    exactly one matrix.  Row i is node i and column j node x.rows + j.
+    Returns (forest_positions, free_positions), each in row-major order.
     """
-    for row in x.entries:
-        for v in row:
-            if v not in (0, 1):
-                raise FormatError("signing expects a {0,1} matrix")
-    parent: dict = {}
+    m = x.rows
+    parent = list(range(m + x.cols))
 
     def find(u):
-        while parent.setdefault(u, u) != u:
+        while parent[u] != u:
             parent[u] = parent[parent[u]]
             u = parent[u]
         return u
 
     forest, free = [], []
-    for i in range(x.rows):
-        for j in range(x.cols):
-            if x.entries[i][j]:
-                ru, rv = find(("r", i)), find(("c", j))
+    for i, row in enumerate(x.entries):
+        for j, v in enumerate(row):
+            if v:
+                if v != 1:
+                    raise FormatError("signing expects a {0,1} matrix")
+                ru, rv = find(i), find(m + j)
                 if ru == rv:
                     free.append((i, j))
                 else:
@@ -309,20 +309,19 @@ def _camion_signing(x: IntegerMatrix, forest, free) -> IntegerMatrix:
 
     Forest entries are +1.  Each free entry is signed so that a cycle it
     closes through signed entries, with no chord in x, sums to 0 mod 4: a
-    TU matrix makes such a cycle singular (Camion 1965).  An entry that
-    closes a 4-cycle with three signed entries is signed at once, since a
-    2x2 block has no room for a chord; each signed entry wakes the waiting
-    entries it lets close one.  When none is left, a waiting entry takes
+    TU matrix makes such a cycle singular (Camion 1965).  Each pass walks
+    the waiting entries in row-major order and signs every one that closes
+    a 4-cycle with three signed entries, since a 2x2 block has no room for
+    a chord.  Signing only adds 4-cycles, so when a pass signs nothing, no
+    order of passes could sign more.  Then the first waiting entry takes
     its shortest path through signed entries; while another waiting entry
     joins a row and a column of that path, it has a shorter path and takes
     over, so the cycle finally closed has no chord in x.
     """
     m, n = x.rows, x.cols
     cand = [list(r) for r in x.entries]
-    # bit j of rows[i] and bit i of cols[j]: entry (i, j) is signed;
-    # likewise waiting[i] and waiting_cols[j] for entries that close no 4-cycle yet
+    # bit j of rows[i] and bit i of cols[j]: entry (i, j) is signed
     rows, cols = [0] * m, [0] * n
-    waiting, waiting_cols = [0] * m, [0] * n
     for i, j in forest:
         rows[i] |= 1 << j
         cols[j] |= 1 << i
@@ -340,50 +339,34 @@ def _camion_signing(x: IntegerMatrix, forest, free) -> IntegerMatrix:
         cand[i][j] = 1 if (total + 1) % 4 == 0 else -1
         rows[i] |= 1 << j
         cols[j] |= 1 << i
-        if not any(waiting):
-            return
-        # waiting entries closing a 4-cycle with (i, j): in its row, in its
-        # column, or opposite it
-        woken = [(i, l) for l in _mask_elements(waiting[i]) if cols[l] & cols[j]]
-        woken += [(k, j) for k in _mask_elements(waiting_cols[j]) if rows[k] & rows[i]]
-        woken += [(k, l) for k in _mask_elements(cols[j])
-                  for l in _mask_elements(waiting[k] & rows[i])]
-        for k, l in woken:
-            if waiting[k] >> l & 1:
-                waiting[k] ^= 1 << l
-                waiting_cols[l] ^= 1 << k
-                queue.append((k, l))
 
-    queue = list(free)
-    while True:
-        for i, j in queue:
+    waiting = list(free)
+    while waiting:
+        left = []
+        for i, j in waiting:
             total = four_cycle(i, j)
             if total is None:
-                waiting[i] |= 1 << j
-                waiting_cols[j] |= 1 << i
+                left.append((i, j))
             else:
                 sign(i, j, total)
-        queue.clear()
-        i = next((i for i in range(m) if waiting[i]), None)
-        if i is None:
-            return IntegerMatrix(tuple(map(tuple, cand)), empty_cols=n)
-        j = (waiting[i] & -waiting[i]).bit_length() - 1
+        if len(left) < len(waiting):
+            waiting = left
+            continue
+        i, j = waiting[0]
         while True:
             prev = _bfs(rows, cols, i)
             path = [m + j]
             while path[-1] != i:
                 path.append(prev[path[-1]])
-            on_rows = sum(1 << u for u in path if u < m)
-            on_cols = sum(1 << (u - m) for u in path if u >= m)
-            chord = next(((k, l) for k in _mask_elements(on_rows)
-                          for l in _mask_elements(waiting[k] & on_cols) if (k, l) != (i, j)),
-                         None)
+            on = set(path)
+            chord = next(((k, l) for k, l in waiting
+                          if k in on and m + l in on and (k, l) != (i, j)), None)
             if chord is None:
                 break
             i, j = chord
-        waiting[i] ^= 1 << j
-        waiting_cols[j] ^= 1 << i
+        waiting.remove((i, j))
         sign(i, j, sum(cand[min(u, v)][max(u, v) - m] for u, v in zip(path, path[1:])))
+    return IntegerMatrix(tuple(map(tuple, cand)), empty_cols=n)
 
 
 def _bfs(rows, cols, source) -> dict:

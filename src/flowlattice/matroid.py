@@ -321,10 +321,12 @@ def circuits(m: RegularMatroid) -> tuple[tuple[int, ...], ...]:
 
 
 def loops_and_coloops(m: RegularMatroid) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Zero columns, and the columns that no cycle-space vector touches."""
-    loops = tuple(
-        j for j in range(m.size) if all(x == 0 for x in m.rep.column(j))
-    )
+    """Zero columns, and the columns that no cycle-space vector touches.
+
+    A zero column meets no reduced row of `_gf2_echelon`, so its
+    cycle-basis vector is its own bit alone.
+    """
+    loops = tuple(v.bit_length() - 1 for v in m._cycle_basis if v.bit_count() == 1)
     touched = 0
     for v in m._cycle_basis:
         touched |= v

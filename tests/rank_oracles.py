@@ -1,12 +1,14 @@
 """Per-subset rank routines that the GF(2) echelon form replaced.
 
-`flowlattice.matroid` reads circuits, co-loops and independent rows off
-one echelon form of the representation mod 2; on a TU certificate the
-same independent rows are the unimodular block that `flowlattice.rebuild`
-takes as the pivot columns of its Gauss-Jordan elimination.
+`flowlattice.matroid` reads circuits, loops, co-loops and independent
+rows off one echelon form of the representation mod 2; on a TU
+certificate the same independent rows are the unimodular block that
+`flowlattice.rebuild` takes as the pivot columns of its Gauss-Jordan
+elimination.
 These are the earlier routines, which rank (or take the determinant of)
-column or row subsets one at a time over the rationals; the tests
-compare the two for exact equality.
+column or row subsets one at a time over the rationals, and the
+definition of a loop as a zero column; the tests compare the two for
+exact equality.
 """
 
 import itertools
@@ -29,6 +31,11 @@ def circuits_by_rank(m) -> tuple[tuple[int, ...], ...]:
                 found.append(combo)
                 found_sets.append(frozenset(combo))
     return tuple(found)
+
+
+def loops_by_zero_columns(m) -> tuple[int, ...]:
+    """Elements whose column of the representation is zero."""
+    return tuple(j for j in range(m.size) if not any(m.rep.column(j)))
 
 
 def coloops_by_rank(m) -> tuple[int, ...]:

@@ -36,6 +36,7 @@ from rank_oracles import (
     circuits_by_rank,
     coloops_by_rank,
     incidence_rep_by_rank,
+    loops_by_zero_columns,
 )
 
 K5 = list(itertools.combinations(range(5), 2))
@@ -182,15 +183,18 @@ class TestAgainstRankOracles:
     @staticmethod
     def check(m):
         assert circuits(m) == circuits_by_rank(m)
-        assert loops_and_coloops(m)[1] == coloops_by_rank(m)
+        assert loops_and_coloops(m) == (loops_by_zero_columns(m), coloops_by_rank(m))
 
     def test_random_multigraphs_and_duals(self, rng):
+        looped = 0
         for _ in range(200):
             edges = random_multigraph(rng)
             m = from_graph(edges)
             assert m.rep == incidence_rep_by_rank(edges)
             self.check(m)
             self.check(dual(m))
+            looped += any(t == h for t, h in edges)
+        assert looped > 50
 
     def test_r10_and_dual(self):
         m = r10()

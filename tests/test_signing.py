@@ -478,3 +478,29 @@ class TestChordTakeover:
             refuted += got is None
             done += 1
         assert refuted > 20
+
+
+class TestPermutedBands:
+    """Row i of a band matrix of width w is 1 in columns i, ..., i + w - 1:
+    an interval matrix, so TU and its own signing.  Its bipartite graph has
+    no chordless cycle longer than 4, so under any row and column
+    permutation every free entry is signed by a pass, with no search."""
+
+    @pytest.mark.parametrize("rows", [2, 9, 60, 200])
+    def test_signed_by_passes(self, monkeypatch, rng, rows):
+        searches = []
+        bfs = gram._bfs
+
+        def counted(*args):
+            searches.append(args)
+            return bfs(*args)
+
+        monkeypatch.setattr(gram, "_bfs", counted)
+        for width in (2, 3, 4):
+            cols = rows + width - 1
+            rperm, cperm = rng.sample(range(rows), rows), rng.sample(range(cols), cols)
+            x = IntegerMatrix.from_rows(
+                [[int(i <= j < i + width) for j in cperm] for i in rperm])
+            assert free_count(x) == (rows - 1) * (width - 2)
+            assert tu_signing(x) == x
+        assert searches == []
