@@ -27,6 +27,7 @@ from .intmat import (
     _tu_verdict,
     parse_matrix,
 )
+from .network import _mask_elements
 
 
 @dataclass(frozen=True)
@@ -139,14 +140,6 @@ def parse_gram(text: str) -> GramMatrix:
         raise FormatError(f"non-integer order in gram header: {exc}") from exc
     mat = parse_matrix(f"{s} {s}\n" + "\n".join(lines[1:]))
     return GramMatrix(mat)
-
-
-def _mask_elements(mask: int):
-    """The set bits of mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def f_table(a: GramMatrix) -> list[int]:
@@ -316,7 +309,10 @@ def _camion_signing(x: IntegerMatrix, forest, free) -> IntegerMatrix:
     order of passes could sign more.  Then the first waiting entry takes
     its shortest path through signed entries; while another waiting entry
     joins a row and a column of that path, it has a shorter path and takes
-    over, so the cycle finally closed has no chord in x.
+    over, so the cycle finally closed has no chord in x.  Each later pass
+    re-tests only the waiting entries (k, l) that an entry (i, j) signed
+    since the last pass can complete: k = i, l = j, or (k, j) and (i, l)
+    signed; any other entry fails as it did.
     """
     m, n = x.rows, x.cols
     cand = [list(r) for r in x.entries]
@@ -326,47 +322,54 @@ def _camion_signing(x: IntegerMatrix, forest, free) -> IntegerMatrix:
         rows[i] |= 1 << j
         cols[j] |= 1 << i
 
-    def four_cycle(i, j):
-        """The sum of the other entries of a signed 4-cycle through (i, j), or None."""
-        for jj in _mask_elements(rows[i]):
-            common = cols[j] & cols[jj]
-            if common:
-                ii = (common & -common).bit_length() - 1
-                return cand[i][jj] + cand[ii][jj] + cand[ii][j]
-        return None
-
     def sign(i, j, total):
         cand[i][j] = 1 if (total + 1) % 4 == 0 else -1
         rows[i] |= 1 << j
         cols[j] |= 1 << i
 
-    waiting = list(free)
+    waiting = tested = list(free)
     while waiting:
-        left = []
-        for i, j in waiting:
-            total = four_cycle(i, j)
-            if total is None:
-                left.append((i, j))
-            else:
+        # masks of the rows and columns of the entries signed since the last pass
+        new_rows = new_cols = 0
+        for i, j in tested:
+            total = _four_cycle(cand, rows, cols, i, j)
+            if total is not None:
                 sign(i, j, total)
-        if len(left) < len(waiting):
-            waiting = left
-            continue
-        i, j = waiting[0]
-        while True:
-            prev = _bfs(rows, cols, i)
-            path = [m + j]
-            while path[-1] != i:
-                path.append(prev[path[-1]])
-            on = set(path)
-            chord = next(((k, l) for k, l in waiting
-                          if k in on and m + l in on and (k, l) != (i, j)), None)
-            if chord is None:
-                break
-            i, j = chord
-        waiting.remove((i, j))
-        sign(i, j, sum(cand[min(u, v)][max(u, v) - m] for u, v in zip(path, path[1:])))
+                new_rows |= 1 << i
+                new_cols |= 1 << j
+        if not new_rows:
+            i, j = waiting[0]
+            while True:
+                prev = _bfs(rows, cols, i)
+                path = [m + j]
+                while path[-1] != i:
+                    path.append(prev[path[-1]])
+                on = set(path)
+                chord = next(((k, l) for k, l in waiting
+                              if k in on and m + l in on and (k, l) != (i, j)), None)
+                if chord is None:
+                    break
+                i, j = chord
+            sign(i, j, sum(cand[min(u, v)][max(u, v) - m] for u, v in zip(path, path[1:])))
+            new_rows, new_cols = 1 << i, 1 << j
+        waiting = [(k, l) for k, l in waiting if not rows[k] >> l & 1]
+        # k or l is the line of a new entry, or (k, j) and (i, l) are signed for
+        # a new row i and a new column j: all that a new entry can complete
+        tested = [(k, l) for k, l in waiting if new_rows >> k & 1 or new_cols >> l & 1
+                  or rows[k] & new_cols and cols[l] & new_rows]
     return IntegerMatrix(tuple(map(tuple, cand)), empty_cols=n)
+
+
+def _four_cycle(cand, rows, cols, i, j):
+    """The sum of the other entries of a signed 4-cycle through (i, j) of
+    `_camion_signing`'s candidate, or None; rows and cols are its masks of
+    signed entries."""
+    for jj in _mask_elements(rows[i]):
+        common = cols[j] & cols[jj]
+        if common:
+            ii = (common & -common).bit_length() - 1
+            return cand[i][jj] + cand[ii][jj] + cand[ii][j]
+    return None
 
 
 def _bfs(rows, cols, source) -> dict:

@@ -5,14 +5,24 @@ Dense matrices of arbitrary-precision integers; one fraction-free
 package, that yields rank, determinant, leading minors, exact solves,
 inverses and kernels, and the rows of a forward elimination; total and
 weak unimodularity tests; and `bounds`, the one place that sets the
-bounds each exponential search checks.  Total unimodularity is decided on the
-matrix reduced by unit and parallel lines, block by block: a block is
-settled by a verified network or co-network realization in polynomial
-time, and only a block with neither is searched for an Eulerian
-submatrix whose entries sum to 2 mod 4 (Camion 1965).  A "no" runs the
-same search on the input, order by order, for the lexicographically
-least witness.  Weak unimodularity is decided by one elimination and
-the TU verdict of its reduced rows; only a "no" enumerates maximal
+bounds each exponential search checks.
+
+Total unimodularity reads witnesses of orders 1 and 2 first, in
+polynomial time: an entry outside {0, +-1}, then a row pair whose signs
+agree in one column and differ in another.  With neither, it is decided
+on the matrix reduced by unit and parallel lines, block by block: a
+block is settled by a verified network or co-network realization in
+polynomial time, and only a block with neither is searched for an
+Eulerian submatrix whose entries sum to 2 mod 4 (Camion 1965).  A "no"
+runs the same search on the input, from order 3 up, for the
+lexicographically least witness.  The order-2 scan and the Eulerian
+search read each {0, +-1} row as a (plus, minus) pair of int bitmasks,
+and the realizer (`network`) each column's support as a mask over the
+rows.
+
+Weak unimodularity is decided by one elimination and the TU verdict of
+its reduced rows; a "no" whose last pivot is not +-1 stops at the pivot
+columns, the least base, and only any other "no" enumerates maximal
 minors for a witness.  The TU bound gates the order of these searches.
 """
 
@@ -25,7 +35,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 from .errors import BoundExceededError, DimensionError, FlowLatticeError, FormatError
-from .network import network_scaling
+from .network import _mask_elements, network_scaling
 
 # default of each bound kind, in the order of the CLI's --<kind>-bound flags
 BOUND_DEFAULTS = MappingProxyType({"tu": 10, "circuit": 20, "iso": 12, "subset": 20})
@@ -301,6 +311,41 @@ class UnimodularityCheck:
         return self.ok
 
 
+def _sign_masks(lines) -> list[tuple[int, int]]:
+    """Each {0, +-1} line as (plus, minus): bit j set where entry j is +1,
+    resp. -1."""
+    masks = []
+    for line in lines:
+        plus = minus = 0
+        for j, x in enumerate(line):
+            if x > 0:
+                plus |= 1 << j
+            elif x:
+                minus |= 1 << j
+        masks.append((plus, minus))
+    return masks
+
+
+def _order2_witness(m: IntegerMatrix) -> tuple[tuple, tuple] | None:
+    """The lexicographically least (rows, cols) of a 2 x 2 submatrix of the
+    {0, +-1} matrix m with |det| = 2, in time polynomial in its size; None
+    if there is none.
+
+    Such a submatrix has four nonzero entries with an odd number of -1s: on
+    a row pair, one column where the signs agree and one where they differ.
+    Its least columns are the lowest of either class, and the lowest of
+    the other class.  This is `_eulerian_witness(m, 2)`, ungated.
+    """
+    signs = _sign_masks(m.entries)
+    for (i, (p, q)), (k, (r, s)) in itertools.combinations(enumerate(signs), 2):
+        agree, differ = p & r | q & s, p & s | q & r
+        if agree and differ:
+            low = (agree | differ) & -(agree | differ)
+            other = differ if low & agree else agree
+            return (i, k), (low.bit_length() - 1, (other & -other).bit_length() - 1)
+    return None
+
+
 def _eulerian_witness(m: IntegerMatrix, k: int) -> tuple[tuple, tuple] | None:
     """The lexicographically least (rows, cols) of a k x k submatrix of the
     {0, +-1} matrix m that is Eulerian (an even number of nonzero entries in
@@ -314,16 +359,27 @@ def _eulerian_witness(m: IntegerMatrix, k: int) -> tuple[tuple, tuple] | None:
     is not TU while its proper minors are.  A minimally non-TU submatrix
     is nonsingular, so each of its columns meets its rows an even, nonzero
     number of times; only those columns are tried.  The TU bound gates k.
+
+    Rows are (plus, minus) masks (`_sign_masks`): the eligible columns are
+    the bits of the rows' union outside their XOR, a row meets a column
+    mask in the bit count of its support there, and the entry sum is the
+    plus count less the minus count.
     """
     _gate("tu", "Eulerian search order", k)
+    signs = _sign_masks(m.entries)
     for rows in itertools.combinations(range(m.rows), k):
-        sub = [m.entries[i] for i in rows]
-        counts = [sum(1 for r in sub if r[j]) for j in range(m.cols)]
-        eligible = [j for j, n in enumerate(counts) if n and n % 2 == 0]
+        sub = [signs[i] for i in rows]
+        union = parity = 0
+        for p, q in sub:
+            union |= p | q
+            parity ^= p | q
+        eligible = [1 << j for j in _mask_elements(union & ~parity)]
         for cols in itertools.combinations(eligible, k):
-            if (all(sum(1 for j in cols if r[j]) % 2 == 0 for r in sub)
-                    and sum(r[j] for r in sub for j in cols) % 4 == 2):
-                return rows, cols
+            mask = sum(cols)
+            if (not any(((p | q) & mask).bit_count() & 1 for p, q in sub)
+                    and sum((p & mask).bit_count() - (q & mask).bit_count()
+                            for p, q in sub) % 4 == 2):
+                return rows, tuple(c.bit_length() - 1 for c in cols)
     return None
 
 
@@ -413,24 +469,31 @@ def _tu_verdict(m: IntegerMatrix) -> bool:
 def is_totally_unimodular(m: IntegerMatrix) -> UnimodularityCheck:
     """Every square submatrix has determinant in {-1, 0, +1}.
 
-    The verdict is `_tu_verdict`.  When it is no, the witness is the
-    lexicographically least (order, rows, cols) minor of the input with
-    |det| > 1: an entry outside {0, +-1}, else the least `_eulerian_witness`
-    of the lowest order that has one, with its Bareiss determinant.  Only
-    those searches, of a core block or of the input, are gated.
+    A "no" names the lexicographically least (order, rows, cols) minor of
+    the input with |det| > 1, with its Bareiss determinant.  Orders 1 and 2
+    come first, in polynomial time: an entry outside {0, +-1}, then the
+    row-pair scan `_order2_witness`.  With neither, the verdict is
+    `_tu_verdict`, and only a "no" searches the input for the least
+    `_eulerian_witness` of order 3 and up.  Only the searches are gated,
+    of a core block or of the input; an order-2 witness is gated as the
+    search of order 2 it stands for.
     """
-    if _tu_verdict(m):
-        return UnimodularityCheck(True)
     for i, row in enumerate(m.entries):
         for j, x in enumerate(row):
             if abs(x) > 1:
                 return UnimodularityCheck(False, (i,), (j,), x)
-    for k in range(2, min(m.rows, m.cols) + 1):
-        found = _eulerian_witness(m, k)
+    found = _order2_witness(m)
+    if found is None and _tu_verdict(m):
+        return UnimodularityCheck(True)
+    _gate("tu", "Eulerian search order", 2)
+    for k in range(3, min(m.rows, m.cols) + 1):
         if found:
-            return UnimodularityCheck(False, *found, determinant(m.submatrix(*found)))
-    raise FlowLatticeError("broken invariant: the TU verdict is no, yet no "
-                           "Eulerian submatrix has entry sum 2 mod 4")
+            break
+        found = _eulerian_witness(m, k)
+    if not found:
+        raise FlowLatticeError("broken invariant: the TU verdict is no, yet no "
+                               "Eulerian submatrix has entry sum 2 mod 4")
+    return UnimodularityCheck(False, *found, determinant(m.submatrix(*found)))
 
 
 def is_weakly_unimodular(m: IntegerMatrix) -> UnimodularityCheck:
@@ -443,18 +506,28 @@ def is_weakly_unimodular(m: IntegerMatrix) -> UnimodularityCheck:
     and d = +-det B the last pivot.  They hold d I_k, so they are TU only
     if d = +-1, and then their maximal minors are +- those of w; a matrix
     holding I_k is TU iff its maximal minors lie in {0, +-1}.  So m is WU
-    iff the reduced rows are TU.  Only a "no" enumerates the maximal
-    minors of m in lexicographic order, one Bareiss determinant each, for
-    the least witness; the TU bound gates its order k.
+    iff the reduced rows are TU.
+
+    A "no" names the lexicographically least maximal minor of m with
+    |det| > 1; the TU bound gates its order k.  The pivot columns of w are
+    its lexicographically least base: each earlier k-subset holds a column
+    in the span of those before it, so its minor is 0.  So when |d| > 1
+    they are the witness, the columns of m or, for a tall m, its rows,
+    and one determinant signs it.  Only when |d| = 1 are the maximal
+    minors enumerated in lexicographic order, one determinant each.
     """
     k = min(m.rows, m.cols)
     if k == 0:
         return UnimodularityCheck(True)
     w = m if m.rows <= m.cols else m.transpose()
-    reduced, pivot_cols, _, _, _ = _gauss_jordan(w.entries)
+    reduced, pivot_cols, _, pivots, _ = _gauss_jordan(w.entries)
     if len(pivot_cols) < k or _tu_verdict(IntegerMatrix(tuple(map(tuple, reduced)))):
         return UnimodularityCheck(True)
     _gate("tu", "maximal-minor search order", k)
+    if abs(pivots[-1]) > 1:
+        rows, cols = (range(k), pivot_cols) if w is m else (pivot_cols, range(k))
+        return UnimodularityCheck(False, tuple(rows), tuple(cols),
+                                  determinant(m.submatrix(rows, cols)))
     for rows in itertools.combinations(range(m.rows), k):
         for cols in itertools.combinations(range(m.cols), k):
             d = determinant(m.submatrix(rows, cols))

@@ -123,7 +123,8 @@ class RegularMatroid:
         _, coloops = loops_and_coloops(self)
         if not coloops:
             return None
-        keep = [j for j in range(self.size) if j not in set(coloops)]
+        contracted = set(coloops)
+        keep = [j for j in range(self.size) if j not in contracted]
         trimmed = self.rep.select_columns(keep)
         rep = trimmed.select_rows(_independent_row_subset(trimmed))
         return RegularMatroid.from_rep(

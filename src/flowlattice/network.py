@@ -12,6 +12,10 @@ matrix, if one exists (the graph-realization problem), and then checks
 the matrix against the network matrix of that tree independently of
 how the tree was found.  A faulty realizer can therefore cost time,
 never a wrong verdict.
+
+Like the GF(2) echelon of `matroid` and the sign masks of `intmat`, the
+realizer works on int bitmasks: each column's support is a mask over the
+rows.
 """
 
 from __future__ import annotations
@@ -19,9 +23,18 @@ from __future__ import annotations
 import itertools
 
 
+def _mask_elements(mask: int):
+    """The set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _realize(rows, cols, fresh):
-    """A tree whose edges are `rows`, in which every support in `cols` is
-    the edge set of a path: row -> (vertex, vertex), or None if none exists.
+    """A tree whose edges are `rows`, in which every support in `cols` (a
+    mask over the rows) is the edge set of a path: row -> (vertex, vertex),
+    or None if none exists.
 
     The rows and columns must form a connected bipartite graph.  Vertices
     are drawn from the iterator `fresh`.  When every support has at most
@@ -41,7 +54,7 @@ def _realize(rows, cols, fresh):
     above it on its side, or else at r0's end on its side.
     """
     cols = list(dict.fromkeys(c for c in cols if c))
-    if all(len(c) <= 2 for c in cols):
+    if all(c.bit_count() <= 2 for c in cols):
         centre = next(fresh)
         return {r: (centre, next(fresh)) for r in rows}
     for r0 in rows:
@@ -53,34 +66,36 @@ def _realize(rows, cols, fresh):
 
 def _bridges(rows, cols, r0) -> list[list]:
     """Rows other than r0, grouped by the supports that miss r0."""
-    owner = {r: r for r in rows if r != r0}
-
-    def find(r):
-        while owner[r] != r:
-            owner[r] = owner[owner[r]]
-            r = owner[r]
-        return r
-
+    joined: list[int] = []      # disjoint masks, each a union of such supports
     for c in cols:
-        if r0 not in c:
-            first, *rest = c
-            for r in rest:
-                owner[find(r)] = find(first)
+        if not c >> r0 & 1:
+            rest = []
+            for p in joined:
+                if p & c:
+                    c |= p
+                else:
+                    rest.append(p)
+            rest.append(c)
+            joined = rest
+    # each row keyed by the mask that holds it; a row in none is its own
     parts: dict = {}
-    for r in owner:
-        parts.setdefault(find(r), []).append(r)
+    for r in rows:
+        if r != r0:
+            bit = 1 << r
+            parts.setdefault(next((p for p in joined if p & bit), bit), []).append(r)
     return list(parts.values())
 
 
 def _glue(r0, parts, cols, fresh):
     """`_realize` for a row r0 with at least two bridges."""
-    through = [c for c in cols if r0 in c]
+    bit = 1 << r0
+    through = [c for c in cols if c & bit]
     trees, traces, tops, ends = [], [], [], []
     for part in parts:
-        rows = frozenset(part)
+        rows = sum(1 << r for r in part)
         trace = {k: c & rows for k, c in enumerate(through) if c & rows}
-        own = [c for c in cols if r0 not in c and c <= rows]
-        tree = _realize(part + [r0], own + [p | {r0} for p in trace.values()], fresh)
+        own = [c for c in cols if not c & ~rows]
+        tree = _realize(part + [r0], own + [p | bit for p in trace.values()], fresh)
         if tree is None:
             return None
         top = [v for v in tree[r0] if any(v in tree[r] for r in part)]
@@ -88,7 +103,7 @@ def _glue(r0, parts, cols, fresh):
             return None
         end = {}
         for p in set(trace.values()):
-            odd = _odd_vertices(tree[r] for r in p) - {top[0]}
+            odd = _odd_vertices(tree[r] for r in _mask_elements(p)) - {top[0]}
             if len(odd) != 1:
                 return None
             end[p] = odd.pop()
@@ -149,9 +164,10 @@ def _odd_vertices(edges) -> set:
 
 
 def _tree_paths(tree, nrows: int, supports):
-    """For each support, its path in the tree as {row: +-1}, +1 where the
-    path runs from parent to child; None if `tree` is not a tree on the
-    rows 0..nrows-1 or some support is not the edge set of a path."""
+    """For each support (a mask over the rows), its path in the tree as
+    {row: +-1}, +1 where the path runs from parent to child; None if `tree`
+    is not a tree on the rows 0..nrows-1 or some support is not the edge
+    set of a path."""
     if sorted(tree) != list(range(nrows)):
         return None
     adj: dict = {}
@@ -171,8 +187,8 @@ def _tree_paths(tree, nrows: int, supports):
         return None
     paths = []
     for support in supports:
-        path = {}
-        odd = _odd_vertices(tree[r] for r in support)
+        path, on = {}, 0
+        odd = _odd_vertices(tree[r] for r in _mask_elements(support))
         if len(odd) == 2:
             a, b = odd
             while a != b:
@@ -182,7 +198,8 @@ def _tree_paths(tree, nrows: int, supports):
                 else:
                     b, r = parent[b]
                     path[r] = 1
-        if path.keys() != support:
+                on |= 1 << r
+        if on != support:
             return None
         paths.append(path)
     return paths
@@ -200,7 +217,7 @@ def network_scaling(rows) -> bool | None:
     """
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
-    supports = [frozenset(i for i in range(nrows) if rows[i][j]) for j in range(ncols)]
+    supports = [sum(1 << i for i, x in enumerate(col) if x) for col in zip(*rows)]
     tree = _realize(list(range(nrows)), supports, itertools.count())
     paths = None if tree is None else _tree_paths(tree, nrows, supports)
     if paths is None:

@@ -66,6 +66,10 @@ CASES |= {
     "flows-k4-base-nonint": ["flows", "inputs/k4.graph", "--base", "a,b"],
     "tu-check-nonint": ["tu-check", "inputs/nonint.mat"],
     "circuits-nonint": ["circuits", "inputs/nonint.graph"],
+    "tu-check-order2": ["tu-check", "inputs/order2.mat"],
+    "tu-check-order2-tu-bound-1": ["--tu-bound", "1", "tu-check", "inputs/order2.mat"],
+    "tu-check-tall": ["tu-check", "inputs/tall.mat"],
+    "tu-check-tall-tu-bound-2": ["--tu-bound", "2", "tu-check", "inputs/tall.mat"],
 }
 CASES |= {f"{name}-porcelain": ["--porcelain"] + argv for name, argv in list(CASES.items())}
 

@@ -21,7 +21,7 @@ from flowlattice.intmat import (
 
 from conftest import det_cofactor
 from elimination_oracles import integer_kernel_basis
-from tu_oracles import tu_by_enumeration, wu_by_enumeration
+from tu_oracles import eulerian_witness, tu_by_enumeration, wu_by_enumeration
 
 
 def M(rows):
@@ -290,6 +290,61 @@ class TestTotallyUnimodularCore:
         assert core.rows <= k.rows and core.cols <= k.cols
 
 
+def _sign_matrix(rnd):
+    """A seeded {0, +-1} matrix up to 8 x 8, 1 x n and n x 1 included, with
+    each row and column zeroed with probability 1/8."""
+    r, c = rnd.choice(((1, rnd.randint(1, 7)), (rnd.randint(1, 7), 1),
+                       (rnd.randint(2, 8), rnd.randint(2, 8))))
+    zero_rows = {i for i in range(r) if rnd.random() < 0.125}
+    zero_cols = {j for j in range(c) if rnd.random() < 0.125}
+    return M([[0 if i in zero_rows or j in zero_cols else rnd.choice((0, 1, -1))
+               for j in range(c)] for i in range(r)])
+
+
+class TestSignMaskScans:
+    """The order-2 row-pair scan and the Eulerian search on sign bitmasks
+    against Camion's test on tuples of entries (`tu_oracles`)."""
+
+    def test_eulerian_witness_against_tuples(self):
+        rnd = random.Random(47)
+        found = [0] * 7
+        with bounds(tu=6):
+            for _ in range(1500):
+                m = _sign_matrix(rnd)
+                for k in range(2, 7):
+                    got = intmat._eulerian_witness(m, k)
+                    assert got == eulerian_witness(m, k)
+                    found[k] += got is not None
+        assert min(found[2:5]) > 50 and found[5] > 5 and found[6] > 0
+
+    def test_order2_witness_against_tuples(self):
+        rnd = random.Random(53)
+        found = 0
+        for _ in range(2000):
+            m = _sign_matrix(rnd)
+            got = intmat._order2_witness(m)
+            assert got == eulerian_witness(m, 2)
+            found += got is not None
+        assert 300 < found < 1700
+
+    def test_order2_witness_realizes_nothing(self, monkeypatch):
+        """A planted [[1, 1], [1, -1]] is read by the row-pair scan: no
+        graph realization runs, and the witness is the enumeration's."""
+        def refuse(rows):
+            raise AssertionError("a graph realization ran")
+
+        monkeypatch.setattr(intmat, "network_scaling", refuse)
+        rnd = random.Random(59)
+        for _ in range(200):
+            r, c = rnd.randint(2, 7), rnd.randint(2, 7)
+            x = [[rnd.choice((0, 0, 1, -1)) for _ in range(c)] for _ in range(r)]
+            (i, k), (j, l) = rnd.sample(range(r), 2), rnd.sample(range(c), 2)
+            x[i][j], x[i][l], x[k][j], x[k][l] = 1, 1, 1, -1
+            got = is_totally_unimodular(M(x))
+            assert len(got.witness_rows) == 2
+            assert got == tu_by_enumeration(M(x))
+
+
 def _identity_then(rnd, k, extra):
     """[I_k | X] for a random k x extra {-1, 0, 1} matrix X, columns shuffled."""
     rows = [[int(i == j) for j in range(k)] + [rnd.choice((-1, 0, 1)) for _ in range(extra)]
@@ -332,6 +387,33 @@ class TestWeaklyUnimodularOracle:
             _assert_same_check(m)
             verdicts.append(is_weakly_unimodular(m).ok)
         assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_least_base_witness(self, monkeypatch):
+        """A last pivot |d| > 1 names the pivot columns (rows, when tall),
+        the least base, with one determinant."""
+        dets = []
+        det = intmat.determinant
+
+        def spy(m):
+            dets.append(m)
+            return det(m)
+
+        monkeypatch.setattr(intmat, "determinant", spy)
+        rnd = random.Random(61)
+        at_base = 0
+        for _ in range(400):
+            r, c = rnd.randint(1, 5), rnd.randint(1, 5)
+            m = M([[rnd.choice((-1, 0, 0, 1, 1, 2)) for _ in range(c)] for _ in range(r)])
+            w = m if r <= c else m.transpose()
+            _, pivot_cols, _, pivots, _ = intmat._gauss_jordan(w.entries)
+            dets.clear()
+            got = is_weakly_unimodular(m)
+            assert got == wu_by_enumeration(m)
+            if len(pivot_cols) == min(r, c) and abs(pivots[-1]) > 1:
+                at_base += 1
+                assert len(dets) == 1
+                assert (got.witness_cols if r <= c else got.witness_rows) == tuple(pivot_cols)
+        assert at_base > 100
 
     def test_rank_deficient(self):
         rnd = random.Random(43)

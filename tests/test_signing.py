@@ -8,6 +8,8 @@ entrywise absolute values of network matrices, and on the criterion-07
 reconstruction sweep with perturbed Gram matrices.
 """
 
+import random
+
 import pytest
 
 import signing_oracles as oracle
@@ -21,6 +23,7 @@ from flowlattice.matroid import dual, from_graph
 from conftest import bridgeless_graphs
 from elimination_oracles import bases
 from test_matroid import r10
+import test_network
 
 FANO = ((1, 1, 0, 1), (1, 0, 1, 1), (0, 1, 1, 1))
 # a 6x6 matrix holding FANO in rows 0, 2, 3 and columns 3, 4, 0, 1, with 13
@@ -504,3 +507,31 @@ class TestPermutedBands:
             assert free_count(x) == (rows - 1) * (width - 2)
             assert tu_signing(x) == x
         assert searches == []
+
+
+class TestRetests:
+    """A pass re-tests only the waiting entries that an entry signed since
+    the last pass can complete; each other entry would fail again."""
+
+    def test_sharp_network_matrix(self, monkeypatch):
+        """The sharp 30x80 network matrix of seed 3 takes 11 searches.
+        Re-testing every waiting entry on each pass would take 838 4-cycle
+        tests; the entries that a new one can complete take 421."""
+        tests, searches = [], []
+        four_cycle, bfs = gram._four_cycle, gram._bfs
+
+        def counted_test(*args):
+            tests.append(args[3:])
+            return four_cycle(*args)
+
+        def counted_search(*args):
+            searches.append(args[2])
+            return bfs(*args)
+
+        monkeypatch.setattr(gram, "_four_cycle", counted_test)
+        monkeypatch.setattr(gram, "_bfs", counted_search)
+        x = sharp(test_network.network_matrix(random.Random(3), 31, 110))
+        assert (x.rows, x.cols, free_count(x)) == (30, 80, 240)
+        u = tu_signing(x)
+        assert u is not None and sharp(u) == x
+        assert (len(searches), len(tests)) == (11, 421)

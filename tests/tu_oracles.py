@@ -5,12 +5,30 @@ matrix left after stripping zero, unit and +-parallel rows and columns,
 and names its witness by Camion's Eulerian test; `is_weakly_unimodular`
 decides by one elimination.  These are the earlier routines, which
 expand every minor by cofactors with a memo; the tests compare the two
-for exact equality, witnesses included.
+for exact equality, witnesses included.  `eulerian_witness` is Camion's
+test on tuples of entries, before the library read it off sign bitmasks.
 """
 
 import itertools
 
 from flowlattice.intmat import UnimodularityCheck, _gate
+
+
+def eulerian_witness(m, k: int) -> tuple[tuple, tuple] | None:
+    """The lexicographically least (rows, cols) of a k x k Eulerian
+    submatrix of the {0, +-1} matrix m whose entries sum to 2 mod 4, among
+    the columns that meet its rows an even, nonzero number of times; None
+    if there is none.  The TU bound gates k."""
+    _gate("tu", "Eulerian search order", k)
+    for rows in itertools.combinations(range(m.rows), k):
+        sub = [m.entries[i] for i in rows]
+        counts = [sum(1 for r in sub if r[j]) for j in range(m.cols)]
+        eligible = [j for j, n in enumerate(counts) if n and n % 2 == 0]
+        for cols in itertools.combinations(eligible, k):
+            if (all(sum(1 for j in cols if r[j]) % 2 == 0 for r in sub)
+                    and sum(r[j] for r in sub for j in cols) % 4 == 2):
+                return rows, cols
+    return None
 
 
 def _minor_det(m, rows: tuple, cols: tuple, memo: dict) -> int:
