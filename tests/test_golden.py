@@ -70,6 +70,7 @@ CASES |= {
     "tu-check-order2-tu-bound-1": ["--tu-bound", "1", "tu-check", "inputs/order2.mat"],
     "tu-check-tall": ["tu-check", "inputs/tall.mat"],
     "tu-check-tall-tu-bound-2": ["--tu-bound", "2", "tu-check", "inputs/tall.mat"],
+    "signing-fano-tu-bound-1": ["--tu-bound", "1", "signing", "inputs/fano.mat"],
 }
 CASES |= {f"{name}-porcelain": ["--porcelain"] + argv for name, argv in list(CASES.items())}
 
