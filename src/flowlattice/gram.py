@@ -391,7 +391,7 @@ def _bfs(rows, cols, source) -> dict:
 def tu_signing(x: IntegerMatrix) -> IntegerMatrix | None:
     """A totally unimodular matrix with entrywise absolute value x, if any."""
     cand = _camion_signing(x, *_signing_skeleton(x))
-    return cand if _tu_verdict(cand) else None
+    return cand if _tu_verdict(cand.entries) else None
 
 
 @dataclass(frozen=True)
@@ -454,7 +454,7 @@ def is_g_feasible(a: GramMatrix) -> Feasibility:
     if not cls.g_nonnegative:
         return Feasibility(False, None, cls, cls.refusal())
     cert = _certificate(_skeleton(cls, g), a)
-    if not _tu_verdict(cert):
+    if not _tu_verdict(cert.entries):
         return Feasibility(False, None, cls, "NO-MATCHING-SIGNING")
     if cert.transpose() * cert != a.mat:
         raise FlowLatticeError("signed certificate does not Gram back to the input")

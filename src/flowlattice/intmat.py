@@ -7,23 +7,25 @@ inverses and kernels, and the rows of a forward elimination; total and
 weak unimodularity tests; and `bounds`, the one place that sets the
 bounds each exponential search checks.
 
-Total unimodularity reads witnesses of orders 1 and 2 first, in
-polynomial time: an entry outside {0, +-1}, then a row pair whose signs
-agree in one column and differ in another.  With neither, it is decided
-on the matrix reduced by unit and parallel lines, block by block: a
-block is settled by a verified network or co-network realization in
-polynomial time, and only a block with neither is searched for an
-Eulerian submatrix whose entries sum to 2 mod 4 (Camion 1965).  A "no"
-runs the same search on the input, from order 3 up, for the
-lexicographically least witness.  The order-2 scan and the Eulerian
-search read each {0, +-1} row as a (plus, minus) pair of int bitmasks,
-and the realizer (`network`) each column's support as a mask over the
-rows.
+Total unimodularity has one search for its witnesses, `_least_witness`:
+the lexicographically least minor with |det| > 1 over a range of orders.
+It reads orders 1 and 2 in polynomial time, an entry outside {0, +-1},
+then a row pair whose signs agree in one column and differ in another,
+and from order 3 searches for an Eulerian submatrix whose entries sum to
+2 mod 4 (Camion 1965).  With no witness of order 1 or 2, the verdict is
+decided on the matrix reduced by unit and parallel lines, block by
+block: a block is settled by a verified network or co-network
+realization in polynomial time, and only a block with neither is
+searched.  A "no" then searches the input from order 3 up.  Inside this
+layer a matrix is a sequence of rows; the search reads each {0, +-1} row
+as a (plus, minus) pair of int bitmasks, and the realizer (`network`)
+each column's support as a mask over the rows.
 
 Weak unimodularity is decided by one elimination and the TU verdict of
 its reduced rows; a "no" whose last pivot is not +-1 stops at the pivot
 columns, the least base, and only any other "no" enumerates maximal
-minors for a witness.  The TU bound gates the order of these searches.
+minors for a witness.  The TU bound gates the order of the Eulerian and
+maximal-minor searches only, never a polynomial step.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 from .errors import BoundExceededError, DimensionError, FlowLatticeError, FormatError
-from .network import _mask_elements, network_scaling
+from .network import _components, _mask_elements, network_scaling
 
 # default of each bound kind, in the order of the CLI's --<kind>-bound flags
 BOUND_DEFAULTS = MappingProxyType({"tu": 10, "circuit": 20, "iso": 12, "subset": 20})
@@ -311,75 +313,73 @@ class UnimodularityCheck:
         return self.ok
 
 
-def _sign_masks(lines) -> list[tuple[int, int]]:
-    """Each {0, +-1} line as (plus, minus): bit j set where entry j is +1,
-    resp. -1."""
-    masks = []
-    for line in lines:
+def _least_witness(rows, start: int = 1, stop: int | None = None):
+    """The (rows, cols) tuples of the lexicographically least minor of
+    `rows` with |det| > 1 over the orders start..stop (default
+    min(rows, cols)), least order first; None if there is none.  No order
+    below start may hold one.
+
+    Order 1 is the first entry outside {0, +-1}, row-major.  From order 2
+    on, each {0, +-1} row is read as a (plus, minus) pair of int bitmasks,
+    bit j set where entry j is +1, resp. -1.  A 2 x 2 minor with |det| = 2
+    has four nonzero entries with an odd number of -1s: on a row pair, one
+    column where the signs agree and one where they differ.  Its least
+    columns are the lowest of either class and the lowest of the other
+    class.  Orders 1 and 2 take polynomial time and are not gated.
+
+    From order 3, each order k is searched for an Eulerian k x k submatrix
+    (an even number of nonzero entries in each of its rows and columns)
+    whose entries sum to 2 mod 4, under the TU bound.  Camion (1965;
+    Schrijver 1986, Thm 19.3): with every minor of order below k in
+    {0, +-1}, these are exactly the k x k minors with |det| > 1: such a
+    minor is minimally non-TU, so Eulerian with sum 2 mod 4, and an
+    Eulerian submatrix with sum 2 mod 4 is not TU while its proper minors
+    are.  A minimally non-TU submatrix is nonsingular, so each of its
+    columns meets its rows an even, nonzero number of times: the eligible
+    columns are the bits of the rows' union outside their XOR.  A row
+    meets a column mask in the bit count of its support there, and the
+    entry sum is the plus count less the minus count.
+    """
+    ncols = len(rows[0]) if rows else 0
+    stop = min(len(rows), ncols) if stop is None else stop
+    if start <= 1 <= stop:
+        for i, row in enumerate(rows):
+            for j, x in enumerate(row):
+                if abs(x) > 1:
+                    return (i,), (j,)
+    if stop < 2:
+        return None
+    signs = []
+    for row in rows:
         plus = minus = 0
-        for j, x in enumerate(line):
+        for j, x in enumerate(row):
             if x > 0:
                 plus |= 1 << j
             elif x:
                 minus |= 1 << j
-        masks.append((plus, minus))
-    return masks
-
-
-def _order2_witness(m: IntegerMatrix) -> tuple[tuple, tuple] | None:
-    """The lexicographically least (rows, cols) of a 2 x 2 submatrix of the
-    {0, +-1} matrix m with |det| = 2, in time polynomial in its size; None
-    if there is none.
-
-    Such a submatrix has four nonzero entries with an odd number of -1s: on
-    a row pair, one column where the signs agree and one where they differ.
-    Its least columns are the lowest of either class, and the lowest of
-    the other class.  This is `_eulerian_witness(m, 2)`, ungated.
-    """
-    signs = _sign_masks(m.entries)
-    for (i, (p, q)), (k, (r, s)) in itertools.combinations(enumerate(signs), 2):
-        agree, differ = p & r | q & s, p & s | q & r
-        if agree and differ:
-            low = (agree | differ) & -(agree | differ)
-            other = differ if low & agree else agree
-            return (i, k), (low.bit_length() - 1, (other & -other).bit_length() - 1)
-    return None
-
-
-def _eulerian_witness(m: IntegerMatrix, k: int) -> tuple[tuple, tuple] | None:
-    """The lexicographically least (rows, cols) of a k x k submatrix of the
-    {0, +-1} matrix m that is Eulerian (an even number of nonzero entries in
-    each of its rows and columns) and whose entries sum to 2 mod 4; None if
-    there is none.
-
-    Camion (1965; Schrijver 1986, Thm 19.3): m is TU iff no order has one.
-    When every minor of order below k lies in {0, +-1}, these are exactly
-    the k x k minors with |det| > 1: such a minor is minimally non-TU, so
-    Eulerian with sum 2 mod 4, and an Eulerian submatrix with sum 2 mod 4
-    is not TU while its proper minors are.  A minimally non-TU submatrix
-    is nonsingular, so each of its columns meets its rows an even, nonzero
-    number of times; only those columns are tried.  The TU bound gates k.
-
-    Rows are (plus, minus) masks (`_sign_masks`): the eligible columns are
-    the bits of the rows' union outside their XOR, a row meets a column
-    mask in the bit count of its support there, and the entry sum is the
-    plus count less the minus count.
-    """
-    _gate("tu", "Eulerian search order", k)
-    signs = _sign_masks(m.entries)
-    for rows in itertools.combinations(range(m.rows), k):
-        sub = [signs[i] for i in rows]
-        union = parity = 0
-        for p, q in sub:
-            union |= p | q
-            parity ^= p | q
-        eligible = [1 << j for j in _mask_elements(union & ~parity)]
-        for cols in itertools.combinations(eligible, k):
-            mask = sum(cols)
-            if (not any(((p | q) & mask).bit_count() & 1 for p, q in sub)
-                    and sum((p & mask).bit_count() - (q & mask).bit_count()
-                            for p, q in sub) % 4 == 2):
-                return rows, tuple(c.bit_length() - 1 for c in cols)
+        signs.append((plus, minus))
+    if start <= 2:
+        for (i, (p, q)), (k, (r, s)) in itertools.combinations(enumerate(signs), 2):
+            agree, differ = p & r | q & s, p & s | q & r
+            if agree and differ:
+                low = (agree | differ) & -(agree | differ)
+                other = differ if low & agree else agree
+                return (i, k), (low.bit_length() - 1, (other & -other).bit_length() - 1)
+    for k in range(max(start, 3), stop + 1):
+        _gate("tu", "Eulerian search order", k)
+        for picked in itertools.combinations(range(len(rows)), k):
+            sub = [signs[i] for i in picked]
+            union = parity = 0
+            for p, q in sub:
+                union |= p | q
+                parity ^= p | q
+            eligible = [1 << j for j in _mask_elements(union & ~parity)]
+            for cols in itertools.combinations(eligible, k):
+                mask = sum(cols)
+                if (not any(((p | q) & mask).bit_count() & 1 for p, q in sub)
+                        and sum((p & mask).bit_count() - (q & mask).bit_count()
+                                for p, q in sub) % 4 == 2):
+                    return picked, tuple(c.bit_length() - 1 for c in cols)
     return None
 
 
@@ -395,75 +395,65 @@ def _strip_lines(lines: list) -> list:
     return kept
 
 
-def _tu_core(m: IntegerMatrix) -> IntegerMatrix | None:
-    """The {0, +-1} matrix left after stripping rows and columns to a fixpoint.
+def _tu_core(rows) -> list | None:
+    """The rows of the {0, +-1} matrix left after stripping rows and
+    columns to a fixpoint.
 
     Stripped are zero lines, lines with a single nonzero entry (+-1), and
     lines equal to +- an earlier line.  None if some entry lies outside
-    {0, +-1}.  The core is TU iff m is.
+    {0, +-1}.  The core is TU iff the matrix is.
     """
-    if any(x not in (-1, 0, 1) for row in m.entries for x in row):
+    if any(x not in (-1, 0, 1) for row in rows for x in row):
         return None
-    rows = list(m.entries)
+    rows = list(map(tuple, rows))
     while True:
-        cols = _strip_lines(list(zip(*_strip_lines(rows))))
-        stripped = list(zip(*cols))
+        stripped = list(zip(*_strip_lines(list(zip(*_strip_lines(rows))))))
         # a fixpoint: nothing was stripped, so the rows come back unchanged
         if stripped == rows:
-            return IntegerMatrix(tuple(rows), empty_cols=len(cols))
+            return rows
         rows = stripped
 
 
-def _blocks(m: IntegerMatrix) -> list[tuple[list[int], list[int]]]:
-    """Row and column indices of the connected components of the graph
-    joining row i to column j wherever m[i][j] != 0; zero lines omitted."""
-    blocks, seen = [], set()
-    for start in range(m.rows):
-        if start in seen or not any(m.entries[start]):
-            continue
-        rows, cols = [start], []
-        seen.add(start)
-        for i in rows:
-            for j, x in enumerate(m.entries[i]):
-                if x and j not in cols:
-                    cols.append(j)
-                    for k in range(m.rows):
-                        if m.entries[k][j] and k not in seen:
-                            seen.add(k)
-                            rows.append(k)
-        blocks.append((sorted(rows), sorted(cols)))
+def _blocks(rows) -> list[list[tuple]]:
+    """The rows of each connected block of the graph joining row i to
+    column j wherever rows[i][j] != 0, ordered by their least row; zero
+    lines omitted."""
+    supports = [sum(1 << i for i, x in enumerate(col) if x) for col in zip(*rows)]
+    blocks = []
+    for block in _components(supports):
+        cols = [j for j, c in enumerate(supports) if c & block]
+        blocks.append([tuple(rows[i][j] for j in cols) for i in _mask_elements(block)])
     return blocks
 
 
-def _block_is_tu(b: IntegerMatrix) -> bool:
+def _block_is_tu(block) -> bool:
     """A connected {0, +-1} matrix is TU: by a verified network realization
-    of it or of its transpose, else by Camion's test (`_eulerian_witness`)."""
-    for rows in (b.entries, tuple(zip(*b.entries))):
+    of it or of its transpose, else by Camion's test (`_least_witness`)."""
+    for rows in (block, tuple(zip(*block))):
         verdict = network_scaling(rows)
         if verdict is not None:
             return verdict
-    return not any(_eulerian_witness(b, k) for k in range(2, min(b.rows, b.cols) + 1))
+    return _least_witness(block, 2) is None
 
 
-def _tu_verdict(m: IntegerMatrix) -> bool:
-    """Whether m is TU, without a witness.
+def _tu_verdict(rows) -> bool:
+    """Whether the matrix with these rows is TU, without a witness.
 
     The verdict is decided on the reduced core (`_tu_core`): a square
     submatrix through a unit row expands along it to +-(a smaller minor)
     or 0, one through two +-parallel rows is singular, and one through
     only the later row has the earlier row's |det|; likewise for columns.
-    So the core is TU iff m is.  A square submatrix of a block-diagonal
-    matrix is singular or a product of minors of the blocks, so the core
-    is TU iff each of its connected blocks is (`_blocks`).  A block is TU
-    when it or its transpose rescales to a network matrix, and not TU
-    when a tree realizes its support but the signs do not rescale
-    (`network.network_scaling`, checked entry by entry); only a block
-    with neither realization is searched for an Eulerian submatrix with
-    entry sum 2 mod 4 (Camion), and computes no determinant.
+    So the core is TU iff the matrix is.  A square submatrix of a
+    block-diagonal matrix is singular or a product of minors of the
+    blocks, so the core is TU iff each of its connected blocks is
+    (`_blocks`).  A block is TU when it or its transpose rescales to a
+    network matrix, and not TU when a tree realizes its support but the
+    signs do not rescale (`network.network_scaling`, checked entry by
+    entry); only a block with neither realization is searched for a
+    witness (`_least_witness`, from order 2), and computes no determinant.
     """
-    core = _tu_core(m)
-    return core is not None and all(_block_is_tu(core.submatrix(rows, cols))
-                                    for rows, cols in _blocks(core))
+    core = _tu_core(rows)
+    return core is not None and all(map(_block_is_tu, _blocks(core)))
 
 
 def is_totally_unimodular(m: IntegerMatrix) -> UnimodularityCheck:
@@ -471,25 +461,16 @@ def is_totally_unimodular(m: IntegerMatrix) -> UnimodularityCheck:
 
     A "no" names the lexicographically least (order, rows, cols) minor of
     the input with |det| > 1, with its Bareiss determinant.  Orders 1 and 2
-    come first, in polynomial time: an entry outside {0, +-1}, then the
-    row-pair scan `_order2_witness`.  With neither, the verdict is
-    `_tu_verdict`, and only a "no" searches the input for the least
-    `_eulerian_witness` of order 3 and up.  Only the searches are gated,
-    of a core block or of the input; an order-2 witness is gated as the
-    search of order 2 it stands for.
+    are read first, in polynomial time (`_least_witness`).  With neither,
+    the verdict is `_tu_verdict`, and only a "no" searches the input for
+    the least witness of order 3 and up.  Only these searches are gated,
+    of a core block or of the input, on the order they reach.
     """
-    for i, row in enumerate(m.entries):
-        for j, x in enumerate(row):
-            if abs(x) > 1:
-                return UnimodularityCheck(False, (i,), (j,), x)
-    found = _order2_witness(m)
-    if found is None and _tu_verdict(m):
+    rows = m.entries
+    found = _least_witness(rows, stop=2)
+    if found is None and _tu_verdict(rows):
         return UnimodularityCheck(True)
-    _gate("tu", "Eulerian search order", 2)
-    for k in range(3, min(m.rows, m.cols) + 1):
-        if found:
-            break
-        found = _eulerian_witness(m, k)
+    found = found or _least_witness(rows, 3)
     if not found:
         raise FlowLatticeError("broken invariant: the TU verdict is no, yet no "
                                "Eulerian submatrix has entry sum 2 mod 4")
@@ -509,25 +490,25 @@ def is_weakly_unimodular(m: IntegerMatrix) -> UnimodularityCheck:
     iff the reduced rows are TU.
 
     A "no" names the lexicographically least maximal minor of m with
-    |det| > 1; the TU bound gates its order k.  The pivot columns of w are
-    its lexicographically least base: each earlier k-subset holds a column
-    in the span of those before it, so its minor is 0.  So when |d| > 1
-    they are the witness, the columns of m or, for a tall m, its rows,
-    and one determinant signs it.  Only when |d| = 1 are the maximal
-    minors enumerated in lexicographic order, one determinant each.
+    |det| > 1.  The pivot columns of w are its lexicographically least
+    base: each earlier k-subset holds a column in the span of those before
+    it, so its minor is 0.  So when |d| > 1 they are the witness, the
+    columns of m or, for a tall m, its rows, and one determinant signs it.  Only when |d| = 1 are the maximal
+    minors enumerated in lexicographic order, one determinant each; the
+    TU bound gates the order k of that enumeration.
     """
     k = min(m.rows, m.cols)
     if k == 0:
         return UnimodularityCheck(True)
     w = m if m.rows <= m.cols else m.transpose()
     reduced, pivot_cols, _, pivots, _ = _gauss_jordan(w.entries)
-    if len(pivot_cols) < k or _tu_verdict(IntegerMatrix(tuple(map(tuple, reduced)))):
+    if len(pivot_cols) < k or _tu_verdict(reduced):
         return UnimodularityCheck(True)
-    _gate("tu", "maximal-minor search order", k)
     if abs(pivots[-1]) > 1:
         rows, cols = (range(k), pivot_cols) if w is m else (pivot_cols, range(k))
         return UnimodularityCheck(False, tuple(rows), tuple(cols),
                                   determinant(m.submatrix(rows, cols)))
+    _gate("tu", "maximal-minor search order", k)
     for rows in itertools.combinations(range(m.rows), k):
         for cols in itertools.combinations(range(m.cols), k):
             d = determinant(m.submatrix(rows, cols))

@@ -235,12 +235,13 @@ def parse_matroid(text: str) -> RegularMatroid:
         r, m = int(head[1]), int(head[2])
     except ValueError as exc:
         raise FormatError(f"non-integer field in matroid header: {exc}") from exc
-    if len(lines) < 2:
+    # with no ground elements the label line is blank, so it is not read
+    if m and len(lines) < 2:
         raise FormatError("matroid file missing ground label line")
-    labels = tuple(lines[1].split())
+    labels = tuple(lines[1].split()) if m else ()
     if len(labels) != m:
         raise FormatError(f"expected {m} ground labels, got {len(labels)}")
-    rep = parse_matrix("\n".join(lines[2:]))
+    rep = parse_matrix("\n".join(lines[2 if m else 1:]))
     if rep.rows != r or rep.cols != m:
         raise FormatError("matrix shape disagrees with matroid header")
     return RegularMatroid.from_rep(labels, rep)

@@ -15,7 +15,8 @@ never a wrong verdict.
 
 Like the GF(2) echelon of `matroid` and the sign masks of `intmat`, the
 realizer works on int bitmasks: each column's support is a mask over the
-rows.
+rows.  `_components` merges such masks into connected components, for
+the bridges of the realizer and the blocks of `intmat`'s TU verdict.
 """
 
 from __future__ import annotations
@@ -64,11 +65,13 @@ def _realize(rows, cols, fresh):
     return None
 
 
-def _bridges(rows, cols, r0) -> list[list]:
-    """Rows other than r0, grouped by the supports that miss r0."""
-    joined: list[int] = []      # disjoint masks, each a union of such supports
-    for c in cols:
-        if not c >> r0 & 1:
+def _components(supports) -> list[int]:
+    """The connected components of the nonzero masks `supports`, two
+    joined where they share a bit: each component the union of its masks,
+    ordered by lowest bit."""
+    joined: list[int] = []      # disjoint masks, each a union of supports
+    for c in supports:
+        if c:
             rest = []
             for p in joined:
                 if p & c:
@@ -77,6 +80,12 @@ def _bridges(rows, cols, r0) -> list[list]:
                     rest.append(p)
             rest.append(c)
             joined = rest
+    return sorted(joined, key=lambda p: p & -p)
+
+
+def _bridges(rows, cols, r0) -> list[list]:
+    """Rows other than r0, grouped by the supports that miss r0."""
+    joined = _components(c for c in cols if not c >> r0 & 1)
     # each row keyed by the mask that holds it; a row in none is its own
     parts: dict = {}
     for r in rows:

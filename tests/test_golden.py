@@ -71,6 +71,8 @@ CASES |= {
     "tu-check-tall": ["tu-check", "inputs/tall.mat"],
     "tu-check-tall-tu-bound-2": ["--tu-bound", "2", "tu-check", "inputs/tall.mat"],
     "signing-fano-tu-bound-1": ["--tu-bound", "1", "signing", "inputs/fano.mat"],
+    "circuits-empty": ["circuits", "inputs/empty.matroid"],
+    "isometric-edge-empty": ["isometric", "inputs/edge.graph", "inputs/empty.matroid"],
 }
 CASES |= {f"{name}-porcelain": ["--porcelain"] + argv for name, argv in list(CASES.items())}
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from flowlattice.intmat import (
 
 from conftest import det_cofactor
 from elimination_oracles import integer_kernel_basis
-from tu_oracles import eulerian_witness, tu_by_enumeration, wu_by_enumeration
+from tu_oracles import blocks, least_witness, tu_by_enumeration, wu_by_enumeration
 
 
 def M(rows):
@@ -260,17 +261,24 @@ class TestTotallyUnimodularCore:
         maximal-minor search is gated, on the order it reaches."""
         det2 = M([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
         padded = det2.hstack(IntegerMatrix.identity(3)).vstack(M([[1, 1, 0, 0, 0, 0]] * 2))
+        wu_det2 = wu_by_enumeration(det2)
         with bounds(tu=1):
             assert is_totally_unimodular(IntegerMatrix.identity(40))
             assert is_weakly_unimodular(M([[1, 1], [1, 1], [-1, -1], [1, 0], [0, 1]]))
         with bounds(tu=2):
-            for check, what in ((is_totally_unimodular, "Eulerian search order"),
-                                (is_weakly_unimodular, "maximal-minor search order")):
-                with pytest.raises(BoundExceededError) as exc:
-                    check(det2)
-                assert (exc.value.what, exc.value.size, exc.value.bound) == (what, 3, 2)
+            with pytest.raises(BoundExceededError) as exc:
+                is_totally_unimodular(det2)
+            assert (exc.value.what, exc.value.size, exc.value.bound) == \
+                ("Eulerian search order", 3, 2)
+            # a last pivot |d| > 1 names the least base with one determinant
+            assert is_weakly_unimodular(det2) == wu_det2 and not wu_det2
             with pytest.raises(BoundExceededError):
                 is_totally_unimodular(padded)
+        # a "no" with |d| = 1 still enumerates the maximal minors
+        with bounds(tu=1), pytest.raises(BoundExceededError) as exc:
+            is_weakly_unimodular(M([[1, 0, 1, 1], [0, 1, 1, -1]]))
+        assert (exc.value.what, exc.value.size, exc.value.bound) == \
+            ("maximal-minor search order", 2, 1)
         assert _assert_same_check(padded) is False
 
     @pytest.mark.parametrize("name", ["K4", "K5", "K33", "Petersen"])
@@ -286,46 +294,64 @@ class TestTotallyUnimodularCore:
         m = from_graph(list(graphs[name].edges()))
         k = -coordinatize(m, first_base(m)).l_block
         stacked = k.vstack(k).vstack(-k).vstack(IntegerMatrix.identity(k.cols))
-        core = _tu_core(stacked)
-        assert core.rows <= k.rows and core.cols <= k.cols
+        core = _tu_core(stacked.entries)
+        assert len(core) <= k.rows and len(core[0]) <= k.cols
 
 
 def _sign_matrix(rnd):
-    """A seeded {0, +-1} matrix up to 8 x 8, 1 x n and n x 1 included, with
-    each row and column zeroed with probability 1/8."""
+    """A seeded matrix up to 8 x 8, 1 x n and n x 1 included, with entries
+    in {0, 1} or {0, +-1}, and a rare 2 in one matrix of four; each row and
+    column is zeroed with probability 1/8."""
     r, c = rnd.choice(((1, rnd.randint(1, 7)), (rnd.randint(1, 7), 1),
                        (rnd.randint(2, 8), rnd.randint(2, 8))))
     zero_rows = {i for i in range(r) if rnd.random() < 0.125}
     zero_cols = {j for j in range(c) if rnd.random() < 0.125}
-    return M([[0 if i in zero_rows or j in zero_cols else rnd.choice((0, 1, -1))
+    values = rnd.choice(((0, 1), (0, 1, -1))) + (2,) * (rnd.random() < 0.25)
+    weights = (1, 1, 1, 1 / 20)[-len(values):] if 2 in values else None
+    return M([[0 if i in zero_rows or j in zero_cols else rnd.choices(values, weights)[0]
                for j in range(c)] for i in range(r)])
 
 
 class TestSignMaskScans:
-    """The order-2 row-pair scan and the Eulerian search on sign bitmasks
-    against Camion's test on tuples of entries (`tu_oracles`)."""
+    """The one witness search against orders 1 and 2 by brute force and
+    Camion's test on tuples of entries from order 3 (`tu_oracles`)."""
 
-    def test_eulerian_witness_against_tuples(self):
+    def test_every_window(self):
+        """Every (start, stop) window equals the oracle's; a window whose
+        lower orders hold no witness gives a minor with |det| > 1.  Only
+        start 1 is tried on a matrix with an entry 2, which every later
+        order excludes."""
         rnd = random.Random(47)
-        found = [0] * 7
-        with bounds(tu=6):
+        least, searched = [0] * 9, [0] * 9
+        with bounds(tu=8):
             for _ in range(1500):
                 m = _sign_matrix(rnd)
-                for k in range(2, 7):
-                    got = intmat._eulerian_witness(m, k)
-                    assert got == eulerian_witness(m, k)
-                    found[k] += got is not None
-        assert min(found[2:5]) > 50 and found[5] > 5 and found[6] > 0
+                top = min(m.rows, m.cols)
+                per_order = [least_witness(m, k, k) for k in range(top + 1)]
+                starts = range(1, 2 if per_order[1:2] != [None] else top + 1)
+                for start in starts:
+                    for stop in range(start - 1, top + 1):
+                        got = intmat._least_witness(m.entries, start, stop)
+                        assert got == least_witness(m, start, stop)
+                        assert got == next(filter(None, per_order[start:stop + 1]), None)
+                    assert intmat._least_witness(m.entries, start) == got
+                    if got and not any(per_order[1:start]):
+                        assert abs(determinant(m.submatrix(*got))) > 1
+                        least[len(got[0])] += start == 1
+                for k, found in enumerate(per_order):
+                    searched[k] += found is not None
+        assert min(least[1:4]) > 30 and least[4] > 0
+        assert min(searched[3:5]) > 30 and searched[5] > 5 and searched[6] > 0
 
-    def test_order2_witness_against_tuples(self):
-        rnd = random.Random(53)
-        found = 0
-        for _ in range(2000):
-            m = _sign_matrix(rnd)
-            got = intmat._order2_witness(m)
-            assert got == eulerian_witness(m, 2)
-            found += got is not None
-        assert 300 < found < 1700
+    def test_polynomial_orders_are_not_gated(self):
+        """Orders 1 and 2 answer under any TU bound; order 3 is refused."""
+        det2 = ((1, 1, 0), (0, 1, 1), (1, 0, 1))
+        with bounds(tu=1):
+            assert intmat._least_witness(((1, 0), (0, 3))) == ((1,), (1,))
+            assert intmat._least_witness(((1, 1), (1, -1))) == ((0, 1), (0, 1))
+            assert intmat._least_witness(det2, stop=2) is None
+            with pytest.raises(BoundExceededError, match="Eulerian search order = 3 > 1"):
+                intmat._least_witness(det2)
 
     def test_order2_witness_realizes_nothing(self, monkeypatch):
         """A planted [[1, 1], [1, -1]] is read by the row-pair scan: no
@@ -343,6 +369,26 @@ class TestSignMaskScans:
             got = is_totally_unimodular(M(x))
             assert len(got.witness_rows) == 2
             assert got == tu_by_enumeration(M(x))
+
+
+class TestBlocks:
+    def test_against_breadth_first_search(self):
+        """The merge of column masks against the breadth-first search
+        (`tu_oracles.blocks`), on seeded sparse matrices whose nonzero
+        entries are all distinct, so that a block's rows name its indices."""
+        rnd = random.Random(67)
+        many = 0
+        for _ in range(600):
+            r, c = rnd.randint(0, 12), rnd.randint(0, 12)
+            density = rnd.choice((0.05, 0.1, 0.2, 0.4))
+            m = IntegerMatrix(tuple(tuple(i * 12 + j + 1 if rnd.random() < density else 0
+                                          for j in range(c)) for i in range(r)),
+                              empty_cols=c)
+            want = [[tuple(m.entries[i][j] for j in cols) for i in rows]
+                    for rows, cols in blocks(m)]
+            assert intmat._blocks(m.entries) == want
+            many += len(want) >= 4
+        assert many > 20
 
 
 def _identity_then(rnd, k, extra):
@@ -472,7 +518,7 @@ class TestScale:
         u = M([[int(i == j) + 2 * ((i, j) == (0, 1)) for j in range(8)] for i in range(8)])
         for m in (rep, rep.transpose(), u * rep, M([[2, 1], [1, 1]])):
             assert is_weakly_unimodular(m)
-        assert not intmat._tu_verdict(u * rep)
+        assert not intmat._tu_verdict((u * rep).entries)
 
     def test_late_wu_witness(self):
         """[I_8 | 0 | X] with the det -2 pair of X in its last two columns."""
@@ -482,6 +528,40 @@ class TestScale:
         assert (got.ok, got.witness_rows, got.witness_cols, got.witness_det) == \
             (False, tuple(range(8)), (2, 3, 4, 5, 6, 7, 16, 17), -2)
         assert got == wu_by_enumeration(m)
+
+
+class TestConstructionCounts:
+    """`IntegerMatrix` constructions, counted by wrapping `__post_init__`.
+    Inside the TU layer a matrix is its rows, so a TU "yes" builds none."""
+
+    INPUTS = Path(__file__).parent / "golden" / "inputs"
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        count = [0]
+        post_init = IntegerMatrix.__post_init__
+
+        def counted(self):
+            count[0] += 1
+            post_init(self)
+
+        monkeypatch.setattr(IntegerMatrix, "__post_init__", counted)
+        return count
+
+    def test_reconstruct_k4(self, built):
+        from flowlattice.gram import parse_gram
+        from flowlattice.rebuild import reconstruct_matroid
+
+        a = parse_gram((self.INPUTS / "k4.gram").read_text())
+        built[0] = 0
+        assert reconstruct_matroid(a)
+        assert built[0] == 14
+
+    def test_tu_yes(self, built):
+        m = parse_matrix((self.INPUTS / "tu.mat").read_text())
+        built[0] = 0
+        assert is_totally_unimodular(m)
+        assert built[0] == 0
 
 
 class TestBrokenInvariant:

@@ -113,6 +113,13 @@ class TestConstruction:
         again = parse_matroid(k4.text())
         assert again.ground == k4.ground and again.rep == k4.rep
 
+    @pytest.mark.parametrize("m", [from_graph([(1, 1)]),
+                                   RegularMatroid.from_rep((), IntegerMatrix.empty(0, 0))],
+                             ids=["loop", "empty"])
+    def test_parse_matroid_round_trip_without_rows(self, m):
+        """The empty matroid's label line is blank; it is not read as labels."""
+        assert parse_matroid(m.text()) == m
+
 
 class TestRankAndBases:
     def test_subset_rank_matches_forest_size(self, k4):

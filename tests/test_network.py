@@ -134,10 +134,28 @@ def oracle_cases(rng):
 
 @pytest.fixture
 def no_minors(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("the Eulerian fallback was searched")
+    least_witness = intmat._least_witness
 
-    monkeypatch.setattr(intmat, "_eulerian_witness", refuse)
+    def refuse(rows, start=1, stop=None):
+        if start >= 2:
+            raise AssertionError("the Eulerian fallback was searched")
+        return least_witness(rows, start, stop)
+
+    monkeypatch.setattr(intmat, "_least_witness", refuse)
+
+
+def spy_searches(monkeypatch) -> list:
+    """Records (rows, start) of each `_least_witness` call from order 2 up."""
+    searched = []
+    least_witness = intmat._least_witness
+
+    def spy(rows, start=1, stop=None):
+        if start >= 2:
+            searched.append((tuple(map(tuple, rows)), start))
+        return least_witness(rows, start, stop)
+
+    monkeypatch.setattr(intmat, "_least_witness", spy)
+    return searched
 
 
 class TestAgainstEnumeration:
@@ -182,11 +200,9 @@ class TestCompleteness:
         assert oracle.tu_by_enumeration(IntegerMatrix.from_rows(NESTED))
         for _ in range(200):
             m = random_network(rng, 12, 16)
-            core = intmat._tu_core(m)
-            for rows, cols in intmat._blocks(core):
-                block = core.submatrix(rows, cols)
-                assert network.network_scaling(block.entries) is True
-                assert network.network_scaling(block.transpose().entries) is not False
+            for block in intmat._blocks(intmat._tu_core(m.entries)):
+                assert network.network_scaling(block) is True
+                assert network.network_scaling(tuple(zip(*block))) is not False
 
     def test_ten_by_eighteen(self, no_minors):
         rng = random.Random(10)
@@ -197,42 +213,29 @@ class TestCompleteness:
         assert is_totally_unimodular(m)
 
     def test_r10_reaches_the_enumeration(self, monkeypatch):
-        searched = []
-        eulerian_witness = intmat._eulerian_witness
-
-        def spy(m, k):
-            searched.append(m.entries)
-            return eulerian_witness(m, k)
-
-        monkeypatch.setattr(intmat, "_eulerian_witness", spy)
+        searched = spy_searches(monkeypatch)
         m = IntegerMatrix.from_rows(R10)
         assert network.network_scaling(R10) is None
         assert network.network_scaling(m.transpose().entries) is None
         assert is_totally_unimodular(m)
-        # once per order 2..5, and R10 alone
-        assert searched == [R10] * 4
+        # R10 alone, in one search from order 2
+        assert searched == [(R10, 2)]
 
 
     def test_signs_that_do_not_scale_go_straight_to_the_input(self, rng, monkeypatch):
         """A realized support with signs that do not rescale is no TU
         block (Camion), so only the input is searched, for its witness;
         order 2 is read by the row-pair scan, so the search starts at 3."""
-        searched = []
-        eulerian_witness = intmat._eulerian_witness
-
-        def spy(m, k):
-            searched.append(m)
-            return eulerian_witness(m, k)
-
-        monkeypatch.setattr(intmat, "_eulerian_witness", spy)
+        searched = spy_searches(monkeypatch)
         refuted = 0
         for _ in range(100):
             m = flip_one(rng, random_network(rng, 7, 10))
             searched.clear()
             got = is_totally_unimodular(m)
             refuted += not got
-            # once per order from 3 up to the witness's, and the input alone
-            assert searched == ([] if got else [m] * (len(got.witness_rows) - 2))
+            # one search of the input alone, from order 3, for a witness past 2
+            assert searched == ([] if got or len(got.witness_rows) == 2
+                                else [(m.entries, 3)])
             assert got == oracle.tu_by_enumeration(m)
         assert refuted > 25
 

@@ -169,7 +169,8 @@ class TestTuSigningAgainstEnumeration:
 
     def test_bound_errors(self, rng):
         """Under a TU bound the answer is the unbounded oracle's, or a refusal
-        of the Eulerian search; at min(rows, cols) nothing is refused."""
+        of the Eulerian search, which starts at order 3; at min(rows, cols)
+        nothing is refused."""
         refused = 0
         for _ in range(300):
             x = random_01(rng)
@@ -183,7 +184,7 @@ class TestTuSigningAgainstEnumeration:
                 if got != want:
                     assert bound < cap and got == (
                         BoundExceededError, "instance too large for exact enumeration: "
-                        f"Eulerian search order = {bound + 1} > {bound}")
+                        f"Eulerian search order = {max(bound + 1, 3)} > {bound}")
                     refused += 1
         assert refused > 10
 
@@ -327,16 +328,16 @@ class TestOneSigningPath:
         from flowlattice import intmat
 
         seen = []
-        eulerian_witness = intmat._eulerian_witness
+        least_witness = intmat._least_witness
 
-        def spy(m, k):
-            seen.append(m)
-            return eulerian_witness(m, k)
+        def spy(rows, start=1, stop=None):
+            seen.append((len(rows), len(rows[0])))
+            return least_witness(rows, start, stop)
 
-        monkeypatch.setattr(intmat, "_eulerian_witness", spy)
+        monkeypatch.setattr(intmat, "_least_witness", spy)
         x = IntegerMatrix.from_rows(FANO_PLANTED)
         assert tu_signing(x) is None
-        assert all((m.rows, m.cols) != (x.rows, x.cols) for m in seen)
+        assert seen and (x.rows, x.cols) not in seen
 
     @pytest.mark.parametrize("rows", [None, INFEASIBLE_GRAM], ids=["k4", "infeasible"])
     def test_feasibility_reads_its_certificate_off_the_gram(self, monkeypatch, k4, rows):
@@ -356,8 +357,8 @@ class TestOneSigningPath:
             monkeypatch.setattr(gram, name, refuse)
         a = fundamental_basis(k4).gram if rows is None else GramMatrix.from_rows(rows)
         res = is_g_feasible(a)
-        assert len(seen) == 1 and sharp(seen[0]) == build_x(a)
-        assert res.certificate == (seen[0] if rows is None else None)
+        assert len(seen) == 1 and sharp(IntegerMatrix(seen[0])) == build_x(a)
+        assert res.certificate == (IntegerMatrix(seen[0]) if rows is None else None)
 
 
 class TestConformalRows:

@@ -6,7 +6,11 @@ and names its witness by Camion's Eulerian test; `is_weakly_unimodular`
 decides by one elimination.  These are the earlier routines, which
 expand every minor by cofactors with a memo; the tests compare the two
 for exact equality, witnesses included.  `eulerian_witness` is Camion's
-test on tuples of entries, before the library read it off sign bitmasks.
+test on tuples of entries, before the library read it off sign bitmasks;
+`least_witness` is it from order 3, with orders 1 and 2 by brute force,
+the one search the library runs for every witness.  `blocks` is the
+breadth-first search for connected blocks that the library replaced by a
+merge of column masks.
 """
 
 import itertools
@@ -29,6 +33,46 @@ def eulerian_witness(m, k: int) -> tuple[tuple, tuple] | None:
                     and sum(r[j] for r in sub for j in cols) % 4 == 2):
                 return rows, cols
     return None
+
+
+def least_witness(m, start: int, stop: int) -> tuple[tuple, tuple] | None:
+    """The lexicographically least (rows, cols) of a minor of m with
+    |det| > 1 over the orders start..stop: every minor of order 1 or 2,
+    then `eulerian_witness`, which holds when no order below start has
+    one."""
+    for k in range(start, stop + 1):
+        if k > 2:
+            found = eulerian_witness(m, k)
+            if found:
+                return found
+            continue
+        memo: dict = {}
+        for rows in itertools.combinations(range(m.rows), k):
+            for cols in itertools.combinations(range(m.cols), k):
+                if abs(_minor_det(m, rows, cols, memo)) > 1:
+                    return rows, cols
+    return None
+
+
+def blocks(m) -> list[tuple[list[int], list[int]]]:
+    """Row and column indices of the connected components of the graph
+    joining row i to column j wherever m[i][j] != 0; zero lines omitted."""
+    found, seen = [], set()
+    for start in range(m.rows):
+        if start in seen or not any(m.entries[start]):
+            continue
+        rows, cols = [start], []
+        seen.add(start)
+        for i in rows:
+            for j, x in enumerate(m.entries[i]):
+                if x and j not in cols:
+                    cols.append(j)
+                    for k in range(m.rows):
+                        if m.entries[k][j] and k not in seen:
+                            seen.add(k)
+                            rows.append(k)
+        found.append((sorted(rows), sorted(cols)))
+    return found
 
 
 def _minor_det(m, rows: tuple, cols: tuple, memo: dict) -> int:
