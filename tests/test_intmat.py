@@ -22,7 +22,8 @@ from flowlattice.intmat import (
 
 from conftest import det_cofactor
 from elimination_oracles import integer_kernel_basis
-from tu_oracles import blocks, least_witness, tu_by_enumeration, wu_by_enumeration
+from tu_oracles import (blocks, eulerian_witness, least_witness, tu_by_enumeration,
+                        wu_by_enumeration)
 
 
 def M(rows):
@@ -298,23 +299,51 @@ class TestTotallyUnimodularCore:
         assert len(core) <= k.rows and len(core[0]) <= k.cols
 
 
-def _sign_matrix(rnd):
+def _sign_matrix(rnd, twos=True):
     """A seeded matrix up to 8 x 8, 1 x n and n x 1 included, with entries
     in {0, 1} or {0, +-1}, and a rare 2 in one matrix of four; each row and
-    column is zeroed with probability 1/8."""
+    column is zeroed with probability 1/8.  With twos=False, entries are
+    in {0, +-1}."""
     r, c = rnd.choice(((1, rnd.randint(1, 7)), (rnd.randint(1, 7), 1),
                        (rnd.randint(2, 8), rnd.randint(2, 8))))
     zero_rows = {i for i in range(r) if rnd.random() < 0.125}
     zero_cols = {j for j in range(c) if rnd.random() < 0.125}
-    values = rnd.choice(((0, 1), (0, 1, -1))) + (2,) * (rnd.random() < 0.25)
-    weights = (1, 1, 1, 1 / 20)[-len(values):] if 2 in values else None
-    return M([[0 if i in zero_rows or j in zero_cols else rnd.choices(values, weights)[0]
+    if twos:
+        values = rnd.choice(((0, 1), (0, 1, -1))) + (2,) * (rnd.random() < 0.25)
+        weights = (1, 1, 1, 1 / 20)[-len(values):] if 2 in values else None
+        draw = lambda: rnd.choices(values, weights)[0]
+    else:
+        draw = lambda: rnd.choice((0, 1, -1))
+    return M([[0 if i in zero_rows or j in zero_cols else draw()
                for j in range(c)] for i in range(r)])
 
 
 class TestSignMaskScans:
     """The one witness search against orders 1 and 2 by brute force and
-    Camion's test on tuples of entries from order 3 (`tu_oracles`)."""
+    Camion's test on tuples of entries from order 3 (`tu_oracles`); each
+    single order from 2 on against Camion's test alone."""
+
+    def test_eulerian_witness_against_tuples(self):
+        rnd = random.Random(47)
+        found = [0] * 7
+        with bounds(tu=6):
+            for _ in range(1500):
+                m = _sign_matrix(rnd, twos=False)
+                for k in range(2, 7):
+                    got = intmat._least_witness(m.entries, k, k)
+                    assert got == eulerian_witness(m, k)
+                    found[k] += got is not None
+        assert min(found[2:5]) > 50 and found[5] > 5 and found[6] > 0
+
+    def test_order2_witness_against_tuples(self):
+        rnd = random.Random(53)
+        found = 0
+        for _ in range(2000):
+            m = _sign_matrix(rnd, twos=False)
+            got = intmat._least_witness(m.entries, 2, 2)
+            assert got == eulerian_witness(m, 2)
+            found += got is not None
+        assert 300 < found < 1700
 
     def test_every_window(self):
         """Every (start, stop) window equals the oracle's; a window whose
