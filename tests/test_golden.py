@@ -71,6 +71,7 @@ CASES |= {
     "tu-check-tall": ["tu-check", "inputs/tall.mat"],
     "tu-check-tall-tu-bound-2": ["--tu-bound", "2", "tu-check", "inputs/tall.mat"],
     "signing-fano-tu-bound-1": ["--tu-bound", "1", "signing", "inputs/fano.mat"],
+    "gtest-k4-subset-bound-2": ["--subset-bound", "2", "gtest", "inputs/k4.gram"],
     "circuits-empty": ["circuits", "inputs/empty.matroid"],
     "isometric-edge-empty": ["isometric", "inputs/edge.graph", "inputs/empty.matroid"],
 }
