@@ -154,11 +154,10 @@ def cmd_gtest(args) -> int:
         print(cls.refusal())
         return 1
     print("G-POSITIVE" if cls.g_positive else "G-NONNEGATIVE")
-    for mask in range(1, 1 << a.order):
-        if table[mask] or ftab[mask]:
-            subset = [i + 1 for i in range(a.order) if mask >> i & 1]
-            body = "{" + ",".join(str(i) for i in subset) + "}"
-            print(f"f{body} = {ftab[mask]}  g{body} = {table[mask]}")
+    # the nonempty sets of the positive complex, ascending: f > 0 there, f = g = 0 off it
+    for mask, f in list(ftab.items())[1:]:
+        body = "{" + ",".join(str(i + 1) for i in range(a.order) if mask >> i & 1) + "}"
+        print(f"f{body} = {f}  g{body} = {table[mask]}")
     print(f"k = {-table[0]}")
     return 0
 

@@ -1,6 +1,6 @@
 """Taxonomy of symmetric integer matrices with positive diagonal.
 
-The f and g tables on the subset lattice, the nonnegativity/positivity
+The f and g tables on the positive complex, the nonnegativity/positivity
 flags, the canonical {0,1} skeleton, and the decision of realizability
 as U^T.U for a totally unimodular U: every sign of the one certificate
 that can be TU is read off the matrix, and that matrix is checked once.
@@ -142,51 +142,52 @@ def parse_gram(text: str) -> GramMatrix:
     return GramMatrix(mat)
 
 
-def f_table(a: GramMatrix) -> list[int]:
-    """The set function f on every subset mask, each built from two
-    smaller masks: f(empty) = 0, f({i}) = a_ii, and a larger S has f(S) = 0
-    if it holds a negative triple (a_hi a_ij a_jh < 0), else the least
-    |a_ij| over its pairs.
+def f_table(a: GramMatrix) -> dict[int, int]:
+    """f on the empty set and the positive complex P, the subsets with
+    f > 0, as {mask: f(mask)} in ascending mask order: f(empty) = 0,
+    f({i}) = a_ii, and a larger S has f(S) = 0 if it holds a zero a_ij or
+    a negative triple (a_hi a_ij a_jh < 0), else the least |a_ij| over its
+    pairs.
 
-    A mask of three or more elements, t its top and b its bottom one, has
-    every pair and every triple without t or without b, besides the pair
-    {b, t} and the triples {b, j, t}.  So it has a negative triple iff
-    mask - t or mask - b has one or some j in it closes one with b and t,
-    and its least |a_ij| is the least of theirs and |a_bt|.
+    P is closed under subsets and built one top element t at a time.
+    S + t, with u the top of S, has every pair and every triple of S and of
+    S - u + t, besides the pair {u, t} and the triples {j, u, t}.  So it is
+    in P iff S and S - u + t are, a_ut != 0 and no j in S closes a negative
+    triple with u and t; its least |a_ij| is the least of theirs and |a_ut|.
     """
     s = _gate("subset", "matrix order", a.order)
     e = a.mat.entries
-    # closing[b][t]: the j whose triple with b and t is negative, as a mask
-    closing = [[sum(1 << j for j in range(s) if e[b][j] * e[j][t] * e[t][b] < 0)
-                for t in range(s)] for b in range(s)]
-    f = [0] * (1 << s)
-    negative = bytearray(1 << s)
-    for mask in range(1, 1 << s):
-        t = mask.bit_length() - 1
-        b = (mask & -mask).bit_length() - 1
-        if t == b:
-            f[mask] = e[t][t]
-            continue
-        without_t, without_b = mask ^ (1 << t), mask ^ (1 << b)
-        if without_t == 1 << b:
-            f[mask] = abs(e[b][t])
-        elif negative[without_t] or negative[without_b] or closing[b][t] & mask:
-            negative[mask] = 1
-        else:
-            f[mask] = min(f[without_t], f[without_b], abs(e[b][t]))
+    f = {0: 0}
+    for t in range(s):
+        bit, row = 1 << t, e[t]
+        # closing[u]: the j < u whose triple with u and t is negative, as a mask
+        closing = [sum(1 << j for j in range(u) if e[j][u] * row[u] * row[j] < 0)
+                   for u in range(t)]
+        members = list(f)[1:]
+        f[bit] = row[t]
+        # ascending, so S - u + t is in the table before S + t is tried
+        for mask in members:
+            u = mask.bit_length() - 1
+            if not row[u] or closing[u] & mask:
+                continue
+            rest = mask ^ (1 << u)
+            if not rest:
+                f[mask | bit] = abs(row[u])
+            elif rest | bit in f:
+                f[mask | bit] = min(f[mask], f[rest | bit], abs(row[u]))
     return f
 
 
-def g_table(a: GramMatrix, f: list[int] | None = None) -> list[int]:
+def g_table(a: GramMatrix, f: dict[int, int] | None = None) -> dict[int, int]:
     """Alternating superset sums of the f table, via the subset-lattice
-    transform; f is a's `f_table`, built here when not given."""
-    s = a.order
-    g = f_table(a) if f is None else list(f)
-    for i in range(s):
+    transform on its keys; f is a's `f_table`, built here when not given.
+    Every superset of a set outside P is outside P, so g vanishes there."""
+    g = dict(f_table(a) if f is None else f)
+    for i in range(a.order):
         bit = 1 << i
-        for mask in range(1 << s):
+        for mask in g:
             if not mask & bit:
-                g[mask] -= g[mask | bit]
+                g[mask] -= g.get(mask | bit, 0)
     return g
 
 
@@ -209,19 +210,19 @@ def _subset_text(subset) -> str:
     return "S={" + ",".join(str(i + 1) for i in subset) + "}"
 
 
-def _classify_table(a: GramMatrix, f: list[int] | None = None) -> tuple[Classification, list[int]]:
+def _classify_table(a: GramMatrix, f: dict | None = None) -> tuple[Classification, dict]:
     """The classification together with the g table it was read from;
     f, when given, is a's `f_table`."""
     s = a.order
     g = g_table(a, f)
-    for mask in range(1, 1 << s):
-        if g[mask] < 0:
+    for mask, v in g.items():
+        if mask and v < 0:
             return Classification(False, False, tuple(_mask_elements(mask))), g
     for i in range(s):
         if g[1 << i] == 0:
             return Classification(True, False, (i,)), g
     # derived identity: the empty-set value balances the rest
-    if g[0] != -sum(g[mask] for mask in range(1, 1 << s)) or g[0] > -s:
+    if sum(g.values()) or g[0] > -s:
         raise FlowLatticeError(f"g table of a g-positive matrix has g(empty) = {g[0]}")
     return Classification(True, True), g
 
@@ -230,16 +231,16 @@ def classify(a: GramMatrix) -> Classification:
     return _classify_table(a)[0]
 
 
-def _skeleton(cls: Classification, g: list[int]) -> IntegerMatrix:
+def _skeleton(cls: Classification, g: dict[int, int]) -> IntegerMatrix:
     """`build_x` from a matrix's classification and g table."""
     if not cls.g_nonnegative:
         raise FormatError(f"matrix is not g-nonnegative; witness {_subset_text(cls.witness)}")
-    s = len(g).bit_length() - 1
+    # the top singleton is in the table; g(empty) = -k is never positive
+    s = max(g).bit_length()
     rows = []
-    for mask in range(1, 1 << s):
-        if g[mask] > 0:
-            indicator = tuple(1 if mask >> i & 1 else 0 for i in range(s))
-            rows.extend([indicator] * g[mask])
+    for mask, v in g.items():
+        if v > 0:
+            rows.extend([tuple(mask >> i & 1 for i in range(s))] * v)
     singles = []
     if cls.g_positive:
         singles = sorted(

@@ -113,8 +113,6 @@ class IntegerMatrix:
     def zeros(rows: int, cols: int) -> "IntegerMatrix":
         return IntegerMatrix(((0,) * cols,) * rows, empty_cols=cols)
 
-    empty = zeros
-
     @staticmethod
     def identity(n: int) -> "IntegerMatrix":
         return IntegerMatrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)),
@@ -171,7 +169,8 @@ class IntegerMatrix:
             raise DimensionError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        ot = other.transpose().entries
+        # with no rows, zip sees no columns: other has cols empty columns
+        ot = list(zip(*other.entries)) or [()] * other.cols
         return IntegerMatrix(
             tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
                   for row in self.entries),

@@ -117,6 +117,15 @@ def bridgeless_graphs(max_nodes):
     return out
 
 
+def random_graph(rng, n, s):
+    """A random spanning tree on n vertices and s random extra edges: a
+    connected multigraph whose cycle matroid has corank s."""
+    edges = [(v, rng.randrange(v)) for v in range(1, n)]
+    edges += [tuple(rng.sample(range(n), 2)) for _ in range(s)]
+    rng.shuffle(edges)
+    return edges
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240824)

@@ -1,13 +1,17 @@
-"""The per-subset definitions that the gram tables replaced.
+"""The per-subset definitions and the dense tables that the gram tables
+replaced.
 
-`flowlattice.gram.f_table` builds the f value of every subset mask from
-two smaller masks, and `g_table` takes its alternating superset sums in
-one subset-lattice transform.  These are the definitions they compute:
-f by its case split over pairs and negative triples, g by the
-alternating sum over supersets, and the support statistics phi (the
+`flowlattice.gram.f_table` builds f on the positive complex P only (the
+subsets with f > 0, closed under subsets), each member from two smaller
+ones, and `g_table` takes its alternating superset sums in one
+subset-lattice transform over the same keys.  These are the definitions
+they compute: f by its case split over pairs and negative triples, g by
+the alternating sum over supersets, and the support statistics phi (the
 intersection size) and gamma (the exact-membership count) of a family
-of circuit supports, which f and g equal for a fundamental basis.  The
-tests compare the tables with them, entry by entry.
+of circuit supports, which f and g equal for a fundamental basis.
+`dense_f_table` and `dense_g_table` are the earlier tables on all 2^s
+masks; off P both are 0.  The tests compare the tables with them, entry
+by entry.
 """
 
 import itertools
@@ -130,3 +134,48 @@ def g_value(a: GramMatrix, subset) -> int:
         for extra in itertools.combinations(rest, k):
             total += (-1) ** k * f_value(a, list(idx) + list(extra))
     return total
+
+
+def dense_f_table(a: GramMatrix) -> list[int]:
+    """f on every subset mask, each built from two smaller masks.
+
+    A mask of three or more elements, t its top and b its bottom one, has
+    every pair and every triple without t or without b, besides the pair
+    {b, t} and the triples {b, j, t}.  So it has a negative triple iff
+    mask - t or mask - b has one or some j in it closes one with b and t,
+    and its least |a_ij| is the least of theirs and |a_bt|.
+    """
+    s = a.order
+    e = a.mat.entries
+    # closing[b][t]: the j whose triple with b and t is negative, as a mask
+    closing = [[sum(1 << j for j in range(s) if e[b][j] * e[j][t] * e[t][b] < 0)
+                for t in range(s)] for b in range(s)]
+    f = [0] * (1 << s)
+    negative = bytearray(1 << s)
+    for mask in range(1, 1 << s):
+        t = mask.bit_length() - 1
+        b = (mask & -mask).bit_length() - 1
+        if t == b:
+            f[mask] = e[t][t]
+            continue
+        without_t, without_b = mask ^ (1 << t), mask ^ (1 << b)
+        if without_t == 1 << b:
+            f[mask] = abs(e[b][t])
+        elif negative[without_t] or negative[without_b] or closing[b][t] & mask:
+            negative[mask] = 1
+        else:
+            f[mask] = min(f[without_t], f[without_b], abs(e[b][t]))
+    return f
+
+
+def dense_g_table(a: GramMatrix, f: list[int] | None = None) -> list[int]:
+    """Alternating superset sums of the dense f table on every mask, via
+    the subset-lattice transform."""
+    s = a.order
+    g = dense_f_table(a) if f is None else list(f)
+    for i in range(s):
+        bit = 1 << i
+        for mask in range(1 << s):
+            if not mask & bit:
+                g[mask] -= g[mask | bit]
+    return g

@@ -75,7 +75,7 @@ def random_matrix(rng, rows, cols):
         for row in a:
             row[j] = 0
     if rows == 0:
-        return IntegerMatrix.empty(0, cols)
+        return IntegerMatrix.zeros(0, cols)
     return IntegerMatrix.from_rows(a)
 
 

@@ -272,7 +272,7 @@ class TestFactor:
             assert g._ldl == factor
 
     def test_order_zero(self):
-        assert self.same_factor(GramMatrix(IntegerMatrix.empty(0, 0))) == ([], [], [], 1)
+        assert self.same_factor(GramMatrix(IntegerMatrix.zeros(0, 0))) == ([], [], [], 1)
 
     def test_failing_matrices_name_the_same_minor(self):
         for rows in ([[1, 1], [1, 1]], [[2, 1, 3], [1, 2, 3], [3, 3, 6]],
@@ -284,12 +284,12 @@ class TestFactor:
 class TestEnumerationInput:
     def test_negative_bound_yields_nothing(self, lattices):
         for g in (lattices["K4"].gram, GramMatrix.from_rows([[1]]),
-                  GramMatrix(IntegerMatrix.empty(0, 0))):
+                  GramMatrix(IntegerMatrix.zeros(0, 0))):
             assert list(enumerate_coefficients(g, -1)) == []
             assert list(enumerate_coefficients(g, -1, parity=(1,) * g.order)) == []
 
     def test_order_zero(self):
-        g = GramMatrix(IntegerMatrix.empty(0, 0))
+        g = GramMatrix(IntegerMatrix.zeros(0, 0))
         for bound in (0, 5):
             assert list(enumerate_coefficients(g, bound)) == [((), 0)]
             assert list(enumerate_coefficients(g, bound, parity=())) == [((), 0)]

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -8,6 +9,7 @@ from flowlattice.gram import (
     GramMatrix,
     build_x,
     classify,
+    f_table,
     g_table,
     is_g_feasible,
     parse_gram,
@@ -22,11 +24,14 @@ from flowlattice.intmat import (
 )
 from flowlattice.matroid import from_graph
 
-from conftest import K4
+from conftest import K4, bridgeless_graphs, random_graph
+from elimination_oracles import bases
 from gram_oracles import (
     SupportFamily,
     TripleSign,
     delta,
+    dense_f_table,
+    dense_g_table,
     f_value,
     g_value,
     phi_gamma,
@@ -139,7 +144,7 @@ class TestFAndG:
         for i in range(4):
             assert t[mask([i])] == 1
         assert t[0] == -8
-        positives = sum(v for m, v in enumerate(t) if m and v > 0)
+        positives = sum(v for m, v in t.items() if m and v > 0)
         assert positives == 8
 
     def test_g_value_matches_table(self, rng):
@@ -147,7 +152,7 @@ class TestFAndG:
             t = g_table(a)
             for mask in range(1 << a.order):
                 idx = [i for i in range(a.order) if mask >> i & 1]
-                assert g_value(a, idx) == t[mask]
+                assert g_value(a, idx) == t.get(mask, 0)
 
     def test_bound(self):
         with pytest.raises(BoundExceededError):
@@ -276,42 +281,77 @@ class TestFeasibility:
         assert res.certificate.transpose() * res.certificate == flipped
 
 
+def sweep_grams() -> list:
+    """The fundamental Gram matrices of every base of every bridgeless graph
+    on at most 5 vertices: the 418 of the reconstruction sweep."""
+    grams = [fundamental_basis(m, base).gram
+             for m in map(from_graph, bridgeless_graphs(5)) for base in bases(m)]
+    assert len(grams) == 418
+    return grams
+
+
+def random_small_grams(rng) -> list:
+    """1,500 random Gram matrices of order 0-7: more than 500 of them hold a
+    zero entry and more than 500 a negative triple."""
+    grams = []
+    for _ in range(1500):
+        s = rng.randint(0, 7)
+        rows = [[0] * s for _ in range(s)]
+        for i in range(s):
+            rows[i][i] = rng.randint(1, 6)
+            for j in range(i):
+                rows[i][j] = rows[j][i] = rng.choice((0, 0, 1, -1, 2, -2, 3))
+        grams.append(GramMatrix.from_rows(rows))
+    assert sum(any(0 in r for r in a.mat.entries) for a in grams) > 500
+    assert sum(bool(delta(a)) for a in grams) > 500
+    return grams
+
+
 class TestFTableFromSmallerMasks:
-    """`f_table` builds each mask from two smaller ones; `f_value` tests
-    every triple and pair of the mask afresh."""
+    """`f_table` builds each member of the positive complex from two
+    smaller ones; `f_value` tests every triple and pair of each mask
+    afresh, and the table holds exactly the empty mask and the masks
+    where it is positive."""
 
     @staticmethod
     def by_f_value(a):
-        return [f_value(a, [i for i in range(a.order) if mask >> i & 1])
-                for mask in range(1 << a.order)]
+        values = {mask: f_value(a, [i for i in range(a.order) if mask >> i & 1])
+                  for mask in range(1 << a.order)}
+        return {mask: v for mask, v in values.items() if v or not mask}
 
     def test_reconstruction_sweep(self):
-        from conftest import bridgeless_graphs
-        from flowlattice.gram import f_table
-        from elimination_oracles import bases
-
-        total = 0
-        for edges in bridgeless_graphs(5):
-            m = from_graph(edges)
-            for base in bases(m):
-                a = fundamental_basis(m, base).gram
-                assert f_table(a) == self.by_f_value(a)
-                total += 1
-        assert total == 418
+        for a in sweep_grams():
+            assert f_table(a) == self.by_f_value(a)
 
     def test_random_with_zeros_and_negative_triples(self, rng):
-        from flowlattice.gram import f_table
-
-        zeros = negative = 0
-        for _ in range(1500):
-            s = rng.randint(0, 7)
-            rows = [[0] * s for _ in range(s)]
-            for i in range(s):
-                rows[i][i] = rng.randint(1, 6)
-                for j in range(i):
-                    rows[i][j] = rows[j][i] = rng.choice((0, 0, 1, -1, 2, -2, 3))
-            a = GramMatrix.from_rows(rows)
+        for a in random_small_grams(rng):
             assert f_table(a) == self.by_f_value(a)
-            zeros += any(0 in r for r in rows)
-            negative += bool(delta(a))
-        assert zeros > 500 and negative > 500
+
+
+class TestSparseTablesAgainstDense:
+    """`f_table` and `g_table` hold exactly the empty mask and the masks
+    with f > 0 (the positive complex), in ascending order, with the dense
+    tables' values there; the dense g is 0 everywhere else."""
+
+    @staticmethod
+    def check(a):
+        f, g = f_table(a), g_table(a)
+        dense_f, dense_g = dense_f_table(a), dense_g_table(a)
+        keys = [mask for mask, v in enumerate(dense_f) if v or not mask]
+        assert list(f) == list(g) == keys
+        assert all(f[mask] == dense_f[mask] and g[mask] == dense_g[mask] for mask in keys)
+        assert not any(dense_g[mask] for mask in set(range(len(dense_g))).difference(keys))
+
+    def test_random_with_zeros_and_negative_triples(self, rng):
+        for a in random_small_grams(rng):
+            self.check(a)
+
+    def test_reconstruction_sweep(self):
+        for a in sweep_grams():
+            self.check(a)
+
+    @pytest.mark.parametrize("s", range(14, 17))
+    def test_fundamental_grams_at_scale(self, s):
+        a = fundamental_basis(from_graph(random_graph(random.Random(s), 8, s))).gram
+        assert a.order == s
+        self.check(a)

@@ -114,7 +114,7 @@ class TestConstruction:
         assert again.ground == k4.ground and again.rep == k4.rep
 
     @pytest.mark.parametrize("m", [from_graph([(1, 1)]),
-                                   RegularMatroid.from_rep((), IntegerMatrix.empty(0, 0))],
+                                   RegularMatroid.from_rep((), IntegerMatrix.zeros(0, 0))],
                              ids=["loop", "empty"])
     def test_parse_matroid_round_trip_without_rows(self, m):
         """The empty matroid's label line is blank; it is not read as labels."""

@@ -23,7 +23,7 @@ from flowlattice.rebuild import (
     to_g_positive_basis,
 )
 
-from conftest import BOWTIE, K4, PATH2, TRIANGLE, TWO_TRIANGLES, bridgeless_graphs
+from conftest import BOWTIE, K4, PATH2, TRIANGLE, TWO_TRIANGLES, bridgeless_graphs, random_graph
 from elimination_oracles import bases
 from rank_oracles import first_unimodular_square_by_det
 from tu_oracles import tu_by_enumeration
@@ -175,22 +175,15 @@ class TestReconstructionSweep:
 
 
 class TestReconstructionAtScale:
-    """Coranks 11-16, past any TU bound's reach: the certificate's order is
-    the corank, but its realization is polynomial and never searched."""
+    """Coranks 11-20, past any TU bound's reach and up to the default subset
+    bound: the certificate's order is the corank, but its realization is
+    polynomial and never searched."""
 
-    @staticmethod
-    def random_graph(rng, n, s):
-        """A random spanning tree on n vertices and s random extra edges."""
-        edges = [(v, rng.randrange(v)) for v in range(1, n)]
-        edges += [tuple(rng.sample(range(n), 2)) for _ in range(s)]
-        rng.shuffle(edges)
-        return edges
-
-    @pytest.mark.parametrize("s", range(11, 17))
+    @pytest.mark.parametrize("s", range(11, 21))
     def test_fundamental_grams(self, s):
         rng = random.Random(s)
         for n in (6, 8):
-            m = from_graph(self.random_graph(rng, n, s))
+            m = from_graph(random_graph(rng, n, s))
             a = fundamental_basis(m).gram
             out = reconstruct_matroid(a)
             cert = out.report.certificate

@@ -190,8 +190,8 @@ class TestTuSigningAgainstEnumeration:
 
     def test_non_binary_empty_and_oversized_inputs(self):
         ones = [[1] * 40 for _ in range(40)]
-        for x in (IntegerMatrix.from_rows([[1, 2], [0, 1]]), IntegerMatrix.empty(0, 3),
-                  IntegerMatrix.empty(3, 0), IntegerMatrix.from_rows([[1, -1]]),
+        for x in (IntegerMatrix.from_rows([[1, 2], [0, 1]]), IntegerMatrix.zeros(0, 3),
+                  IntegerMatrix.zeros(3, 0), IntegerMatrix.from_rows([[1, -1]]),
                   IntegerMatrix.from_rows(ones), IntegerMatrix.from_rows(ones[:-1] + [[2] * 40])):
             assert outcome(tu_signing, x) == outcome(oracle.tu_signing, x)
 
@@ -235,7 +235,7 @@ class TestFeasibilityAgainstEnumeration:
                 assert outcome(is_g_feasible, a) == outcome(oracle.is_g_feasible, a)
 
     def test_empty_gram(self):
-        a = GramMatrix(IntegerMatrix.empty(0, 0))
+        a = GramMatrix(IntegerMatrix.zeros(0, 0))
         assert is_g_feasible(a) == oracle.is_g_feasible(a)
 
 

@@ -120,7 +120,8 @@ class TestBoundsScope:
                     f_table(a)
         assert (exc.value.what, exc.value.size, exc.value.bound) == ("matrix order", 3, 2)
         assert dict(intmat.call_bounds.get()) == {}
-        assert len(f_table(a)) == 8
+        # the empty set, three singletons and three pairs: K4's triple is negative
+        assert len(f_table(a)) == 7
 
     def test_reaches_nested_checks(self):
         """The circuit gate inside `is_isomorphic` and the subset gate inside
