@@ -168,11 +168,11 @@ def dense_f_table(a: GramMatrix) -> list[int]:
     return f
 
 
-def dense_g_table(a: GramMatrix, f: list[int] | None = None) -> list[int]:
+def dense_g_table(a: GramMatrix) -> list[int]:
     """Alternating superset sums of the dense f table on every mask, via
     the subset-lattice transform."""
     s = a.order
-    g = dense_f_table(a) if f is None else list(f)
+    g = dense_f_table(a)
     for i in range(s):
         bit = 1 << i
         for mask in range(1 << s):
