@@ -232,8 +232,10 @@ def _gauss_jordan(rows, width: int | None = None):
     to right, each on the first row at or below the pivots found so far
     that is nonzero there; that row is swapped up.  Every other row r
     becomes (p * r - r[c] * pivot row) // (previous pivot), an exact
-    division (Bareiss 1968), so all entries stay integral.  Returns the
-    reduced rows, the pivot columns, the original row index of each
+    division (Bareiss 1968), so all entries stay integral.  A row with
+    r[c] = 0 has nothing to subtract: it becomes p * r // (previous
+    pivot), and is left as it is when the two pivots are equal.  Returns
+    the reduced rows, the pivot columns, the original row index of each
     pivot, the pivot values, and each pivot row as it was when chosen:
     pivot k is the leading (k+1)-minor of the row-permuted matrix on the
     pivot columns.  With d the last pivot, the reduced rows are d times
@@ -261,7 +263,10 @@ def _gauss_jordan(rows, width: int | None = None):
         for i in range(len(a)):
             if i != k:
                 f = a[i][c]
-                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pk)]
+                if f:
+                    a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pk)]
+                elif p != prev:
+                    a[i] = [p * x // prev for x in a[i]]
         cols.append(c)
         pivots.append(p)
         chosen.append(pk)

@@ -9,7 +9,6 @@ least one; the least base and the dual are read off it.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -24,6 +23,7 @@ from .intmat import (
     parse_matrix,
     rank,
 )
+from .network import _mask_elements
 
 
 @dataclass(frozen=True)
@@ -97,23 +97,23 @@ class RegularMatroid:
     def _circuits(self) -> tuple[tuple[int, ...], ...]:
         """Minimal nonempty supports of the GF(2) cycle space.
 
-        Every cycle-space vector is visited once by Gray-code XOR over the
-        basis; in popcount order a vector is a circuit iff it contains no
-        circuit found before it.
+        The cycle space is built by doubling over the basis, each basis
+        vector XORed onto every vector so far; in popcount order a vector
+        is a circuit iff it contains no circuit found before it.
         """
-        basis = self._cycle_basis
-        vectors = [0] * (1 << len(basis))
-        for i in range(1, len(vectors)):
-            vectors[i] = vectors[i - 1] ^ basis[(i & -i).bit_length() - 1]
+        vectors = [0]
+        for b in self._cycle_basis:
+            vectors += [v ^ b for v in vectors]
         vectors.sort(key=int.bit_count)
         found: list[int] = []
         for v in vectors[1:]:
-            if not any(c & v == c for c in found):
+            for c in found:
+                if c & v == c:
+                    break
+            else:
                 found.append(v)
-        return tuple(sorted(
-            (tuple(j for j in range(self.size) if v >> j & 1) for v in found),
-            key=lambda c: (len(c), c),
-        ))
+        return tuple(sorted((tuple(_mask_elements(v)) for v in found),
+                            key=lambda c: (len(c), c)))
 
     @cached_property
     def _core(self) -> "RegularMatroid | None":
@@ -135,7 +135,11 @@ class RegularMatroid:
     def _dual(self) -> "RegularMatroid":
         """`dual(self)`: [-L^T I_s] off the standard form on the least base."""
         sf = coordinatize(self)
-        rep = (-sf.l_block.transpose()).hstack(IntegerMatrix.identity(self.corank))
+        r, s = self.rank, self.corank
+        rows = sf.matrix.entries
+        rep = IntegerMatrix(tuple(
+            tuple(-row[r + j] for row in rows) + (0,) * j + (1,) + (0,) * (s - 1 - j)
+            for j in range(s)), empty_cols=self.size)
         return RegularMatroid.from_rep(tuple(self.ground[j] for j in sf.perm), rep,
                                        validate=False)
 
@@ -351,19 +355,25 @@ class IsomorphismResult:
         return self.isomorphic
 
 
-def _element_profiles(m: RegularMatroid, circ) -> list[tuple]:
-    per = [Counter() for _ in range(m.size)]
+def _element_profiles(m: RegularMatroid, circ) -> list[tuple[int, ...]]:
+    """Per element, its number of circuits of each size 0..m.size."""
+    per = [[0] * (m.size + 1) for _ in range(m.size)]
     for c in circ:
         for e in c:
             per[e][len(c)] += 1
-    return [tuple(sorted(p.items())) for p in per]
+    return [tuple(p) for p in per]
 
 
 def is_isomorphic(m: RegularMatroid, n: RegularMatroid) -> IsomorphismResult:
     """Search for a ground bijection carrying circuits onto circuits.
 
     Pruned by rank, circuit-size multiset, and per-element circuit
-    profiles; returns the lexicographically least bijection found.
+    profiles.  Elements k = 0, 1, ... of m are mapped in turn, each to the
+    unused elements of n with its profile in ascending order, so the
+    first bijection found is the lexicographically least.  The images
+    are int bits, and each circuit of m whose largest element is k is
+    checked, once k is mapped, as the mask of its image among the masks
+    of n's circuits.
     """
     _gate("iso", "ground size", max(m.size, n.size))
     if m.size != n.size or m.rank != n.rank:
@@ -377,35 +387,36 @@ def is_isomorphic(m: RegularMatroid, n: RegularMatroid) -> IsomorphismResult:
     if sorted(pm) != sorted(pn):
         return IsomorphismResult(False)
 
-    n_circuit_set = {frozenset(c) for c in cn}
-    by_max: dict[int, list[frozenset]] = {}
+    n_masks = {sum(1 << e for e in c) for c in cn}
+    by_max: dict[int, list[tuple[int, ...]]] = {}
     for c in cm:
-        by_max.setdefault(max(c), []).append(frozenset(c))
+        by_max.setdefault(c[-1], []).append(c)
+    same_profile: dict[tuple, list[int]] = {}
+    for x, p in enumerate(pn):
+        same_profile.setdefault(p, []).append(x)
+    candidates = [same_profile[p] for p in pm]
 
     size = m.size
-    image = [-1] * size
-    used = [False] * size
+    bit = [0] * size                    # bit[k] = 1 << (image of k)
 
-    def extend(k: int) -> bool:
+    def extend(k: int, used: int) -> bool:
         if k == size:
             return True
-        for x in range(size):
-            if used[x] or pn[x] != pm[k]:
+        for x in candidates[k]:
+            b = 1 << x
+            if used & b:
                 continue
-            image[k] = x
-            used[x] = True
-            ok = all(
-                frozenset(image[e] for e in c) in n_circuit_set
-                for c in by_max.get(k, ())
-            )
-            if ok and extend(k + 1):
-                return True
-            used[x] = False
-            image[k] = -1
+            bit[k] = b
+            for c in by_max.get(k, ()):
+                if sum(bit[e] for e in c) not in n_masks:
+                    break
+            else:
+                if extend(k + 1, used | b):
+                    return True
         return False
 
-    if not extend(0):
+    if not extend(0, 0):
         return IsomorphismResult(False)
-    mapping = tuple(image)
+    mapping = tuple(b.bit_length() - 1 for b in bit)
     label_map = tuple((m.ground[i], n.ground[x]) for i, x in enumerate(mapping))
     return IsomorphismResult(True, mapping, label_map)

@@ -104,9 +104,18 @@ def random_multigraph(rng):
 
 class TestCore:
     def test_reduced_rows_and_leading_minors(self, rng):
+        """Also counts the matrices on which a row that is 0 in the pivot
+        column meets a pivot equal to the one before (the row is left as
+        it is) and one that differs (the row is rescaled): the rows before
+        the pivot on column c are the pass limited to width c."""
+        kept = rescaled = 0
         for _ in range(1500):
             m = random_matrix(rng, rng.randint(0, 6), rng.randint(0, 6))
             reduced, cols, order, pivots, chosen = _gauss_jordan(m.entries)
+            skips = {p == prev for c, p, prev in zip(cols, pivots, [1] + pivots)
+                     if any(row[c] == 0 for row in _gauss_jordan(m.entries, c)[0])}
+            kept += True in skips
+            rescaled += False in skips
             assert len(cols) == oracle.rank(m)
             for k, p in enumerate(pivots):
                 block = m.submatrix(order[:k + 1], cols[:k + 1])
@@ -118,6 +127,7 @@ class TestCore:
             d = pivots[-1] if pivots else 1
             assert [[Fraction(x, d) for x in row] for row in reduced] == \
                 fraction_rref(m.entries)
+        assert kept > 100 and rescaled > 400
 
     def test_width_limits_the_pivot_columns(self, rng):
         for _ in range(300):

@@ -20,7 +20,7 @@ from flowlattice.intmat import (
     sharp,
 )
 
-from conftest import det_cofactor
+from conftest import K4, det_cofactor
 from elimination_oracles import integer_kernel_basis
 from tu_oracles import (blocks, eulerian_witness, least_witness, tu_by_enumeration,
                         wu_by_enumeration)
@@ -591,6 +591,18 @@ class TestConstructionCounts:
         built[0] = 0
         assert is_totally_unimodular(m)
         assert built[0] == 0
+
+    @pytest.mark.parametrize("decision,count", [("cut_lattices_isometric", 4),
+                                                ("mixed_isometric", 2)])
+    def test_isometry_k4(self, built, decision, count):
+        """Each dual is one matrix [-L^T I_s], and its standard form one."""
+        from flowlattice import rebuild
+        from flowlattice.matroid import from_graph
+
+        m, n = from_graph(K4), from_graph([K4[i] for i in (3, 0, 5, 1, 4, 2)])
+        built[0] = 0
+        assert getattr(rebuild, decision)(m, n)
+        assert built[0] == count
 
 
 class TestBrokenInvariant:

@@ -25,6 +25,7 @@ from flowlattice.rebuild import (
 
 from conftest import BOWTIE, K4, PATH2, TRIANGLE, TWO_TRIANGLES, bridgeless_graphs, random_graph
 from elimination_oracles import bases
+import iso_oracles
 from rank_oracles import first_unimodular_square_by_det
 from tu_oracles import tu_by_enumeration
 
@@ -243,6 +244,59 @@ class TestIsometryDecisions:
         assert mixed_isometric(k4, d).isometric == bool(
             flow_lattices_isometric(k4, dual(d))
         )
+
+
+class TestIsometryAgainstOracles:
+    """Circuits by doubling over the cycle basis, the search on int masks
+    and the dual written as one matrix, against the Gray-code walk, the
+    frozenset search and the dual by blocks they replaced."""
+
+    DECISIONS = {"flow": flow_lattices_isometric, "cut": cut_lattices_isometric,
+                 "mixed": mixed_isometric}
+    K4_RELABELLED = [K4[i] for i in (3, 0, 5, 1, 4, 2)]
+
+    @staticmethod
+    def random_pair(rng):
+        """A multigraph on up to 7 vertices and 13 edges, and a copy with
+        its vertices relabelled, its edges reordered and reoriented, and in
+        40% of the pairs one edge rewired."""
+        nv = rng.randint(1, 7)
+        edges = [(rng.randint(1, nv), rng.randint(1, nv)) for _ in range(rng.randint(1, 13))]
+        names = rng.sample(range(1, nv + 1), nv)
+        other = [(names[t - 1], names[h - 1]) if rng.random() < 0.5
+                 else (names[h - 1], names[t - 1]) for t, h in edges]
+        rng.shuffle(other)
+        if rng.random() < 0.4:
+            other[rng.randrange(len(other))] = (rng.randint(1, nv), rng.randint(1, nv))
+        return edges, other
+
+    def test_random_multigraph_pairs(self, rng):
+        seen = {True: 0, False: 0}
+        moved = 0
+        with bounds(iso=14):
+            for _ in range(1500):
+                edges, other = self.random_pair(rng)
+                m, n = from_graph(edges), from_graph(other)
+                for mode, decide in self.DECISIONS.items():
+                    got = decide(m, n)
+                    want = iso_oracles.decide(mode, m, n)
+                    assert (got.isometric, got.witness.mapping, got.witness.label_map,
+                            got.left_core, got.right_core) == want
+                    for core in want[3:]:
+                        assert circuits(core) == iso_oracles.gray_code_circuits(core)
+                    seen[got.isometric] += 1
+                    mapping = got.witness.mapping
+                    moved += got.isometric and mapping != tuple(sorted(mapping))
+        assert seen[True] > 2000 and seen[False] > 1800 and moved > 900
+
+    @pytest.mark.parametrize("mode,mapping", [("flow", (0, 1, 4, 3, 2, 5)),
+                                              ("cut", (0, 1, 4, 3, 2, 5)),
+                                              ("mixed", (0, 1, 3, 4, 2, 5))])
+    def test_k4_least_maps(self, k4, mode, mapping):
+        n = from_graph(self.K4_RELABELLED)
+        got = self.DECISIONS[mode](k4, n)
+        assert got.witness.mapping == mapping
+        assert got.witness.mapping == iso_oracles.decide(mode, k4, n)[1]
 
 
 class TestIdentityRowsFromPivots:
