@@ -241,15 +241,8 @@ def _skeleton(cls: Classification, g: dict[int, int]) -> IntegerMatrix:
     for mask, v in g.items():
         if v > 0:
             rows.extend([tuple(mask >> i & 1 for i in range(s))] * v)
-    singles = []
-    if cls.g_positive:
-        singles = sorted(
-            [r for r in rows if sum(r) == 1],
-            key=lambda r: r.index(1),
-        )
-        rows = [r for r in rows if sum(r) != 1]
+    # singletons sort last, in ascending index order
     rows.sort(key=lambda r: (-sum(r), tuple(-x for x in r)))
-    rows += singles
     x = IntegerMatrix(tuple(rows), empty_cols=s)
     if x.rows != -g[0]:
         raise FlowLatticeError(f"skeleton has {x.rows} rows, g(empty) = {g[0]}")

@@ -30,22 +30,24 @@ from .network import _mask_elements
 class RegularMatroid:
     """Ground-set labels plus a full-row-rank TU representation matrix.
 
-    `circuits`, `loops_and_coloops` and `_independent_row_subset` read
-    the matroid off the representation mod 2.  That is exact only
-    because the representation is TU: every square submatrix has
-    determinant 0 or +-1, so a set of columns (or rows) is independent
-    over the rationals iff it is independent over GF(2) (Camion 1965).
-    `from_rep` checks TU unless `validate=False`; every internal
-    `validate=False` construction is TU by construction (incidence
-    matrices, column and row selections, `[-L^T I]` duals, and the U^T and
-    `[I_r | -K]` of `reconstruct_matroid`: U is the TU-checked certificate,
-    K a block of q = U B^-1 with B an invertible s-by-s block of U, so
-    det B = +-1 and q is a pivot of U, hence TU).
+    `circuits`, `loops_and_coloops` and `_row_reduced` read the matroid
+    off the representation mod 2.  That is exact only because the
+    representation is TU: every square submatrix has determinant 0 or
+    +-1, so a set of columns (or rows) is independent over the rationals
+    iff it is independent over GF(2) (Camion 1965).  `from_rep` checks TU
+    unless `validate=False`; every internal construction skips the check
+    and is TU by construction (incidence matrices, column and row
+    selections, `[-L^T I]` duals, and the U^T and `[I_r | -K]` of
+    `reconstruct_matroid`: U is the TU-checked certificate, K a block of
+    q = U B^-1 with B an invertible s-by-s block of U, so det B = +-1 and
+    q is a pivot of U, hence TU).
 
     Each matroid computes its cycle-space basis, its circuits, its
     co-loop-contracted minor, its dual on the least base and its signed
     circuit flows at most once, on first use, and keeps them for its own
-    lifetime; they take no part in equality, hashing or repr.
+    lifetime; they take no part in equality, hashing or repr.  Graph
+    matroids and co-loop-contracted minors are built by `_row_reduced`
+    and start with the cycle basis of the echelon that chose their rows.
     """
 
     ground: tuple[str, ...]
@@ -125,11 +127,7 @@ class RegularMatroid:
             return None
         contracted = set(coloops)
         keep = [j for j in range(self.size) if j not in contracted]
-        trimmed = self.rep.select_columns(keep)
-        rep = trimmed.select_rows(_independent_row_subset(trimmed))
-        return RegularMatroid.from_rep(
-            tuple(self.ground[j] for j in keep), rep, validate=False
-        )
+        return _row_reduced([self.ground[j] for j in keep], self.rep.select_columns(keep))
 
     @cached_property
     def _dual(self) -> "RegularMatroid":
@@ -182,9 +180,14 @@ def _gf2_echelon(rep: IntegerMatrix) -> tuple[list[int], list[int]]:
     return kept, cycles
 
 
-def _independent_row_subset(m: IntegerMatrix) -> list[int]:
-    """Greedy maximal set of linearly independent rows, in order."""
-    return _gf2_echelon(m)[0]
+def _row_reduced(ground, full: IntegerMatrix) -> RegularMatroid:
+    """The matroid of full's greedy independent rows, with the cycle basis
+    of the one echelon that chose them: a dependent row reduces to 0 and
+    leaves the echelon as it found it, so the basis is the kept rows' own."""
+    kept, cycles = _gf2_echelon(full)
+    m = RegularMatroid(tuple(ground), full.select_rows(kept))
+    vars(m)["_cycle_basis"] = cycles
+    return m
 
 
 def from_graph(edges, labels=None) -> RegularMatroid:
@@ -205,12 +208,9 @@ def from_graph(edges, labels=None) -> RegularMatroid:
             continue
         d[vindex[head]][j] = 1
         d[vindex[tail]][j] = -1
-    full = IntegerMatrix(tuple(map(tuple, d)), empty_cols=len(edges))
-    kept = _independent_row_subset(full)
-    rep = full.select_rows(kept)
     if labels is None:
-        labels = tuple(f"e{j + 1}" for j in range(len(edges)))
-    return RegularMatroid.from_rep(labels, rep, validate=False)
+        labels = [f"e{j + 1}" for j in range(len(edges))]
+    return _row_reduced(labels, IntegerMatrix(tuple(map(tuple, d)), empty_cols=len(edges)))
 
 
 def parse_graph(text: str) -> list[tuple]:
@@ -367,21 +367,20 @@ def _element_profiles(m: RegularMatroid, circ) -> list[tuple[int, ...]]:
 def is_isomorphic(m: RegularMatroid, n: RegularMatroid) -> IsomorphismResult:
     """Search for a ground bijection carrying circuits onto circuits.
 
-    Pruned by rank, circuit-size multiset, and per-element circuit
-    profiles.  Elements k = 0, 1, ... of m are mapped in turn, each to the
-    unused elements of n with its profile in ascending order, so the
-    first bijection found is the lexicographically least.  The images
-    are int bits, and each circuit of m whose largest element is k is
-    checked, once k is mapped, as the mask of its image among the masks
-    of n's circuits.
+    Pruned by size, rank and sorted per-element circuit profiles, which
+    fix the circuit-size multiset (the size-L counts of all profiles sum
+    to L times the number of circuits of size L).  Elements k = 0, 1, ...
+    of m are mapped in turn, each to the unused elements of n with its
+    profile in ascending order, so the first bijection found is the
+    lexicographically least.  The images are int bits, and each circuit
+    of m whose largest element is k is checked, once k is mapped, as the
+    mask of its image among the masks of n's circuits.
     """
     _gate("iso", "ground size", max(m.size, n.size))
     if m.size != n.size or m.rank != n.rank:
         return IsomorphismResult(False)
     cm = circuits(m)
     cn = circuits(n)
-    if sorted(len(c) for c in cm) != sorted(len(c) for c in cn):
-        return IsomorphismResult(False)
     pm = _element_profiles(m, cm)
     pn = _element_profiles(n, cn)
     if sorted(pm) != sorted(pn):

@@ -11,15 +11,18 @@ intersection size) and gamma (the exact-membership count) of a family
 of circuit supports, which f and g equal for a fundamental basis.
 `dense_f_table` and `dense_g_table` are the earlier tables on all 2^s
 masks; off P both are 0.  The tests compare the tables with them, entry
-by entry.
+by entry.  `skeleton_by_two_sorts` is the earlier `build_x`, which moved
+a g-positive matrix's singleton rows after the rest in a second sort;
+the one sort of `build_x` already puts them there.
 """
 
 import itertools
 from dataclasses import dataclass
 from enum import Enum
 
-from flowlattice.errors import DimensionError, FlowLatticeError
-from flowlattice.gram import GramMatrix
+from flowlattice.errors import DimensionError, FlowLatticeError, FormatError
+from flowlattice.gram import Classification, GramMatrix, _subset_text
+from flowlattice.intmat import IntegerMatrix
 
 
 @dataclass(frozen=True)
@@ -179,3 +182,28 @@ def dense_g_table(a: GramMatrix) -> list[int]:
             if not mask & bit:
                 g[mask] -= g[mask | bit]
     return g
+
+
+def skeleton_by_two_sorts(cls: Classification, g: dict[int, int]) -> IntegerMatrix:
+    """`build_x` from a classification and g table, with the singleton
+    rows of a g-positive matrix sorted by index and appended last."""
+    if not cls.g_nonnegative:
+        raise FormatError(f"matrix is not g-nonnegative; witness {_subset_text(cls.witness)}")
+    s = max(g).bit_length()
+    rows = []
+    for mask, v in g.items():
+        if v > 0:
+            rows.extend([tuple(mask >> i & 1 for i in range(s))] * v)
+    singles = []
+    if cls.g_positive:
+        singles = sorted(
+            [r for r in rows if sum(r) == 1],
+            key=lambda r: r.index(1),
+        )
+        rows = [r for r in rows if sum(r) != 1]
+    rows.sort(key=lambda r: (-sum(r), tuple(-x for x in r)))
+    rows += singles
+    x = IntegerMatrix(tuple(rows), empty_cols=s)
+    if x.rows != -g[0]:
+        raise FlowLatticeError(f"skeleton has {x.rows} rows, g(empty) = {g[0]}")
+    return x

@@ -39,7 +39,7 @@ from flowlattice.intmat import (
 )
 from flowlattice.matroid import (
     RegularMatroid,
-    _independent_row_subset,
+    _gf2_echelon,
     circuits,
     coordinatize,
     dual,
@@ -361,7 +361,7 @@ def check_reconstruction(gram):
     """q, the standard form and coordinates against the replaced routines."""
     rep = reconstruct_matroid(gram).report
     cert, q = rep.certificate, rep.g_positive_basis
-    block = cert.select_rows(_independent_row_subset(cert))
+    block = cert.select_rows(_gf2_echelon(cert)[0])
     assert q == cert * oracle._integer_inverse(block)
     ident = oracle._identity_block_rows(q)
     other = [i for i in range(q.rows) if i not in ident]

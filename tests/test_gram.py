@@ -7,6 +7,7 @@ from flowlattice.errors import BoundExceededError, DimensionError, FormatError
 from flowlattice.flows import fundamental_basis
 from flowlattice.gram import (
     GramMatrix,
+    _classify_table,
     build_x,
     classify,
     f_table,
@@ -35,6 +36,7 @@ from gram_oracles import (
     f_value,
     g_value,
     phi_gamma,
+    skeleton_by_two_sorts,
     triple_sign,
 )
 
@@ -355,3 +357,33 @@ class TestSparseTablesAgainstDense:
         a = fundamental_basis(from_graph(random_graph(random.Random(s), 8, s))).gram
         assert a.order == s
         self.check(a)
+
+
+class TestBuildXAgainstTwoSorts:
+    """`build_x` sorts its rows once; the earlier skeleton sorted a
+    g-positive matrix's singleton rows apart and appended them.  Both give
+    the same rows in the same order on every g-nonnegative matrix."""
+
+    @staticmethod
+    def check(grams):
+        """Counts of the g-nonnegative and the g-positive matrices checked."""
+        nonnegative = positive = 0
+        for a in grams:
+            cls, g = _classify_table(a)
+            if cls.g_nonnegative:
+                assert build_x(a) == skeleton_by_two_sorts(cls, g)
+                nonnegative += 1
+                positive += cls.g_positive
+        return nonnegative, positive
+
+    def test_random_with_zeros_and_negative_triples(self, rng):
+        nonnegative, positive = self.check(random_small_grams(rng))
+        assert nonnegative > 500 and positive > 400
+
+    def test_reconstruction_sweep(self):
+        assert self.check(sweep_grams()) == (418, 418)
+
+    def test_fundamental_grams_at_scale(self):
+        grams = [fundamental_basis(from_graph(random_graph(random.Random(s), 8, s))).gram
+                 for s in range(14, 17)]
+        assert self.check(grams) == (3, 3)

@@ -8,6 +8,7 @@ from flowlattice.errors import BoundExceededError, FormatError, NotABaseError
 from flowlattice.intmat import IntegerMatrix, bounds, determinant, is_totally_unimodular, rank
 from flowlattice.matroid import (
     RegularMatroid,
+    _gf2_echelon,
     circuits,
     contract_coloops,
     coordinatize,
@@ -36,6 +37,7 @@ from rank_oracles import (
     circuits_by_rank,
     coloops_by_rank,
     incidence_rep_by_rank,
+    independent_rows_by_rank,
     loops_by_zero_columns,
 )
 
@@ -193,15 +195,28 @@ class TestAgainstRankOracles:
         assert loops_and_coloops(m) == (loops_by_zero_columns(m), coloops_by_rank(m))
 
     def test_random_multigraphs_and_duals(self, rng):
-        looped = 0
+        """Also the core, whose rows are kept by rank from the columns
+        outside the co-loops; a graph matroid and its core hold the cycle
+        basis of the echelon that built them from the start."""
+        looped = pendant = 0
         for _ in range(200):
             edges = random_multigraph(rng)
             m = from_graph(edges)
             assert m.rep == incidence_rep_by_rank(edges)
+            assert vars(m)["_cycle_basis"] == _gf2_echelon(m.rep)[1]
             self.check(m)
             self.check(dual(m))
+            coloops = coloops_by_rank(m)
+            keep = [j for j in range(m.size) if j not in coloops]
+            trimmed = m.rep.select_columns(keep)
+            core = contract_coloops(m)
+            assert core.ground == tuple(m.ground[j] for j in keep)
+            assert core.rep == trimmed.select_rows(independent_rows_by_rank(trimmed))
+            assert vars(core)["_cycle_basis"] == _gf2_echelon(core.rep)[1]
+            self.check(core)
             looped += any(t == h for t, h in edges)
-        assert looped > 50
+            pendant += bool(coloops)
+        assert looped > 50 and pendant > 50
 
     def test_r10_and_dual(self):
         m = r10()

@@ -7,7 +7,7 @@ from flowlattice.flows import fundamental_basis
 from flowlattice.gram import GramMatrix, classify, is_g_feasible
 from flowlattice.intmat import IntegerMatrix, bounds, is_totally_unimodular, rank
 from flowlattice.matroid import (
-    _independent_row_subset,
+    _gf2_echelon,
     circuits,
     contract_coloops,
     dual,
@@ -157,7 +157,7 @@ class TestReconstructionSweep:
             for base in bases(m):
                 rep = reconstruct_matroid(fundamental_basis(m, base).gram).report
                 cert, form = rep.certificate, rep.standard_form
-                assert tuple(_independent_row_subset(cert)) == \
+                assert tuple(_gf2_echelon(cert)[0]) == \
                     first_unimodular_square_by_det(cert)
                 assert tu_by_enumeration(form)
                 assert rank(form) == form.rows

@@ -22,7 +22,7 @@ from flowlattice.flows import (
 )
 from flowlattice.gram import GramMatrix, f_table
 from flowlattice.intmat import IntegerMatrix, bounds, is_totally_unimodular
-from flowlattice.matroid import circuits, contract_coloops, from_graph
+from flowlattice.matroid import circuits, contract_coloops, from_graph, loops_and_coloops
 from flowlattice.rebuild import flow_lattices_isometric, reconstruct_matroid
 
 from conftest import BOWTIE, K4
@@ -156,18 +156,39 @@ class TestMatroidCaches:
         gc.collect()
         assert [r() for r in refs] == [None, None]
 
-    def test_circuits_computed_once(self, monkeypatch):
-        m = from_graph(K4)
+    @staticmethod
+    def count_echelons(monkeypatch):
         calls = []
         echelon = matroid._gf2_echelon
+        monkeypatch.setattr(matroid, "_gf2_echelon", lambda rep: calls.append(rep) or echelon(rep))
+        return calls
 
-        def counted(rep):
-            calls.append(rep)
-            return echelon(rep)
-
-        monkeypatch.setattr(matroid, "_gf2_echelon", counted)
+    def test_circuits_computed_once(self, monkeypatch):
+        # from_rep, unlike from_graph, leaves the cycle basis to first use
+        k4 = from_graph(K4)
+        m = matroid.RegularMatroid.from_rep(k4.ground, k4.rep, validate=False)
+        calls = self.count_echelons(monkeypatch)
         assert circuits(m) is circuits(m)
         assert len(calls) == 1
+
+    def test_graph_and_core_keep_the_echelon_that_built_them(self, monkeypatch):
+        calls = self.count_echelons(monkeypatch)
+        m = from_graph(BOWTIE + [(5, 6)])
+        assert len(calls) == 1
+        loops_and_coloops(m)
+        circuits(m)
+        assert len(calls) == 1
+        core = contract_coloops(m)
+        assert len(calls) == 2
+        circuits(core)
+        assert len(calls) == 2
+
+    def test_pendant_pair_flow_decision_echelons_each_core_once(self, monkeypatch):
+        m = from_graph([(1, 2), (2, 3), (3, 1), (3, 4), (4, 1), (4, 5)])
+        n = from_graph([(1, 2), (2, 3), (3, 1), (1, 4), (4, 2), (2, 5)])
+        calls = self.count_echelons(monkeypatch)
+        assert flow_lattices_isometric(m, n)
+        assert len(calls) == 2
 
     def test_gate_before_the_cache(self, monkeypatch):
         m = from_graph(K4)
