@@ -20,8 +20,8 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 
-from flowlattice.errors import DimensionError, FlowLatticeError, FormatError
-from flowlattice.gram import Classification, GramMatrix, _subset_text
+from flowlattice.errors import DimensionError, FlowLatticeError
+from flowlattice.gram import Classification, GramMatrix
 from flowlattice.intmat import IntegerMatrix
 
 
@@ -185,10 +185,9 @@ def dense_g_table(a: GramMatrix) -> list[int]:
 
 
 def skeleton_by_two_sorts(cls: Classification, g: dict[int, int]) -> IntegerMatrix:
-    """`build_x` from a classification and g table, with the singleton
-    rows of a g-positive matrix sorted by index and appended last."""
-    if not cls.g_nonnegative:
-        raise FormatError(f"matrix is not g-nonnegative; witness {_subset_text(cls.witness)}")
+    """`build_x` of a g-nonnegative matrix from its classification and g
+    table, with the singleton rows of a g-positive matrix sorted by index
+    and appended last."""
     s = max(g).bit_length()
     rows = []
     for mask, v in g.items():
@@ -202,8 +201,4 @@ def skeleton_by_two_sorts(cls: Classification, g: dict[int, int]) -> IntegerMatr
         )
         rows = [r for r in rows if sum(r) != 1]
     rows.sort(key=lambda r: (-sum(r), tuple(-x for x in r)))
-    rows += singles
-    x = IntegerMatrix(tuple(rows), empty_cols=s)
-    if x.rows != -g[0]:
-        raise FlowLatticeError(f"skeleton has {x.rows} rows, g(empty) = {g[0]}")
-    return x
+    return IntegerMatrix(tuple(rows + singles), empty_cols=s)

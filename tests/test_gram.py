@@ -333,7 +333,9 @@ class TestFTableFromSmallerMasks:
 class TestSparseTablesAgainstDense:
     """`f_table` and `g_table` hold exactly the empty mask and the masks
     with f > 0 (the positive complex), in ascending order, with the dense
-    tables' values there; the dense g is 0 everywhere else."""
+    tables' values there; the dense g is 0 everywhere else.  On a
+    g-nonnegative matrix `build_x` sorts its rows once and gives the rows
+    the earlier skeleton gave by sorting the singletons apart."""
 
     @staticmethod
     def check(a):
@@ -343,6 +345,9 @@ class TestSparseTablesAgainstDense:
         assert list(f) == list(g) == keys
         assert all(f[mask] == dense_f[mask] and g[mask] == dense_g[mask] for mask in keys)
         assert not any(dense_g[mask] for mask in set(range(len(dense_g))).difference(keys))
+        cls, table = _classify_table(a)
+        if cls.g_nonnegative:
+            assert build_x(a) == skeleton_by_two_sorts(cls, table)
 
     def test_random_with_zeros_and_negative_triples(self, rng):
         for a in random_small_grams(rng):
@@ -357,33 +362,3 @@ class TestSparseTablesAgainstDense:
         a = fundamental_basis(from_graph(random_graph(random.Random(s), 8, s))).gram
         assert a.order == s
         self.check(a)
-
-
-class TestBuildXAgainstTwoSorts:
-    """`build_x` sorts its rows once; the earlier skeleton sorted a
-    g-positive matrix's singleton rows apart and appended them.  Both give
-    the same rows in the same order on every g-nonnegative matrix."""
-
-    @staticmethod
-    def check(grams):
-        """Counts of the g-nonnegative and the g-positive matrices checked."""
-        nonnegative = positive = 0
-        for a in grams:
-            cls, g = _classify_table(a)
-            if cls.g_nonnegative:
-                assert build_x(a) == skeleton_by_two_sorts(cls, g)
-                nonnegative += 1
-                positive += cls.g_positive
-        return nonnegative, positive
-
-    def test_random_with_zeros_and_negative_triples(self, rng):
-        nonnegative, positive = self.check(random_small_grams(rng))
-        assert nonnegative > 500 and positive > 400
-
-    def test_reconstruction_sweep(self):
-        assert self.check(sweep_grams()) == (418, 418)
-
-    def test_fundamental_grams_at_scale(self):
-        grams = [fundamental_basis(from_graph(random_graph(random.Random(s), 8, s))).gram
-                 for s in range(14, 17)]
-        assert self.check(grams) == (3, 3)

@@ -191,14 +191,14 @@ class TestMatroidCaches:
         assert len(calls) == 2
 
     def test_gate_before_the_cache(self, monkeypatch):
-        m = from_graph(K4)
-        calls = []
-        echelon = matroid._gf2_echelon
-        monkeypatch.setattr(matroid, "_gf2_echelon", lambda rep: calls.append(rep) or echelon(rep))
+        k4 = from_graph(K4)
+        m = matroid.RegularMatroid.from_rep(k4.ground, k4.rep, validate=False)
+        calls = self.count_echelons(monkeypatch)
         with bounds(circuit=2):
             with pytest.raises(BoundExceededError):
                 circuits(m)
             assert calls == []
+            assert "_circuits" not in vars(m)
         circuits(m)
         with bounds(circuit=2), pytest.raises(BoundExceededError):
             circuits(m)
