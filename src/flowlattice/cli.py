@@ -149,7 +149,7 @@ def cmd_simple(args) -> int:
 def cmd_gtest(args) -> int:
     a = gram.parse_gram(_read(args.file))
     ftab = gram.f_table(a)
-    cls, table = gram._classify_table(a, ftab)
+    cls, table = gram._classify_table(a)
     if not cls.g_nonnegative:
         print(cls.refusal())
         return 1
@@ -231,8 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(f"--{kind}-bound", type=int, default=None)
     sub = p.add_subparsers(dest="verb", required=True)
 
-    def add(name, *specs):
-        sp = sub.add_parser(name)
+    def add(name, *specs, description=None):
+        sp = sub.add_parser(name, description=description)
         for spec in specs:
             sp.add_argument(*spec[0], **spec[1])
 
@@ -248,7 +248,11 @@ def build_parser() -> argparse.ArgumentParser:
     add("gtest", farg)
     add("xmatrix", farg)
     add("signing", farg)
-    add("reconstruct", farg)
+    add("reconstruct", farg, description=(
+        "Rebuild the co-loop-free minor from a Gram matrix. The verdict is about "
+        "the given basis: NOT-G-FEASIBLE says that this Gram matrix is not U^T U "
+        "for a totally unimodular U, not that its lattice is not a flow lattice; "
+        "another basis of the same lattice may reconstruct."))
     add("isometric", (("file1",), {}), (("file2",), {}),
         (("--mode",), {"choices": ["flow", "cut", "mixed"], "default": "flow"}))
     return p

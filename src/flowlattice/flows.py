@@ -148,19 +148,18 @@ def fundamental_basis(m: RegularMatroid, base=None) -> FlowLattice:
     basis columns.
 
     Column j is the flow through the j-th non-base element, supported on
-    its fundamental circuit; the stacked form is [-L; I_s] before the
-    ground order is restored.
+    its fundamental circuit: row j of the standard form's flow rows
+    [-L^T I_s], put in ground order.
     """
     sf = coordinatize(m, base)
-    u = (-sf.l_block).vstack(IntegerMatrix.identity(m.corank))
-    return FlowLattice.from_basis(sf.ground_rows(u), source=m)
+    return FlowLattice.from_basis(sf.ground_columns(sf.flow_rows), source=m)
 
 
 def cut_basis(m: RegularMatroid, base=None) -> FlowLattice:
     """Rows of the representation coordinatized at a base (default: the
     least), as cut-lattice basis columns."""
     sf = coordinatize(m, base)
-    return FlowLattice.from_basis(sf.ground_rows(sf.matrix.transpose()), source=None)
+    return FlowLattice.from_basis(sf.ground_columns(sf.matrix), source=None)
 
 
 def _canonical_sign(coords) -> tuple[int, ...]:

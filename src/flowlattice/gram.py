@@ -178,11 +178,11 @@ def f_table(a: GramMatrix) -> dict[int, int]:
     return f
 
 
-def g_table(a: GramMatrix, f: dict[int, int] | None = None) -> dict[int, int]:
-    """Alternating superset sums of the f table, via the subset-lattice
-    transform on its keys; f is a's `f_table`, built here when not given.
-    Every superset of a set outside P is outside P, so g vanishes there."""
-    g = dict(f_table(a) if f is None else f)
+def g_table(a: GramMatrix) -> dict[int, int]:
+    """Alternating superset sums of a's `f_table`, via the subset-lattice
+    transform on its keys.  Every superset of a set outside P is outside
+    P, so g vanishes there."""
+    g = f_table(a)
     for i in range(a.order):
         bit = 1 << i
         for mask in g:
@@ -210,11 +210,10 @@ def _subset_text(subset) -> str:
     return "S={" + ",".join(str(i + 1) for i in subset) + "}"
 
 
-def _classify_table(a: GramMatrix, f: dict | None = None) -> tuple[Classification, dict]:
-    """The classification together with the g table it was read from;
-    f, when given, is a's `f_table`."""
+def _classify_table(a: GramMatrix) -> tuple[Classification, dict]:
+    """The classification together with the g table it was read from."""
     s = a.order
-    g = g_table(a, f)
+    g = g_table(a)
     for mask, v in g.items():
         if mask and v < 0:
             return Classification(False, False, tuple(_mask_elements(mask))), g

@@ -4,7 +4,8 @@ Construction from directed multigraphs, base coordinatization, duality,
 circuit enumeration, loops/co-loops and the minor with every co-loop
 contracted, and isomorphism testing on circuit families.  Every standard
 form [I_r L] is one elimination in `coordinatize`, on a given base or the
-least one; the least base and the dual are read off it.
+least one; the least base and the dual are read off it, and `StandardForm`
+is the only code that knows its layout.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ class RegularMatroid:
     iff it is independent over GF(2) (Camion 1965).  `from_rep` checks TU
     unless `validate=False`; every internal construction skips the check
     and is TU by construction (incidence matrices, column and row
-    selections, `[-L^T I]` duals, and the U^T and `[I_r | -K]` of
+    selections, duals (the flow rows [-L^T I_s] of a TU matrix's standard
+    form), and the U^T and `[I_r | -K]` of
     `reconstruct_matroid`: U is the TU-checked certificate, K a block of
     q = U B^-1 with B an invertible s-by-s block of U, so det B = +-1 and
     q is a pivot of U, hence TU).
@@ -131,15 +133,9 @@ class RegularMatroid:
 
     @cached_property
     def _dual(self) -> "RegularMatroid":
-        """`dual(self)`: [-L^T I_s] off the standard form on the least base."""
+        """`dual(self)`: the flow rows [-L^T I_s] of the least base's form."""
         sf = coordinatize(self)
-        r, s = self.rank, self.corank
-        rows = sf.matrix.entries
-        rep = IntegerMatrix(tuple(
-            tuple(-row[r + j] for row in rows) + (0,) * j + (1,) + (0,) * (s - 1 - j)
-            for j in range(s)), empty_cols=self.size)
-        return RegularMatroid.from_rep(tuple(self.ground[j] for j in sf.perm), rep,
-                                       validate=False)
+        return RegularMatroid(tuple(self.ground[j] for j in sf.perm), sf.flow_rows)
 
     @cached_property
     def _signed_pairs(self) -> tuple:
@@ -262,24 +258,32 @@ def first_base(m: RegularMatroid) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class StandardForm:
-    """[I_r L] together with the column permutation bringing the base first."""
+    """[I_r L] together with the column permutation bringing the base first.
+
+    The only code that knows this layout: the fundamental flows
+    [-L^T I_s], the dual's representation, and the ground-order bases of
+    `flows` and `rebuild` are read off it here.
+    """
 
     matrix: IntegerMatrix
     perm: tuple[int, ...]
     base: tuple[int, ...]
 
     @property
-    def l_block(self) -> IntegerMatrix:
-        r = self.matrix.rows
-        return IntegerMatrix(tuple(row[r:] for row in self.matrix.entries),
-                             empty_cols=self.matrix.cols - r)
+    def flow_rows(self) -> IntegerMatrix:
+        """[-L^T I_s], columns in perm order: row j is the flow of the
+        fundamental circuit of element perm[r + j]."""
+        r, n = self.matrix.rows, self.matrix.cols
+        rows = self.matrix.entries
+        return IntegerMatrix(tuple(
+            tuple(-row[r + j] for row in rows) + (0,) * j + (1,) + (0,) * (n - r - 1 - j)
+            for j in range(n - r)), empty_cols=n)
 
-    def ground_rows(self, mat: IntegerMatrix) -> IntegerMatrix:
-        """mat, whose row i describes element perm[i], with its rows in ground order."""
-        rows = [None] * mat.rows
-        for i, p in enumerate(self.perm):
-            rows[p] = mat.entries[i]
-        return IntegerMatrix(tuple(rows), empty_cols=mat.cols)
+    def ground_columns(self, mat: IntegerMatrix) -> IntegerMatrix:
+        """The columns of mat, column i describing element perm[i], as rows
+        in ground order."""
+        by_element = dict(zip(self.perm, list(zip(*mat.entries)) or [()] * mat.cols))
+        return IntegerMatrix(tuple(by_element[p] for p in range(mat.cols)), empty_cols=mat.rows)
 
 
 def coordinatize(m: RegularMatroid, base=None) -> StandardForm:
@@ -314,8 +318,9 @@ def coordinatize(m: RegularMatroid, base=None) -> StandardForm:
 
 
 def dual(m: RegularMatroid) -> RegularMatroid:
-    """Dual matroid represented by [-L^T I_s] on the lexicographically least
-    base, ground labels permuted to match; m keeps it for its lifetime."""
+    """Dual matroid represented by the flow rows [-L^T I_s] of the standard
+    form on the lexicographically least base, ground labels permuted to
+    match; m keeps it for its lifetime."""
     return m._dual
 
 

@@ -32,7 +32,7 @@ def _g_positive_basis(certificate: IntegerMatrix, ground) -> tuple[IntegerMatrix
     """q = U B^-1, and the standard form [I_s L] of U^T, labelled `ground`,
     that it is read off.  The least base of U^T is the lexicographically
     least invertible s-by-s row block B of U, and the form there is
-    (B^T)^-1 U^T with B's rows first: q is its transpose in ground order,
+    (B^T)^-1 U^T with B's rows first: q is its columns in ground order,
     and holds I_s in B's rows."""
     try:
         sf = coordinatize(RegularMatroid(ground, certificate.transpose()))
@@ -41,7 +41,7 @@ def _g_positive_basis(certificate: IntegerMatrix, ground) -> tuple[IntegerMatrix
             raise FlowLatticeError("certificate has deficient column rank") from exc
         # det B = +-2 or more: q would span a different lattice
         raise FlowLatticeError("transformed basis failed the positivity gate") from exc
-    return sf.ground_rows(sf.matrix.transpose()), sf
+    return sf.ground_columns(sf.matrix), sf
 
 
 def to_g_positive_basis(certificate: IntegerMatrix) -> tuple[IntegerMatrix, GramMatrix]:
@@ -80,11 +80,15 @@ class ReconstructionOutcome:
 
 
 def reconstruct_matroid(a: GramMatrix) -> ReconstructionOutcome:
-    """Rebuild the co-loop-free minor whose flow lattice has Gram matrix a.
+    """Rebuild the co-loop-free minor whose flow lattice has Gram matrix a
+    in the given basis.
 
-    Feasibility check, then one standard form [I_s L] of the certificate's
-    transpose: it gives the basis q containing an identity block, and the
-    rebuilt standard form [I_r -L^T].
+    The verdict is about this basis, not the lattice: NOT-G-FEASIBLE says
+    that a is not U^T U for a TU U, and another basis of the same lattice
+    may still be refused or rebuilt.  Feasibility check, then one standard
+    form [I_s L] of the certificate's transpose: it gives the basis q
+    containing an identity block, and its flow rows [-L^T I_r], blocks
+    swapped, are the rebuilt standard form [I_r -L^T].
     """
     feas = is_g_feasible(a)
     if not feas:
@@ -92,11 +96,12 @@ def reconstruct_matroid(a: GramMatrix) -> ReconstructionOutcome:
     u = feas.certificate
     ground = _labels(u.rows)
     q, sf = _g_positive_basis(u, ground)
-    l_block = -sf.l_block.transpose()
-    rep = IntegerMatrix.identity(l_block.rows).hstack(l_block)
-    matroid = RegularMatroid.from_rep(ground, rep, validate=False)
-    if any(not any(row) for row in l_block.entries):
+    s = sf.matrix.rows
+    flows = sf.flow_rows.entries
+    if any(not any(row[:s]) for row in flows):
         raise FlowLatticeError("reconstructed block has a zero row")
+    rep = IntegerMatrix(tuple(row[s:] + row[:s] for row in flows), empty_cols=len(ground))
+    matroid = RegularMatroid(ground, rep)
     report = ReconstructionReport(
         gram=a,
         certificate=u,

@@ -100,7 +100,8 @@ def is_isomorphic(m, n) -> IsomorphismResult:
 def dual(m) -> RegularMatroid:
     """[-L^T I_s] off the standard form on the least base, by blocks."""
     sf = coordinatize(m)
-    rep = (-sf.l_block.transpose()).hstack(IntegerMatrix.identity(m.corank))
+    l_block = sf.matrix.select_columns(range(m.rank, m.size))
+    rep = (-l_block.transpose()).hstack(IntegerMatrix.identity(m.corank))
     return RegularMatroid.from_rep(tuple(m.ground[j] for j in sf.perm), rep,
                                    validate=False)
 

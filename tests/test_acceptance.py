@@ -15,6 +15,7 @@ from flowlattice.cli import run
 from flowlattice.flows import (
     FlowVector,
     consistent_decompose,
+    cut_basis,
     enumerate_coefficients,
     fundamental_basis,
     gram_of,
@@ -36,7 +37,12 @@ from flowlattice.matroid import (
     from_graph,
     is_isomorphic,
 )
-from flowlattice.rebuild import flow_lattices_isometric, reconstruct_matroid
+from flowlattice.rebuild import (
+    cut_lattices_isometric,
+    flow_lattices_isometric,
+    mixed_isometric,
+    reconstruct_matroid,
+)
 
 from conftest import (
     BOWTIE,
@@ -48,6 +54,8 @@ from conftest import (
     u1n,
 )
 from elimination_oracles import bases
+from lattice_oracles import determinant as lattice_determinant
+from lattice_oracles import isometry as lattice_isometry
 
 A_POS = [[3, 1, 1, 2], [1, 3, 1, 2], [1, 1, 3, 2], [2, 2, 2, 5]]
 A_NN = [[2, 1, 0, -1], [1, 2, 1, 0], [0, 1, 2, 1], [-1, 0, 1, 2]]
@@ -320,7 +328,8 @@ def test_criterion_11_wu_bases_of_isometric_lattices_are_tu():
             all_bases = list(bases(m))
             b0, b1 = rnd.choice(all_bases), rnd.choice(all_bases)
             sf = coordinatize(m, b0)
-            u = (-sf.l_block).vstack(IntegerMatrix.identity(m.corank))
+            l_block = sf.matrix.select_columns(range(m.rank, m.size))
+            u = (-l_block).vstack(IntegerMatrix.identity(m.corank))
             lat0 = fundamental_basis(m, b0)
             assert u.transpose() * u == lat0.gram.mat  # stacked form, contains I_s
 
@@ -362,3 +371,39 @@ def test_criterion_12_two_isomorphism_demo(tmp_path, capsys):
         f2.write_text("".join(f"{t} {h}\n" for t, h in TWO_TRIANGLES))
         assert run(["isometric", str(f1), str(f2), "--mode", "flow"]) == 0
         assert "ISOMETRIC" in capsys.readouterr().out
+
+
+def test_criterion_13_isometry_decisions_match_a_lattice_isometry():
+    with criterion(13, "flow, cut and mixed decisions agree with a lattice-side isometry search"):
+        def lattices(basis, ms):
+            """Gram matrices, with the rank and determinant that the oracle compares first."""
+            grams = [basis(m).gram.mat.entries for m in ms]
+            return [(g, (len(g), lattice_determinant(g))) for g in grams]
+
+        def agree(decided, left, right) -> bool:
+            (a, key_a), (b, key_b) = left, right
+            # lattices of unequal rank or determinant are not isometric
+            x = lattice_isometry(a, b) if key_a == key_b else None
+            if x is not None:
+                n = len(a)
+                assert all(sum(x[p][i] * b[p][q] * x[q][j] for p in range(n) for q in range(n))
+                           == a[i][j] for i in range(n) for j in range(n))
+            assert bool(decided) == (x is not None)
+            return x is not None
+
+        ms = [from_graph(e) for e in connected_multigraphs(6)]
+        flow = lattices(fundamental_basis, ms)
+        pairs = list(itertools.combinations(range(len(ms)), 2))
+        assert len(pairs) == 110215
+        assert sum(agree(flow_lattices_isometric(ms[i], ms[j]), flow[i], flow[j])
+                   for i, j in pairs) == 4464
+
+        small = [m for m in ms if m.size <= 5]
+        flow = lattices(fundamental_basis, small)
+        cut = lattices(cut_basis, small)
+        pairs = list(itertools.combinations(range(len(small)), 2))
+        assert len(pairs) == 10011
+        assert sum(agree(cut_lattices_isometric(small[i], small[j]), cut[i], cut[j])
+                   for i, j in pairs) == 508
+        assert sum(agree(mixed_isometric(small[i], small[j]), flow[i], cut[j])
+                   for i, j in itertools.product(range(len(small)), repeat=2)) == 1074

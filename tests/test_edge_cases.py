@@ -1,10 +1,7 @@
-"""Rank-0 lattices, the definiteness message, and how often `gtest`
-builds its tables."""
+"""Rank-0 lattices and the definiteness message."""
 
 import pytest
 
-from flowlattice import gram
-from flowlattice.cli import run
 from flowlattice.errors import DefinitenessError
 from flowlattice.flows import FlowVector, enumerate_coefficients, fundamental_basis, gram_of
 from flowlattice.gram import GramMatrix
@@ -38,19 +35,3 @@ class TestDefinitenessMessage:
             gram_of([[1, 1, 0], [2, 2, 0]])
         assert str(exc.value) == self.MESSAGE.format(0)
 
-
-def test_gtest_builds_the_f_table_once(tmp_path, capsys, monkeypatch):
-    """The classification's g table is read from the printed f values."""
-    calls = []
-    f_table = gram.f_table
-
-    def counted(a):
-        calls.append(a)
-        return f_table(a)
-
-    monkeypatch.setattr(gram, "f_table", counted)
-    p = tmp_path / "a.gram"
-    p.write_text("gram 4\n3 1 1 2\n1 3 1 2\n1 1 3 2\n2 2 2 5\n")
-    assert run(["gtest", str(p)]) == 0
-    assert capsys.readouterr().out.startswith("G-POSITIVE\n")
-    assert len(calls) == 1

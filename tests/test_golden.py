@@ -63,6 +63,7 @@ CASES |= {
     "decompose-k5-large": ["decompose", "inputs/k5.graph", "inputs/k5-large.vec"],
     "simple-k5-large": ["simple", "inputs/k5.graph", "inputs/k5-simple-large.vec"],
     "reconstruct-singular": ["reconstruct", "inputs/singular.gram"],
+    "reconstruct-k4-rebased": ["reconstruct", "inputs/k4-rebased.gram"],
     "flows-k4-base-nonint": ["flows", "inputs/k4.graph", "--base", "a,b"],
     "tu-check-nonint": ["tu-check", "inputs/nonint.mat"],
     "circuits-nonint": ["circuits", "inputs/nonint.graph"],

@@ -293,7 +293,7 @@ class TestTotallyUnimodularCore:
             "K33": nx.complete_bipartite_graph(3, 3), "Petersen": nx.petersen_graph(),
         }
         m = from_graph(list(graphs[name].edges()))
-        k = -coordinatize(m, first_base(m)).l_block
+        k = -coordinatize(m, first_base(m)).matrix.select_columns(range(m.rank, m.size))
         stacked = k.vstack(k).vstack(-k).vstack(IntegerMatrix.identity(k.cols))
         core = _tu_core(stacked.entries)
         assert len(core) <= k.rows and len(core[0]) <= k.cols
@@ -584,7 +584,19 @@ class TestConstructionCounts:
         a = parse_gram((self.INPUTS / "k4.gram").read_text())
         built[0] = 0
         assert reconstruct_matroid(a)
-        assert built[0] == 13
+        assert built[0] == 9
+
+    @pytest.mark.parametrize("basis,count", [("fundamental_basis", 6), ("cut_basis", 4)])
+    def test_bases_k4(self, built, basis, count):
+        """The form, its flow rows (fundamental only), the ground-order
+        basis, B^T and B^T B, and the fundamental basis's membership check."""
+        from flowlattice import flows
+        from flowlattice.matroid import from_graph
+
+        m = from_graph(K4)
+        built[0] = 0
+        getattr(flows, basis)(m)
+        assert built[0] == count
 
     def test_tu_yes(self, built):
         m = parse_matrix((self.INPUTS / "tu.mat").read_text())

@@ -273,7 +273,7 @@ class TestIntegerInverse:
             m = RegularMatroid.from_rep(
                 [f"e{j}" for j in range(2 * n)],
                 z.hstack(IntegerMatrix.identity(n)), validate=False)
-            inverse = coordinatize(m, range(n)).l_block
+            inverse = coordinatize(m, range(n)).matrix.select_columns(range(n, 2 * n))
             assert inverse * z == IntegerMatrix.identity(n)
 
     @pytest.mark.parametrize("rows", [[[1, 1], [-1, 1]], [[1, 2], [2, 4]]])

@@ -5,7 +5,7 @@ import pytest
 from flowlattice.errors import FlowLatticeError
 from flowlattice.flows import fundamental_basis
 from flowlattice.gram import GramMatrix, classify, is_g_feasible
-from flowlattice.intmat import IntegerMatrix, bounds, is_totally_unimodular, rank
+from flowlattice.intmat import IntegerMatrix, bounds, determinant, is_totally_unimodular, rank
 from flowlattice.matroid import (
     _gf2_echelon,
     circuits,
@@ -26,6 +26,7 @@ from flowlattice.rebuild import (
 from conftest import BOWTIE, K4, PATH2, TRIANGLE, TWO_TRIANGLES, bridgeless_graphs, random_graph
 from elimination_oracles import bases
 import iso_oracles
+from lattice_oracles import isometry, short_vectors
 from rank_oracles import first_unimodular_square_by_det
 from tu_oracles import tu_by_enumeration
 
@@ -192,6 +193,41 @@ class TestReconstructionAtScale:
             core = contract_coloops(m)
             with bounds(iso=core.size, circuit=s):
                 assert is_isomorphic(out.report.matroid, core)
+
+
+class TestBasisContract:
+    """`reconstruct_matroid` answers for the basis it is given, not for the
+    lattice: a rebased Gram matrix of K4's flow lattice is refused."""
+
+    A = [[3, 1, -1], [1, 3, 1], [-1, 1, 3]]     # K4's fundamental Gram matrix
+    P = [[1, 1, 0], [0, 1, 0], [0, 0, 1]]
+    B = [[3, 4, -1], [4, 8, 0], [-1, 0, 3]]
+
+    def test_rebased_k4_is_refused(self):
+        a, p, b = (IntegerMatrix.from_rows(x) for x in (self.A, self.P, self.B))
+        assert determinant(p) == 1 and p.transpose() * a * p == b
+        assert fundamental_basis(from_graph(K4)).gram.mat == a
+        assert reconstruct_matroid(GramMatrix(a))
+        out = reconstruct_matroid(GramMatrix(b))
+        assert not out and out.reason == "NOT-G-NONNEGATIVE S={1}"
+        x = IntegerMatrix.from_rows(isometry(self.A, self.B))
+        assert x.transpose() * b * x == a
+
+
+class TestLatticeOracles:
+    @pytest.mark.parametrize("gram,minimal", [
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 6),                      # Z^3
+        ([[2, -1], [-1, 2]], 6),                                      # A2
+        ([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]], 24),   # D4
+    ])
+    def test_kissing_numbers(self, gram, minimal):
+        norm = min(gram[i][i] for i in range(len(gram)))
+        assert len(short_vectors(gram, norm)) == minimal
+
+    def test_isometry_refusals(self):
+        assert isometry([[2, 1], [1, 2]], [[2, 0], [0, 2]]) is None     # det 3 vs 4
+        assert isometry([[1, 0], [0, 4]], [[2, 0], [0, 2]]) is None     # no vector of norm 1
+        assert isometry([], []) == ()
 
 
 class TestIsometryDecisions:
