@@ -44,12 +44,16 @@ class RegularMatroid:
     q = U B^-1 with B an invertible s-by-s block of U, so det B = +-1 and
     q is a pivot of U, hence TU).
 
-    Each matroid computes its cycle-space basis, its circuits, its
-    co-loop-contracted minor, its dual on the least base and its signed
-    circuit flows at most once, on first use, and keeps them for its own
-    lifetime; they take no part in equality, hashing or repr.  Graph
-    matroids and co-loop-contracted minors are built by `_row_reduced`
-    and start with the cycle basis of the echelon that chose their rows.
+    Each matroid computes its cycle-space basis, its circuit masks, its
+    circuits as index tuples, its co-loop-contracted minor, its dual on
+    the least base and its signed circuit flows at most once, on first
+    use, and keeps them for its own lifetime; they take no part in
+    equality, hashing or repr.  The isomorphism search reads the masks
+    only; the tuples are made from them for `circuits` and the flows.
+    Graph matroids and co-loop-contracted minors are built by
+    `_row_reduced` and start with the cycle basis of the echelon that
+    chose their rows; duals start with the rows of their standard form
+    [I_r L], read mod 2.
     """
 
     ground: tuple[str, ...]
@@ -94,12 +98,17 @@ class RegularMatroid:
 
     @cached_property
     def _cycle_basis(self) -> list[int]:
-        """A basis of the GF(2) cycle space, as `_gf2_echelon` gives it."""
+        """A basis of the GF(2) cycle space, as `_gf2_echelon` gives it
+        unless the construction stored one.  Every basis here gives each
+        vector a bit that no other vector has, so a loop is a basis vector
+        of its own bit alone; the co-loops are the elements outside the
+        basis's union."""
         return _gf2_echelon(self.rep)[1]
 
     @cached_property
-    def _circuits(self) -> tuple[tuple[int, ...], ...]:
-        """Minimal nonempty supports of the GF(2) cycle space.
+    def _circuit_masks(self) -> list[int]:
+        """Minimal nonempty supports of the GF(2) cycle space, as int masks
+        in popcount order.
 
         The cycle space is built by doubling over the basis, each basis
         vector XORed onto every vector so far; in popcount order a vector
@@ -116,7 +125,12 @@ class RegularMatroid:
                     break
             else:
                 found.append(v)
-        return tuple(sorted((tuple(_mask_elements(v)) for v in found),
+        return found
+
+    @cached_property
+    def _circuits(self) -> tuple[tuple[int, ...], ...]:
+        """The circuit masks as sorted index tuples, in (size, lex) order."""
+        return tuple(sorted((tuple(_mask_elements(v)) for v in self._circuit_masks),
                             key=lambda c: (len(c), c)))
 
     @cached_property
@@ -133,9 +147,16 @@ class RegularMatroid:
 
     @cached_property
     def _dual(self) -> "RegularMatroid":
-        """`dual(self)`: the flow rows [-L^T I_s] of the least base's form."""
+        """`dual(self)`: the flow rows [-L^T I_s] of the least base's form.
+
+        The rows of [I_r L], read mod 2 with bit i for column i (element
+        perm[i], the dual's i-th), span the kernel of the flow rows, so
+        they are the dual's cycle basis: no echelon is needed."""
         sf = coordinatize(self)
-        return RegularMatroid(tuple(self.ground[j] for j in sf.perm), sf.flow_rows)
+        d = RegularMatroid(tuple(self.ground[j] for j in sf.perm), sf.flow_rows)
+        vars(d)["_cycle_basis"] = [sum(1 << j for j, x in enumerate(row) if x & 1)
+                                   for row in sf.matrix.entries]
+        return d
 
     @cached_property
     def _signed_pairs(self) -> tuple:
@@ -326,7 +347,9 @@ def dual(m: RegularMatroid) -> RegularMatroid:
 
 def circuits(m: RegularMatroid) -> tuple[tuple[int, ...], ...]:
     """All minimal dependent sets, as sorted index tuples, canonically ordered;
-    the bound gates the corank, as 2^corank cycle-space vectors are visited."""
+    the bound gates the corank, as 2^corank cycle-space vectors are visited.
+    The matroid keeps its circuits as int masks; the tuples are made from
+    them once, on the first call."""
     _gate("circuit", "corank", m.corank)
     return m._circuits
 
@@ -360,12 +383,16 @@ class IsomorphismResult:
         return self.isomorphic
 
 
-def _element_profiles(m: RegularMatroid, circ) -> list[tuple[int, ...]]:
+def _element_profiles(m: RegularMatroid, masks) -> list[tuple[int, ...]]:
     """Per element, its number of circuits of each size 0..m.size."""
-    per = [[0] * (m.size + 1) for _ in range(m.size)]
-    for c in circ:
-        for e in c:
-            per[e][len(c)] += 1
+    size = m.size
+    per = [[0] * (size + 1) for _ in range(size)]
+    for c in masks:
+        k = c.bit_count()
+        while c:
+            low = c & -c
+            per[low.bit_length() - 1][k] += 1
+            c ^= low
     return [tuple(p) for p in per]
 
 
@@ -377,24 +404,27 @@ def is_isomorphic(m: RegularMatroid, n: RegularMatroid) -> IsomorphismResult:
     to L times the number of circuits of size L).  Elements k = 0, 1, ...
     of m are mapped in turn, each to the unused elements of n with its
     profile in ascending order, so the first bijection found is the
-    lexicographically least.  The images are int bits, and each circuit
-    of m whose largest element is k is checked, once k is mapped, as the
-    mask of its image among the masks of n's circuits.
+    lexicographically least.  Circuits stay int masks from enumeration to
+    verdict: the images are int bits, and each circuit of m whose largest
+    element is k is checked, once k is mapped, as the mask of its image
+    among n's circuit masks.  The corank is gated before either matroid
+    enumerates; n's equals m's once sizes and ranks agree.
     """
     _gate("iso", "ground size", max(m.size, n.size))
     if m.size != n.size or m.rank != n.rank:
         return IsomorphismResult(False)
-    cm = circuits(m)
-    cn = circuits(n)
+    _gate("circuit", "corank", m.corank)
+    cm = m._circuit_masks
+    cn = n._circuit_masks
     pm = _element_profiles(m, cm)
     pn = _element_profiles(n, cn)
     if sorted(pm) != sorted(pn):
         return IsomorphismResult(False)
 
-    n_masks = {sum(1 << e for e in c) for c in cn}
-    by_max: dict[int, list[tuple[int, ...]]] = {}
+    n_masks = set(cn)
+    by_max: dict[int, list[list[int]]] = {}
     for c in cm:
-        by_max.setdefault(c[-1], []).append(c)
+        by_max.setdefault(c.bit_length() - 1, []).append(list(_mask_elements(c)))
     same_profile: dict[tuple, list[int]] = {}
     for x, p in enumerate(pn):
         same_profile.setdefault(p, []).append(x)

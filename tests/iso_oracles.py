@@ -1,13 +1,16 @@
 """The isometry routines that the bitmask versions replaced.
 
 `flowlattice.matroid` builds the cycle space by doubling over its basis,
-checks a partial map's circuits as int masks, and writes the dual's
-[-L^T I_s] as one matrix.  These are the earlier routines: the Gray-code
-walk over the cycle space with a containment scan by `any`, the search
-on `Counter` profiles and `frozenset` circuits, and the dual assembled
-by transpose, negation and `hstack`.  With `contract_coloops` they give
-the flow, cut and mixed isometry decisions; the tests compare both
-sides for exact equality: circuits, verdicts, least maps and cores.
+keeps circuits as int masks from enumeration to verdict, writes the
+dual's [-L^T I_s] as one matrix and gives the dual the rows of its
+[I_r L], read mod 2, as its cycle basis.  These are the earlier
+routines: the Gray-code walk over the cycle space with a containment
+scan by `any`, the search on `Counter` profiles and `frozenset` circuits
+of index tuples, and the dual assembled by transpose, negation and
+`hstack`, built without a cycle basis, so its own is row-reduced from
+its representation.  With `contract_coloops` they give the flow, cut and
+mixed isometry decisions; the tests compare both sides for exact
+equality: circuits, verdicts, least maps and cores.
 """
 
 from collections import Counter

@@ -33,6 +33,7 @@ from conftest import (
     u1n,
 )
 from elimination_oracles import bases
+import iso_oracles
 from rank_oracles import (
     circuits_by_rank,
     coloops_by_rank,
@@ -197,7 +198,10 @@ class TestAgainstRankOracles:
     def test_random_multigraphs_and_duals(self, rng):
         """Also the core, whose rows are kept by rank from the columns
         outside the co-loops; a graph matroid and its core hold the cycle
-        basis of the echelon that built them from the start."""
+        basis of the echelon that built them from the start, and the dual
+        holds the rows of the standard form [I_r L] it was read off.  A
+        copy of the dual takes its basis from the echelon instead; both
+        bases give the same circuits, loops and co-loops."""
         looped = pendant = 0
         for _ in range(200):
             edges = random_multigraph(rng)
@@ -205,8 +209,15 @@ class TestAgainstRankOracles:
             assert m.rep == incidence_rep_by_rank(edges)
             assert vars(m)["_cycle_basis"] == _gf2_echelon(m.rep)[1]
             self.check(m)
-            self.check(dual(m))
+            d = dual(m)
+            self.check(d)
+            copy = RegularMatroid(d.ground, d.rep)
+            assert circuits(d) == circuits(copy)
+            assert loops_and_coloops(d) == loops_and_coloops(copy)
+            assert iso_oracles.gray_code_circuits(d) == iso_oracles.gray_code_circuits(copy)
+            perm = coordinatize(m).perm
             coloops = coloops_by_rank(m)
+            assert sorted(perm[i] for i in loops_and_coloops(d)[0]) == sorted(coloops)
             keep = [j for j in range(m.size) if j not in coloops]
             trimmed = m.rep.select_columns(keep)
             core = contract_coloops(m)

@@ -23,9 +23,15 @@ from flowlattice.flows import (
 from flowlattice.gram import GramMatrix, f_table
 from flowlattice.intmat import IntegerMatrix, bounds, is_totally_unimodular
 from flowlattice.matroid import circuits, contract_coloops, from_graph, loops_and_coloops
-from flowlattice.rebuild import flow_lattices_isometric, reconstruct_matroid
+from flowlattice.rebuild import (
+    cut_lattices_isometric,
+    flow_lattices_isometric,
+    mixed_isometric,
+    reconstruct_matroid,
+)
 
 from conftest import BOWTIE, K4
+import iso_oracles
 
 TU_TEXT = "2 2\n1 0\n1 1\n"
 DET2 = IntegerMatrix.from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
@@ -190,6 +196,29 @@ class TestMatroidCaches:
         assert flow_lattices_isometric(m, n)
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("decide", [flow_lattices_isometric, cut_lattices_isometric,
+                                        mixed_isometric], ids=["flow", "cut", "mixed"])
+    def test_k4_pair_decisions_echelon_nothing(self, monkeypatch, decide):
+        """Graph matroids keep the echelon that built them and duals the rows
+        of their standard form, so no decision row-reduces; the search reads
+        circuit masks, so no core holds circuit tuples until `circuits`."""
+        m = from_graph(K4)
+        n = from_graph([K4[i] for i in (3, 0, 5, 1, 4, 2)])
+        calls = self.count_echelons(monkeypatch)
+        got = decide(m, n)
+        assert got.isometric and calls == []
+        for core in (got.left_core, got.right_core):
+            assert "_circuits" not in vars(core)
+            assert circuits(core) == iso_oracles.gray_code_circuits(core)
+
+    def test_isomorphism_gates_before_enumerating(self):
+        m, n = from_graph(K33), from_graph([(b, a) for a, b in reversed(K33)])
+        with bounds(circuit=3), pytest.raises(BoundExceededError) as exc:
+            matroid.is_isomorphic(m, n)
+        assert (exc.value.what, exc.value.size, exc.value.bound) == ("corank", 4, 3)
+        assert "_circuit_masks" not in vars(m) and "_circuit_masks" not in vars(n)
+        assert matroid.is_isomorphic(m, n)
+
     def test_gate_before_the_cache(self, monkeypatch):
         k4 = from_graph(K4)
         m = matroid.RegularMatroid.from_rep(k4.ground, k4.rep, validate=False)
@@ -198,7 +227,7 @@ class TestMatroidCaches:
             with pytest.raises(BoundExceededError):
                 circuits(m)
             assert calls == []
-            assert "_circuits" not in vars(m)
+            assert "_circuit_masks" not in vars(m) and "_circuits" not in vars(m)
         circuits(m)
         with bounds(circuit=2), pytest.raises(BoundExceededError):
             circuits(m)
