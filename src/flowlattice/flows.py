@@ -232,8 +232,8 @@ def consistent_decompose(lat: FlowLattice, beta: FlowVector) -> list[FlowVector]
     so the next chain starts a new run: there is one chain per run.
 
     One pass over a block of runs serves every repetition of it.  A
-    run's signature is its start support, the start's positive-sign mask,
-    (support, e_i) at each step, and T; its slacks, which stay >= 0, are
+    run's signature is the start's positive-sign mask, (support, e_i)
+    at each step, and T; its slacks, which stay >= 0, are
     c_i - 1 at each step, |rest_{i-1}[j]| - c_i - [j < e_i] for j in C_i,
     and b - T for each candidate b of T.  When the last p signatures
     repeat the p before them, the block has run from v_0 (s = 0) and from
@@ -266,7 +266,7 @@ def consistent_decompose(lat: FlowLattice, beta: FlowVector) -> list[FlowVector]
             )
     circs = circuits(m)
     pairs = m._signed_pairs
-    masks = [sum(1 << e for e in c) for c in circs]
+    masks = m._sorted_circuit_masks
     first: dict[int, int] = {}
 
     def chain(current, supp):
@@ -285,7 +285,7 @@ def consistent_decompose(lat: FlowLattice, beta: FlowVector) -> list[FlowVector]
             e = circ[sizes.index(c)]
             alpha = pair[pair[0].coords[e] * rest[e] < 0]
             a = alpha.coords
-            steps.append((circ, e, c, a))
+            steps.append((circ, e, c, sizes))
             picks.append((left, e))
             slacks.append(c - 1)
             slacks += [size - c - (j < e) for j, size in zip(circ, sizes)]
@@ -295,22 +295,16 @@ def consistent_decompose(lat: FlowLattice, beta: FlowVector) -> list[FlowVector]
                     left &= ~(1 << j)
             if rest[e]:
                 raise FlowLatticeError("broken invariant: a chain step left its element nonzero")
-        # the run length T: walk back from rest_{k-1} = c_k alpha, keeping
-        # mag[j] = |rest_{i-1}[j]| on C_k
-        circ, _, run, a = steps.pop()
-        mag = dict.fromkeys(circ, run)
-        candidates = [run]
-        for ci, e, c, ai in reversed(steps):
-            for j in ci:
-                if j in mag:
-                    mag[j] += c * ai[j] * a[j]
-                    candidates.append(mag[j] - c + (j > e))
+        # T is read off the |rest_{i-1}[j]| that each step stored as its sizes
+        run, last_mask = steps.pop()[2], masks[k]
+        candidates = [run] + [size - c + (j > e) for ci, e, c, sizes in steps
+                              for j, size in zip(ci, sizes) if last_mask >> j & 1]
         run = min(candidates)
         if run < 1:
             raise FlowLatticeError(f"broken invariant: run length {run} < 1")
         slacks += [b - run for b in candidates]
         positive = sum(1 << j for j, x in enumerate(current) if x > 0)
-        return alpha, run, (supp, positive, tuple(picks), run), slacks
+        return alpha, run, (positive, tuple(picks), run), slacks
 
     parts: list[FlowVector] = []
     current = list(beta.coords)

@@ -45,11 +45,13 @@ class RegularMatroid:
     q is a pivot of U, hence TU).
 
     Each matroid computes its cycle-space basis, its circuit masks, its
-    circuits as index tuples, its co-loop-contracted minor, its dual on
-    the least base and its signed circuit flows at most once, on first
-    use, and keeps them for its own lifetime; they take no part in
-    equality, hashing or repr.  The isomorphism search reads the masks
-    only; the tuples are made from them for `circuits` and the flows.
+    circuits as index tuples, their masks in the same (size, lex) order,
+    its co-loop-contracted minor, its dual on the least base and its
+    signed circuit flows at most once, on first use, and keeps them for
+    its own lifetime; they take no part in equality, hashing or repr.
+    The isomorphism search reads the masks only; the tuples are made from
+    them for `circuits` and the flows, and the decomposition reads the
+    sorted masks.
     Graph matroids and co-loop-contracted minors are built by
     `_row_reduced` and start with the cycle basis of the echelon that
     chose their rows; duals start with the rows of their standard form
@@ -132,6 +134,11 @@ class RegularMatroid:
         """The circuit masks as sorted index tuples, in (size, lex) order."""
         return tuple(sorted((tuple(_mask_elements(v)) for v in self._circuit_masks),
                             key=lambda c: (len(c), c)))
+
+    @cached_property
+    def _sorted_circuit_masks(self) -> tuple[int, ...]:
+        """The masks of `_circuits`, in the same (size, lex) order."""
+        return tuple(sum(1 << e for e in c) for c in self._circuits)
 
     @cached_property
     def _core(self) -> "RegularMatroid | None":

@@ -9,7 +9,10 @@ earlier routines, kept verbatim: that LDL^T by 1 + s eliminations, the
 inverse-diagonal box, the box scan, the metric simplicity test over that scan, the
 recursive conforming-flow search, `decompose_by_chains`, the loop over
 bitmask supports that runs one chain per part, and `decompose_by_runs`,
-the loop that runs one chain per run of equal parts.  The recursive
+the loop that runs one chain per run of equal parts.  `decompose_by_runs`
+keeps the backward walk from rest_{k-1} = c_k alpha as an independent
+derivation of the run length T; the library reads T off the |values|
+its forward steps stored.  The recursive
 search is the slow oracle for small flows (its circuit flows are built
 once per call); `decompose_by_chains` and `decompose_by_runs` are fast
 enough to check flows of workload size and larger.  The tests compare

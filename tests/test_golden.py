@@ -3,7 +3,9 @@
 Each case runs `cli.run` on the files of tests/golden/inputs/, from
 tests/golden/, once as listed and once with `--porcelain` in front.
 tests/golden/expected/<case>.out holds "exit <status>" on its first
-line and the stdout of the run after it, unchanged.
+line and the stdout of the run after it, unchanged.  Three of the cases,
+one per exit status, and an unknown verb also run through the real
+entry point, `python -m flowlattice.cli`, in a fresh interpreter.
 
 To record the transcript again (only when an output change is
 intended), run from the root of the checkout:
@@ -14,6 +16,8 @@ intended), run from the root of the checkout:
 import contextlib
 import io
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,6 +25,7 @@ import pytest
 from flowlattice.cli import run
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 _GRAPHS = {
     "k4": ("inputs/k4.graph", "inputs/k4.vec", "1 -1 0 1 0 0"),
@@ -96,6 +101,30 @@ def transcript(argv) -> str:
 def test_transcript(name):
     expected = (GOLDEN / "expected" / f"{name}.out").read_bytes()
     assert transcript(CASES[name]).encode() == expected
+
+
+def entry_point(argv) -> subprocess.CompletedProcess:
+    """`python -m flowlattice.cli argv` in a fresh interpreter, from
+    tests/golden/: `cli.main` and its `sys.exit` carry the status."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-m", "flowlattice.cli", *argv], cwd=GOLDEN,
+                          env=env, capture_output=True, timeout=60)
+
+
+@pytest.mark.parametrize("name", ["circuits-k4", "tu-check-det2", "flows-k4-not-a-base"])
+def test_entry_point(name):
+    """The process exits with the recorded status (0, 1 and 2 here) and
+    writes the recorded stdout byte for byte."""
+    expected = (GOLDEN / "expected" / f"{name}.out").read_bytes()
+    proc = entry_point(CASES[name])
+    assert b"exit %d\n" % proc.returncode + proc.stdout == expected
+
+
+def test_entry_point_unknown_verb():
+    proc = entry_point(["frobnicate"])
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"usage: flowlat")
 
 
 def test_every_verb_covered():

@@ -225,6 +225,9 @@ class TestAgainstRankOracles:
             assert core.rep == trimmed.select_rows(independent_rows_by_rank(trimmed))
             assert vars(core)["_cycle_basis"] == _gf2_echelon(core.rep)[1]
             self.check(core)
+            for x in (m, d, core):
+                assert x._sorted_circuit_masks == tuple(
+                    sum(1 << e for e in c) for c in circuits(x))
             looped += any(t == h for t, h in edges)
             pendant += bool(coloops)
         assert looped > 50 and pendant > 50

@@ -14,6 +14,7 @@ from flowlattice import cli, flows, gram, intmat, matroid
 from flowlattice.errors import BoundExceededError, DefinitenessError, FormatError
 from flowlattice.flows import (
     FlowLattice,
+    FlowVector,
     consistent_decompose,
     enumerate_coefficients,
     fundamental_basis,
@@ -246,6 +247,33 @@ class TestMatroidCaches:
         ids = {id(v) for v in flows}
         assert all(id(p) in ids for p in consistent_decompose(lat, beta))
         assert [id(v) for v in simple_flows(m)] == [id(v) for v in flows]
+
+    def test_circuit_masks_shared_across_calls(self):
+        """Two decompositions read the one tuple of (size, lex) circuit
+        masks that the matroid keeps; neither builds its own."""
+
+        class Reads(tuple):
+            count = 0
+
+            def __iter__(self):
+                self.count += 1
+                return super().__iter__()
+
+            def __getitem__(self, k):
+                self.count += 1
+                return super().__getitem__(k)
+
+        m = from_graph(K4)
+        lat = fundamental_basis(m)
+        beta = lat.vector((1, 2, 3))
+        spy = vars(m)["_sorted_circuit_masks"] = Reads(m._sorted_circuit_masks)
+        seen = []
+        for _ in range(2):
+            parts = consistent_decompose(lat, beta)
+            seen.append(spy.count)
+        assert 0 < seen[0] < seen[1]
+        assert vars(m)["_sorted_circuit_masks"] is spy
+        assert sum(parts, FlowVector((0,) * m.size)) == beta
 
     def test_caches_outside_equality_hash_and_repr(self):
         m, fresh = from_graph(K4), from_graph(K4)
