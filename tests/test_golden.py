@@ -54,7 +54,7 @@ CASES |= {
                         "--mode", "mixed"],
     "isometric-pendant": ["isometric", "inputs/pendant.graph", "inputs/k4.graph"],
 }
-for _name in ("k4", "infeasible", "negative"):
+for _name in ("k4", "infeasible", "negative", "k4-subdivided"):
     for _verb in ("gtest", "xmatrix", "reconstruct"):
         CASES[f"{_verb}-{_name}"] = [_verb, f"inputs/{_name}.gram"]
 for _name in ("tu", "det2", "fano", "nonunit"):
