@@ -4,6 +4,10 @@ The f and g tables on the positive complex, the nonnegativity/positivity
 flags, the canonical {0,1} skeleton, and the decision of realizability
 as U^T.U for a totally unimodular U: every sign of the one certificate
 that can be TU is read off the matrix, and that matrix is checked once.
+The decision works on the skeleton's distinct supports S with their
+multiplicities g(S): each is signed once, the TU verdict reads each once,
+and U^T U is summed as g(S) u_S^T u_S; only the result is expanded to
+its g(S) copies of each row.
 `tu_signing` signs any {0,1} matrix by Camion's construction, for the
 `signing` verb.
 Each `GramMatrix` also keeps the exact LDL^T that bounds the
@@ -230,32 +234,42 @@ def classify(a: GramMatrix) -> Classification:
     return _classify_table(a)[0]
 
 
-def _skeleton(cls: Classification, g: dict[int, int]) -> IntegerMatrix:
-    """`build_x` from a matrix's classification and g table."""
+def _skeleton(cls: Classification, g: dict[int, int]) -> list[tuple[tuple[int, ...], int]]:
+    """The distinct rows of `build_x`, in its order, each with its
+    multiplicity: every support S with g(S) > 0, once, as a {0,1} row
+    with g(S)."""
     if not cls.g_nonnegative:
         raise FormatError(f"matrix is not g-nonnegative; witness {_subset_text(cls.witness)}")
     # the top singleton is in the table; g(empty) = -k is never positive
     s = max(g).bit_length()
-    rows = []
-    for mask, v in g.items():
-        if v > 0:
-            rows.extend([tuple(mask >> i & 1 for i in range(s))] * v)
+    rows = [(tuple(mask >> i & 1 for i in range(s)), v) for mask, v in g.items() if v > 0]
     # singletons sort last, in ascending index order
-    rows.sort(key=lambda r: (-sum(r), tuple(-x for x in r)))
-    x = IntegerMatrix(tuple(rows), empty_cols=s)
-    if x.rows != -g[0]:
-        raise FlowLatticeError(f"skeleton has {x.rows} rows, g(empty) = {g[0]}")
-    return x
+    rows.sort(key=lambda rv: (-sum(rv[0]), tuple(-x for x in rv[0])))
+    k = sum(v for _, v in rows)
+    if k != -g[0]:
+        raise FlowLatticeError(f"skeleton has {k} rows, g(empty) = {g[0]}")
+    return rows
+
+
+def _expand(rows, s: int) -> IntegerMatrix:
+    """The matrix of width s that repeats each distinct row as many times
+    as its multiplicity says.  A multiplicity past the index range is
+    refused at once, with OverflowError, by the list product."""
+    out = []
+    for row, v in rows:
+        out += [row] * v
+    return IntegerMatrix(tuple(out), empty_cols=s)
 
 
 def build_x(a: GramMatrix) -> IntegerMatrix:
-    """The {0,1} row-multiset encoding the positive subset values.
+    """The {0,1} row-multiset encoding the positive subset values: g(S)
+    copies of the row of each support S.
 
     Rows sorted by descending support size then descending lexicographic
     order; for a positive classification the singleton rows are placed
     last, forming an identity block.
     """
-    return _skeleton(*_classify_table(a))
+    return _expand(_skeleton(*_classify_table(a)), a.order)
 
 
 def _signing_skeleton(x: IntegerMatrix):
@@ -398,10 +412,12 @@ class Feasibility:
         return self.feasible
 
 
-def _certificate(x: IntegerMatrix, a: GramMatrix) -> IntegerMatrix:
+def _certificate(supports, a: GramMatrix) -> list[tuple[tuple[int, ...], int]]:
     """The one matrix with support x and column Gram matrix a that can be
     TU, up to row negation, with the rows signed as `tu_signing(x)` would
-    sign them once its columns were signed to match a.
+    sign them once its columns were signed to match a; x is given by its
+    distinct rows with their multiplicities (`_skeleton`), and so is the
+    certificate, each support signed once.
 
     Each row of x is the support S of a subset with g(S) > 0, so f(S) > 0:
     every a_ij with i, j in S is nonzero and every triple in S is
@@ -410,21 +426,22 @@ def _certificate(x: IntegerMatrix, a: GramMatrix) -> IntegerMatrix:
     u_ri u_rj, each +-1, sum to a_ij and each is sign(a_ij).  A certificate
     row is therefore +- the row that is +1 at the least element b of S
     and sign(a_bj) at every other j; negating rows keeps both TU-ness and
-    the Gram matrix, so a is feasible iff that matrix is TU.
+    the Gram matrix, so a is feasible iff that matrix is TU.  The copies
+    of a support are equal rows, each signed as the first.
 
     Row r is negated by f_b.  The f are the column signs of the signing
     that is +1 on `_signing_skeleton`'s forest: the least column of each
     component is +1, and along each forest entry (r, j) with j > b,
     f_j = f_b sign(a_bj).  Row-major, (r, j) is a forest entry iff j and b
-    are not yet joined; each join relabels the component of the larger
-    least column.
+    are not yet joined, so a repeated row holds no forest entry; each join
+    relabels the component of the larger least column.
     """
     e, s = a.mat.entries, a.order
     comp, f = list(range(s)), [1] * s
     rows = []
-    for support in x.entries:
+    for support, v in supports:
         b = support.index(1)
-        row = tuple(v if j == b or e[b][j] > 0 else -v for j, v in enumerate(support))
+        row = tuple(x if j == b or e[b][j] > 0 else -x for j, x in enumerate(support))
         for j in range(b + 1, s):
             if row[j] and comp[j] != comp[b]:
                 keep, gone = sorted((comp[b], comp[j]))
@@ -432,23 +449,41 @@ def _certificate(x: IntegerMatrix, a: GramMatrix) -> IntegerMatrix:
                 for k in range(s):
                     if comp[k] == gone:
                         comp[k], f[k] = keep, f[k] * flip
-        rows.append((b, row))
-    return IntegerMatrix(tuple(row if f[b] > 0 else tuple(-v for v in row) for b, row in rows),
-                         empty_cols=s)
+        rows.append((b, row, v))
+    return [(row if f[b] > 0 else tuple(-x for x in row), v) for b, row, v in rows]
+
+
+def _column_gram(rows, s: int) -> tuple[tuple[int, ...], ...]:
+    """U^T U for the matrix U of width s that repeats each distinct row u
+    by its multiplicity v: the sum of v u^T u, over the nonzero entries of
+    each u."""
+    gram = [[0] * s for _ in range(s)]
+    for row, v in rows:
+        on = [(j, x) for j, x in enumerate(row) if x]
+        for i, x in on:
+            line, vx = gram[i], v * x
+            for j, y in on:
+                line[j] += vx * y
+    return tuple(map(tuple, gram))
 
 
 def is_g_feasible(a: GramMatrix) -> Feasibility:
     """The TU certificate whose column Gram matrix equals a, if any.
 
-    Pipeline: classification gate, skeleton, the one certificate that
-    can be TU read off a (`_certificate`), then its TU verdict.
+    Pipeline: classification gate, the skeleton's distinct supports with
+    their multiplicities g(S) (`_skeleton`), the one certificate that can
+    be TU read off a with each support signed once (`_certificate`), then
+    the TU verdict of its distinct rows: repeated rows never change total
+    unimodularity.  The Gram-back invariant U^T U = a is checked as the
+    sum of g(S) u_S^T u_S over the signed supports u_S, and the
+    certificate is expanded to its rows only for the result.
     """
     cls, g = _classify_table(a)
     if not cls.g_nonnegative:
         return Feasibility(False, None, cls, cls.refusal())
     cert = _certificate(_skeleton(cls, g), a)
-    if not _tu_verdict(cert.entries):
+    if not _tu_verdict(tuple(row for row, _ in cert)):
         return Feasibility(False, None, cls, "NO-MATCHING-SIGNING")
-    if cert.transpose() * cert != a.mat:
+    if _column_gram(cert, a.order) != a.mat.entries:
         raise FlowLatticeError("signed certificate does not Gram back to the input")
-    return Feasibility(True, cert, cls)
+    return Feasibility(True, _expand(cert, a.order), cls)

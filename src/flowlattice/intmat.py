@@ -17,9 +17,11 @@ decided on the matrix reduced by unit and parallel lines, block by
 block: a block is settled by a verified network or co-network
 realization in polynomial time, and only a block with neither is
 searched.  A "no" then searches the input from order 3 up.  Inside this
-layer a matrix is a sequence of rows; the search reads each {0, +-1} row
-as a (plus, minus) pair of int bitmasks, and the realizer (`network`)
-each column's support as a mask over the rows.
+layer a matrix is a sequence of rows.  Each row and each column is read
+once as a (plus, minus) pair of int bitmasks (`_sign_masks`): the search
+scans the rows' pairs, the reduction strips lines by narrowing the pairs
+of both sides, and the blocks merge the columns' supports; the realizer
+(`network`) reads each column's support as a mask over the rows.
 
 Weak unimodularity is decided by one elimination and the TU verdict of
 its reduced rows; a "no" whose last pivot is not +-1 stops at the pivot
@@ -353,15 +355,7 @@ def _least_witness(rows, start: int = 1, stop: int | None = None):
                     return (i,), (j,)
     if stop < 2:
         return None
-    signs = []
-    for row in rows:
-        plus = minus = 0
-        for j, x in enumerate(row):
-            if x > 0:
-                plus |= 1 << j
-            elif x:
-                minus |= 1 << j
-        signs.append((plus, minus))
+    signs = _sign_masks(rows)[0]
     if start <= 2:
         for (i, (p, q)), (k, (r, s)) in itertools.combinations(enumerate(signs), 2):
             agree, differ = p & r | q & s, p & s | q & r
@@ -387,15 +381,42 @@ def _least_witness(rows, start: int = 1, stop: int | None = None):
     return None
 
 
-def _strip_lines(lines: list) -> list:
-    """Drop zero lines, unit lines, and lines equal to +- an earlier one."""
-    kept, seen = [], set()
-    for line in lines:
-        if sum(map(abs, line)) <= 1 or line in seen:
-            continue
-        kept.append(line)
-        seen.add(line)
-        seen.add(tuple(-x for x in line))
+def _sign_masks(rows) -> tuple[list, list]:
+    """The (plus, minus) pairs of int bitmasks of the rows and of the
+    columns, read in one pass: bit j of row i's plus (minus) mask, and bit
+    i of column j's, is set where entry (i, j) is positive (negative)."""
+    row_signs = []
+    plus_cols = [0] * (len(rows[0]) if rows else 0)
+    minus_cols = plus_cols[:]
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        plus = minus = 0
+        for j, x in enumerate(row):
+            if x > 0:
+                plus |= 1 << j
+                plus_cols[j] |= bit
+            elif x:
+                minus |= 1 << j
+                minus_cols[j] |= bit
+        row_signs.append((plus, minus))
+    return row_signs, list(zip(plus_cols, minus_cols))
+
+
+def _strip(lines, live: int, other: int) -> int:
+    """The lines in the mask `live` that one pass keeps, each line a
+    (plus, minus) pair read on the lines of the other side in `other`: a
+    line is dropped when it has fewer than two nonzero entries there or
+    equals +- an earlier kept line."""
+    kept, seen = 0, set()
+    for i, (p, q) in enumerate(lines):
+        if live >> i & 1:
+            p &= other
+            q &= other
+            support = p | q
+            if support & (support - 1) and (p, q) not in seen:
+                kept |= 1 << i
+                seen.add((p, q))
+                seen.add((q, p))
     return kept
 
 
@@ -404,25 +425,33 @@ def _tu_core(rows) -> list | None:
     columns to a fixpoint.
 
     Stripped are zero lines, lines with a single nonzero entry (+-1), and
-    lines equal to +- an earlier line.  None if some entry lies outside
-    {0, +-1}.  The core is TU iff the matrix is.
+    lines equal to +- an earlier line, rows then columns in each round.
+    Every row and column is read once, as a (plus, minus) pair of
+    bitmasks over the other side (`_sign_masks`); a round only narrows
+    the masks of the live rows and columns, and the core is cut out of the
+    input at the end.  None if some entry lies outside {0, +-1}.  The core
+    is TU iff the matrix is.
     """
-    if any(x not in (-1, 0, 1) for row in rows for x in row):
+    if not set(itertools.chain.from_iterable(rows)) <= {-1, 0, 1}:
         return None
-    rows = list(map(tuple, rows))
+    row_signs, col_signs = _sign_masks(rows)
+    live_rows, live_cols = (1 << len(row_signs)) - 1, (1 << len(col_signs)) - 1
     while True:
-        stripped = list(zip(*_strip_lines(list(zip(*_strip_lines(rows))))))
-        # a fixpoint: nothing was stripped, so the rows come back unchanged
-        if stripped == rows:
-            return rows
-        rows = stripped
+        kept_rows = _strip(row_signs, live_rows, live_cols)
+        kept_cols = _strip(col_signs, live_cols, kept_rows)
+        # a fixpoint: nothing was stripped
+        if kept_rows == live_rows and kept_cols == live_cols:
+            break
+        live_rows, live_cols = kept_rows, kept_cols
+    cols = list(_mask_elements(live_cols))
+    return [tuple(rows[i][j] for j in cols) for i in _mask_elements(live_rows)]
 
 
 def _blocks(rows) -> list[list[tuple]]:
     """The rows of each connected block of the graph joining row i to
     column j wherever rows[i][j] != 0, ordered by their least row; zero
-    lines omitted."""
-    supports = [sum(1 << i for i, x in enumerate(col) if x) for col in zip(*rows)]
+    lines omitted.  A column's support is the union of its sign masks."""
+    supports = [p | q for p, q in _sign_masks(rows)[1]]
     blocks = []
     for block in _components(supports):
         cols = [j for j, c in enumerate(supports) if c & block]

@@ -14,6 +14,12 @@ masks; off P both are 0.  The tests compare the tables with them, entry
 by entry.  `skeleton_by_two_sorts` is the earlier `build_x`, which moved
 a g-positive matrix's singleton rows after the rest in a second sort;
 the one sort of `build_x` already puts them there.
+
+`feasibility_by_expanded_rows` is the earlier `is_g_feasible`, which
+signed every one of the g(S) copies of each support S, gave the TU
+verdict the whole certificate, and checked U^T U = a with a dense
+transpose and product; the library signs each distinct support once,
+decides on the distinct rows and sums g(S) u_S^T u_S.
 """
 
 import itertools
@@ -21,8 +27,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from flowlattice.errors import DimensionError, FlowLatticeError
-from flowlattice.gram import Classification, GramMatrix
-from flowlattice.intmat import IntegerMatrix
+from flowlattice.gram import Classification, Feasibility, GramMatrix, _classify_table
+from flowlattice.intmat import IntegerMatrix, _tu_verdict
 
 
 @dataclass(frozen=True)
@@ -202,3 +208,44 @@ def skeleton_by_two_sorts(cls: Classification, g: dict[int, int]) -> IntegerMatr
         rows = [r for r in rows if sum(r) != 1]
     rows.sort(key=lambda r: (-sum(r), tuple(-x for x in r)))
     return IntegerMatrix(tuple(rows + singles), empty_cols=s)
+
+
+def _certificate_of_rows(x: IntegerMatrix, a: GramMatrix) -> IntegerMatrix:
+    """The certificate with support x read off a, every row signed: +1 at
+    its least element b and sign(a_bj) at every other j, then negated by
+    the sign f_b of column b in the signing that is +1 on a spanning forest
+    of x's entries, taken row-major."""
+    e, s = a.mat.entries, a.order
+    comp, f = list(range(s)), [1] * s
+    rows = []
+    for support in x.entries:
+        b = support.index(1)
+        row = tuple(v if j == b or e[b][j] > 0 else -v for j, v in enumerate(support))
+        for j in range(b + 1, s):
+            if row[j] and comp[j] != comp[b]:
+                keep, gone = sorted((comp[b], comp[j]))
+                flip = f[b] * row[j] * f[j]
+                for k in range(s):
+                    if comp[k] == gone:
+                        comp[k], f[k] = keep, f[k] * flip
+        rows.append((b, row))
+    return IntegerMatrix(tuple(row if f[b] > 0 else tuple(-v for v in row) for b, row in rows),
+                         empty_cols=s)
+
+
+def feasibility_by_expanded_rows(a: GramMatrix) -> Feasibility:
+    """`is_g_feasible` on the expanded skeleton: classification gate, the
+    skeleton with g(S) rows for each support S, the certificate signed row
+    by row, the TU verdict of all its rows, then the dense U^T U = a."""
+    cls, g = _classify_table(a)
+    if not cls.g_nonnegative:
+        return Feasibility(False, None, cls, cls.refusal())
+    x = skeleton_by_two_sorts(cls, g)
+    if x.rows != -g[0]:
+        raise FlowLatticeError(f"skeleton has {x.rows} rows, g(empty) = {g[0]}")
+    cert = _certificate_of_rows(x, a)
+    if not _tu_verdict(cert.entries):
+        return Feasibility(False, None, cls, "NO-MATCHING-SIGNING")
+    if cert.transpose() * cert != a.mat:
+        raise FlowLatticeError("signed certificate does not Gram back to the input")
+    return Feasibility(True, cert, cls)

@@ -16,7 +16,7 @@ exact equality.
 import itertools
 
 from flowlattice.errors import FlowLatticeError
-from flowlattice.gram import Feasibility, GramMatrix, _classify_table, _signing_skeleton, _skeleton
+from flowlattice.gram import Feasibility, GramMatrix, _classify_table, _signing_skeleton, build_x
 from flowlattice.intmat import IntegerMatrix, is_totally_unimodular, sharp
 
 
@@ -87,10 +87,10 @@ def is_g_feasible(a) -> Feasibility:
     enumeration modulo row/column negation with a Gram-compatibility
     filter before the exact TU check.
     """
-    cls, g = _classify_table(a)
+    cls, _ = _classify_table(a)
     if not cls.g_nonnegative:
         return Feasibility(False, None, cls, cls.refusal())
-    x = _skeleton(cls, g)
+    x = build_x(a)
     for cand in _signings(x):
         g0 = cand.transpose() * cand
         signs = _match_column_signs(g0, a)

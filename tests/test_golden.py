@@ -3,9 +3,9 @@
 Each case runs `cli.run` on the files of tests/golden/inputs/, from
 tests/golden/, once as listed and once with `--porcelain` in front.
 tests/golden/expected/<case>.out holds "exit <status>" on its first
-line and the stdout of the run after it, unchanged.  Three of the cases,
-one per exit status, and an unknown verb also run through the real
-entry point, `python -m flowlattice.cli`, in a fresh interpreter.
+line and the stdout of the run after it, unchanged.  Five of the cases,
+each exit status among them, and an unknown verb also run through the
+real entry point, `python -m flowlattice.cli`, in a fresh interpreter.
 
 To record the transcript again (only when an output change is
 intended), run from the root of the checkout:
@@ -111,7 +111,8 @@ def entry_point(argv) -> subprocess.CompletedProcess:
                           env=env, capture_output=True, timeout=60)
 
 
-@pytest.mark.parametrize("name", ["circuits-k4", "tu-check-det2", "flows-k4-not-a-base"])
+@pytest.mark.parametrize("name", ["circuits-k4", "tu-check-det2", "flows-k4-not-a-base",
+                                  "reconstruct-k4", "reconstruct-infeasible"])
 def test_entry_point(name):
     """The process exits with the recorded status (0, 1 and 2 here) and
     writes the recorded stdout byte for byte."""

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from flowlattice.errors import BoundExceededError, DimensionError, FormatError
+from flowlattice import gram
+from flowlattice.errors import BoundExceededError, DimensionError, FlowLatticeError, FormatError
 from flowlattice.flows import fundamental_basis
 from flowlattice.gram import (
     GramMatrix,
@@ -24,6 +25,7 @@ from flowlattice.intmat import (
     sharp,
 )
 from flowlattice.matroid import from_graph
+from flowlattice.rebuild import reconstruct_matroid
 
 from conftest import K4, bridgeless_graphs, random_graph
 from elimination_oracles import bases
@@ -34,6 +36,7 @@ from gram_oracles import (
     dense_f_table,
     dense_g_table,
     f_value,
+    feasibility_by_expanded_rows,
     g_value,
     phi_gamma,
     skeleton_by_two_sorts,
@@ -362,3 +365,125 @@ class TestSparseTablesAgainstDense:
         a = fundamental_basis(from_graph(random_graph(random.Random(s), 8, s))).gram
         assert a.order == s
         self.check(a)
+
+
+def random_multigraph(rng):
+    """A random spanning tree on 2-6 vertices, 1-5 extra edges that may run
+    parallel to any edge or close a loop-free cycle, and up to three edges
+    subdivided into series pairs, shuffled."""
+    n = rng.randint(2, 6)
+    edges = [(v, rng.randrange(v)) for v in range(1, n)]
+    for _ in range(rng.randint(1, 5)):
+        edges.append(rng.choice(edges) if rng.random() < 0.3 else tuple(rng.sample(range(n), 2)))
+    for _ in range(rng.randint(0, 3)):
+        i = rng.randrange(len(edges))
+        u, v = edges[i]
+        edges[i:i + 1] = [(u, n), (n, v)]
+        n += 1
+    rng.shuffle(edges)
+    return edges
+
+
+class TestFeasibilityOnDistinctSupports:
+    """`is_g_feasible` signs each distinct support S of the skeleton once,
+    decides on the distinct rows and sums g(S) u_S^T u_S;
+    `feasibility_by_expanded_rows` signs all g(S) copies, decides on every
+    row and multiplies U^T U densely.  Verdict, reason, classification and
+    certificate entries are equal."""
+
+    def test_reconstruction_sweep(self):
+        repeated = 0
+        for a in sweep_grams():
+            assert is_g_feasible(a) == feasibility_by_expanded_rows(a)
+            repeated += max(g_table(a).values()) >= 2
+        assert repeated > 100
+
+    @pytest.mark.parametrize("s", range(11, 21))
+    def test_fundamental_grams_at_scale(self, s):
+        """The matrices of `TestReconstructionAtScale`."""
+        rng = random.Random(s)
+        for n in (6, 8):
+            a = fundamental_basis(from_graph(random_graph(rng, n, s))).gram
+            assert is_g_feasible(a) == feasibility_by_expanded_rows(a)
+
+    def test_multigraphs_with_parallel_edges_and_series_pairs(self):
+        """Fundamental Gram matrices of 2,000 seeded random multigraphs; a
+        series pair lies in the same fundamental circuits, so its support
+        has g(S) >= 2."""
+        rng = random.Random(2029)
+        repeated = 0
+        for _ in range(2000):
+            a = fundamental_basis(from_graph(random_multigraph(rng))).gram
+            got = is_g_feasible(a)
+            assert got and got == feasibility_by_expanded_rows(a)
+            repeated += max(g_table(a).values()) >= 2
+        assert repeated > 1000
+
+    def test_perturbed_grams(self, rng):
+        """Infeasible and not g-nonnegative matrices too."""
+        verdicts = set()
+        for a in random_small_grams(rng):
+            got = is_g_feasible(a)
+            assert got == feasibility_by_expanded_rows(a)
+            verdicts.add(got.reason)
+        assert verdicts >= {None, "NO-MATCHING-SIGNING"}
+
+    @staticmethod
+    def flips(monkeypatch, a):
+        """Install in turn each certificate with one sign flipped in a row
+        of two or more entries, yielding after each."""
+        certificate = gram._certificate
+        for k, (row, _) in enumerate(certificate(gram._skeleton(*_classify_table(a)), a)):
+            for j in (j for j, x in enumerate(row) if x and sum(map(abs, row)) > 1):
+                def flipped(supports, a, k=k, j=j):
+                    cert = certificate(supports, a)
+                    row, v = cert[k]
+                    cert[k] = (row[:j] + (-row[j],) + row[j + 1:], v)
+                    return cert
+
+                monkeypatch.setattr(gram, "_certificate", flipped)
+                yield
+
+    def test_one_flipped_sign_does_not_gram_back(self, monkeypatch):
+        """A theta graph with its shared path subdivided, g({1,2}) = 2: a
+        flip in the repeated row keeps the certificate TU, and the sum of
+        g(S) u_S^T u_S catches it; every other flip is refused as not TU."""
+        a = G([[3, 2], [2, 3]])
+        caught = 0
+        for _ in self.flips(monkeypatch, a):
+            try:
+                res = is_g_feasible(a)
+            except FlowLatticeError as exc:
+                assert str(exc) == "signed certificate does not Gram back to the input"
+                caught += 1
+            else:
+                assert not res and res.reason == "NO-MATCHING-SIGNING"
+        assert caught == 2
+
+    @pytest.mark.parametrize("rows,flips", [([[3, 2], [2, 3]], 2),
+                                            ([[4, 2, -1], [2, 4, 1], [-1, 1, 3]], 6)],
+                             ids=["theta-subdivided", "k4-subdivided"])
+    def test_every_flipped_sign_does_not_gram_back(self, monkeypatch, rows, flips):
+        """With the TU verdict forced to yes, every flip reaches the
+        Gram-back check and fails it; each distinct row of two entries has
+        two flips."""
+        monkeypatch.setattr(gram, "_tu_verdict", lambda rows: True)
+        a = G(rows)
+        tried = 0
+        for _ in self.flips(monkeypatch, a):
+            with pytest.raises(FlowLatticeError, match="does not Gram back"):
+                is_g_feasible(a)
+            tried += 1
+        assert tried == flips
+
+    def test_huge_multiplicity_overflows_at_once(self):
+        """g({1}) = 10^30 - 1 is past the index range: expanding the
+        skeleton by list product raises OverflowError before allocating
+        anything, where a loop over the copies would run until memory
+        runs out.  This pins today's refusal; the skeleton gate planned as
+        ROADMAP N19 will turn it into BOUND-EXCEEDED."""
+        a = parse_gram(f"gram 2\n{10 ** 30} 1\n1 1\n")
+        with pytest.raises(OverflowError):
+            build_x(a)
+        with pytest.raises(OverflowError):
+            reconstruct_matroid(a)

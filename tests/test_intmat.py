@@ -23,7 +23,7 @@ from flowlattice.intmat import (
 from conftest import K4, det_cofactor
 from elimination_oracles import integer_kernel_basis
 from tu_oracles import (blocks, eulerian_witness, least_witness, tu_by_enumeration,
-                        wu_by_enumeration)
+                        tu_core, tu_verdict_by_tuples, wu_by_enumeration)
 
 
 def M(rows):
@@ -420,6 +420,58 @@ class TestBlocks:
         assert many > 20
 
 
+def _planted(rnd, rows):
+    """rows with one to four planted lines, each a zero, unit, duplicate or
+    negated row or column inserted at a random place; returns the rows and
+    the kinds planted."""
+    kinds = []
+    for _ in range(rnd.randint(1, 4)):
+        transpose = rnd.random() < 0.5
+        if transpose:
+            rows = [list(col) for col in zip(*rows)]
+        width = len(rows[0]) if rows else 0
+        kind = rnd.choice(("zero", "unit", "duplicate", "negated"))
+        if kind == "zero" or not width:
+            line, kind = [0] * width, "zero"
+        elif kind == "unit":
+            line = [0] * width
+            line[rnd.randrange(width)] = rnd.choice((1, -1))
+        else:
+            line = [x if kind == "duplicate" else -x for x in rnd.choice(rows)]
+        rows.insert(rnd.randint(0, len(rows)), line)
+        kinds.append(kind)
+        if transpose:
+            rows = [list(col) for col in zip(*rows)]
+    return tuple(map(tuple, rows)), kinds
+
+
+class TestMaskCore:
+    """The core stripped on (plus, minus) masks against the tuple core it
+    replaced (`tu_oracles.tu_core`): the same rows in the same order; the
+    same blocks as the breadth-first search reads off that core, and the
+    same verdict as the tuple core's blocks give."""
+
+    def test_against_tuple_core(self):
+        rnd = random.Random(73)
+        planted, verdicts = dict.fromkeys(("zero", "unit", "duplicate", "negated"), 0), [0, 0]
+        outside = 0
+        for _ in range(5000):
+            rows, kinds = _planted(rnd, [list(r) for r in _sign_matrix(rnd).entries])
+            core = _tu_core(rows)
+            assert core == tu_core(rows)
+            outside += core is None
+            if core is not None:
+                m = IntegerMatrix(tuple(core), empty_cols=0)
+                assert intmat._blocks(core) == [[tuple(core[i][j] for j in cols) for i in picked]
+                                                for picked, cols in blocks(m)]
+            verdict = intmat._tu_verdict(rows)
+            assert verdict == tu_verdict_by_tuples(rows)
+            verdicts[verdict] += 1
+            for kind in kinds:
+                planted[kind] += 1
+        assert min(planted.values()) > 2500 and min(verdicts) > 500 and outside > 50
+
+
 def _identity_then(rnd, k, extra):
     """[I_k | X] for a random k x extra {-1, 0, 1} matrix X, columns shuffled."""
     rows = [[int(i == j) for j in range(k)] + [rnd.choice((-1, 0, 1)) for _ in range(extra)]
@@ -584,7 +636,7 @@ class TestConstructionCounts:
         a = parse_gram((self.INPUTS / "k4.gram").read_text())
         built[0] = 0
         assert reconstruct_matroid(a)
-        assert built[0] == 9
+        assert built[0] == 6
 
     @pytest.mark.parametrize("basis,count", [("fundamental_basis", 6), ("cut_basis", 4)])
     def test_bases_k4(self, built, basis, count):

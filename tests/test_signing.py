@@ -341,7 +341,9 @@ class TestOneSigningPath:
 
     @pytest.mark.parametrize("rows", [None, INFEASIBLE_GRAM], ids=["k4", "infeasible"])
     def test_feasibility_reads_its_certificate_off_the_gram(self, monkeypatch, k4, rows):
-        """One TU verdict, of the certificate itself; no signing is built."""
+        """One TU verdict, of the certificate's distinct rows: their
+        absolute values are the distinct rows of `build_x(a)`, in order.
+        No signing is built."""
         seen = []
         verdict = gram._tu_verdict
 
@@ -357,7 +359,8 @@ class TestOneSigningPath:
             monkeypatch.setattr(gram, name, refuse)
         a = fundamental_basis(k4).gram if rows is None else GramMatrix.from_rows(rows)
         res = is_g_feasible(a)
-        assert len(seen) == 1 and sharp(IntegerMatrix(seen[0])) == build_x(a)
+        distinct = IntegerMatrix(tuple(dict.fromkeys(build_x(a).entries)), empty_cols=a.order)
+        assert len(seen) == 1 and sharp(IntegerMatrix(seen[0])) == distinct
         assert res.certificate == (IntegerMatrix(seen[0]) if rows is None else None)
 
 

@@ -10,12 +10,15 @@ test on tuples of entries, before the library read it off sign bitmasks;
 `least_witness` is it from order 3, with orders 1 and 2 by brute force,
 the one search the library runs for every witness.  `blocks` is the
 breadth-first search for connected blocks that the library replaced by a
-merge of column masks.
+merge of column masks.  `tu_core` is the earlier core, which strips rows
+and columns on tuples of entries and transposes the matrix by `zip` twice
+a round, where the library narrows (plus, minus) masks; `tu_verdict_by_tuples`
+decides the verdict on its blocks.
 """
 
 import itertools
 
-from flowlattice.intmat import UnimodularityCheck, _gate
+from flowlattice.intmat import IntegerMatrix, UnimodularityCheck, _block_is_tu, _gate
 
 
 def eulerian_witness(m, k: int) -> tuple[tuple, tuple] | None:
@@ -73,6 +76,43 @@ def blocks(m) -> list[tuple[list[int], list[int]]]:
                             rows.append(k)
         found.append((sorted(rows), sorted(cols)))
     return found
+
+
+def strip_lines(lines: list) -> list:
+    """Drop zero lines, unit lines, and lines equal to +- an earlier one."""
+    kept, seen = [], set()
+    for line in lines:
+        if sum(map(abs, line)) <= 1 or line in seen:
+            continue
+        kept.append(line)
+        seen.add(line)
+        seen.add(tuple(-x for x in line))
+    return kept
+
+
+def tu_core(rows) -> list | None:
+    """The rows of the {0, +-1} matrix left after stripping rows and
+    columns to a fixpoint, by `strip_lines`; None if some entry lies
+    outside {0, +-1}."""
+    if any(x not in (-1, 0, 1) for row in rows for x in row):
+        return None
+    rows = list(map(tuple, rows))
+    while True:
+        stripped = list(zip(*strip_lines(list(zip(*strip_lines(rows))))))
+        # a fixpoint: nothing was stripped, so the rows come back unchanged
+        if stripped == rows:
+            return rows
+        rows = stripped
+
+
+def tu_verdict_by_tuples(rows) -> bool:
+    """The TU verdict on the blocks (`blocks`) of `tu_core`."""
+    core = tu_core(rows)
+    if core is None:
+        return False
+    m = IntegerMatrix(tuple(core), empty_cols=0)
+    return all(_block_is_tu([tuple(m.entries[i][j] for j in cols) for i in rows])
+               for rows, cols in blocks(m))
 
 
 def _minor_det(m, rows: tuple, cols: tuple, memo: dict) -> int:
