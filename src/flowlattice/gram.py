@@ -243,8 +243,9 @@ def _skeleton(cls: Classification, g: dict[int, int]) -> list[tuple[tuple[int, .
     # the top singleton is in the table; g(empty) = -k is never positive
     s = max(g).bit_length()
     rows = [(tuple(mask >> i & 1 for i in range(s)), v) for mask, v in g.items() if v > 0]
+    # larger supports first, then descending lexicographic order: the
     # singletons sort last, in ascending index order
-    rows.sort(key=lambda rv: (-sum(rv[0]), tuple(-x for x in rv[0])))
+    rows.sort(key=lambda rv: (sum(rv[0]), rv[0]), reverse=True)
     k = sum(v for _, v in rows)
     if k != -g[0]:
         raise FlowLatticeError(f"skeleton has {k} rows, g(empty) = {g[0]}")
@@ -426,8 +427,8 @@ def _certificate(supports, a: GramMatrix) -> list[tuple[tuple[int, ...], int]]:
     u_ri u_rj, each +-1, sum to a_ij and each is sign(a_ij).  A certificate
     row is therefore +- the row that is +1 at the least element b of S
     and sign(a_bj) at every other j; negating rows keeps both TU-ness and
-    the Gram matrix, so a is feasible iff that matrix is TU.  The copies
-    of a support are equal rows, each signed as the first.
+    the Gram matrix, so a is feasible iff that matrix is TU.  The g(S)
+    copies of a support are signed alike, so each is signed once here.
 
     Row r is negated by f_b.  The f are the column signs of the signing
     that is +1 on `_signing_skeleton`'s forest: the least column of each
