@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -419,14 +420,18 @@ class TestFeasibilityOnDistinctSupports:
             repeated += max(g_table(a).values()) >= 2
         assert repeated > 1000
 
-    def test_perturbed_grams(self, rng):
-        """Infeasible and not g-nonnegative matrices too."""
-        verdicts = set()
-        for a in random_small_grams(rng):
+    def test_perturbed_and_random_grams(self, rng):
+        """Infeasible and refused matrices too: each sweep matrix perturbed
+        three times, and the random small matrices."""
+        from test_signing import perturbed
+
+        grams = [perturbed(rng, a) for a in sweep_grams() for _ in range(3)]
+        verdicts = collections.Counter()
+        for a in grams + random_small_grams(rng):
             got = is_g_feasible(a)
             assert got == feasibility_by_expanded_rows(a)
-            verdicts.add(got.reason)
-        assert verdicts >= {None, "NO-MATCHING-SIGNING"}
+            verdicts[(got.reason or "G-FEASIBLE").split()[0]] += 1
+        assert len(verdicts) == 3 and min(verdicts.values()) > 30
 
     @staticmethod
     def flips(monkeypatch, a):

@@ -461,7 +461,7 @@ class TestMaskCore:
             assert core == tu_core(rows)
             outside += core is None
             if core is not None:
-                m = IntegerMatrix(tuple(core), empty_cols=0)
+                m = IntegerMatrix(tuple(core))
                 assert intmat._blocks(core) == [[tuple(core[i][j] for j in cols) for i in picked]
                                                 for picked, cols in blocks(m)]
             verdict = intmat._tu_verdict(rows)

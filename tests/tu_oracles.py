@@ -12,8 +12,8 @@ the one search the library runs for every witness.  `blocks` is the
 breadth-first search for connected blocks that the library replaced by a
 merge of column masks.  `tu_core` is the earlier core, which strips rows
 and columns on tuples of entries and transposes the matrix by `zip` twice
-a round, where the library narrows (plus, minus) masks; `tu_verdict_by_tuples`
-decides the verdict on its blocks.
+a round, where the library narrows (plus, minus) masks;
+`tu_verdict_by_tuples` decides the verdict on its blocks.
 """
 
 import itertools
@@ -110,9 +110,9 @@ def tu_verdict_by_tuples(rows) -> bool:
     core = tu_core(rows)
     if core is None:
         return False
-    m = IntegerMatrix(tuple(core), empty_cols=0)
-    return all(_block_is_tu([tuple(m.entries[i][j] for j in cols) for i in rows])
-               for rows, cols in blocks(m))
+    m = IntegerMatrix(tuple(core))
+    return all(_block_is_tu([tuple(core[i][j] for j in cols) for i in picked])
+               for picked, cols in blocks(m))
 
 
 def _minor_det(m, rows: tuple, cols: tuple, memo: dict) -> int:
