@@ -148,8 +148,10 @@ def cmd_simple(args) -> int:
 
 def cmd_gtest(args) -> int:
     a = gram.parse_gram(_read(args.file))
+    # f and g from one walk of the positive complex
     ftab = gram.f_table(a)
-    cls, table = gram._classify_table(a)
+    table = gram._superset_sums(dict(ftab), a.order)
+    cls = gram._classify_g(table, a.order)
     if not cls.g_nonnegative:
         print(cls.refusal())
         return 1

@@ -183,16 +183,21 @@ def f_table(a: GramMatrix) -> dict[int, int]:
 
 
 def g_table(a: GramMatrix) -> dict[int, int]:
-    """Alternating superset sums of a's `f_table`, via the subset-lattice
-    transform on its keys.  Every superset of a set outside P is outside
-    P, so g vanishes there."""
-    g = f_table(a)
-    for i in range(a.order):
+    """Alternating superset sums of a's `f_table` (`_superset_sums`)."""
+    return _superset_sums(f_table(a), a.order)
+
+
+def _superset_sums(f: dict[int, int], s: int) -> dict[int, int]:
+    """The table f of subsets of s elements, turned in place into its
+    alternating superset sums by the subset-lattice transform on its keys,
+    and returned.  Every superset of a set outside P is outside P, so the
+    sums vanish there."""
+    for i in range(s):
         bit = 1 << i
-        for mask in g:
+        for mask in f:
             if not mask & bit:
-                g[mask] -= g.get(mask | bit, 0)
-    return g
+                f[mask] -= f.get(mask | bit, 0)
+    return f
 
 
 @dataclass(frozen=True)
@@ -216,18 +221,22 @@ def _subset_text(subset) -> str:
 
 def _classify_table(a: GramMatrix) -> tuple[Classification, dict]:
     """The classification together with the g table it was read from."""
-    s = a.order
     g = g_table(a)
+    return _classify_g(g, a.order), g
+
+
+def _classify_g(g: dict[int, int], s: int) -> Classification:
+    """The classification read off the g table of an s x s Gram matrix."""
     for mask, v in g.items():
         if mask and v < 0:
-            return Classification(False, False, tuple(_mask_elements(mask))), g
+            return Classification(False, False, tuple(_mask_elements(mask)))
     for i in range(s):
         if g[1 << i] == 0:
-            return Classification(True, False, (i,)), g
+            return Classification(True, False, (i,))
     # derived identity: the empty-set value balances the rest
     if sum(g.values()) or g[0] > -s:
         raise FlowLatticeError(f"g table of a g-positive matrix has g(empty) = {g[0]}")
-    return Classification(True, True), g
+    return Classification(True, True)
 
 
 def classify(a: GramMatrix) -> Classification:

@@ -9,19 +9,18 @@ bounds each exponential search checks.
 
 Total unimodularity has one search for its witnesses, `_least_witness`:
 the lexicographically least minor with |det| > 1 over a range of orders.
-It reads orders 1 and 2 in polynomial time, an entry outside {0, +-1},
-then a row pair whose signs agree in one column and differ in another,
-and from order 3 searches for an Eulerian submatrix whose entries sum to
-2 mod 4 (Camion 1965).  With no witness of order 1 or 2, the verdict is
-decided on the matrix reduced by unit and parallel lines, block by
-block: a block is settled by a verified network or co-network
-realization in polynomial time, and only a block with neither is
-searched.  A "no" then searches the input from order 3 up.  Inside this
-layer a matrix is a sequence of rows.  Each row and each column is read
-once as a (plus, minus) pair of int bitmasks (`_sign_masks`): the search
-scans the rows' pairs, the reduction strips lines by narrowing the pairs
-of both sides, and the blocks merge the columns' supports; the realizer
-(`network`) reads each column's support as a mask over the rows.
+It reads orders 1 and 2 in polynomial time and from order 3 searches for
+an Eulerian submatrix whose entries sum to 2 mod 4 (Camion 1965).  With
+no witness of order 1 or 2, the verdict is decided on the matrix reduced
+by unit and parallel lines, block by block: a block is settled by a
+verified network or co-network realization in polynomial time, and only
+a block with neither is searched.  A "no" then searches the input from
+order 3 up.  Inside the TU layer a matrix is its sign masks, read once
+(`_sign_masks`): each row and column is a (plus, minus) pair of int
+bitmasks over the other side.  The reduction narrows a mask of live rows
+and one of live columns, a block is a (row mask, column mask) pair, the
+realizer (`network`) takes a block's columns as masks over its rows, and
+a transpose is a swap of the two sides.
 
 Weak unimodularity is decided by one elimination and the TU verdict of
 its reduced rows; a "no" whose last pivot is not +-1 stops at the pivot
@@ -323,15 +322,32 @@ def _least_witness(rows, start: int = 1, stop: int | None = None):
     """The (rows, cols) tuples of the lexicographically least minor of
     `rows` with |det| > 1 over the orders start..stop (default
     min(rows, cols)), least order first; None if there is none.  No order
-    below start may hold one.
+    below start may hold one.  Order 1 is the first entry outside
+    {0, +-1}, row-major; orders 2 and up are searched on the rows' sign
+    masks (`_mask_witness`).
+    """
+    ncols = len(rows[0]) if rows else 0
+    stop = min(len(rows), ncols) if stop is None else stop
+    if start <= 1 <= stop:
+        for i, row in enumerate(rows):
+            for j, x in enumerate(row):
+                if abs(x) > 1:
+                    return (i,), (j,)
+    if stop < 2:
+        return None
+    return _mask_witness(_sign_masks(rows)[0], start, stop)
 
-    Order 1 is the first entry outside {0, +-1}, row-major.  From order 2
-    on, each {0, +-1} row is read as a (plus, minus) pair of int bitmasks,
-    bit j set where entry j is +1, resp. -1.  A 2 x 2 minor with |det| = 2
-    has four nonzero entries with an odd number of -1s: on a row pair, one
-    column where the signs agree and one where they differ.  Its least
-    columns are the lowest of either class and the lowest of the other
-    class.  Orders 1 and 2 take polynomial time and are not gated.
+
+def _mask_witness(signs, start: int, stop: int):
+    """`_least_witness` over the orders max(start, 2)..stop of the {0, +-1}
+    matrix whose rows have the (plus, minus) masks `signs`: the row
+    positions in `signs` and the column bits of the least witness.
+
+    A 2 x 2 minor with |det| = 2 has four nonzero entries with an odd
+    number of -1s: on a row pair, one column where the signs agree and one
+    where they differ.  Its least columns are the lowest of either class
+    and the lowest of the other class.  Order 2 takes polynomial time and
+    is not gated.
 
     From order 3, each order k is searched for an Eulerian k x k submatrix
     (an even number of nonzero entries in each of its rows and columns)
@@ -346,16 +362,6 @@ def _least_witness(rows, start: int = 1, stop: int | None = None):
     meets a column mask in the bit count of its support there, and the
     entry sum is the plus count less the minus count.
     """
-    ncols = len(rows[0]) if rows else 0
-    stop = min(len(rows), ncols) if stop is None else stop
-    if start <= 1 <= stop:
-        for i, row in enumerate(rows):
-            for j, x in enumerate(row):
-                if abs(x) > 1:
-                    return (i,), (j,)
-    if stop < 2:
-        return None
-    signs = _sign_masks(rows)[0]
     if start <= 2:
         for (i, (p, q)), (k, (r, s)) in itertools.combinations(enumerate(signs), 2):
             agree, differ = p & r | q & s, p & s | q & r
@@ -365,7 +371,7 @@ def _least_witness(rows, start: int = 1, stop: int | None = None):
                 return (i, k), (low.bit_length() - 1, (other & -other).bit_length() - 1)
     for k in range(max(start, 3), stop + 1):
         _gate("tu", "Eulerian search order", k)
-        for picked in itertools.combinations(range(len(rows)), k):
+        for picked in itertools.combinations(range(len(signs)), k):
             sub = [signs[i] for i in picked]
             union = parity = 0
             for p, q in sub:
@@ -420,73 +426,66 @@ def _strip(lines, live: int, other: int) -> int:
     return kept
 
 
-def _tu_core(rows) -> list | None:
-    """The rows of the {0, +-1} matrix left after stripping rows and
-    columns to a fixpoint.
+def _tu_core(row_signs, col_signs) -> tuple[int, int]:
+    """The masks of the rows and columns of a {0, +-1} matrix, given by
+    their sign masks (`_sign_masks`), left after stripping to a fixpoint.
 
     Stripped are zero lines, lines with a single nonzero entry (+-1), and
-    lines equal to +- an earlier line, rows then columns in each round.
-    Every row and column is read once, as a (plus, minus) pair of
-    bitmasks over the other side (`_sign_masks`); a round only narrows
-    the masks of the live rows and columns, and the core is cut out of the
-    input at the end.  None if some entry lies outside {0, +-1}.  The core
+    lines equal to +- an earlier line, rows then columns in each round; a
+    round only narrows the masks of the live rows and columns.  The core
     is TU iff the matrix is.
     """
-    if not set(itertools.chain.from_iterable(rows)) <= {-1, 0, 1}:
-        return None
-    row_signs, col_signs = _sign_masks(rows)
     live_rows, live_cols = (1 << len(row_signs)) - 1, (1 << len(col_signs)) - 1
     while True:
         kept_rows = _strip(row_signs, live_rows, live_cols)
         kept_cols = _strip(col_signs, live_cols, kept_rows)
         # a fixpoint: nothing was stripped
         if kept_rows == live_rows and kept_cols == live_cols:
-            break
+            return live_rows, live_cols
         live_rows, live_cols = kept_rows, kept_cols
-    cols = list(_mask_elements(live_cols))
-    return [tuple(rows[i][j] for j in cols) for i in _mask_elements(live_rows)]
 
 
-def _blocks(rows) -> list[list[tuple]]:
-    """The rows of each connected block of the graph joining row i to
-    column j wherever rows[i][j] != 0, ordered by their least row; zero
-    lines omitted.  A column's support is the union of its sign masks."""
-    supports = [p | q for p, q in _sign_masks(rows)[1]]
-    blocks = []
-    for block in _components(supports):
-        cols = [j for j, c in enumerate(supports) if c & block]
-        blocks.append([tuple(rows[i][j] for j in cols) for i in _mask_elements(block)])
-    return blocks
-
-
-def _block_is_tu(block) -> bool:
-    """A connected {0, +-1} matrix is TU: by a verified network realization
-    of it or of its transpose, else by Camion's test (`_least_witness`)."""
-    for rows in (block, tuple(zip(*block))):
-        verdict = network_scaling(rows)
-        if verdict is not None:
-            return verdict
-    return _least_witness(block, 2) is None
+def _mask_blocks(col_signs, rows: int, cols: int) -> list[tuple[int, int]]:
+    """The (row mask, column mask) of each connected block of the graph
+    joining row i to column j wherever entry (i, j) != 0, on the rows and
+    columns in the masks `rows` and `cols`, ordered by their least row;
+    zero lines omitted.  The row masks merge the columns' supports."""
+    supports = [(j, (p | q) & rows) for j, (p, q) in enumerate(col_signs) if cols >> j & 1]
+    return [(block, sum(1 << j for j, s in supports if s & block))
+            for block in _components(s for _, s in supports)]
 
 
 def _tu_verdict(rows) -> bool:
     """Whether the matrix with these rows is TU, without a witness.
 
-    The verdict is decided on the reduced core (`_tu_core`): a square
-    submatrix through a unit row expands along it to +-(a smaller minor)
-    or 0, one through two +-parallel rows is singular, and one through
-    only the later row has the earlier row's |det|; likewise for columns.
-    So the core is TU iff the matrix is.  A square submatrix of a
-    block-diagonal matrix is singular or a product of minors of the
-    blocks, so the core is TU iff each of its connected blocks is
-    (`_blocks`).  A block is TU when it or its transpose rescales to a
+    The rows are read once, as sign masks (`_sign_masks`).  The verdict is
+    decided on the reduced core (`_tu_core`): a square submatrix through a
+    unit row expands along it to +-(a smaller minor) or 0, one through two
+    +-parallel rows is singular, and one through only the later row has
+    the earlier row's |det|; likewise for columns.  So the core is TU iff
+    the matrix is.  A square submatrix of a block-diagonal matrix is
+    singular or a product of minors of the blocks, so the core is TU iff
+    each of its connected blocks is (`_mask_blocks`).  A block is TU when
+    it or its transpose, its rows' masks over its columns, rescales to a
     network matrix, and not TU when a tree realizes its support but the
-    signs do not rescale (`network.network_scaling`, checked entry by
-    entry); only a block with neither realization is searched for a
-    witness (`_least_witness`, from order 2), and computes no determinant.
+    signs do not rescale (`network.network_scaling`); only a block with
+    neither realization is searched for a witness (`_mask_witness`, from
+    order 2), and computes no determinant.
     """
-    core = _tu_core(rows)
-    return core is not None and all(map(_block_is_tu, _blocks(core)))
+    if not set(itertools.chain.from_iterable(rows)) <= {-1, 0, 1}:
+        return False
+    row_signs, col_signs = _sign_masks(rows)
+    for block, cols in _mask_blocks(col_signs, *_tu_core(row_signs, col_signs)):
+        by_col = [(p & block, q & block) for j, (p, q) in enumerate(col_signs) if cols >> j & 1]
+        by_row = [(p & cols, q & cols) for i, (p, q) in enumerate(row_signs) if block >> i & 1]
+        verdict = network_scaling(by_col, block)
+        if verdict is None:
+            verdict = network_scaling(by_row, cols)
+        if verdict is None:
+            verdict = _mask_witness(by_row, 2, min(len(by_row), len(by_col))) is None
+        if not verdict:
+            return False
+    return True
 
 
 def is_totally_unimodular(m: IntegerMatrix) -> UnimodularityCheck:

@@ -1,4 +1,4 @@
-"""Network matrices: graph realization of a support, checked entry by entry.
+"""Network matrices: graph realization of a support, checked column by column.
 
 A network matrix N has a directed tree whose edges index its rows and,
 for each column, a path in that tree: N[e][c] is +1 where the path of c
@@ -13,10 +13,12 @@ the matrix against the network matrix of that tree independently of
 how the tree was found.  A faulty realizer can therefore cost time,
 never a wrong verdict.
 
-Like the GF(2) echelon of `matroid` and the sign masks of `intmat`, the
-realizer works on int bitmasks: each column's support is a mask over the
-rows.  `_components` merges such masks into connected components, for
-the bridges of the realizer and the blocks of `intmat`'s TU verdict.
+Like the GF(2) echelon of `matroid`, the realizer works on int bitmasks
+and takes a matrix as `intmat`'s TU layer holds it: each column a
+(plus, minus) pair of masks over a mask of rows, so a transpose is the
+same call with the sides swapped.  `_components` merges masks into
+connected components, for the bridges of the realizer and the blocks of
+the TU verdict.
 """
 
 from __future__ import annotations
@@ -172,12 +174,12 @@ def _odd_vertices(edges) -> set:
     return odd
 
 
-def _tree_paths(tree, nrows: int, supports):
-    """For each support (a mask over the rows), its path in the tree as
-    {row: +-1}, +1 where the path runs from parent to child; None if `tree`
-    is not a tree on the rows 0..nrows-1 or some support is not the edge
-    set of a path."""
-    if sorted(tree) != list(range(nrows)):
+def _tree_paths(tree, rows: int, supports):
+    """For each support (a mask over the rows), the mask of the edges that
+    its path in the tree runs along from parent to child; None if the
+    edges of `tree` are not exactly the rows in the mask `rows`, if they
+    do not form a tree, or if some support is not the edge set of a path."""
+    if sum(1 << r for r in tree) != rows:
         return None
     adj: dict = {}
     for r, (u, v) in tree.items():
@@ -192,59 +194,58 @@ def _tree_paths(tree, nrows: int, supports):
                 parent[v], depth[v] = (u, r), depth[u] + 1
                 queue.append(v)
     # n edges joining n + 1 vertices into one component form a tree
-    if len(adj) != nrows + 1 or len(parent) != len(adj):
+    if len(adj) != rows.bit_count() + 1 or len(parent) != len(adj):
         return None
     paths = []
     for support in supports:
-        path, on = {}, 0
+        forward = on = 0
         odd = _odd_vertices(tree[r] for r in _mask_elements(support))
         if len(odd) == 2:
             a, b = odd
             while a != b:
                 if depth[a] >= depth[b]:
                     a, r = parent[a]
-                    path[r] = -1
                 else:
                     b, r = parent[b]
-                    path[r] = 1
+                    forward |= 1 << r
                 on |= 1 << r
         if on != support:
             return None
-        paths.append(path)
+        paths.append(forward)
     return paths
 
 
-def network_scaling(rows) -> bool | None:
+def network_scaling(cols, rows: int) -> bool | None:
     """Decide a connected {0, +-1} matrix against the network matrices.
 
-    True: the matrix is D_r N D_c for a network matrix N and +-1 diagonal
-    matrices D_r, D_c, so it is totally unimodular.  False: a tree realizes
-    its support, so N is a TU signing of that support, but the matrix is no
-    rescaling of N; a {0,1} matrix has at most one TU signing up to
-    negating rows and columns (Camion 1965), so the matrix is not TU.
-    None: no tree realizes its support; nothing is decided.
+    The matrix is given by its columns, each a (plus, minus) pair of int
+    bitmasks over the rows in the mask `rows`; its transpose is the same
+    call on its rows' masks over its columns.  True: the matrix is
+    D_r N D_c for a network matrix N and +-1 diagonal matrices D_r, D_c,
+    so it is totally unimodular.  False: a tree realizes its support, so
+    N is a TU signing of that support, but the matrix is no rescaling of
+    N; a {0,1} matrix has at most one TU signing up to negating rows and
+    columns (Camion 1965), so the matrix is not TU.  None: no tree
+    realizes its support; nothing is decided.
     """
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    supports = [sum(1 << i for i, x in enumerate(col) if x) for col in zip(*rows)]
-    tree = _realize(list(range(nrows)), supports, itertools.count())
-    paths = None if tree is None else _tree_paths(tree, nrows, supports)
-    if paths is None:
+    supports = [p | q for p, q in cols]
+    tree = _realize(list(_mask_elements(rows)), supports, itertools.count())
+    forward = None if tree is None else _tree_paths(tree, rows, supports)
+    if forward is None:
         return None
-    # D_r and D_c read along a spanning forest of the nonzero entries
-    dr, dc = [0] * nrows, [0] * ncols
-    for start in range(nrows):
-        if dr[start]:
-            continue
-        dr[start] = 1
-        queue = [start]
-        for i in queue:
-            for j in range(ncols):
-                if rows[i][j] and not dc[j]:
-                    dc[j] = rows[i][j] * dr[i] * paths[j][i]
-                    for k in paths[j]:
-                        if not dr[k]:
-                            dr[k] = rows[k][j] * paths[j][k] * dc[j]
-                            queue.append(k)
-    return all(rows[i][j] == dr[i] * paths[j].get(i, 0) * dc[j]
-               for i in range(nrows) for j in range(ncols))
+    # D_r and D_c read column by column: D_r is -1 on the rows in neg, D_c
+    # is -1 where flip is -1 (every bit set), and the plus mask of a column
+    # of D_r N D_c is (forward ^ neg ^ flip) & support
+    neg = seen = 0
+    pending = list(zip(supports, forward, (p for p, _ in cols)))
+    while pending:
+        # a column meeting the rows already read, else one opening a component
+        k = next((k for k, (support, _, _) in enumerate(pending) if support & seen), 0)
+        support, f, plus = pending.pop(k)
+        ref = support & seen or support
+        flip = -1 if (f ^ neg ^ plus) & ref & -ref else 0
+        if (f ^ neg ^ flip ^ plus) & support & seen:
+            return False
+        neg |= (f ^ flip ^ plus) & support & ~seen
+        seen |= support
+    return True

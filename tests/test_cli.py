@@ -1,5 +1,6 @@
 import itertools
 import os
+from pathlib import Path
 
 import pytest
 
@@ -219,6 +220,23 @@ class TestGramCommands:
         assert "G-POSITIVE" in out
         assert "g{1,2,3,4} = 1" in out
         assert "k = 8" in out
+
+    def test_gtest_walks_the_positive_complex_once(self, capsys, monkeypatch):
+        """`gtest` prints f and g read from one f table."""
+        from flowlattice import gram
+
+        calls = []
+        f_table = gram.f_table
+
+        def counted(a):
+            calls.append(a)
+            return f_table(a)
+
+        monkeypatch.setattr(gram, "f_table", counted)
+        k4 = Path(__file__).parent / "golden" / "inputs" / "k4.gram"
+        assert run(["gtest", str(k4)]) == 0
+        assert "G-POSITIVE" in capsys.readouterr().out
+        assert len(calls) == 1
 
     def test_gtest_negative(self, tmp_path, capsys):
         f = write(tmp_path, "b.gram", "gram 3\n1 1 0\n1 1 1\n0 1 1\n")

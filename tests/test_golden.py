@@ -3,7 +3,7 @@
 Each case runs `cli.run` on the files of tests/golden/inputs/, from
 tests/golden/, once as listed and once with `--porcelain` in front.
 tests/golden/expected/<case>.out holds "exit <status>" on its first
-line and the stdout of the run after it, unchanged.  Five of the cases,
+line and the stdout of the run after it, unchanged.  Eight of the cases,
 each exit status among them, and an unknown verb also run through the
 real entry point, `python -m flowlattice.cli`, in a fresh interpreter.
 
@@ -112,7 +112,8 @@ def entry_point(argv) -> subprocess.CompletedProcess:
 
 
 @pytest.mark.parametrize("name", ["circuits-k4", "tu-check-det2", "flows-k4-not-a-base",
-                                  "reconstruct-k4", "reconstruct-infeasible"])
+                                  "reconstruct-k4", "reconstruct-infeasible", "tu-check-tu",
+                                  "signing-fano", "gtest-k4"])
 def test_entry_point(name):
     """The process exits with the recorded status (0, 1 and 2 here) and
     writes the recorded stdout byte for byte."""

@@ -10,6 +10,8 @@ from flowlattice import intmat
 from flowlattice.errors import BoundExceededError, DimensionError, FlowLatticeError, FormatError
 from flowlattice.intmat import (
     IntegerMatrix,
+    _mask_blocks,
+    _sign_masks,
     _tu_core,
     bounds,
     determinant,
@@ -19,6 +21,7 @@ from flowlattice.intmat import (
     rank,
     sharp,
 )
+from flowlattice.network import _mask_elements
 
 from conftest import K4, det_cofactor
 from elimination_oracles import integer_kernel_basis
@@ -295,8 +298,8 @@ class TestTotallyUnimodularCore:
         m = from_graph(list(graphs[name].edges()))
         k = -coordinatize(m, first_base(m)).matrix.select_columns(range(m.rank, m.size))
         stacked = k.vstack(k).vstack(-k).vstack(IntegerMatrix.identity(k.cols))
-        core = _tu_core(stacked.entries)
-        assert len(core) <= k.rows and len(core[0]) <= k.cols
+        rows, cols = _tu_core(*_sign_masks(stacked.entries))
+        assert rows.bit_count() <= k.rows and cols.bit_count() <= k.cols
 
 
 def _sign_matrix(rnd, twos=True):
@@ -385,7 +388,7 @@ class TestSignMaskScans:
     def test_order2_witness_realizes_nothing(self, monkeypatch):
         """A planted [[1, 1], [1, -1]] is read by the row-pair scan: no
         graph realization runs, and the witness is the enumeration's."""
-        def refuse(rows):
+        def refuse(*args):
             raise AssertionError("a graph realization ran")
 
         monkeypatch.setattr(intmat, "network_scaling", refuse)
@@ -400,11 +403,23 @@ class TestSignMaskScans:
             assert got == tu_by_enumeration(M(x))
 
 
+def _cut_out(rows, row_mask, col_mask):
+    """The entries of rows on the rows and columns in the masks, in order."""
+    cols = list(_mask_elements(col_mask))
+    return [tuple(rows[i][j] for j in cols) for i in _mask_elements(row_mask)]
+
+
+def _index_blocks(col_signs, row_mask, col_mask):
+    """`_mask_blocks` as (rows, cols) index lists."""
+    return [(list(_mask_elements(r)), list(_mask_elements(c)))
+            for r, c in _mask_blocks(col_signs, row_mask, col_mask)]
+
+
 class TestBlocks:
     def test_against_breadth_first_search(self):
         """The merge of column masks against the breadth-first search
-        (`tu_oracles.blocks`), on seeded sparse matrices whose nonzero
-        entries are all distinct, so that a block's rows name its indices."""
+        (`tu_oracles.blocks`), on seeded sparse matrices with every entry
+        nonnegative: the same row and column indices, block by block."""
         rnd = random.Random(67)
         many = 0
         for _ in range(600):
@@ -413,9 +428,8 @@ class TestBlocks:
             m = IntegerMatrix(tuple(tuple(i * 12 + j + 1 if rnd.random() < density else 0
                                           for j in range(c)) for i in range(r)),
                               empty_cols=c)
-            want = [[tuple(m.entries[i][j] for j in cols) for i in rows]
-                    for rows, cols in blocks(m)]
-            assert intmat._blocks(m.entries) == want
+            want = blocks(m)
+            assert _index_blocks(_sign_masks(m.entries)[1], (1 << r) - 1, (1 << c) - 1) == want
             many += len(want) >= 4
         assert many > 20
 
@@ -447,9 +461,10 @@ def _planted(rnd, rows):
 
 class TestMaskCore:
     """The core stripped on (plus, minus) masks against the tuple core it
-    replaced (`tu_oracles.tu_core`): the same rows in the same order; the
-    same blocks as the breadth-first search reads off that core, and the
-    same verdict as the tuple core's blocks give."""
+    replaced (`tu_oracles.tu_core`): its rows, cut out of the input, are
+    the same in the same order; its mask blocks are those the breadth-first
+    search reads off that core, and the verdict is the one the tuple core's
+    blocks give."""
 
     def test_against_tuple_core(self):
         rnd = random.Random(73)
@@ -457,13 +472,19 @@ class TestMaskCore:
         outside = 0
         for _ in range(5000):
             rows, kinds = _planted(rnd, [list(r) for r in _sign_matrix(rnd).entries])
-            core = _tu_core(rows)
-            assert core == tu_core(rows)
-            outside += core is None
-            if core is not None:
-                m = IntegerMatrix(tuple(core))
-                assert intmat._blocks(core) == [[tuple(core[i][j] for j in cols) for i in picked]
-                                                for picked, cols in blocks(m)]
+            want = tu_core(rows)
+            outside += want is None
+            if want is not None:
+                row_signs, col_signs = _sign_masks(rows)
+                live_rows, live_cols = _tu_core(row_signs, col_signs)
+                core = _cut_out(rows, live_rows, live_cols)
+                assert core == want
+                # the blocks on the input's indices, as the oracle numbers the core's
+                at_row = {i: k for k, i in enumerate(_mask_elements(live_rows))}
+                at_col = {j: k for k, j in enumerate(_mask_elements(live_cols))}
+                got = [([at_row[i] for i in r], [at_col[j] for j in c])
+                       for r, c in _index_blocks(col_signs, live_rows, live_cols)]
+                assert got == blocks(IntegerMatrix(tuple(core)))
             verdict = intmat._tu_verdict(rows)
             assert verdict == tu_verdict_by_tuples(rows)
             verdicts[verdict] += 1

@@ -2,12 +2,14 @@
 
 `is_totally_unimodular` settles each connected block of the reduced core
 by a network or co-network realization (`flowlattice.network`), checked
-entry by entry, and enumerates only blocks with neither.  These tests
-compare it with the enumeration in `tu_oracles` on seeded network
-matrices, their transposes and one-sign perturbations, and on
+column by column on sign masks, and searches only blocks with neither.
+These tests compare it with the enumeration in `tu_oracles` on seeded
+network matrices, their transposes and one-sign perturbations, and on
 block-diagonal mixes with R10 and with a Fano-planted block; they show
-that network matrices never reach the enumeration, that R10 does, and
-that a realizer returning wrong trees changes no verdict or witness.
+that network matrices never reach the search, that R10 does, and that a
+realizer returning wrong trees changes no verdict or witness.  They also
+compare the verdict on masks with the row-based block decision it
+replaced (`tu_oracles.tu_check_by_tuples`).
 """
 
 import random
@@ -16,7 +18,9 @@ import pytest
 
 import tu_oracles as oracle
 from flowlattice import intmat, network
-from flowlattice.intmat import IntegerMatrix, bounds, is_totally_unimodular
+from flowlattice.intmat import IntegerMatrix, _sign_masks, bounds, is_totally_unimodular
+
+from test_intmat import _planted, _sign_matrix
 
 # the reduced representation of R10: TU, but neither it nor its transpose
 # has a tree realizing its support (R10 is neither graphic nor cographic)
@@ -122,6 +126,16 @@ def block_mix(rng, a, b):
     return IntegerMatrix.from_rows([[r[j] for j in perm] for r in rows])
 
 
+def scaling(rows, transpose=False):
+    """`network.network_scaling` of the matrix with these rows, or of its
+    transpose: the columns' sign masks over every row, or the rows' over
+    every column."""
+    row_signs, col_signs = _sign_masks(rows)
+    if transpose:
+        return network.network_scaling(row_signs, (1 << len(col_signs)) - 1)
+    return network.network_scaling(col_signs, (1 << len(row_signs)) - 1)
+
+
 def oracle_cases(rng):
     """Seeded network matrices up to 7x11, their transposes, and each of
     those with one sign flipped."""
@@ -134,27 +148,28 @@ def oracle_cases(rng):
 
 @pytest.fixture
 def no_minors(monkeypatch):
-    least_witness = intmat._least_witness
+    mask_witness = intmat._mask_witness
 
-    def refuse(rows, start=1, stop=None):
+    def refuse(signs, start, stop):
         if start >= 2:
             raise AssertionError("the Eulerian fallback was searched")
-        return least_witness(rows, start, stop)
+        return mask_witness(signs, start, stop)
 
-    monkeypatch.setattr(intmat, "_least_witness", refuse)
+    monkeypatch.setattr(intmat, "_mask_witness", refuse)
 
 
 def spy_searches(monkeypatch) -> list:
-    """Records (rows, start) of each `_least_witness` call from order 2 up."""
+    """Records (row sign masks, start) of each `_mask_witness` call from
+    order 2 up: a block's fallback, or the input's search for a witness."""
     searched = []
-    least_witness = intmat._least_witness
+    mask_witness = intmat._mask_witness
 
-    def spy(rows, start=1, stop=None):
+    def spy(signs, start, stop):
         if start >= 2:
-            searched.append((tuple(map(tuple, rows)), start))
-        return least_witness(rows, start, stop)
+            searched.append((list(signs), start))
+        return mask_witness(signs, start, stop)
 
-    monkeypatch.setattr(intmat, "_least_witness", spy)
+    monkeypatch.setattr(intmat, "_mask_witness", spy)
     return searched
 
 
@@ -196,13 +211,19 @@ class TestCompleteness:
     def test_realizer_finds_every_network_block(self, rng):
         """Each block of a network matrix's core is realized as it stands,
         so the verdict never leans on realizing the transpose instead."""
-        assert network.network_scaling(NESTED) is True
+        assert scaling(NESTED) is True
         assert oracle.tu_by_enumeration(IntegerMatrix.from_rows(NESTED))
         for _ in range(200):
             m = random_network(rng, 12, 16)
-            for block in intmat._blocks(intmat._tu_core(m.entries)):
-                assert network.network_scaling(block) is True
-                assert network.network_scaling(tuple(zip(*block))) is not False
+            row_signs, col_signs = _sign_masks(m.entries)
+            core = intmat._tu_core(row_signs, col_signs)
+            for rows, cols in intmat._mask_blocks(col_signs, *core):
+                by_col = [(p & rows, q & rows) for j, (p, q) in enumerate(col_signs)
+                          if cols >> j & 1]
+                by_row = [(p & cols, q & cols) for i, (p, q) in enumerate(row_signs)
+                          if rows >> i & 1]
+                assert network.network_scaling(by_col, rows) is True
+                assert network.network_scaling(by_row, cols) is not False
 
     def test_ten_by_eighteen(self, no_minors):
         rng = random.Random(10)
@@ -215,11 +236,11 @@ class TestCompleteness:
     def test_r10_reaches_the_enumeration(self, monkeypatch):
         searched = spy_searches(monkeypatch)
         m = IntegerMatrix.from_rows(R10)
-        assert network.network_scaling(R10) is None
-        assert network.network_scaling(m.transpose().entries) is None
+        assert scaling(R10) is None
+        assert scaling(R10, transpose=True) is None
         assert is_totally_unimodular(m)
-        # R10 alone, in one search from order 2
-        assert searched == [(R10, 2)]
+        # R10 alone, in one search of its sign masks from order 2
+        assert searched == [(_sign_masks(R10)[0], 2)]
 
 
     def test_signs_that_do_not_scale_go_straight_to_the_input(self, rng, monkeypatch):
@@ -235,9 +256,93 @@ class TestCompleteness:
             refuted += not got
             # one search of the input alone, from order 3, for a witness past 2
             assert searched == ([] if got or len(got.witness_rows) == 2
-                                else [(m.entries, 3)])
+                                else [(_sign_masks(m.entries)[0], 3)])
             assert got == oracle.tu_by_enumeration(m)
         assert refuted > 25
+
+
+class TestAgainstRowPath:
+    """The verdict on sign masks against the row-based block decision it
+    replaced (`tu_oracles.tu_check_by_tuples`): the same verdict, witness
+    and determinant from `is_totally_unimodular`, and the same verdict
+    from `_tu_verdict`."""
+
+    @staticmethod
+    def check(rows) -> bool:
+        m = IntegerMatrix.from_rows(rows)
+        got = is_totally_unimodular(m)
+        assert got == oracle.tu_check_by_tuples(m)
+        assert intmat._tu_verdict(m.entries) is oracle.tu_verdict_by_tuples(m.entries) is got.ok
+        return got.ok
+
+    def test_planted_sign_matrices(self):
+        rnd = random.Random(83)
+        planted = dict.fromkeys(("zero", "unit", "duplicate", "negated"), 0)
+        verdicts = [0, 0]
+        with bounds(tu=12):
+            for _ in range(20000):
+                drawn = _sign_matrix(rnd, twos=False)
+                rows, kinds = _planted(rnd, [list(r) for r in drawn.entries])
+                verdicts[self.check(rows)] += 1
+                for kind in kinds:
+                    planted[kind] += 1
+        assert min(planted.values()) > 10000 and min(verdicts) > 4000
+
+    def test_network_matrices_transposes_and_flips(self, rng):
+        verdicts = [0, 0]
+        with bounds(tu=12):
+            for _ in range(1000):
+                m = random_network(rng, 12, 16)
+                for x in (m, m.transpose()):
+                    for y in (x, flip_one(rng, x)):
+                        verdicts[self.check(y.entries)] += 1
+        assert min(verdicts) >= 500
+
+
+def spread(rows, at, height):
+    """The rows placed at the row indices `at` of a height-row matrix, the
+    other rows zero."""
+    zero = (0,) * len(rows[0])
+    placed = dict(zip(at, rows))
+    return tuple(placed.get(i, zero) for i in range(height))
+
+
+class TestMaskContract:
+    """`network_scaling` reads a block on the rows of a mask, whatever
+    their indices; `_tree_paths` holds a tree to exactly those rows."""
+
+    def test_block_on_scattered_rows(self, rng):
+        """A block on rows {1, 4, 6, ...} of a zero-padded matrix gets the
+        compact block's verdict, and so does its transpose on scattered
+        columns: True, False and None among them."""
+        verdicts = set()
+        flipped = flip_one(rng, IntegerMatrix.from_rows(NESTED)).entries
+        blocks = [NESTED, R10, FANO_PLANTED, flipped]
+        blocks += [random_network(rng, 6, 8).entries for _ in range(20)]
+        for rows in blocks:
+            height = 3 * len(rows)
+            at = sorted(rng.sample(range(height), len(rows)))
+            col_signs = _sign_masks(spread(rows, at, height))[1]
+            want = scaling(rows)
+            assert network.network_scaling(col_signs, sum(1 << i for i in at)) is want
+            cols = tuple(zip(*rows))
+            width = 3 * len(cols)
+            at = sorted(rng.sample(range(width), len(cols)))
+            row_signs = _sign_masks(tuple(zip(*spread(cols, at, width))))[0]
+            assert network.network_scaling(row_signs, sum(1 << j for j in at)) is \
+                scaling(rows, transpose=True)
+            verdicts.add(want)
+        assert verdicts == {True, False, None}
+
+    def test_tree_paths_hold_the_row_mask(self):
+        """A path on the edges 1, 4 and 6 carries the supports along it
+        only against the mask of exactly those rows."""
+        tree = {1: (0, 1), 4: (1, 2), 6: (2, 3)}
+        rows = 1 << 1 | 1 << 4 | 1 << 6
+        supports = [1 << 1 | 1 << 4, 1 << 4 | 1 << 6, rows]
+        assert network._tree_paths(tree, rows, supports) is not None
+        for other in (rows | 1, rows ^ 1 << 4, 0b111, (1 << 3) - 1 << 1):
+            assert network._tree_paths(tree, other, supports) is None
 
 
 class TestSoundness:

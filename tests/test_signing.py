@@ -328,13 +328,17 @@ class TestOneSigningPath:
         from flowlattice import intmat
 
         seen = []
-        least_witness = intmat._least_witness
+        mask_witness = intmat._mask_witness
 
-        def spy(rows, start=1, stop=None):
-            seen.append((len(rows), len(rows[0])))
-            return least_witness(rows, start, stop)
+        def spy(signs, start, stop):
+            # the rows searched, and the columns they meet
+            met = 0
+            for p, q in signs:
+                met |= p | q
+            seen.append((len(signs), met.bit_count()))
+            return mask_witness(signs, start, stop)
 
-        monkeypatch.setattr(intmat, "_least_witness", spy)
+        monkeypatch.setattr(intmat, "_mask_witness", spy)
         x = IntegerMatrix.from_rows(FANO_PLANTED)
         assert tu_signing(x) is None
         assert seen and (x.rows, x.cols) not in seen

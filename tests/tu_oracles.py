@@ -13,12 +13,18 @@ breadth-first search for connected blocks that the library replaced by a
 merge of column masks.  `tu_core` is the earlier core, which strips rows
 and columns on tuples of entries and transposes the matrix by `zip` twice
 a round, where the library narrows (plus, minus) masks;
-`tu_verdict_by_tuples` decides the verdict on its blocks.
+`tu_verdict_by_tuples` decides the verdict on its blocks by
+`block_is_tu`.  That is the block decision the library replaced by one on
+sign masks: `network_scaling` reads a block as rows of entries, realizes
+the transpose of a `zip`, and checks every entry of the rescaled network
+matrix; its search from order 2 is `least_witness`.  `tu_check_by_tuples`
+is `is_totally_unimodular` on that path.
 """
 
 import itertools
 
-from flowlattice.intmat import IntegerMatrix, UnimodularityCheck, _block_is_tu, _gate
+from flowlattice.intmat import IntegerMatrix, UnimodularityCheck, _gate
+from flowlattice.network import _mask_elements, _odd_vertices, _realize
 
 
 def eulerian_witness(m, k: int) -> tuple[tuple, tuple] | None:
@@ -105,14 +111,110 @@ def tu_core(rows) -> list | None:
         rows = stripped
 
 
+def tree_paths(tree, nrows: int, supports):
+    """For each support (a mask over the rows), its path in the tree as
+    {row: +-1}, +1 where the path runs from parent to child; None if `tree`
+    is not a tree on the rows 0..nrows-1 or some support is not the edge
+    set of a path."""
+    if sorted(tree) != list(range(nrows)):
+        return None
+    adj: dict = {}
+    for r, (u, v) in tree.items():
+        adj.setdefault(u, []).append((v, r))
+        adj.setdefault(v, []).append((u, r))
+    root = next(iter(adj), None)
+    parent, depth = {root: None}, {root: 0}
+    queue = [root]
+    for u in queue:
+        for v, r in adj.get(u, ()):
+            if v not in parent:
+                parent[v], depth[v] = (u, r), depth[u] + 1
+                queue.append(v)
+    # n edges joining n + 1 vertices into one component form a tree
+    if len(adj) != nrows + 1 or len(parent) != len(adj):
+        return None
+    paths = []
+    for support in supports:
+        path, on = {}, 0
+        odd = _odd_vertices(tree[r] for r in _mask_elements(support))
+        if len(odd) == 2:
+            a, b = odd
+            while a != b:
+                if depth[a] >= depth[b]:
+                    a, r = parent[a]
+                    path[r] = -1
+                else:
+                    b, r = parent[b]
+                    path[r] = 1
+                on |= 1 << r
+        if on != support:
+            return None
+        paths.append(path)
+    return paths
+
+
+def network_scaling(rows) -> bool | None:
+    """A connected {0, +-1} matrix, as rows of entries, against the
+    network matrices: True if it is D_r N D_c for the network matrix N of
+    a tree realizing its support, False if such a tree exists but the
+    signs do not rescale, None if no tree realizes its support."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    supports = [sum(1 << i for i, x in enumerate(col) if x) for col in zip(*rows)]
+    tree = _realize(list(range(nrows)), supports, itertools.count())
+    paths = None if tree is None else tree_paths(tree, nrows, supports)
+    if paths is None:
+        return None
+    # D_r and D_c read along a spanning forest of the nonzero entries
+    dr, dc = [0] * nrows, [0] * ncols
+    for start in range(nrows):
+        if dr[start]:
+            continue
+        dr[start] = 1
+        queue = [start]
+        for i in queue:
+            for j in range(ncols):
+                if rows[i][j] and not dc[j]:
+                    dc[j] = rows[i][j] * dr[i] * paths[j][i]
+                    for k in paths[j]:
+                        if not dr[k]:
+                            dr[k] = rows[k][j] * paths[j][k] * dc[j]
+                            queue.append(k)
+    return all(rows[i][j] == dr[i] * paths[j].get(i, 0) * dc[j]
+               for i in range(nrows) for j in range(ncols))
+
+
+def block_is_tu(block) -> bool:
+    """A connected {0, +-1} matrix is TU: by a verified network realization
+    of it or of its transpose, else by `least_witness` from order 2."""
+    for rows in (block, tuple(zip(*block))):
+        verdict = network_scaling(rows)
+        if verdict is not None:
+            return verdict
+    m = IntegerMatrix(tuple(block))
+    return least_witness(m, 2, min(m.rows, m.cols)) is None
+
+
 def tu_verdict_by_tuples(rows) -> bool:
     """The TU verdict on the blocks (`blocks`) of `tu_core`."""
     core = tu_core(rows)
     if core is None:
         return False
     m = IntegerMatrix(tuple(core))
-    return all(_block_is_tu([tuple(core[i][j] for j in cols) for i in picked])
+    return all(block_is_tu([tuple(core[i][j] for j in cols) for i in picked])
                for picked, cols in blocks(m))
+
+
+def tu_check_by_tuples(m) -> UnimodularityCheck:
+    """`is_totally_unimodular` on tuples: orders 1 and 2 by `least_witness`,
+    the verdict by `tu_verdict_by_tuples`, and the witness of a "no" past
+    order 2 by `least_witness` from order 3, signed by cofactors."""
+    top = min(m.rows, m.cols)
+    found = least_witness(m, 1, min(2, top))
+    if found is None and tu_verdict_by_tuples(m.entries):
+        return UnimodularityCheck(True)
+    found = found or least_witness(m, 3, top)
+    return UnimodularityCheck(False, *found, _minor_det(m, *found, {}))
 
 
 def _minor_det(m, rows: tuple, cols: tuple, memo: dict) -> int:
