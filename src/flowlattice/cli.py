@@ -8,9 +8,9 @@ Exit status: 0 = affirmative/success, 1 = negative decision,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import cache
-from pathlib import Path
 
 from . import flows, gram, intmat, matroid, rebuild
 from .errors import (
@@ -23,10 +23,19 @@ from .errors import (
 
 
 def _read(path: str) -> str:
-    p = Path(path)
-    if not p.is_file():
+    """The text of the regular file at path, read once and decoded as
+    UTF-8, line ends as they are: every parser splits with
+    `str.splitlines`.  No such file, one that cannot be read and one that
+    is not UTF-8 raise FormatError."""
+    if not os.path.isfile(path):
         raise FormatError(f"no such file: {path}")
-    return p.read_text()
+    try:
+        with open(path, "rb") as f:
+            return f.read().decode()
+    except OSError as exc:
+        raise FormatError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
 
 
 def load_matroid(path: str) -> matroid.RegularMatroid:
@@ -39,9 +48,8 @@ def load_matroid(path: str) -> matroid.RegularMatroid:
 
 
 def load_vector(spec: str) -> flows.FlowVector:
-    if Path(spec).is_file():
-        return flows.parse_flow_vector(_read(spec))
-    return flows.parse_flow_vector(spec)
+    """The vector in the file spec names, else the vector spec spells."""
+    return flows.parse_flow_vector(_read(spec) if os.path.isfile(spec) else spec)
 
 
 def _parse_base(spec: str | None, m: matroid.RegularMatroid):

@@ -251,6 +251,12 @@ def consistent_decompose(lat: FlowLattice, beta: FlowVector) -> list[FlowVector]
     sigma_0 to sigma_1, and the flow goes on from v_0 - (S + 1) d.  Every
     part agrees in sign with the flow, so d != 0 lowers the mass, and a
     block whose slacks never fall cannot repeat forever.
+
+    The argument holds for any two whole copies, so a run is matched with
+    every earlier run of its signature, nearest first, while two copies
+    still fit.  The first pair with S >= 2 jumps; S = 1 leaves the flow
+    where the runs already took it, so the history is kept, and a block
+    nested in a longer period does not hide that period.
     """
     if lat.source is None:
         raise MembershipError("decomposition needs a lattice with a source matroid")
@@ -309,8 +315,8 @@ def consistent_decompose(lat: FlowLattice, beta: FlowVector) -> list[FlowVector]
     parts: list[FlowVector] = []
     current = list(beta.coords)
     supp = sum(1 << e for e, x in enumerate(current) if x)
-    last: dict[tuple, int] = {}     # signature -> index of its last run in history
-    history: list[tuple] = []       # (signature, slacks, start, parts before) per run
+    runs_of: dict[tuple, list] = {}  # signature -> indices of its runs in history
+    history: list[tuple] = []        # (signature, slacks, start, parts before) per run
     while supp:
         alpha, run, sig, slacks = chain(current, supp)
         r = len(history)
@@ -322,22 +328,27 @@ def consistent_decompose(lat: FlowLattice, beta: FlowVector) -> list[FlowVector]
                 current[j] -= run * x
                 if not current[j]:
                     supp &= ~(1 << j)
-        i = last.get(sig)
-        last[sig] = r
-        if i is None or 2 * i + 1 < r or any(
-                history[i - q][0] != history[r - q][0] for q in range(1, r - i)):
-            continue
-        # runs i+1-p..i and i+1..r (p = r - i) are one block at s = 0 and s = 1
-        lo, hi = history[2 * i + 1 - r:i + 1], history[i + 1:]
-        falls = [x // (x - y) for h0, h1 in zip(lo, hi) for x, y in zip(h0[1], h1[1]) if y < x]
-        if not falls:
-            raise FlowLatticeError("broken invariant: a repeating block lowers no slack")
-        s = min(falls)
-        parts += parts[hi[0][3]:] * (s - 1)
-        current = [x0 - (s + 1) * (x0 - x1) for x0, x1 in zip(lo[0][2], hi[0][2])]
-        supp = sum(1 << e for e, x in enumerate(current) if x)
-        last.clear()
-        history.clear()
+        earlier = runs_of.setdefault(sig, [])
+        earlier.append(r)
+        for i in reversed(earlier[:-1]):
+            if 2 * i + 1 < r:
+                break
+            if any(history[i - q][0] != history[r - q][0] for q in range(1, r - i)):
+                continue
+            # runs i+1-p..i and i+1..r (p = r - i) are one block at s = 0 and s = 1
+            lo, hi = history[2 * i + 1 - r:i + 1], history[i + 1:]
+            falls = [x // (x - y) for h0, h1 in zip(lo, hi)
+                     for x, y in zip(h0[1], h1[1]) if y < x]
+            if not falls:
+                raise FlowLatticeError("broken invariant: a repeating block lowers no slack")
+            s = min(falls)
+            if s > 1:
+                parts += parts[hi[0][3]:] * (s - 1)
+                current = [x0 - (s + 1) * (x0 - x1) for x0, x1 in zip(lo[0][2], hi[0][2])]
+                supp = sum(1 << e for e, x in enumerate(current) if x)
+                runs_of.clear()
+                history.clear()
+                break
     return parts
 
 

@@ -7,32 +7,36 @@ inverses and kernels, and the rows of a forward elimination; total and
 weak unimodularity tests; and `bounds`, the one place that sets the
 bounds each exponential search checks.
 
-Total unimodularity has one search for its witnesses, `_least_witness`:
-the lexicographically least minor with |det| > 1 over a range of orders.
-It reads orders 1 and 2 in polynomial time and from order 3 searches for
-an Eulerian submatrix whose entries sum to 2 mod 4 (Camion 1965).  With
-no witness of order 1 or 2, the verdict is decided on the matrix reduced
-by unit and parallel lines, block by block: a block is settled by a
-verified network or co-network realization in polynomial time, and only
-a block with neither is searched.  A "no" then searches the input from
-order 3 up.  Inside the TU layer a matrix is its sign masks, read once
-(`_sign_masks`): each row and column is a (plus, minus) pair of int
-bitmasks over the other side.  The reduction narrows a mask of live rows
-and one of live columns, a block is a (row mask, column mask) pair, the
-realizer (`network`) takes a block's columns as masks over its rows, and
-a transpose is a swap of the two sides.
+Total unimodularity has one search for its witnesses: the
+lexicographically least minor with |det| > 1 over a range of orders.
+Order 1 is read off the entries (`_entry_witness`), order 2 off the
+sign masks in polynomial time, and from order 3 the search looks for an
+Eulerian submatrix whose entries sum to 2 mod 4 (Camion 1965;
+`_mask_witness`).  With no witness of order 1 or 2, the verdict is
+decided on the matrix reduced by unit and parallel lines, block by
+block: a block is settled by a verified network or co-network
+realization in polynomial time, and only a block with neither is
+searched.  A "no" then searches the input from order 3 up.  Inside the
+TU layer a matrix is its sign masks, read once per call (`_sign_masks`)
+and shared by the order-2 scan, the verdict and the order-3 search:
+each row and column is a (plus, minus) pair of int bitmasks over the
+other side.  The reduction narrows a mask of live rows and one of live
+columns, a block is a (row mask, column mask) pair, the realizer
+(`network`) takes a block's columns as masks over its rows, and a
+transpose is a swap of the two sides.
 
 Weak unimodularity is decided by one elimination and the TU verdict of
 its reduced rows; a "no" whose last pivot is not +-1 stops at the pivot
-columns, the least base, and only any other "no" enumerates maximal
-minors for a witness.  The TU bound gates the order of the Eulerian and
-maximal-minor searches only, never a polynomial step.
+columns, the least base, signed by that same elimination, and only any
+other "no" enumerates maximal minors for a witness.  The TU bound gates
+the order of the Eulerian and maximal-minor searches only, never a
+polynomial step.
 """
 
 from __future__ import annotations
 
 import itertools
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -51,7 +55,10 @@ def bounds(**limits: int):
     """A scope binding bounds by kind for every call inside it, nested ones
     included: `with bounds(tu=12):`.  An inner scope keeps the outer one's
     other kinds; each restores on exit, by exception too.  An unknown kind
-    or a value that is not a positive int raises ValueError on the call."""
+    or a value that is not a positive int raises ValueError on the call.
+    With no kinds the scope binds nothing."""
+    if not limits:
+        return nullcontext()
     for kind, value in limits.items():
         if kind not in BOUND_DEFAULTS or type(value) is not int:
             raise ValueError(f"bound kinds are {', '.join(BOUND_DEFAULTS)}, with int "
@@ -203,26 +210,26 @@ def _content_lines(text: str) -> list[str]:
 def parse_matrix(text: str) -> IntegerMatrix:
     """Parse the shared matrix text format: "rows cols" then the entries.
 
-    '#' begins a comment; entries may wrap across lines.
+    '#' begins a comment; entries may wrap across lines.  One pass cuts
+    the comments and splits the tokens, and one `int` call reads each.
     """
-    tokens = [t for line in _content_lines(text) for t in line.split()]
+    lines = text.splitlines()
+    tokens = [t for line in lines for t in line.split("#", 1)[0].split()]
     if len(tokens) < 2:
         raise FormatError("matrix text needs a 'rows cols' header")
     try:
-        rows, cols = int(tokens[0]), int(tokens[1])
-        body = tuple(int(t) for t in tokens[2:])
+        rows, cols, *body = map(int, tokens)
     except ValueError as exc:
         raise FormatError(f"non-integer token in matrix text: {exc}") from exc
     # empty rows hold no entries, so only the line count bounds them (one
     # blank line each, as `text` writes them) before any is allocated
-    if cols == 0 and rows > len(text.splitlines()):
-        raise FormatError(f"{rows} empty rows need one line each, "
-                          f"got {len(text.splitlines())} lines")
+    if cols == 0 and rows > len(lines):
+        raise FormatError(f"{rows} empty rows need one line each, got {len(lines)} lines")
     if rows < 0 or cols < 0 or len(body) != rows * cols:
         raise FormatError(
             f"expected {rows}x{cols} = {rows * cols} entries, got {len(body)}"
         )
-    return IntegerMatrix(tuple(body[i * cols:(i + 1) * cols] for i in range(rows)),
+    return IntegerMatrix(tuple(tuple(body[i * cols:(i + 1) * cols]) for i in range(rows)),
                          empty_cols=cols)
 
 
@@ -286,8 +293,13 @@ def determinant(m: IntegerMatrix) -> int:
     _, cols, order, pivots, _ = _gauss_jordan(m.entries)
     if len(cols) < m.rows:
         return 0
-    inversions = sum(a > b for a, b in itertools.combinations(order, 2))
-    return (-1) ** inversions * pivots[-1]
+    return _signed_pivot(order, pivots[-1])
+
+
+def _signed_pivot(order, pivot: int) -> int:
+    """The determinant of a full-rank elimination's pivot block, rows in
+    their input order: the last pivot, times the sign of the row order."""
+    return (-1) ** sum(a > b for a, b in itertools.combinations(order, 2)) * pivot
 
 
 def rank(m: IntegerMatrix) -> int:
@@ -318,30 +330,21 @@ class UnimodularityCheck:
         return self.ok
 
 
-def _least_witness(rows, start: int = 1, stop: int | None = None):
-    """The (rows, cols) tuples of the lexicographically least minor of
-    `rows` with |det| > 1 over the orders start..stop (default
-    min(rows, cols)), least order first; None if there is none.  No order
-    below start may hold one.  Order 1 is the first entry outside
-    {0, +-1}, row-major; orders 2 and up are searched on the rows' sign
-    masks (`_mask_witness`).
-    """
-    ncols = len(rows[0]) if rows else 0
-    stop = min(len(rows), ncols) if stop is None else stop
-    if start <= 1 <= stop:
-        for i, row in enumerate(rows):
-            for j, x in enumerate(row):
-                if abs(x) > 1:
-                    return (i,), (j,)
-    if stop < 2:
+def _entry_witness(rows):
+    """The first entry outside {0, +-1}, row-major, as a witness of order
+    1; None if there is none."""
+    if set(itertools.chain.from_iterable(rows)) <= {-1, 0, 1}:
         return None
-    return _mask_witness(_sign_masks(rows)[0], start, stop)
+    return next(((i,), (j,)) for i, row in enumerate(rows) for j, x in enumerate(row)
+                if abs(x) > 1)
 
 
 def _mask_witness(signs, start: int, stop: int):
-    """`_least_witness` over the orders max(start, 2)..stop of the {0, +-1}
-    matrix whose rows have the (plus, minus) masks `signs`: the row
-    positions in `signs` and the column bits of the least witness.
+    """The (rows, cols) tuples of the lexicographically least minor with
+    |det| > 1 over the orders max(start, 2)..stop (least order first) of
+    the {0, +-1} matrix whose rows have the (plus, minus) masks `signs`:
+    the row positions in `signs` and the column bits of the witness; None
+    if there is none.  No order below start may hold one.
 
     A 2 x 2 minor with |det| = 2 has four nonzero entries with an odd
     number of -1s: on a row pair, one column where the signs agree and one
@@ -456,33 +459,39 @@ def _mask_blocks(col_signs, rows: int, cols: int) -> list[tuple[int, int]]:
 
 
 def _tu_verdict(rows) -> bool:
-    """Whether the matrix with these rows is TU, without a witness.
+    """Whether the matrix with these rows is TU, without a witness: no
+    entry outside {0, +-1} and the `_mask_verdict` of its sign masks."""
+    return _entry_witness(rows) is None and _mask_verdict(*_sign_masks(rows))
 
-    The rows are read once, as sign masks (`_sign_masks`).  The verdict is
-    decided on the reduced core (`_tu_core`): a square submatrix through a
-    unit row expands along it to +-(a smaller minor) or 0, one through two
-    +-parallel rows is singular, and one through only the later row has
-    the earlier row's |det|; likewise for columns.  So the core is TU iff
-    the matrix is.  A square submatrix of a block-diagonal matrix is
-    singular or a product of minors of the blocks, so the core is TU iff
-    each of its connected blocks is (`_mask_blocks`).  A block is TU when
-    it or its transpose, its rows' masks over its columns, rescales to a
-    network matrix, and not TU when a tree realizes its support but the
-    signs do not rescale (`network.network_scaling`); only a block with
-    neither realization is searched for a witness (`_mask_witness`, from
-    order 2), and computes no determinant.
+
+def _mask_verdict(row_signs, col_signs) -> bool:
+    """Whether the {0, +-1} matrix with these row and column sign masks
+    (`_sign_masks`) is TU, without a witness.
+
+    The verdict is decided on the reduced core (`_tu_core`): a square
+    submatrix through a unit row expands along it to +-(a smaller minor)
+    or 0, one through two +-parallel rows is singular, and one through
+    only the later row has the earlier row's |det|; likewise for columns.
+    So the core is TU iff the matrix is.  A square submatrix of a
+    block-diagonal matrix is singular or a product of minors of the
+    blocks, so the core is TU iff each of its connected blocks is
+    (`_mask_blocks`).  A block is TU when it or its transpose, its rows'
+    masks over its columns, rescales to a network matrix, and not TU when
+    a tree realizes its support but the signs do not rescale
+    (`network.network_scaling`); the rows' masks are cut out only when
+    the columns settle nothing.  Only a block with neither realization is
+    searched for a witness (`_mask_witness`, from order 2), and computes
+    no determinant.
     """
-    if not set(itertools.chain.from_iterable(rows)) <= {-1, 0, 1}:
-        return False
-    row_signs, col_signs = _sign_masks(rows)
     for block, cols in _mask_blocks(col_signs, *_tu_core(row_signs, col_signs)):
         by_col = [(p & block, q & block) for j, (p, q) in enumerate(col_signs) if cols >> j & 1]
-        by_row = [(p & cols, q & cols) for i, (p, q) in enumerate(row_signs) if block >> i & 1]
         verdict = network_scaling(by_col, block)
         if verdict is None:
+            by_row = [(p & cols, q & cols) for i, (p, q) in enumerate(row_signs)
+                      if block >> i & 1]
             verdict = network_scaling(by_row, cols)
-        if verdict is None:
-            verdict = _mask_witness(by_row, 2, min(len(by_row), len(by_col))) is None
+            if verdict is None:
+                verdict = _mask_witness(by_row, 2, min(len(by_row), len(by_col))) is None
         if not verdict:
             return False
     return True
@@ -492,17 +501,23 @@ def is_totally_unimodular(m: IntegerMatrix) -> UnimodularityCheck:
     """Every square submatrix has determinant in {-1, 0, +1}.
 
     A "no" names the lexicographically least (order, rows, cols) minor of
-    the input with |det| > 1, with its Bareiss determinant.  Orders 1 and 2
-    are read first, in polynomial time (`_least_witness`).  With neither,
-    the verdict is `_tu_verdict`, and only a "no" searches the input for
-    the least witness of order 3 and up.  Only these searches are gated,
-    of a core block or of the input, on the order they reach.
+    the input with |det| > 1, with its Bareiss determinant.  Order 1 is
+    read off the entries (`_entry_witness`); without a witness there, the
+    sign masks are read once (`_sign_masks`) and serve the order-2 scan,
+    the verdict (`_mask_verdict`) and, only after a "no", the search of
+    the input for the least witness of order 3 and up.  Only these
+    searches are gated, of a core block or of the input, on the order
+    they reach.
     """
     rows = m.entries
-    found = _least_witness(rows, stop=2)
-    if found is None and _tu_verdict(rows):
-        return UnimodularityCheck(True)
-    found = found or _least_witness(rows, 3)
+    found = _entry_witness(rows)
+    if found is None:
+        row_signs, col_signs = _sign_masks(rows)
+        # the window of orders 1 and 2, order 1 already clear: the row-pair scan
+        found = _mask_witness(row_signs, 1, 2)
+        if found is None and _mask_verdict(row_signs, col_signs):
+            return UnimodularityCheck(True)
+        found = found or _mask_witness(row_signs, 3, min(m.rows, m.cols))
     if not found:
         raise FlowLatticeError("broken invariant: the TU verdict is no, yet no "
                                "Eulerian submatrix has entry sum 2 mod 4")
@@ -525,21 +540,25 @@ def is_weakly_unimodular(m: IntegerMatrix) -> UnimodularityCheck:
     |det| > 1.  The pivot columns of w are its lexicographically least
     base: each earlier k-subset holds a column in the span of those before
     it, so its minor is 0.  So when |d| > 1 they are the witness, the
-    columns of m or, for a tall m, its rows, and one determinant signs it.  Only when |d| = 1 are the maximal
-    minors enumerated in lexicographic order, one determinant each; the
-    TU bound gates the order k of that enumeration.
+    columns of m or, for a tall m, its rows.  The elimination skipped
+    every other column, so it is that of B alone: det B is d signed by
+    the inversions of its row order (`_signed_pivot`, as `determinant`
+    signs it), and B^T, the witness of a tall m, has the same
+    determinant.  Only when |d| = 1 are the maximal minors enumerated in
+    lexicographic order, one determinant each; the TU bound gates the
+    order k of that enumeration.
     """
     k = min(m.rows, m.cols)
     if k == 0:
         return UnimodularityCheck(True)
     w = m if m.rows <= m.cols else m.transpose()
-    reduced, pivot_cols, _, pivots, _ = _gauss_jordan(w.entries)
+    reduced, pivot_cols, order, pivots, _ = _gauss_jordan(w.entries)
     if len(pivot_cols) < k or _tu_verdict(reduced):
         return UnimodularityCheck(True)
     if abs(pivots[-1]) > 1:
         rows, cols = (range(k), pivot_cols) if w is m else (pivot_cols, range(k))
         return UnimodularityCheck(False, tuple(rows), tuple(cols),
-                                  determinant(m.submatrix(rows, cols)))
+                                  _signed_pivot(order, pivots[-1]))
     _gate("tu", "maximal-minor search order", k)
     for rows in itertools.combinations(range(m.rows), k):
         for cols in itertools.combinations(range(m.cols), k):

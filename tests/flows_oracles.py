@@ -9,7 +9,10 @@ earlier routines, kept verbatim: that LDL^T by 1 + s eliminations, the
 inverse-diagonal box, the box scan, the metric simplicity test over that scan, the
 recursive conforming-flow search, `decompose_by_chains`, the loop over
 bitmask supports that runs one chain per part, and `decompose_by_runs`,
-the loop that runs one chain per run of equal parts.  `decompose_by_runs`
+the loop that runs one chain per run of equal parts, and
+`decompose_by_blocks`, the loop that jumps over a repeating block of
+runs but clears its run history at every repeat, so that a block nested
+in a longer period hides that period.  `decompose_by_runs`
 keeps the backward walk from rest_{k-1} = c_k alpha as an independent
 derivation of the run length T; the library reads T off the |values|
 its forward steps stored.  The recursive
@@ -227,6 +230,148 @@ def decompose_by_runs(lat: FlowLattice, beta: FlowVector) -> list[FlowVector]:
             current[j] -= run * a[j]
             if not current[j]:
                 supp &= ~(1 << j)
+    return parts
+
+
+def decompose_by_blocks(lat: FlowLattice, beta: FlowVector) -> list[FlowVector]:
+    """Express a flow as a sum of simple flows, support- and sign-consistently.
+
+    Deterministic: each part comes from a chain of steps on the rest of
+    the flow.  A step takes the first circuit, in (size, lex) order, whose
+    bitmask lies inside the support of the current vector, signs its flow
+    alpha to agree with the vector at the element e of least |value|
+    (least index on ties), and subtracts |value at e| * alpha.  The chain
+    ends at the alpha that leaves zero; that alpha is the part, and the
+    next part starts from the flow minus the parts so far.  The support
+    shrinks at every step, so a chain has at most as many steps as the
+    ground set has elements.  Within one call, supports already met map
+    to their first circuit; each circuit's pair (alpha, -alpha) is built
+    once per matroid and shared by every part that uses it.
+
+    One chain serves a whole run of equal parts.  Write its steps as
+    (C_i, e_i, c_i), rest_0 = v and rest_i = rest_{i-1} - c_i alpha_i,
+    so that rest_{k-1} = c_k alpha.  The run length T is the least of
+    c_k and of |rest_{i-1}[j]| - c_i + [j > e_i] over i < k and j in
+    C_i & C_k.  For 0 <= t < T the chain from v - t alpha makes the
+    same choices, each rest shifted by -t alpha, and ends at alpha: a
+    step changes only values on its circuit, never flips a sign (c_i is
+    the least |value| there) and zeroes e_i, so e_i is not in C_k and
+    every rest agrees with alpha in sign on C_k; the shift lowers those
+    |values| by t and keeps the others.  The bound keeps each e_i least
+    under (|value|, index), and with it C_i, alpha_i and c_i, and keeps
+    the values on C_k nonzero, and with them every support (a value on
+    C_k that no earlier step touches is c_k); the last support is C_k,
+    whose only circuit is C_k itself.  At t = T the chain first differs
+    by zeroing an element of C_k, or ends a step early at alpha_{k-1},
+    so the next chain starts a new run: there is one chain per run.
+
+    One pass over a block of runs serves every repetition of it.  A
+    run's signature is the start's positive-sign mask, (support, e_i)
+    at each step, and T; its slacks, which stay >= 0, are
+    c_i - 1 at each step, |rest_{i-1}[j]| - c_i - [j < e_i] for j in C_i,
+    and b - T for each candidate b of T.  When the last p signatures
+    repeat the p before them, the block has run from v_0 (s = 0) and from
+    v_1 = v_0 - d (s = 1).  Fix its decisions (circuit, e_i, sign and T):
+    then from v_s = v_0 - s d every value is affine in s, as c_i is the
+    signed value at e_i and no sign flips.  A slack that is >= 0 on
+    [0, S] keeps each sign, each argmin and each nonzero value (every
+    element of a support is zeroed later, so it sits in a later step's
+    circuit, where its slack gives |value| >= c >= 1); a value that is
+    zero at s = 0 and s = 1 is zero for every s, so every support is
+    kept; and T, a minimum of affine candidates, is concave, equal at
+    s = 0 and s = 1 and >= T on [0, S], hence constant there.  So the
+    block repeats exactly for s = 0, ..., S, where S is the least
+    floor(sigma_0 / (sigma_0 - sigma_1)) over the slacks that fall from
+    sigma_0 to sigma_1, and the flow goes on from v_0 - (S + 1) d.  Every
+    part agrees in sign with the flow, so d != 0 lowers the mass, and a
+    block whose slacks never fall cannot repeat forever.
+    """
+    if lat.source is None:
+        raise MembershipError("decomposition needs a lattice with a source matroid")
+    m = lat.source
+    if len(beta.coords) != m.size:
+        raise DimensionError("flow length differs from ground size")
+    for i, row in enumerate(m.rep.entries):
+        lhs = sum(a * b for a, b in zip(row, beta.coords))
+        if lhs != 0:
+            raise MembershipError(
+                f"not a flow: row {i} gives {lhs} != 0",
+                equation=(i, row),
+            )
+    circs = circuits(m)
+    pairs = m._signed_pairs
+    masks = m._sorted_circuit_masks
+    first: dict[int, int] = {}
+
+    def chain(current, supp):
+        """The part, its run length T, the run's signature and its slacks."""
+        rest, left, steps, picks, slacks = current[:], supp, [], [], []
+        while left:
+            k = first.get(left)
+            if k is None:
+                k = next((j for j, cm in enumerate(masks) if not cm & ~left), None)
+                if k is None:
+                    raise FlowLatticeError("broken invariant: no circuit inside a flow's support")
+                first[left] = k
+            circ, pair = circs[k], pairs[k]
+            sizes = [abs(rest[j]) for j in circ]
+            c = min(sizes)
+            e = circ[sizes.index(c)]
+            alpha = pair[pair[0].coords[e] * rest[e] < 0]
+            a = alpha.coords
+            steps.append((circ, e, c, sizes))
+            picks.append((left, e))
+            slacks.append(c - 1)
+            slacks += [size - c - (j < e) for j, size in zip(circ, sizes)]
+            for j in circ:
+                rest[j] -= c * a[j]
+                if not rest[j]:
+                    left &= ~(1 << j)
+            if rest[e]:
+                raise FlowLatticeError("broken invariant: a chain step left its element nonzero")
+        # T is read off the |rest_{i-1}[j]| that each step stored as its sizes
+        run, last_mask = steps.pop()[2], masks[k]
+        candidates = [run] + [size - c + (j > e) for ci, e, c, sizes in steps
+                              for j, size in zip(ci, sizes) if last_mask >> j & 1]
+        run = min(candidates)
+        if run < 1:
+            raise FlowLatticeError(f"broken invariant: run length {run} < 1")
+        slacks += [b - run for b in candidates]
+        positive = sum(1 << j for j, x in enumerate(current) if x > 0)
+        return alpha, run, (positive, tuple(picks), run), slacks
+
+    parts: list[FlowVector] = []
+    current = list(beta.coords)
+    supp = sum(1 << e for e, x in enumerate(current) if x)
+    last: dict[tuple, int] = {}     # signature -> index of its last run in history
+    history: list[tuple] = []       # (signature, slacks, start, parts before) per run
+    while supp:
+        alpha, run, sig, slacks = chain(current, supp)
+        r = len(history)
+        history.append((sig, slacks, current[:], len(parts)))
+        parts += [alpha] * run
+        a = alpha.coords
+        for j, x in enumerate(a):
+            if x:
+                current[j] -= run * x
+                if not current[j]:
+                    supp &= ~(1 << j)
+        i = last.get(sig)
+        last[sig] = r
+        if i is None or 2 * i + 1 < r or any(
+                history[i - q][0] != history[r - q][0] for q in range(1, r - i)):
+            continue
+        # runs i+1-p..i and i+1..r (p = r - i) are one block at s = 0 and s = 1
+        lo, hi = history[2 * i + 1 - r:i + 1], history[i + 1:]
+        falls = [x // (x - y) for h0, h1 in zip(lo, hi) for x, y in zip(h0[1], h1[1]) if y < x]
+        if not falls:
+            raise FlowLatticeError("broken invariant: a repeating block lowers no slack")
+        s = min(falls)
+        parts += parts[hi[0][3]:] * (s - 1)
+        current = [x0 - (s + 1) * (x0 - x1) for x0, x1 in zip(lo[0][2], hi[0][2])]
+        supp = sum(1 << e for e, x in enumerate(current) if x)
+        last.clear()
+        history.clear()
     return parts
 
 

@@ -372,6 +372,35 @@ class TestErrors:
         assert run(["tu-check", f]) == 2
         assert "ERROR BAD-INPUT" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [["tu-check"], ["signing"], ["circuits"], ["gtest"],
+                                      ["decompose", "GRAPH"]])
+    def test_file_not_utf8(self, tmp_path, capsys, argv):
+        """Undecodable bytes, in the input or in a vector file, end in
+        BAD-INPUT, not a traceback."""
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"2 2\n1 0\n0 \xff\xfe\n")
+        graph = graph_file(tmp_path, "k4.graph", K4)
+        args = [graph if a == "GRAPH" else a for a in argv]
+        assert run(args + [str(bad)]) == 2
+        assert capsys.readouterr().out == (f"ERROR BAD-INPUT: {bad} is not UTF-8 text: "
+                                           f"invalid start byte at byte 10\n")
+
+    def test_file_unreadable(self, tmp_path, capsys, monkeypatch):
+        """An OSError on reading a regular file ends in BAD-INPUT, with
+        its reason; a path that is not a regular file keeps its message."""
+        import flowlattice.cli as cli
+
+        f = write(tmp_path, "m.mat", "1 1\n1\n")
+
+        def refuse(path, mode="r"):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr(cli, "open", refuse, raising=False)
+        assert run(["tu-check", f]) == 2
+        assert capsys.readouterr().out == f"ERROR BAD-INPUT: cannot read {f}: Permission denied\n"
+        assert run(["tu-check", str(tmp_path)]) == 2
+        assert capsys.readouterr().out == f"ERROR BAD-INPUT: no such file: {tmp_path}\n"
+
     def test_non_integer_matroid_header(self, tmp_path, capsys):
         f = write(tmp_path, "bad.matroid", "matroid a b\ne1 e2\n1 2\n1 1\n")
         assert run(["circuits", f]) == 2

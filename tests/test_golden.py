@@ -3,7 +3,7 @@
 Each case runs `cli.run` on the files of tests/golden/inputs/, from
 tests/golden/, once as listed and once with `--porcelain` in front.
 tests/golden/expected/<case>.out holds "exit <status>" on its first
-line and the stdout of the run after it, unchanged.  Eight of the cases,
+line and the stdout of the run after it, unchanged.  Nine of the cases,
 each exit status among them, and an unknown verb also run through the
 real entry point, `python -m flowlattice.cli`, in a fresh interpreter.
 
@@ -64,6 +64,7 @@ CASES |= {
     "tu-check-tu-bound-2": ["--tu-bound", "2", "tu-check", "inputs/tu.mat"],
     "tu-check-det2-tu-bound-2": ["--tu-bound", "2", "tu-check", "inputs/det2.mat"],
     "tu-check-short": ["tu-check", "inputs/short.mat"],
+    "tu-check-nonutf8": ["tu-check", "inputs/nonutf8.mat"],
     "decompose-w5-large": ["decompose", "inputs/w5.graph", "inputs/w5-large.vec"],
     "decompose-k5-large": ["decompose", "inputs/k5.graph", "inputs/k5-large.vec"],
     "simple-k5-large": ["simple", "inputs/k5.graph", "inputs/k5-simple-large.vec"],
@@ -113,7 +114,7 @@ def entry_point(argv) -> subprocess.CompletedProcess:
 
 @pytest.mark.parametrize("name", ["circuits-k4", "tu-check-det2", "flows-k4-not-a-base",
                                   "reconstruct-k4", "reconstruct-infeasible", "tu-check-tu",
-                                  "signing-fano", "gtest-k4"])
+                                  "signing-fano", "gtest-k4", "tu-check-nonutf8"])
 def test_entry_point(name):
     """The process exits with the recorded status (0, 1 and 2 here) and
     writes the recorded stdout byte for byte."""

@@ -33,6 +33,17 @@ def M(rows):
     return IntegerMatrix.from_rows(rows)
 
 
+def _least_witness(rows, start=1, stop=None):
+    """The library's least witness over the orders start..stop (default
+    min(rows, cols)): order 1 by `_entry_witness`, orders 2 and up on the
+    rows' sign masks by `_mask_witness`, as `is_totally_unimodular` runs
+    them."""
+    stop = min(len(rows), len(rows[0]) if rows else 0) if stop is None else stop
+    if start <= 1 <= stop and (found := intmat._entry_witness(rows)):
+        return found
+    return intmat._mask_witness(_sign_masks(rows)[0], start, stop) if stop >= 2 else None
+
+
 class TestDeterminant:
     def test_all_ones_minus_identity(self):
         # det(J_t - I_t) = +-(t-1)
@@ -333,7 +344,7 @@ class TestSignMaskScans:
             for _ in range(1500):
                 m = _sign_matrix(rnd, twos=False)
                 for k in range(2, 7):
-                    got = intmat._least_witness(m.entries, k, k)
+                    got = _least_witness(m.entries, k, k)
                     assert got == eulerian_witness(m, k)
                     found[k] += got is not None
         assert min(found[2:5]) > 50 and found[5] > 5 and found[6] > 0
@@ -343,7 +354,7 @@ class TestSignMaskScans:
         found = 0
         for _ in range(2000):
             m = _sign_matrix(rnd, twos=False)
-            got = intmat._least_witness(m.entries, 2, 2)
+            got = _least_witness(m.entries, 2, 2)
             assert got == eulerian_witness(m, 2)
             found += got is not None
         assert 300 < found < 1700
@@ -363,10 +374,10 @@ class TestSignMaskScans:
                 starts = range(1, 2 if per_order[1:2] != [None] else top + 1)
                 for start in starts:
                     for stop in range(start - 1, top + 1):
-                        got = intmat._least_witness(m.entries, start, stop)
+                        got = _least_witness(m.entries, start, stop)
                         assert got == least_witness(m, start, stop)
                         assert got == next(filter(None, per_order[start:stop + 1]), None)
-                    assert intmat._least_witness(m.entries, start) == got
+                    assert _least_witness(m.entries, start) == got
                     if got and not any(per_order[1:start]):
                         assert abs(determinant(m.submatrix(*got))) > 1
                         least[len(got[0])] += start == 1
@@ -379,11 +390,11 @@ class TestSignMaskScans:
         """Orders 1 and 2 answer under any TU bound; order 3 is refused."""
         det2 = ((1, 1, 0), (0, 1, 1), (1, 0, 1))
         with bounds(tu=1):
-            assert intmat._least_witness(((1, 0), (0, 3))) == ((1,), (1,))
-            assert intmat._least_witness(((1, 1), (1, -1))) == ((0, 1), (0, 1))
-            assert intmat._least_witness(det2, stop=2) is None
+            assert _least_witness(((1, 0), (0, 3))) == ((1,), (1,))
+            assert _least_witness(((1, 1), (1, -1))) == ((0, 1), (0, 1))
+            assert _least_witness(det2, stop=2) is None
             with pytest.raises(BoundExceededError, match="Eulerian search order = 3 > 1"):
-                intmat._least_witness(det2)
+                _least_witness(det2)
 
     def test_order2_witness_realizes_nothing(self, monkeypatch):
         """A planted [[1, 1], [1, -1]] is read by the row-pair scan: no
@@ -538,7 +549,8 @@ class TestWeaklyUnimodularOracle:
 
     def test_least_base_witness(self, monkeypatch):
         """A last pivot |d| > 1 names the pivot columns (rows, when tall),
-        the least base, with one determinant."""
+        the least base, signed by the elimination that found it: no
+        determinant is computed."""
         dets = []
         det = intmat.determinant
 
@@ -559,7 +571,7 @@ class TestWeaklyUnimodularOracle:
             assert got == wu_by_enumeration(m)
             if len(pivot_cols) == min(r, c) and abs(pivots[-1]) > 1:
                 at_base += 1
-                assert len(dets) == 1
+                assert dets == []
                 assert (got.witness_cols if r <= c else got.witness_rows) == tuple(pivot_cols)
         assert at_base > 100
 
@@ -690,12 +702,103 @@ class TestConstructionCounts:
         assert built[0] == count
 
 
+class TestOneRead:
+    """`is_totally_unimodular` reads its input's sign masks once, for the
+    order-2 scan, the verdict and any search from order 3, and not at all
+    past an order-1 witness."""
+
+    def test_one_sign_mask_read_per_call(self, monkeypatch):
+        reads = []
+        sign_masks = intmat._sign_masks
+
+        def spy(rows):
+            reads.append(rows)
+            return sign_masks(rows)
+
+        monkeypatch.setattr(intmat, "_sign_masks", spy)
+        rnd = random.Random(97)
+        orders = [0] * 9
+        with bounds(tu=8):
+            for _ in range(1500):
+                m = _sign_matrix(rnd)
+                reads.clear()
+                got = is_totally_unimodular(m)
+                order = 0 if got else len(got.witness_rows)
+                assert reads == ([] if order == 1 else [m.entries])
+                orders[order] += 1
+        assert orders[0] > 300 and min(orders[1:4]) > 30
+
+
+def parse_by_lines(text: str) -> IntegerMatrix:
+    """The matrix parser that `parse_matrix` replaced, verbatim: comments
+    cut and blank lines dropped by `_content_lines`, then the tokens read
+    one `int` at a time."""
+    tokens = [t for line in intmat._content_lines(text) for t in line.split()]
+    if len(tokens) < 2:
+        raise FormatError("matrix text needs a 'rows cols' header")
+    try:
+        rows, cols = int(tokens[0]), int(tokens[1])
+        body = tuple(int(t) for t in tokens[2:])
+    except ValueError as exc:
+        raise FormatError(f"non-integer token in matrix text: {exc}") from exc
+    if cols == 0 and rows > len(text.splitlines()):
+        raise FormatError(f"{rows} empty rows need one line each, "
+                          f"got {len(text.splitlines())} lines")
+    if rows < 0 or cols < 0 or len(body) != rows * cols:
+        raise FormatError(
+            f"expected {rows}x{cols} = {rows * cols} entries, got {len(body)}"
+        )
+    return IntegerMatrix(tuple(body[i * cols:(i + 1) * cols] for i in range(rows)),
+                         empty_cols=cols)
+
+
+def _matrix_text(rnd) -> str:
+    """A seeded matrix text, often malformed: a header that may be off by
+    one, short, negative or zero-width; entries that wrap and carry
+    comments, blank lines and CR LF or exotic line ends; and now and then
+    a token that is no int ('x', '1.5', '0x10'), an int spelt oddly
+    ('-0', '+3', '1_000', '007') or a huge one, past the limit on integer
+    digits too."""
+    r, c = rnd.randint(0, 4), rnd.randint(0, 4)
+    odd = ["x", "1.5", "0x10", "-0", "+3", "1_000", "007", "9" * 40, "1" + "0" * 5000, "#"]
+    header = [str(r + rnd.choice((0, 0, 0, 1, -1, -r - 1))), str(c)][:rnd.choice((2, 2, 2, 1))]
+    tokens = header + [str(rnd.randint(-3, 3)) for _ in range(r * c + rnd.choice((0, 0, 1, -1)))]
+    if rnd.random() < 0.4:
+        tokens.insert(rnd.randint(0, len(tokens)), rnd.choice(odd))
+    out = []
+    for t in tokens:
+        out.append(t)
+        out.append(rnd.choice((" ", " ", "\t", "\n", "\r\n", " # note\n", "\n\n", "\u2028")))
+    if rnd.random() < 0.3:
+        out.insert(0, rnd.choice(("# a comment\n", "\n", "  \n")))
+    return "".join(out)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except FormatError as exc:
+        return str(exc)
+
+
+class TestOneTokenPass:
+    def test_same_matrix_or_message_as_the_line_parser(self):
+        rnd = random.Random(101)
+        parsed = 0
+        for _ in range(3000):
+            text = _matrix_text(rnd)
+            got = _outcome(parse_matrix, text)
+            assert got == _outcome(parse_by_lines, text)
+            parsed += isinstance(got, IntegerMatrix)
+        assert 500 < parsed < 2500
+
+
 class TestBrokenInvariant:
     """A "no" verdict whose witness search finds nothing raises; it never
     turns into a "yes"."""
 
     def test_no_verdict_without_witness(self, monkeypatch):
-        monkeypatch.setattr(intmat, "_tu_verdict", lambda m: False)
+        monkeypatch.setattr(intmat, "_mask_verdict", lambda row_signs, col_signs: False)
         for check, m in ((is_totally_unimodular, IntegerMatrix.identity(3)),
                          (is_weakly_unimodular, M([[1, 0, 1], [0, 1, 1]]))):
             with pytest.raises(FlowLatticeError, match="broken invariant"):

@@ -119,6 +119,19 @@ class TestBoundsScope:
             assert dict(intmat.call_bounds.get()) == {"tu": 3, "iso": 7}
         assert dict(intmat.call_bounds.get()) == {}
 
+    def test_no_kinds_binds_nothing(self):
+        """`bounds()` leaves the enclosing bounds as they are, the same
+        object, at the top level and inside a scope."""
+        outer = intmat.call_bounds.get()
+        with bounds():
+            assert intmat.call_bounds.get() is outer
+        with bounds(tu=3):
+            inner = intmat.call_bounds.get()
+            with bounds():
+                assert intmat.call_bounds.get() is inner
+            assert dict(intmat.call_bounds.get()) == {"tu": 3}
+        assert intmat.call_bounds.get() is outer
+
     def test_restored_after_an_exception(self):
         a = fundamental_basis(from_graph(K4)).gram
         with pytest.raises(BoundExceededError) as exc:
