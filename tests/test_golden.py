@@ -3,7 +3,7 @@
 Each case runs `cli.run` on the files of tests/golden/inputs/, from
 tests/golden/, once as listed and once with `--porcelain` in front.
 tests/golden/expected/<case>.out holds "exit <status>" on its first
-line and the stdout of the run after it, unchanged.  Nine of the cases,
+line and the stdout of the run after it, unchanged.  Eleven of the cases,
 each exit status among them, and an unknown verb also run through the
 real entry point, `python -m flowlattice.cli`, in a fresh interpreter.
 
@@ -81,6 +81,8 @@ CASES |= {
     "gtest-k4-subset-bound-2": ["--subset-bound", "2", "gtest", "inputs/k4.gram"],
     "circuits-empty": ["circuits", "inputs/empty.matroid"],
     "isometric-edge-empty": ["isometric", "inputs/edge.graph", "inputs/empty.matroid"],
+    "tu-check-nested": ["tu-check", "inputs/nested.mat"],
+    "tu-check-r10": ["tu-check", "inputs/r10.mat"],
 }
 CASES |= {f"{name}-porcelain": ["--porcelain"] + argv for name, argv in list(CASES.items())}
 
@@ -114,7 +116,8 @@ def entry_point(argv) -> subprocess.CompletedProcess:
 
 @pytest.mark.parametrize("name", ["circuits-k4", "tu-check-det2", "flows-k4-not-a-base",
                                   "reconstruct-k4", "reconstruct-infeasible", "tu-check-tu",
-                                  "signing-fano", "gtest-k4", "tu-check-nonutf8"])
+                                  "signing-fano", "gtest-k4", "tu-check-nonutf8",
+                                  "tu-check-nested", "tu-check-r10"])
 def test_entry_point(name):
     """The process exits with the recorded status (0, 1 and 2 here) and
     writes the recorded stdout byte for byte."""
