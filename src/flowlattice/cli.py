@@ -41,9 +41,13 @@ def _read(path: str) -> str:
 def load_matroid(path: str) -> matroid.RegularMatroid:
     """Matroid file if the header says so, otherwise a graph edge list."""
     text = _read(path)
-    lines = intmat._content_lines(text)
-    if lines and lines[0].split()[0] == "matroid":
-        return matroid.parse_matroid(text)
+    # only the first line with a word outside its comment is read here
+    for line in text.splitlines():
+        words = line.split("#", 1)[0].split()
+        if words:
+            if words[0] == "matroid":
+                return matroid.parse_matroid(text)
+            break
     return matroid.from_graph(matroid.parse_graph(text))
 
 

@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
+from flowlattice import cli, intmat, matroid
 from flowlattice.cli import run
+from flowlattice.errors import FormatError
 
 from conftest import BOWTIE, K4, TRIANGLE, TWO_TRIANGLES
 
@@ -87,6 +89,40 @@ class TestTuCheck:
         f = write(tmp_path, "m.mat", "2 3\n1 0 1\n0 1 1\n")
         assert run(["tu-check", f]) == 0
         assert capsys.readouterr().out == "TU yes\nWU yes\n"
+
+
+class TestLoadMatroid:
+    """`load_matroid` reads the header of a matroid file past comment and
+    blank lines, and loads a graph file as its graph, as it did when every
+    file's comments were cut twice."""
+
+    LEADS = ["", "\n", "# a comment\n", "  \t\n# matroid 3 6\n\n", "# x\r\n\r\n   # y\n"]
+    MATROID = "matroid 2 3  # header\na b c\n2 3\n1 0 1\n0 1 1\n"
+
+    @staticmethod
+    def sniffed(text):
+        """The loader as it stood: the first word of `_content_lines`."""
+        lines = intmat._content_lines(text)
+        if lines and lines[0].split()[0] == "matroid":
+            return matroid.parse_matroid(text)
+        return matroid.from_graph(matroid.parse_graph(text))
+
+    @pytest.mark.parametrize("lead", LEADS)
+    def test_header_after_comments_and_blank_lines(self, tmp_path, lead):
+        graph = "".join(f"{t} {h}  # edge\n" for t, h in K4)
+        for name, body, ground in (("m.matroid", self.MATROID, ("a", "b", "c")),
+                                   ("g.graph", graph, tuple(f"e{i}" for i in range(1, 7)))):
+            text = lead + body
+            got = cli.load_matroid(write(tmp_path, name, text))
+            assert got == self.sniffed(text)
+            assert got.ground == ground
+
+    def test_a_word_before_the_header_makes_a_graph_file(self, tmp_path):
+        """Only the first line with a word is sniffed: a matroid header
+        after an edge is read as a bad graph line, as before."""
+        f = write(tmp_path, "m.matroid", "1 2\n" + self.MATROID)
+        with pytest.raises(FormatError, match="graph line needs two vertex ids"):
+            cli.load_matroid(f)
 
 
 class TestCircuitsAndColoops:

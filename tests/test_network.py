@@ -9,13 +9,17 @@ block-diagonal mixes with R10 and with a Fano-planted block; they show
 that network matrices never reach the search, that R10 does, and that a
 realizer returning wrong trees changes no verdict or witness.  They also
 compare the verdict on masks with the row-based block decision it
-replaced (`tu_oracles.tu_check_by_tuples`).
+replaced (`tu_oracles.tu_check_by_tuples`), and the realizer with the
+code it was rewritten from (`network_oracles`): the same trees, vertex
+for vertex, and the same verdicts.
 """
 
+import itertools
 import random
 
 import pytest
 
+import network_oracles
 import tu_oracles as oracle
 from flowlattice import intmat, network
 from flowlattice.intmat import IntegerMatrix, _sign_masks, bounds, is_totally_unimodular
@@ -307,6 +311,45 @@ def spread(rows, at, height):
     return tuple(placed.get(i, zero) for i in range(height))
 
 
+def sign_block(rng, height, width):
+    """A seeded {0, +-1} matrix, about half of its entries zero."""
+    return tuple(tuple(rng.choice((0, 0, 1, -1)) for _ in range(width))
+                 for _ in range(height))
+
+
+class TestAgainstOldRealizer:
+    """`_realize` and `network_scaling` against `network_oracles`, the
+    code they were rewritten from, on every connected block (zero lines
+    dropped, nothing stripped) of seeded matrices, read both ways."""
+
+    def test_same_trees_and_verdicts(self, rng):
+        matrices = [R10, NESTED, FANO_PLANTED]
+        for _ in range(150):
+            m = random_network(rng, 12, 16)
+            for x in (m, m.transpose()):
+                matrices += [x.entries, flip_one(rng, x).entries]
+        matrices += [sign_block(rng, rng.randint(2, 8), rng.randint(2, 8))
+                     for _ in range(400)]
+        verdicts = []
+        for rows in matrices:
+            row_signs, col_signs = _sign_masks(rows)
+            everything = ((1 << len(row_signs)) - 1, (1 << len(col_signs)) - 1)
+            for block_rows, block_cols in intmat._mask_blocks(col_signs, *everything):
+                for signs, at, over in ((col_signs, block_cols, block_rows),
+                                        (row_signs, block_rows, block_cols)):
+                    cols = [(p & over, q & over) for j, (p, q) in enumerate(signs)
+                            if at >> j & 1]
+                    supports = [p | q for p, q in cols]
+                    lines = list(network._mask_elements(over))
+                    tree = network._realize(lines, supports, itertools.count())
+                    assert tree == network_oracles._realize(lines, supports, itertools.count())
+                    got = network.network_scaling(cols, over)
+                    assert got is network_oracles.network_scaling(cols, over)
+                    verdicts.append(got)
+        assert verdicts.count(True) >= 200 and verdicts.count(None) >= 200
+        assert verdicts.count(False) >= 50
+
+
 class TestMaskContract:
     """`network_scaling` reads a block on the rows of a mask, whatever
     their indices; `_tree_paths` holds a tree to exactly those rows."""
@@ -343,6 +386,28 @@ class TestMaskContract:
         assert network._tree_paths(tree, rows, supports) is not None
         for other in (rows | 1, rows ^ 1 << 4, 0b111, (1 << 3) - 1 << 1):
             assert network._tree_paths(tree, other, supports) is None
+
+    def test_tree_paths_read_any_vertex_labels(self, rng):
+        """`_realize` draws nonnegative ints, but `_tree_paths` checks any
+        tree: relabelled with strings or with negative ints, a tree gets
+        the forward masks, or None, that it gets on its int labels."""
+        results = []
+        for _ in range(100):
+            m = random_network(rng, 8, 10)
+            rows = (1 << m.rows) - 1
+            supports = [p | q for p, q in _sign_masks(m.entries)[1]]
+            tree = network._realize(list(range(m.rows)), supports, itertools.count())
+            # a wrong tree: the same edges with two of their ends swapped
+            wrong = dict(tree)
+            if m.rows > 1:
+                wrong[0], wrong[1] = (tree[0][0], tree[1][1]), (tree[1][0], tree[0][1])
+            for t in (tree, wrong):
+                want = network._tree_paths(t, rows, supports)
+                for label in (lambda v: f"v{v}", lambda v: -v - 1):
+                    relabelled = {r: (label(u), label(v)) for r, (u, v) in t.items()}
+                    assert network._tree_paths(relabelled, rows, supports) == want
+                results.append(want is None)
+        assert True in results and False in results
 
 
 class TestSoundness:

@@ -17,14 +17,16 @@ a round, where the library narrows (plus, minus) masks;
 `block_is_tu`.  That is the block decision the library replaced by one on
 sign masks: `network_scaling` reads a block as rows of entries, realizes
 the transpose of a `zip`, and checks every entry of the rescaled network
-matrix; its search from order 2 is `least_witness`.  `tu_check_by_tuples`
-is `is_totally_unimodular` on that path.
+matrix; its search from order 2 is `least_witness`, and its realizer
+`network_oracles._realize`, the one the library's was rewritten from.
+`tu_check_by_tuples` is `is_totally_unimodular` on that path.
 """
 
 import itertools
 
 from flowlattice.intmat import IntegerMatrix, UnimodularityCheck, _gate
-from flowlattice.network import _mask_elements, _odd_vertices, _realize
+from flowlattice.network import _mask_elements
+from network_oracles import _odd_vertices, _realize
 
 
 def eulerian_witness(m, k: int) -> tuple[tuple, tuple] | None:
