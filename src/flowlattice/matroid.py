@@ -19,7 +19,7 @@ from .intmat import (
     _content_lines,
     _gate,
     _gauss_jordan,
-    determinant,
+    _signed_pivot,
     is_totally_unimodular,
     parse_matrix,
     rank,
@@ -320,9 +320,10 @@ def coordinatize(m: RegularMatroid, base=None) -> StandardForm:
     One Gauss-Jordan pass ends at [d I_r | d L], d the last pivot; the base
     block is unimodular iff d = +-1.  A given base is put first and pivoted
     on; with none, the pass pivots in ground order, on the least base.
+    The pivots are the base's columns: a refusal signs d as `determinant` does.
     """
     if base is None:
-        rows, cols, _, pivots, _ = _gauss_jordan(m.rep.entries)
+        rows, cols, order, pivots, _ = _gauss_jordan(m.rep.entries)
         if len(cols) < m.rank:
             raise NotABaseError((), "matroid has no base of the stated rank")
         base = tuple(cols)
@@ -333,13 +334,12 @@ def coordinatize(m: RegularMatroid, base=None) -> StandardForm:
             raise NotABaseError(base, f"expected {m.rank} distinct elements")
         perm = base + tuple(sorted(set(range(m.size)).difference(base)))
         take = range(m.size)        # the pass runs with the base first
-        rows, cols, _, pivots, _ = _gauss_jordan(m.rep.select_columns(perm).entries, m.rank)
+        rows, cols, order, pivots, _ = _gauss_jordan(m.rep.select_columns(perm).entries, m.rank)
         if len(cols) < m.rank:
             raise NotABaseError(base, "vanishing r-by-r determinant")
     d = pivots[-1] if pivots else 1
     if abs(d) != 1:
-        det = determinant(m.rep.select_columns(base))
-        raise NotABaseError(base, f"determinant {det} is not a unit")
+        raise NotABaseError(base, f"determinant {_signed_pivot(order, d)} is not a unit")
     mat = IntegerMatrix(tuple(tuple(d * row[j] for j in take) for row in rows),
                         empty_cols=m.size)
     return StandardForm(mat, perm, base)
@@ -391,14 +391,13 @@ class IsomorphismResult:
 
 
 def _element_profiles(m: RegularMatroid, masks) -> list[tuple[int, ...]]:
-    """Per element, its number of circuits of each size 0..m.size."""
-    size = m.size
-    per = [[0] * (size + 1) for _ in range(size)]
+    """Per element, its circuits' sizes, ascending as `masks` come in popcount order."""
+    per: list[list[int]] = [[] for _ in range(m.size)]
     for c in masks:
         k = c.bit_count()
         while c:
             low = c & -c
-            per[low.bit_length() - 1][k] += 1
+            per[low.bit_length() - 1].append(k)
             c ^= low
     return [tuple(p) for p in per]
 
@@ -406,12 +405,12 @@ def _element_profiles(m: RegularMatroid, masks) -> list[tuple[int, ...]]:
 def is_isomorphic(m: RegularMatroid, n: RegularMatroid) -> IsomorphismResult:
     """Search for a ground bijection carrying circuits onto circuits.
 
-    Pruned by size, rank and sorted per-element circuit profiles, which
-    fix the circuit-size multiset (the size-L counts of all profiles sum
-    to L times the number of circuits of size L).  Elements k = 0, 1, ...
-    of m are mapped in turn, each to the unused elements of n with its
-    profile in ascending order, so the first bijection found is the
-    lexicographically least.  Circuits stay int masks from enumeration to
+    Pruned by size, rank and sorted per-element profiles, each the sizes of
+    an element's circuits in ascending order; they fix the circuit-size
+    multiset (size L is in L profiles per circuit of size L).  Elements
+    k = 0, 1, ... of m are mapped in turn, each to the unused elements of
+    n with its profile in ascending order, so the first bijection found is
+    the lexicographically least.  Circuits stay int masks from enumeration to
     verdict: the images are int bits, and each circuit of m whose largest
     element is k is checked, once k is mapped, as the mask of its image
     among n's circuit masks.  The corank is gated before either matroid

@@ -111,7 +111,16 @@ def _bridges(rows, mask: int, cols, r0) -> dict | None:
 
 
 def _glue(r0, parts, cols, fresh):
-    """`_realize` for a row r0 with the bridges `parts` from `_bridges`."""
+    """`_realize` for a row r0 with the bridges `parts` from `_bridges`.
+
+    A bridge's rows are joined by paths that miss r0, so they span a
+    subtree of its tree and r0 is pendant at one vertex, top: each trace
+    is a path from top, with one other odd vertex.  The bridges that may
+    carry bridge j on its side hold j's nonzero key, so any two meet, and
+    on one side one is below the other; a cycle of them would have equal
+    keys, each on one trace, and the tie-break orders such bridges by
+    index.  So they form a chain, and exactly one carries no other.
+    """
     bit = 1 << r0
     through = [c for c in cols if c & bit]
     # per bridge: its tree, the vertex where r0 meets it, the mask of the
@@ -139,18 +148,12 @@ def _glue(r0, parts, cols, fresh):
                 u, v = tree[r]
                 pair[r] = 1 << u ^ 1 << v
                 touched |= 1 << u | 1 << v
-            top = [v for v in tree[r0] if touched >> v & 1]
-            if len(top) != 1:
-                return None
-            top, end = top[0], []
+            top, end = next(v for v in tree[r0] if touched >> v & 1), []
             for p, k in trace.items():
                 odd = 0
                 for r in _mask_elements(p):
                     odd ^= pair[r]
-                odd &= ~(1 << top)
-                if odd.bit_count() != 1:
-                    return None
-                end.append((k, odd.bit_length() - 1))
+                end.append((k, (odd & ~(1 << top)).bit_length() - 1))
         trees.append(tree)
         tops.append(top)
         keys.append(sum(trace.values()))
@@ -191,14 +194,10 @@ def _glue(r0, parts, cols, fresh):
     tree = {r0: link}
     for j in range(n):
         ups = [i for i in range(n) if above[j] >> i & 1 and side[i] == side[j]]
-        lowest = [p for p in ups if not any(above[q] >> p & 1 for q in ups)]
-        if not ups:
-            hang = link[side[j]]
-        elif len(lowest) == 1:
-            p = lowest[0]
+        hang = link[side[j]]
+        if ups:
+            p = next(p for p in ups if not any(above[q] >> p & 1 for q in ups))
             hang = next(v for k, v in ends[p] if k & keys[j])
-        else:
-            return None
         top = tops[j]
         for r in parts[j]:
             u, v = trees[j][r]

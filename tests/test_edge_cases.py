@@ -1,14 +1,21 @@
-"""Rank-0 lattices and the definiteness message."""
+"""Rank-0 lattices, the definiteness message and the input refusals."""
 
 import pytest
 
-from flowlattice.errors import DefinitenessError
-from flowlattice.flows import FlowVector, enumerate_coefficients, fundamental_basis, gram_of
-from flowlattice.gram import GramMatrix
+from flowlattice.cli import _parse_base
+from flowlattice.errors import DefinitenessError, DimensionError, FormatError, MembershipError
+from flowlattice.flows import (
+    FlowLattice,
+    FlowVector,
+    enumerate_coefficients,
+    fundamental_basis,
+    gram_of,
+)
+from flowlattice.gram import GramMatrix, parse_gram
 from flowlattice.intmat import IntegerMatrix
-from flowlattice.matroid import from_graph
+from flowlattice.matroid import RegularMatroid, from_graph, parse_matroid
 
-from conftest import PATH2
+from conftest import K4, PATH2, TRIANGLE
 
 
 class TestRankZero:
@@ -35,3 +42,51 @@ class TestDefinitenessMessage:
             gram_of([[1, 1, 0], [2, 2, 0]])
         assert str(exc.value) == self.MESSAGE.format(0)
 
+
+
+def row(*xs):
+    return IntegerMatrix.from_rows([xs])
+
+
+class TestInputRefusals:
+    """Each malformed input is refused with its own error type and message."""
+
+    @pytest.mark.parametrize("make,error,message", [
+        (lambda: _parse_base("1,2,7", from_graph(K4)), FormatError,
+         "base index out of range in '1,2,7'"),
+        (lambda: _parse_base("0 1 2", from_graph(K4)), FormatError,
+         "base index out of range in '0 1 2'"),
+        (lambda: RegularMatroid(("a",), row(1, 0)), FormatError,
+         "representation column count must equal ground size"),
+        (lambda: RegularMatroid(("a", "a"), row(1, 0)), FormatError,
+         "ground labels must be unique"),
+        (lambda: from_graph([]), FormatError, "empty edge list"),
+        (lambda: parse_matroid("graph 1 2\n"), FormatError,
+         "matroid file must start with 'matroid r m'"),
+        (lambda: parse_matroid("# nothing\n"), FormatError,
+         "matroid file must start with 'matroid r m'"),
+        (lambda: parse_matroid("matroid 1\n"), FormatError,
+         "matroid header must be 'matroid r m'"),
+        (lambda: parse_matroid("matroid 1 2\n"), FormatError,
+         "matroid file missing ground label line"),
+        (lambda: parse_matroid("matroid 1 2\na\n1 2\n1 0\n"), FormatError,
+         "expected 2 ground labels, got 1"),
+        (lambda: parse_matroid("matroid 1 2\na b\n2 2\n1 0\n0 1\n"), FormatError,
+         "matrix shape disagrees with matroid header"),
+        (lambda: GramMatrix(row(1, 0)), DimensionError, "Gram matrix must be square"),
+        (lambda: parse_gram("matrix 1\n1\n"), FormatError,
+         "gram file must start with 'gram s'"),
+        (lambda: parse_gram("gram 1 1\n1\n"), FormatError, "gram header must be 'gram s'"),
+        (lambda: FlowLattice.from_basis(IntegerMatrix.from_rows([[1], [0], [0]]),
+                                        from_graph(TRIANGLE)),
+         MembershipError, "basis columns are not flows of the source matroid"),
+        (lambda: row(1).hstack(IntegerMatrix.from_rows([[1], [2]])), DimensionError,
+         "hstack: row counts differ"),
+        (lambda: row(1).vstack(row(1, 2)), DimensionError, "vstack: column counts differ"),
+        (lambda: row(1, 2) * row(1), DimensionError, "cannot multiply 1x2 by 1x1"),
+    ])
+    def test_refused(self, make, error, message):
+        with pytest.raises(error) as exc:
+            make()
+        assert type(exc.value) is error
+        assert str(exc.value) == message

@@ -6,6 +6,7 @@ values and errors alike, with the routine it replaced in
 reconstruction sweep.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -317,6 +318,38 @@ class TestBases:
             assert got.value.subset == (0, 1)
             assert got.value.certificate == want.value.certificate == \
                 f"determinant {det} is not a unit"
+
+    def test_non_unit_refusal_names_the_base_determinant(self, rng):
+        """A base whose determinant is not a unit is refused with
+        `determinant(rep[:, base])`, on the given-base branch for every
+        base of seeded reps and on the least-base branch with that base's
+        columns moved first, rows in a shuffled order."""
+        refused = 0
+        for _ in range(120):
+            r = rng.randint(1, 4)
+            rep = random_matrix(rng, r, r + rng.randint(0, 3))
+            n = rep.cols
+            ground = [f"e{j}" for j in range(n)]
+            for base in itertools.combinations(range(n), r):
+                det = determinant(rep.select_columns(base))
+                if det == 0:
+                    continue
+                rows = rng.sample(range(r), r)
+                moved = rep.select_columns(list(base) + [j for j in range(n) if j not in base])
+                for m, given, want in (
+                        (RegularMatroid.from_rep(ground, rep, validate=False), base, det),
+                        (RegularMatroid.from_rep(ground, moved.select_rows(rows),
+                                                 validate=False), None,
+                         determinant(moved.select_rows(rows).select_columns(range(r))))):
+                    if abs(want) == 1:
+                        assert coordinatize(m, given).matrix.cols == n
+                        continue
+                    with pytest.raises(NotABaseError) as got:
+                        coordinatize(m, given)
+                    assert got.value.subset == (base if given else tuple(range(r)))
+                    assert got.value.certificate == f"determinant {want} is not a unit"
+                    refused += 1
+        assert refused >= 500
 
     def test_singular_block(self):
         m = RegularMatroid.from_rep(

@@ -3,9 +3,11 @@
 Each case runs `cli.run` on the files of tests/golden/inputs/, from
 tests/golden/, once as listed and once with `--porcelain` in front.
 tests/golden/expected/<case>.out holds "exit <status>" on its first
-line and the stdout of the run after it, unchanged.  Eleven of the cases,
-each exit status among them, and an unknown verb also run through the
-real entry point, `python -m flowlattice.cli`, in a fresh interpreter.
+line and the stdout of the run after it, unchanged.  The cases listed in
+tests/golden/entry_points.txt, one "<case> <argv>" per line with each
+exit status among them, and an unknown verb also run through the real
+entry point, `python -m flowlattice.cli`, in a fresh interpreter; the
+CI workflow runs the installed `flowlat` on the same list.
 
 To record the transcript again (only when an output change is
 intended), run from the root of the checkout:
@@ -71,6 +73,7 @@ CASES |= {
     "reconstruct-singular": ["reconstruct", "inputs/singular.gram"],
     "reconstruct-k4-rebased": ["reconstruct", "inputs/k4-rebased.gram"],
     "flows-k4-base-nonint": ["flows", "inputs/k4.graph", "--base", "a,b"],
+    "flows-k4-base-out-of-range": ["flows", "inputs/k4.graph", "--base", "1,2,7"],
     "tu-check-nonint": ["tu-check", "inputs/nonint.mat"],
     "circuits-nonint": ["circuits", "inputs/nonint.graph"],
     "tu-check-order2": ["tu-check", "inputs/order2.mat"],
@@ -114,13 +117,15 @@ def entry_point(argv) -> subprocess.CompletedProcess:
                           env=env, capture_output=True, timeout=60)
 
 
-@pytest.mark.parametrize("name", ["circuits-k4", "tu-check-det2", "flows-k4-not-a-base",
-                                  "reconstruct-k4", "reconstruct-infeasible", "tu-check-tu",
-                                  "signing-fano", "gtest-k4", "tu-check-nonutf8",
-                                  "tu-check-nested", "tu-check-r10"])
+ENTRY_POINTS = dict(line.split(maxsplit=1) for line in
+                    (GOLDEN / "entry_points.txt").read_text().splitlines())
+
+
+@pytest.mark.parametrize("name", list(ENTRY_POINTS))
 def test_entry_point(name):
     """The process exits with the recorded status (0, 1 and 2 here) and
     writes the recorded stdout byte for byte."""
+    assert ENTRY_POINTS[name].split() == CASES[name]
     expected = (GOLDEN / "expected" / f"{name}.out").read_bytes()
     proc = entry_point(CASES[name])
     assert b"exit %d\n" % proc.returncode + proc.stdout == expected

@@ -392,6 +392,26 @@ class TestIsomorphism:
             with bounds(iso=5):
                 is_isomorphic(k4, k4)
 
+    def test_backtrack_decides_without_profiles(self, rng, monkeypatch):
+        """With every element's profile made the same, the pruning passes
+        every pair of one size and rank, so the backtrack alone decides:
+        it gives `iso_oracles.is_isomorphic`'s verdict and least map, and
+        its own refusal ends the non-isomorphic pairs."""
+        monkeypatch.setattr(matroid_module, "_element_profiles",
+                            lambda m, masks: [()] * m.size)
+        by_shape: dict = {}
+        for _ in range(150):
+            m = from_graph(random_multigraph(rng))
+            for x in (m, dual(m)):
+                by_shape.setdefault((x.size, x.rank), []).append(x)
+        verdicts = []
+        for group in by_shape.values():
+            for a, b in zip(group, group[1:]):
+                got = is_isomorphic(a, b)
+                assert got == iso_oracles.is_isomorphic(a, b)
+                verdicts.append(got.isomorphic)
+        assert verdicts.count(False) >= 100 and verdicts.count(True) >= 100
+
     def test_random_column_permutations(self, rng):
         m = from_graph(BOWTIE)
         for _ in range(10):
