@@ -13,13 +13,7 @@ import sys
 from functools import cache
 
 from . import flows, gram, intmat, matroid, rebuild
-from .errors import (
-    BoundExceededError,
-    FlowLatticeError,
-    FormatError,
-    MembershipError,
-    NotABaseError,
-)
+from .errors import FlowLatticeError, FormatError
 
 
 def _read(path: str) -> str:
@@ -293,17 +287,8 @@ def run(argv) -> int:
     try:
         with scope:
             return globals()["cmd_" + args.verb.replace("-", "_")](args)
-    except BoundExceededError as exc:
-        print(f"ERROR BOUND-EXCEEDED: {exc}")
-        return 2
-    except NotABaseError as exc:
-        print(f"ERROR NOT-A-BASE: {exc}")
-        return 2
-    except MembershipError as exc:
-        print(f"ERROR NOT-IN-LATTICE: {exc}")
-        return 2
     except FlowLatticeError as exc:
-        print(f"ERROR BAD-INPUT: {exc}")
+        print(f"ERROR {exc.tag}: {exc}")
         return 2
 
 

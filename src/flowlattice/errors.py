@@ -2,7 +2,10 @@
 
 
 class FlowLatticeError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.  `tag` names the
+    refusal on the command line: `ERROR <tag>: <message>`, exit 2."""
+
+    tag = "BAD-INPUT"
 
 
 class DimensionError(FlowLatticeError, ValueError):
@@ -11,6 +14,8 @@ class DimensionError(FlowLatticeError, ValueError):
 
 class BoundExceededError(FlowLatticeError, RuntimeError):
     """Instance too large for exact enumeration; raise, never approximate."""
+
+    tag = "BOUND-EXCEEDED"
 
     def __init__(self, what, size, bound):
         self.what = what
@@ -24,6 +29,8 @@ class BoundExceededError(FlowLatticeError, RuntimeError):
 class NotABaseError(FlowLatticeError, ValueError):
     """The given ground subset is not a base; carries a certificate."""
 
+    tag = "NOT-A-BASE"
+
     def __init__(self, subset, certificate):
         self.subset = tuple(subset)
         self.certificate = certificate
@@ -34,6 +41,8 @@ class NotABaseError(FlowLatticeError, ValueError):
 
 class MembershipError(FlowLatticeError, ValueError):
     """A vector is not an element of the lattice; carries the violated equation."""
+
+    tag = "NOT-IN-LATTICE"
 
     def __init__(self, message, equation=None):
         self.equation = equation

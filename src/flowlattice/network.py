@@ -21,7 +21,7 @@ connected components, for the bridges of the realizer and the blocks of
 the TU verdict.  The realizer's vertices are the nonnegative ints it
 draws, read as bits: a vertex set is a mask, a trace's end an XOR.  A
 row r0 with one bridge is passed over once the components are counted;
-a one-row bridge is hung as the star a recursion would return; and the
+a one-row bridge is hung as the star its realization would return; and the
 bridge order is two tables, `below` and `above`, built once per split.
 The tree check maps any hashable vertex labels to dense indices once.
 """
@@ -43,6 +43,29 @@ def _realize(rows, cols, fresh):
     """A tree whose edges are `rows`, in which every support in `cols` (a
     mask over the rows) is the edge set of a path: row -> (vertex, vertex),
     or None if none exists.
+
+    The realizations wait on one another on an explicit stack, not on
+    Python's, so a deep chain of bridges cannot exhaust the recursion
+    limit: each is a `_realizing` generator that yields the (rows, cols)
+    of a bridge it needs and is sent that bridge's tree.  They draw from
+    `fresh` in the order a recursive call would.
+    """
+    stack, tree = [_realizing(rows, cols, fresh)], None
+    while stack:
+        try:
+            job = stack[-1].send(tree)
+        except StopIteration as done:
+            stack.pop()
+            tree = done.value
+        else:
+            stack.append(_realizing(*job, fresh))
+            tree = None
+    return tree
+
+
+def _realizing(rows, cols, fresh):
+    """`_realize` as a generator that yields each bridge's (rows, cols)
+    and is sent its tree.
 
     The rows and columns must form a connected bipartite graph.  Vertices
     are drawn from the iterator `fresh`, and every vertex of the tree is
@@ -71,7 +94,7 @@ def _realize(rows, cols, fresh):
     for r0 in rows:
         parts = _bridges(rows, mask, cols, r0)
         if parts:
-            return _glue(r0, parts, cols, fresh)
+            return (yield from _glue(r0, parts, cols, fresh))
     return None
 
 
@@ -111,7 +134,9 @@ def _bridges(rows, mask: int, cols, r0) -> dict | None:
 
 
 def _glue(r0, parts, cols, fresh):
-    """`_realize` for a row r0 with the bridges `parts` from `_bridges`.
+    """`_realizing` for a row r0 with the bridges `parts` from `_bridges`;
+    it yields the (rows, cols) of each bridge of two or more rows and is
+    sent its tree.
 
     A bridge's rows are joined by paths that miss r0, so they span a
     subtree of its tree and r0 is pendant at one vertex, top: each trace
@@ -139,7 +164,7 @@ def _glue(r0, parts, cols, fresh):
             end = [(k, leaf) for k in trace.values()]
         else:
             own = [c for c in cols if not c & ~rows]
-            tree = _realize(part + [r0], own + [p | bit for p in trace], fresh)
+            tree = yield part + [r0], own + [p | bit for p in trace]
             if tree is None:
                 return None
             # each row's ends as bits: a trace's odd vertices are an XOR

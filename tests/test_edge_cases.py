@@ -1,9 +1,18 @@
-"""Rank-0 lattices, the definiteness message and the input refusals."""
+"""Rank-0 lattices, the definiteness message, the input refusals and the
+command-line tag of each error type."""
 
 import pytest
 
-from flowlattice.cli import _parse_base
-from flowlattice.errors import DefinitenessError, DimensionError, FormatError, MembershipError
+from flowlattice.cli import _parse_base, run
+from flowlattice.errors import (
+    BoundExceededError,
+    DefinitenessError,
+    DimensionError,
+    FlowLatticeError,
+    FormatError,
+    MembershipError,
+    NotABaseError,
+)
 from flowlattice.flows import (
     FlowLattice,
     FlowVector,
@@ -73,6 +82,11 @@ class TestInputRefusals:
          "expected 2 ground labels, got 1"),
         (lambda: parse_matroid("matroid 1 2\na b\n2 2\n1 0\n0 1\n"), FormatError,
          "matrix shape disagrees with matroid header"),
+        (lambda: RegularMatroid.from_rep("ab", IntegerMatrix.from_rows([[1, 0], [1, 0]])),
+         FormatError, "representation must have full row rank"),
+        (lambda: RegularMatroid.from_rep("ab", IntegerMatrix.from_rows([[1, 1], [1, -1]])),
+         FormatError, "representation is not totally unimodular; witness rows (0, 1) "
+         "cols (0, 1) det -2"),
         (lambda: GramMatrix(row(1, 0)), DimensionError, "Gram matrix must be square"),
         (lambda: parse_gram("matrix 1\n1\n"), FormatError,
          "gram file must start with 'gram s'"),
@@ -90,3 +104,31 @@ class TestInputRefusals:
             make()
         assert type(exc.value) is error
         assert str(exc.value) == message
+
+
+class TestRefusalTags:
+    """Every error ends `flowlat` with exit 2 and `ERROR <tag>: <message>`;
+    the error type names the tag."""
+
+    @pytest.mark.parametrize("error,tag", [
+        (FlowLatticeError, "BAD-INPUT"),
+        (DimensionError, "BAD-INPUT"),
+        (FormatError, "BAD-INPUT"),
+        (DefinitenessError, "BAD-INPUT"),
+        (BoundExceededError, "BOUND-EXCEEDED"),
+        (NotABaseError, "NOT-A-BASE"),
+        (MembershipError, "NOT-IN-LATTICE"),
+    ])
+    def test_tag(self, error, tag):
+        assert error.tag == tag
+
+    @pytest.mark.parametrize("rows,message", [
+        ("1 0 / 1 0", "representation must have full row rank"),
+        ("1 1 / 1 -1", "representation is not totally unimodular; "
+                       "witness rows (0, 1) cols (0, 1) det -2"),
+    ])
+    def test_matroid_file_refused(self, tmp_path, capsys, rows, message):
+        path = tmp_path / "m.matroid"
+        path.write_text("matroid 2 2\na b\n2 2\n" + rows.replace(" / ", "\n") + "\n")
+        assert run(["circuits", str(path)]) == 2
+        assert capsys.readouterr().out == f"ERROR BAD-INPUT: {message}\n"

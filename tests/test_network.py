@@ -21,7 +21,7 @@ import pytest
 
 import network_oracles
 import tu_oracles as oracle
-from flowlattice import intmat, network
+from flowlattice import cli, intmat, network
 from flowlattice.intmat import IntegerMatrix, _sign_masks, bounds, is_totally_unimodular
 
 from test_intmat import _planted, _sign_matrix
@@ -431,3 +431,26 @@ class TestSoundness:
         with bounds(tu=12):
             for x in cases:
                 assert is_totally_unimodular(x) == oracle.tu_by_enumeration(x)
+
+
+class TestDeepBridgeChain:
+    """The path-window matrix (1 at row i, column j iff j <= i < j + 3) is
+    a network matrix whose realization splits off one bridge per row, so
+    the realizer nests as deep as the matrix is tall.  At 500 x 498 that
+    depth once ran past Python's recursion limit, and `tu-check` exited 1
+    on a TU input."""
+
+    ROWS, COLS = 500, 498
+
+    def path_window(self):
+        return IntegerMatrix.from_rows(
+            [[int(j <= i < j + 3) for j in range(self.COLS)] for i in range(self.ROWS)])
+
+    def test_is_totally_unimodular(self):
+        assert is_totally_unimodular(self.path_window()).ok
+
+    def test_tu_check_verb(self, tmp_path, capsys):
+        path = tmp_path / "window.mat"
+        path.write_text(self.path_window().text())
+        assert cli.run(["tu-check", str(path)]) == 0
+        assert capsys.readouterr().out == "TU yes\nWU yes\n"
