@@ -1,10 +1,12 @@
 """Exact integer matrix kernel.
 
 Dense matrices of arbitrary-precision integers; one fraction-free
-(Bareiss) Gauss-Jordan elimination, the only integer elimination of the
-package, that yields rank, determinant, leading minors, exact solves,
-inverses and kernels, and the rows of a forward elimination; total and
-weak unimodularity tests; and `bounds`, the one place that sets the
+(Bareiss) Gauss-Jordan elimination that yields rank, determinant,
+leading minors, exact solves, inverses and kernels, and the rows of a
+forward elimination; the same pass on the sign masks of a {0, +-1}
+matrix, with unit pivots, which a TU matrix finishes without leaving
+{0, +-1} (`_mask_gauss_jordan`, the standard forms of `matroid`); total
+and weak unimodularity tests; and `bounds`, the one place that sets the
 bounds each exponential search checks.
 
 Total unimodularity has one search for its witnesses: the
@@ -409,6 +411,68 @@ def _sign_masks(rows) -> tuple[list, list]:
                 minus_cols[j] |= bit
         row_signs.append((plus, minus))
     return row_signs, list(zip(plus_cols, minus_cols))
+
+
+def _mask_gauss_jordan(rows, width: int | None = None):
+    """Gauss-Jordan elimination with unit pivots on the (plus, minus) row
+    masks of a {0, +-1} matrix; None if an entry is outside {0, +-1} or a
+    step would make a +-2.
+
+    Pivots are chosen as `_gauss_jordan` chooses them: in the first
+    `width` columns (default: all), left to right, each on the first row
+    at or below the pivots found so far that is nonzero there, swapped
+    up; the pass stops once every row holds a pivot.  A pivot row is
+    negated to make its pivot +1, and subtracted from every other row
+    that is +1 in its column, added to every one that is -1.  Subtracting
+    a row (p, q) from a row (a, b) makes a +-2 exactly where a & q | b & p
+    is set, and adding it where a & p | b & q is.  A TU matrix stays TU
+    under pivoting (Schrijver 1986, Sec. 19.1), so it never makes one.
+    Returns the masks of the reduced row echelon form and the pivot
+    columns.
+    """
+    signs = []
+    for row in rows:
+        plus = minus = 0
+        for j, x in enumerate(row):
+            if x:
+                if x == 1:
+                    plus |= 1 << j
+                elif x == -1:
+                    minus |= 1 << j
+                else:
+                    return None
+        signs.append((plus, minus))
+    if width is None:
+        width = len(rows[0]) if rows else 0
+    cols: list[int] = []
+    for c in range(width):
+        k, bit = len(cols), 1 << c
+        for j in range(k, len(signs)):
+            p, q = signs[j]
+            if (p | q) & bit:
+                break
+        else:
+            continue
+        if q & bit:
+            p, q = q, p
+        signs[j] = signs[k]
+        signs[k] = p, q
+        for i, (a, b) in enumerate(signs):
+            if i == k:
+                continue
+            # subtract the pivot row where the entry is +1, add it where -1
+            if a & bit:
+                if a & q | b & p:
+                    return None
+                signs[i] = (a | q) & ~(p | b), (b | p) & ~(q | a)
+            elif b & bit:
+                if a & p | b & q:
+                    return None
+                signs[i] = (a | p) & ~(q | b), (b | q) & ~(p | a)
+        cols.append(c)
+        if k + 1 == len(signs):
+            break
+    return signs, cols
 
 
 def _strip(lines, live: int, other: int) -> int:

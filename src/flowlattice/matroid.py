@@ -3,9 +3,12 @@
 Construction from directed multigraphs, base coordinatization, duality,
 circuit enumeration, loops/co-loops and the minor with every co-loop
 contracted, and isomorphism testing on circuit families.  Every standard
-form [I_r L] is one elimination in `coordinatize`, on a given base or the
-least one; the least base and the dual are read off it, and `StandardForm`
-is the only code that knows its layout.
+form [I_r L] is one elimination (`_pivoted`), on a given base or the
+least one; `coordinatize` builds the form from its rows, the least base
+and the dual are read off the same rows without building it, and
+`StandardForm` is the only code that knows its layout.  A TU representation stays TU
+under pivoting, so its elimination runs on sign masks with unit pivots;
+the Bareiss pass runs only when an entry leaves {0, +-1}.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from .intmat import (
     _content_lines,
     _gate,
     _gauss_jordan,
+    _mask_gauss_jordan,
     _signed_pivot,
     is_totally_unimodular,
     parse_matrix,
@@ -158,11 +162,13 @@ class RegularMatroid:
 
         The rows of [I_r L], read mod 2 with bit i for column i (element
         perm[i], the dual's i-th), span the kernel of the flow rows, so
-        they are the dual's cycle basis: no echelon is needed."""
-        sf = coordinatize(self)
-        d = RegularMatroid(tuple(self.ground[j] for j in sf.perm), sf.flow_rows)
-        vars(d)["_cycle_basis"] = [sum(1 << j for j, x in enumerate(row) if x & 1)
-                                   for row in sf.matrix.entries]
+        they are the dual's cycle basis: no echelon is needed.  Both are
+        read in one sweep off the rows of the pass, without building
+        [I_r L] itself."""
+        _, perm, rows, at = _pivoted(self)
+        rep, supports = StandardForm._flows_and_supports(rows, at, self.size)
+        d = RegularMatroid(tuple([self.ground[j] for j in perm]), rep)
+        vars(d)["_cycle_basis"] = supports
         return d
 
     @cached_property
@@ -280,8 +286,8 @@ def subset_rank(m: RegularMatroid, subset) -> int:
 
 
 def first_base(m: RegularMatroid) -> tuple[int, ...]:
-    """The lexicographically least base."""
-    return coordinatize(m).base
+    """The lexicographically least base, off the pass of its standard form."""
+    return _pivoted(m)[0]
 
 
 @dataclass(frozen=True)
@@ -301,11 +307,34 @@ class StandardForm:
     def flow_rows(self) -> IntegerMatrix:
         """[-L^T I_s], columns in perm order: row j is the flow of the
         fundamental circuit of element perm[r + j]."""
-        r, n = self.matrix.rows, self.matrix.cols
-        rows = self.matrix.entries
-        return IntegerMatrix(tuple(
-            tuple(-row[r + j] for row in rows) + (0,) * j + (1,) + (0,) * (n - r - 1 - j)
-            for j in range(n - r)), empty_cols=n)
+        return self._flows_and_supports(self.matrix.entries, None, self.matrix.cols)[0]
+
+    @staticmethod
+    def _flows_and_supports(rows, at, size: int) -> tuple[IntegerMatrix, list[int]]:
+        """The flow rows [-L^T I_s] and the rows of [I_r L] read mod 2 (bit
+        i for column i), in one sweep of L off the rows of [I_r L]: integer
+        rows when `at` is None, else `_pivoted`'s sign masks, column i at
+        bit at[i]."""
+        r = len(rows)
+        supports = [1 << i for i in range(r)]
+        flows = []
+        for j in range(r, size):
+            col = []
+            if at is None:
+                for i, row in enumerate(rows):
+                    col.append(-row[j])
+                    if row[j] & 1:
+                        supports[i] |= 1 << j
+            else:
+                b = 1 << at[j]
+                for i, (p, q) in enumerate(rows):
+                    if (p | q) & b:
+                        col.append(-1 if p & b else 1)
+                        supports[i] |= 1 << j
+                    else:
+                        col.append(0)
+            flows.append(tuple(col) + (0,) * (j - r) + (1,) + (0,) * (size - 1 - j))
+        return IntegerMatrix(tuple(flows), empty_cols=size), supports
 
     def ground_columns(self, mat: IntegerMatrix) -> IntegerMatrix:
         """The columns of mat, column i describing element perm[i], as rows
@@ -314,35 +343,66 @@ class StandardForm:
         return IntegerMatrix(tuple(by_element[p] for p in range(mat.cols)), empty_cols=mat.rows)
 
 
-def coordinatize(m: RegularMatroid, base=None) -> StandardForm:
-    """Bring the representation to [I_r L] with the base columns first.
+def _pivoted(m: RegularMatroid, base=None):
+    """The one elimination of a standard form: (base, perm, rows, at).
 
-    One Gauss-Jordan pass ends at [d I_r | d L], d the last pivot; the base
-    block is unimodular iff d = +-1.  A given base is put first and pivoted
-    on; with none, the pass pivots in ground order, on the least base.
-    The pivots are the base's columns: a refusal signs d as `determinant` does.
+    A given base is put first and pivoted on; with none, the pass pivots
+    in ground order, on the least base.  A TU representation stays TU
+    under pivoting, so its pass runs on sign masks with unit pivots
+    (`_mask_gauss_jordan`): `rows` are the (plus, minus) masks of the rows
+    of [I_r L], column i of the form (element perm[i]) at bit at[i].  Only
+    when an entry leaves {0, +-1} does the Bareiss pass run: it ends at
+    [d I_r | d L], d the last pivot, and the base block is unimodular iff
+    d = +-1; `rows` are then the integer rows of [I_r L] and `at` is None.
+    Both passes choose the same pivots, the base's columns, and a mask
+    pass that finishes has d = +-1, so the two give the same form.  A
+    refusal signs d as `determinant` does.
     """
     if base is None:
-        rows, cols, order, pivots, _ = _gauss_jordan(m.rep.entries)
-        if len(cols) < m.rank:
-            raise NotABaseError((), "matroid has no base of the stated rank")
-        base = tuple(cols)
-        perm = take = base + tuple(sorted(set(range(m.size)).difference(base)))
+        rows, width = m.rep.entries, None
     else:
         base = tuple(sorted(base))
         if len(base) != m.rank or len(set(base)) != len(base):
             raise NotABaseError(base, f"expected {m.rank} distinct elements")
         perm = base + tuple(sorted(set(range(m.size)).difference(base)))
-        take = range(m.size)        # the pass runs with the base first
-        rows, cols, order, pivots, _ = _gauss_jordan(m.rep.select_columns(perm).entries, m.rank)
-        if len(cols) < m.rank:
-            raise NotABaseError(base, "vanishing r-by-r determinant")
+        rows, width = m.rep.select_columns(perm).entries, m.rank
+    unit = _mask_gauss_jordan(rows, width)
+    if unit is None:
+        rows, cols, order, pivots, _ = _gauss_jordan(rows, width)
+    else:
+        rows, cols = unit
+    if len(cols) < m.rank:
+        if base is None:
+            raise NotABaseError((), "matroid has no base of the stated rank")
+        raise NotABaseError(base, "vanishing r-by-r determinant")
+    if base is None:
+        base = tuple(cols)
+        perm = at = base + tuple(sorted(set(range(m.size)).difference(base)))
+    else:
+        at = range(m.size)          # the pass ran with the base first
+    if unit is not None:
+        return base, perm, rows, at
     d = pivots[-1] if pivots else 1
     if abs(d) != 1:
         raise NotABaseError(base, f"determinant {_signed_pivot(order, d)} is not a unit")
-    mat = IntegerMatrix(tuple(tuple(d * row[j] for j in take) for row in rows),
-                        empty_cols=m.size)
-    return StandardForm(mat, perm, base)
+    return base, perm, tuple(tuple(d * row[j] for j in at) for row in rows), None
+
+
+def coordinatize(m: RegularMatroid, base=None) -> StandardForm:
+    """Bring the representation to [I_r L] with the base columns first.
+
+    A given base is put first and pivoted on; with none, the pass pivots
+    in ground order, on the least base.  A TU representation stays TU
+    under pivoting, so its pass runs on sign masks with unit pivots, and
+    the Bareiss pass runs only when an entry leaves {0, +-1} (`_pivoted`);
+    both give the same form and the same refusals.
+    """
+    base, perm, rows, at = _pivoted(m, base)
+    if at is not None:
+        bits = [1 << j for j in at]
+        rows = tuple([tuple([1 if p & b else -1 if q & b else 0 for b in bits])
+                      for p, q in rows])
+    return StandardForm(IntegerMatrix(rows, empty_cols=m.size), perm, base)
 
 
 def dual(m: RegularMatroid) -> RegularMatroid:
@@ -413,8 +473,9 @@ def is_isomorphic(m: RegularMatroid, n: RegularMatroid) -> IsomorphismResult:
     the lexicographically least.  Circuits stay int masks from enumeration to
     verdict: the images are int bits, and each circuit of m whose largest
     element is k is checked, once k is mapped, as the mask of its image
-    among n's circuit masks.  The corank is gated before either matroid
-    enumerates; n's equals m's once sizes and ranks agree.
+    (its bits' images ORed) among n's circuit masks.  The corank is gated
+    before either matroid enumerates; n's equals m's once sizes and ranks
+    agree.
     """
     _gate("iso", "ground size", max(m.size, n.size))
     if m.size != n.size or m.rank != n.rank:
@@ -428,9 +489,9 @@ def is_isomorphic(m: RegularMatroid, n: RegularMatroid) -> IsomorphismResult:
         return IsomorphismResult(False)
 
     n_masks = set(cn)
-    by_max: dict[int, list[list[int]]] = {}
+    by_max: dict[int, list[int]] = {}
     for c in cm:
-        by_max.setdefault(c.bit_length() - 1, []).append(list(_mask_elements(c)))
+        by_max.setdefault(c.bit_length() - 1, []).append(c)
     same_profile: dict[tuple, list[int]] = {}
     for x, p in enumerate(pn):
         same_profile.setdefault(p, []).append(x)
@@ -438,24 +499,39 @@ def is_isomorphic(m: RegularMatroid, n: RegularMatroid) -> IsomorphismResult:
 
     size = m.size
     bit = [0] * size                    # bit[k] = 1 << (image of k)
-
-    def extend(k: int, used: int) -> bool:
-        if k == size:
-            return True
-        for x in candidates[k]:
+    # depth-first on an explicit stack of candidate iterators, one for each
+    # element mapped so far and one for the element k being mapped; used
+    # holds the images of 0..k-1
+    stack = [iter(candidates[0])] if size else []
+    used = 0
+    while stack:
+        k = len(stack) - 1
+        for x in stack[k]:
             b = 1 << x
             if used & b:
                 continue
             bit[k] = b
             for c in by_max.get(k, ()):
-                if sum(bit[e] for e in c) not in n_masks:
+                image = 0
+                while c:
+                    low = c & -c
+                    image |= bit[low.bit_length() - 1]
+                    c ^= low
+                if image not in n_masks:
                     break
             else:
-                if extend(k + 1, used | b):
-                    return True
-        return False
-
-    if not extend(0, 0):
+                break
+        else:
+            # no candidate left: back up to k - 1, which goes on to its next
+            stack.pop()
+            if k:
+                used ^= bit[k - 1]
+            continue
+        if k + 1 == size:
+            break
+        used |= b
+        stack.append(iter(candidates[k + 1]))
+    if len(stack) < size:
         return IsomorphismResult(False)
     mapping = tuple(b.bit_length() - 1 for b in bit)
     label_map = tuple((m.ground[i], n.ground[x]) for i, x in enumerate(mapping))

@@ -1,10 +1,11 @@
 import itertools
 import os
+import random
 from pathlib import Path
 
 import pytest
 
-from flowlattice import cli, intmat, matroid
+from flowlattice import cli, intmat, matroid, rebuild
 from flowlattice.cli import run
 from flowlattice.errors import FormatError
 
@@ -362,6 +363,39 @@ class TestIsometric:
         f2 = graph_file(tmp_path, "t.graph", TRIANGLE)
         assert run(["isometric", f1, f2]) == 0
         capsys.readouterr()
+
+
+class TestLongCycle:
+    """A 1,000-cycle against a copy with its vertices relabelled, its edges
+    reordered and some reversed.  The isomorphism search maps one element
+    per level, so it goes 1,000 levels deep; run by recursion, that once
+    ended in RecursionError and exit 1, the "not isometric" status."""
+
+    N = 1000
+
+    def pair(self):
+        rng = random.Random(1000)
+        cycle = [(i, (i + 1) % self.N) for i in range(self.N)]
+        label = rng.sample(range(self.N), self.N)
+        copy = [(label[h], label[t]) if rng.random() < 0.5 else (label[t], label[h])
+                for t, h in rng.sample(cycle, self.N)]
+        return cycle, copy
+
+    def test_library(self):
+        cycle, copy = self.pair()
+        with intmat.bounds(iso=self.N):
+            res = rebuild.flow_lattices_isometric(matroid.from_graph(cycle),
+                                                  matroid.from_graph(copy))
+        assert res
+        # one circuit holds every element: the least map is the identity
+        assert res.witness.mapping == tuple(range(self.N))
+
+    def test_isometric_verb(self, tmp_path, capsys):
+        f1, f2 = (graph_file(tmp_path, f"{name}.graph", edges)
+                  for name, edges in zip(("cycle", "copy"), self.pair()))
+        assert run(["--iso-bound", str(self.N), "isometric", f1, f2]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "ISOMETRIC" and out[-1] == f"e{self.N} -> e{self.N}"
 
 
 class TestParser:

@@ -3,11 +3,14 @@
 Every caller of `intmat._gauss_jordan` is compared for exact equality,
 values and errors alike, with the routine it replaced in
 `elimination_oracles`, on seeded random inputs and on the criterion-07
-reconstruction sweep.
+reconstruction sweep.  The sign-mask pass `intmat._mask_gauss_jordan`,
+which standard forms of TU representations take, is compared with the
+Bareiss pass and, through `coordinatize`, with the same oracles.
 """
 
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -34,12 +37,15 @@ from flowlattice.gram import GramMatrix
 from flowlattice.intmat import (
     IntegerMatrix,
     _gauss_jordan,
+    _mask_gauss_jordan,
     determinant,
     is_totally_unimodular,
+    parse_matrix,
     rank,
 )
 from flowlattice.matroid import (
     RegularMatroid,
+    StandardForm,
     _gf2_echelon,
     circuits,
     coordinatize,
@@ -101,6 +107,22 @@ def random_multigraph(rng):
     nv = rng.randint(2, 6)
     edges = [(rng.randint(1, nv), rng.randint(1, nv)) for _ in range(rng.randint(1, 9))]
     return edges
+
+
+# {0, +-1} and not TU (columns a, c have determinant -2), yet the least
+# base (a, b) and the base (b, c) are unimodular: the sign-mask pass
+# meets a 2 on both, and the Bareiss pass after it ends with d = -1
+LEAVES_UNITS = RegularMatroid.from_rep(
+    ("a", "b", "c"), IntegerMatrix.from_rows([[1, 1, 1], [1, 0, -1]]), validate=False)
+
+INPUTS = Path(__file__).parent / "golden" / "inputs"
+
+
+def with_identity(name):
+    """[I | A], A the matrix of tests/golden/inputs/<name>.mat."""
+    a = parse_matrix((INPUTS / f"{name}.mat").read_text())
+    return RegularMatroid.from_rep(tuple(f"e{j + 1}" for j in range(a.rows + a.cols)),
+                                   IntegerMatrix.identity(a.rows).hstack(a))
 
 
 class TestCore:
@@ -357,16 +379,109 @@ class TestBases:
         assert outcome(coordinatize, m, (0, 1)) == outcome(oracle.coordinatize, m, (0, 1))
 
 
+class TestMaskKernel:
+    """The sign-mask pass against the Bareiss pass it stands in for, and
+    `coordinatize` through it against the oracle's inverse."""
+
+    def test_against_bareiss(self, rng):
+        """On {0, +-1} matrices, a finished mask pass has Bareiss's pivot
+        columns and its rows divided by the last pivot, +-1; entries
+        outside {0, +-1} are refused before any pivot."""
+        finished = aborted = 0
+        for _ in range(2000):
+            r, n = rng.randint(0, 5), rng.randint(0, 7)
+            rows = [[rng.choice((-1, 0, 0, 1)) for _ in range(n)] for _ in range(r)]
+            width = rng.choice((None, rng.randint(0, n)))
+            reduced, cols, _, pivots, _ = _gauss_jordan(rows, width)
+            got = _mask_gauss_jordan(rows, width)
+            if got is None:
+                aborted += 1
+                continue
+            finished += 1
+            d = pivots[-1] if pivots else 1
+            assert abs(d) == 1 and got[1] == cols
+            assert [[(p >> j & 1) - (q >> j & 1) for j in range(n)] for p, q in got[0]] == \
+                [[d * x for x in row] for row in reduced]
+        assert finished > 1000 and aborted > 200
+        assert _mask_gauss_jordan([[1, 0], [0, 2]]) is None
+
+    @pytest.mark.parametrize("make", [
+        lambda: with_identity("r10"),
+        lambda: dual(from_graph(GRAPHS["K5"])),
+        lambda: dual(from_graph(GRAPHS["K33"])),
+        lambda: with_identity("nested"),
+    ], ids=["R10", "K5-dual", "K33-dual", "nested"])
+    def test_non_graphic_tu(self, rng, make):
+        """Columns permuted and negated by the seed; the least base and
+        seeded given bases, refusals included."""
+        m0 = make()
+        kinds = set()
+        for _ in range(6):
+            order = rng.sample(range(m0.size), m0.size)
+            signs = [rng.choice((-1, 1)) for _ in order]
+            cols = [[s * x for x in m0.rep.column(j)] for j, s in zip(order, signs)]
+            m = RegularMatroid.from_rep([m0.ground[j] for j in order],
+                                        IntegerMatrix.from_columns(cols, m0.rank))
+            assert _mask_gauss_jordan(m.rep.entries) is not None
+            assert coordinatize(m) == oracle.coordinatize(m, oracle.first_base(m))
+            for _ in range(10):
+                base = rng.sample(range(m.size), m.rank)
+                got = outcome(coordinatize, m, base)
+                assert got == outcome(oracle.coordinatize, m, base)
+                kinds.add(type(got))
+        assert kinds == {StandardForm, tuple}
+
+    def test_dual_read_off_the_pass(self, rng):
+        """`dual` reads its flow rows and its cycle basis straight off the
+        rows of the pass, on either kernel: [-L^T I_s] and the rows of
+        [I_r L] mod 2, with L from the oracle's form."""
+        reps = [from_graph(random_multigraph(rng)) for _ in range(300)]
+        reps += [with_identity("r10"), with_identity("nested"), LEAVES_UNITS]
+        for m in reps:
+            sf = oracle.coordinatize(m, oracle.first_base(m))
+            rows, r = sf.matrix.entries, m.rank
+            flows = [tuple(-row[j] for row in rows) + tuple(int(k == j) for k in range(r, m.size))
+                     for j in range(r, m.size)]
+            d = dual(m)
+            assert d.ground == tuple(m.ground[j] for j in sf.perm)
+            assert d.rep == IntegerMatrix(tuple(flows), empty_cols=m.size)
+            assert d._cycle_basis == [sum(1 << j for j, x in enumerate(row) if x % 2)
+                                      for row in rows]
+            assert sf.flow_rows == d.rep
+
+    def test_bareiss_after_a_two(self):
+        """A {0, +-1} representation that leaves {0, +-1} mid-pass: the
+        Bareiss pass gives the oracle's form, refusal included."""
+        m = LEAVES_UNITS
+        assert _mask_gauss_jordan(m.rep.entries) is None
+        assert coordinatize(m) == oracle.coordinatize(m, (0, 1))
+        sf = coordinatize(m, (1, 2))
+        assert sf == oracle.coordinatize(m, (1, 2))
+        assert 2 in sf.matrix.entries[0]
+        with pytest.raises(NotABaseError) as got:
+            coordinatize(m, (0, 2))
+        assert (got.value.subset, got.value.certificate) == \
+            ((0, 2), "determinant -2 is not a unit")
+
+
 class TestOneEliminationPerStandardForm:
-    """A standard form is one pass of the core, on a given base or on the
-    least one, and the layers above read it without eliminating again."""
+    """A standard form is one pass of an elimination kernel, on a given
+    base or on the least one, and the layers above read it without
+    eliminating again.  A TU representation is one sign-mask pass and
+    never reaches the Bareiss pass; only a mask pass that stops at a +-2
+    hands its rows on to Bareiss."""
 
     @pytest.fixture
     def passes(self, monkeypatch):
+        """The kernel of each pass in `matroid`: "mask", "aborted" for a
+        mask pass that returned None, or "bareiss"."""
         calls = []
-        eliminate = matroid._gauss_jordan
-        monkeypatch.setattr(matroid, "_gauss_jordan",
-                            lambda *args: calls.append(args) or eliminate(*args))
+        for name, kind in (("_mask_gauss_jordan", "mask"), ("_gauss_jordan", "bareiss")):
+            def counted(*args, eliminate=getattr(matroid, name), kind=kind):
+                out = eliminate(*args)
+                calls.append("aborted" if out is None else kind)
+                return out
+            monkeypatch.setattr(matroid, name, counted)
         return calls
 
     @pytest.mark.parametrize("fn", [coordinatize, first_base, dual, fundamental_basis, cut_basis])
@@ -375,19 +490,29 @@ class TestOneEliminationPerStandardForm:
             m = from_graph(edges)
             before = len(passes)
             fn(m)
-            assert len(passes) == before + 1
+            assert passes[before:] == ["mask"]
 
     @pytest.mark.parametrize("fn", [coordinatize, fundamental_basis, cut_basis])
     def test_given_base(self, passes, fn):
         fn(from_graph(K4), (0, 1, 4))
-        assert len(passes) == 1
+        assert passes == ["mask"]
+
+    @pytest.mark.parametrize("base", [None, (1, 2)])
+    def test_bareiss_only_after_a_two(self, passes, base):
+        coordinatize(LEAVES_UNITS, base)
+        assert passes == ["aborted", "bareiss"]
+
+    def test_dual_after_a_two(self, passes):
+        dual(RegularMatroid(LEAVES_UNITS.ground, LEAVES_UNITS.rep))
+        assert passes == ["aborted", "bareiss"]
 
     def test_reconstruction(self, passes):
         gram = fundamental_basis(from_graph(GRAPHS["K5"])).gram
         passes.clear()
         assert reconstruct_matroid(gram)
-        assert len(passes) == 1
+        assert passes == ["mask"]
         assert not hasattr(rebuild, "_gauss_jordan")
+        assert not hasattr(rebuild, "_mask_gauss_jordan")
 
 
 def check_reconstruction(gram):

@@ -123,12 +123,14 @@ ENTRY_POINTS = dict(line.split(maxsplit=1) for line in
 
 @pytest.mark.parametrize("name", list(ENTRY_POINTS))
 def test_entry_point(name):
-    """The process exits with the recorded status (0, 1 and 2 here) and
-    writes the recorded stdout byte for byte."""
+    """The process exits with the recorded status (0, 1 and 2 here),
+    writes the recorded stdout byte for byte and nothing to stderr: a
+    refusal is a line on stdout, never a traceback."""
     assert ENTRY_POINTS[name].split() == CASES[name]
     expected = (GOLDEN / "expected" / f"{name}.out").read_bytes()
     proc = entry_point(CASES[name])
     assert b"exit %d\n" % proc.returncode + proc.stdout == expected
+    assert proc.stderr == b""
 
 
 def test_entry_point_unknown_verb():
