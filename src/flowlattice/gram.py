@@ -18,6 +18,7 @@ It is built on first use, or by `flows.gram_of` in its check.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
@@ -263,8 +264,13 @@ def _skeleton(cls: Classification, g: dict[int, int]) -> list[tuple[tuple[int, .
 
 def _expand(rows, s: int) -> IntegerMatrix:
     """The matrix of width s that repeats each distinct row as many times
-    as its multiplicity says.  A multiplicity past the index range is
-    refused at once, with OverflowError, by the list product."""
+    as its multiplicity says.  A multiplicity past `sys.maxsize`, more rows
+    than any list holds, is refused before a row is repeated."""
+    for row, v in rows:
+        if v > sys.maxsize:
+            subset = [j for j, x in enumerate(row) if x]
+            raise FlowLatticeError(f"g({_subset_text(subset)}) = {v} copies of one row, "
+                                   f"past the {sys.maxsize} rows a matrix can hold")
     out = []
     for row, v in rows:
         out += [row] * v

@@ -75,9 +75,10 @@ def _realizing(rows, cols, fresh):
     chosen whose removal leaves at least two bridges: the components of
     the remaining rows joined by the supports that miss r0.  Such a row
     exists in any realization (an inner edge of a path of three or more
-    edges), and each bridge lies on one side of r0.  A bridge i is
-    realized recursively together with r0, which then hangs off the
-    bridge at one vertex a_i, with the traces c ∩ R_i of the supports
+    edges), so the rows are tried in order only until every row of some
+    such support has failed; each bridge lies on one side of r0.  A
+    bridge i is realized recursively together with r0, which then hangs
+    off the bridge at one vertex a_i, with the traces c ∩ R_i of the supports
     through r0 as paths from a_i.  Two bridges sharing a support
     through r0 can lie on one side of r0 only if one hangs at the end
     of a single trace of the other; the bridges that cannot are put on
@@ -87,14 +88,21 @@ def _realizing(rows, cols, fresh):
     above it on its side, or else at r0's end on its side.
     """
     cols = list(dict.fromkeys(c for c in cols if c))
-    if all(c.bit_count() <= 2 for c in cols):
+    long = [c for c in cols if c.bit_count() > 2]
+    if not long:
         centre = next(fresh)
         return {r: (centre, next(fresh)) for r in rows}
-    mask = sum(1 << r for r in rows)
+    mask, tried = sum(1 << r for r in rows), 0
     for r0 in rows:
         parts = _bridges(rows, mask, cols, r0)
         if parts:
             return (yield from _glue(r0, parts, cols, fresh))
+        # an inner edge of the path of a support of three or more rows
+        # splits the others: once such a support's rows have all failed,
+        # no tree realizes the supports
+        tried |= 1 << r0
+        if any(not c & ~tried for c in long):
+            break
     return None
 
 

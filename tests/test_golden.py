@@ -86,6 +86,8 @@ CASES |= {
     "isometric-edge-empty": ["isometric", "inputs/edge.graph", "inputs/empty.matroid"],
     "tu-check-nested": ["tu-check", "inputs/nested.mat"],
     "tu-check-r10": ["tu-check", "inputs/r10.mat"],
+    "xmatrix-huge": ["xmatrix", "inputs/huge.gram"],
+    "reconstruct-huge": ["reconstruct", "inputs/huge.gram"],
 }
 CASES |= {f"{name}-porcelain": ["--porcelain"] + argv for name, argv in list(CASES.items())}
 

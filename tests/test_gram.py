@@ -1,6 +1,7 @@
 import collections
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -481,14 +482,14 @@ class TestFeasibilityOnDistinctSupports:
             tried += 1
         assert tried == flips
 
-    def test_huge_multiplicity_overflows_at_once(self):
-        """g({1}) = 10^30 - 1 is past the index range: expanding the
-        skeleton by list product raises OverflowError before allocating
-        anything, where a loop over the copies would run until memory
-        runs out.  This pins today's refusal; the skeleton gate planned as
-        ROADMAP N19 will turn it into BOUND-EXCEEDED."""
-        a = parse_gram(f"gram 2\n{10 ** 30} 1\n1 1\n")
-        with pytest.raises(OverflowError):
-            build_x(a)
-        with pytest.raises(OverflowError):
-            reconstruct_matroid(a)
+    def test_huge_multiplicity_is_refused_at_once(self):
+        """g({1}) = big - 1 > sys.maxsize copies of one row, more than a
+        list holds: refused as input, before any row is repeated, by
+        `build_x`, `is_g_feasible` and `reconstruct_matroid`, where the
+        list product raised OverflowError."""
+        for big in (sys.maxsize + 2, 10 ** 30):
+            a = parse_gram(f"gram 2\n{big} 1\n1 1\n")
+            for build in (build_x, is_g_feasible, reconstruct_matroid):
+                with pytest.raises(FlowLatticeError, match="copies of one row") as err:
+                    build(a)
+                assert err.type is FlowLatticeError

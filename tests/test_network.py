@@ -15,6 +15,7 @@ for vertex, and the same verdicts.
 """
 
 import itertools
+import math
 import random
 
 import pytest
@@ -22,8 +23,13 @@ import pytest
 import network_oracles
 import tu_oracles as oracle
 from flowlattice import cli, intmat, network
+from flowlattice.errors import BoundExceededError
+from flowlattice.flows import fundamental_basis
 from flowlattice.intmat import IntegerMatrix, _sign_masks, bounds, is_totally_unimodular
+from flowlattice.matroid import from_graph, is_isomorphic
+from flowlattice.rebuild import reconstruct_matroid
 
+from conftest import K4
 from test_intmat import _planted, _sign_matrix
 
 # the reduced representation of R10: TU, but neither it nor its transpose
@@ -35,6 +41,8 @@ R10 = (
     (0, 0, 1, -1, 1),
     (1, 0, 0, 1, -1),
 )
+K5 = list(itertools.combinations(range(5), 2))
+W5 = [(i, (i + 1) % 5) for i in range(5)] + [(i, 5) for i in range(5)]
 # a network matrix whose realization hangs one bridge below two others on
 # the same side of the row split first, so only the lower one may carry it
 NESTED = (
@@ -45,6 +53,9 @@ NESTED = (
     (-1, 0, 0, 1, -1),
     (0, 1, 0, 0, 1),
 )
+# the Fano matroid's reduced representation over GF(2), which no signing
+# makes TU
+FANO = ((1, 1, 0, 1), (1, 0, 1, 1), (0, 1, 1, 1))
 # a 6x6 {0,1} matrix holding the Fano block [[1,1,0,1],[1,0,1,1],[0,1,1,1]]
 FANO_PLANTED = (
     (0, 1, 1, 1, 1, 1),
@@ -128,6 +139,21 @@ def block_mix(rng, a, b):
     rows = rng.sample(rows, len(rows))
     perm = rng.sample(range(a.cols + b.cols), a.cols + b.cols)
     return IntegerMatrix.from_rows([[r[j] for j in perm] for r in rows])
+
+
+def core_blocks(rows) -> list:
+    """The (row mask, column mask) of each block of the core of the matrix
+    with these rows."""
+    row_signs, col_signs = _sign_masks(rows)
+    return intmat._mask_blocks(col_signs, *intmat._tu_core(row_signs, col_signs))
+
+
+def searched_outright(rows: int, cols: int) -> bool:
+    """Whether `_mask_verdict` searches a block on these masks without
+    realizing it, at the default TU bound."""
+    r, c = rows.bit_count(), cols.bit_count()
+    return min(r, c) <= intmat.BOUND_DEFAULTS["tu"] and \
+        math.comb(r + c, r) <= intmat._SEARCH_FIRST
 
 
 def scaling(rows, transpose=False):
@@ -250,11 +276,16 @@ class TestCompleteness:
     def test_signs_that_do_not_scale_go_straight_to_the_input(self, rng, monkeypatch):
         """A realized support with signs that do not rescale is no TU
         block (Camion), so only the input is searched, for its witness;
-        order 2 is read by the row-pair scan, so the search starts at 3."""
+        order 2 is read by the row-pair scan, so the search starts at 3.
+        Every core block here is too large to be searched outright."""
         searched = spy_searches(monkeypatch)
-        refuted = 0
-        for _ in range(100):
+        refuted = drawn = 0
+        while drawn < 100:
             m = flip_one(rng, random_network(rng, 7, 10))
+            blocks = core_blocks(m.entries)
+            if not blocks or any(searched_outright(*b) for b in blocks):
+                continue
+            drawn += 1
             searched.clear()
             got = is_totally_unimodular(m)
             refuted += not got
@@ -263,6 +294,85 @@ class TestCompleteness:
                                 else [(_sign_masks(m.entries)[0], 3)])
             assert got == oracle.tu_by_enumeration(m)
         assert refuted > 25
+
+    def test_small_blocks_are_searched_outright(self, rng, monkeypatch):
+        """A core block of at most `_SEARCH_FIRST` square submatrices is
+        searched once, from order 2, on its own rows' masks, and never
+        realized; a "no" past order 2 then searches the input from 3."""
+        searched = spy_searches(monkeypatch)
+
+        def refuse(cols, rows):
+            raise AssertionError("a small block was realized")
+
+        monkeypatch.setattr(intmat, "network_scaling", refuse)
+        verdicts = [0, 0]
+        while min(verdicts) < 50:
+            m = random_network(rng, 6, 7)
+            m = rng.choice((m, m.transpose()))
+            m = rng.choice((m, flip_one(rng, m)))
+            blocks = core_blocks(m.entries)
+            if len(blocks) != 1 or not searched_outright(*blocks[0]):
+                continue
+            (rows, cols), = blocks
+            searched.clear()
+            got = is_totally_unimodular(m)
+            verdicts[got.ok] += 1
+            row_signs = _sign_masks(m.entries)[0]
+            want = [] if not got and len(got.witness_rows) == 2 else \
+                [([(p & cols, q & cols) for i, (p, q) in enumerate(row_signs) if rows >> i & 1], 2)]
+            if not got and len(got.witness_rows) > 2:
+                want.append((row_signs, 3))
+            assert searched == want
+            assert got == oracle.tu_by_enumeration(m)
+
+    def test_reconstruction_realizes_nothing(self, monkeypatch):
+        """The certificates of K4's, K5's and W5's fundamental Gram
+        matrices are decided by the search alone."""
+        realized = []
+        scale = intmat.network_scaling
+        monkeypatch.setattr(intmat, "network_scaling",
+                            lambda cols, rows: realized.append(rows) or scale(cols, rows))
+        for edges in (K4, K5, W5):
+            m = from_graph(edges)
+            out = reconstruct_matroid(fundamental_basis(m).gram)
+            assert is_isomorphic(out.report.matroid, m)
+        assert realized == []
+
+
+class TestSearchOutright:
+    """`_mask_verdict` against the verdict that realized every block
+    before searching it (`tu_oracles.mask_verdict_by_realization`), under
+    each TU bound from 1 to 10: the same verdict, or the same refusal.  The
+    blocks lie on both sides of `_SEARCH_FIRST`: network matrices, their
+    transposes and one-sign flips, R10, Fano-planted 5 x 5 to 7 x 7
+    blocks, and the incidence matrices of digraphs less one vertex, whose
+    trees are stars."""
+
+    @staticmethod
+    def outcome(verdict, signs):
+        try:
+            return verdict(*signs)
+        except BoundExceededError as exc:
+            return str(exc)
+
+    def test_same_verdict_or_refusal(self, rng):
+        cases = [R10, tuple(zip(*R10)), flip_one(rng, IntegerMatrix.from_rows(R10)).entries]
+        for _ in range(60):
+            m = random_network(rng, 8, 10)
+            for x in (m, m.transpose()):
+                cases += [x.entries, flip_one(rng, x).entries]
+        cases += [fano_planted(rng, rng.randint(5, 7), rng.randint(5, 7)) for _ in range(30)]
+        cases += [star_incidence(rng, rng.randint(4, 9), rng.randint(4, 14)) for _ in range(60)]
+        outcomes, sizes = set(), set()
+        for rows in cases:
+            signs = _sign_masks(rows)
+            sizes |= {searched_outright(*b) for b in core_blocks(rows)}
+            for k in range(1, 11):
+                with bounds(tu=k):
+                    got = self.outcome(intmat._mask_verdict, signs)
+                    assert got == self.outcome(oracle.mask_verdict_by_realization, signs)
+                outcomes.add(got if type(got) is bool else "refused")
+        assert outcomes == {True, False, "refused"} and sizes == {True, False}
 
 
 class TestAgainstRowPath:
@@ -317,6 +427,23 @@ def sign_block(rng, height, width):
                  for _ in range(height))
 
 
+def fano_planted(rng, height, width):
+    """A seeded {0, +-1} matrix with the Fano block at random rows and
+    columns: not TU."""
+    rows = [list(r) for r in sign_block(rng, height, width)]
+    for i, line in zip(rng.sample(range(height), 3), FANO):
+        for j, x in zip(rng.sample(range(width), 4), line):
+            rows[i][j] = x
+    return tuple(map(tuple, rows))
+
+
+def star_incidence(rng, vertices, arcs):
+    """The incidence matrix of a seeded digraph (loops allowed), less
+    vertex 0's row: the network matrix of the star of edges from 0."""
+    ends = [(rng.randrange(vertices), rng.randrange(vertices)) for _ in range(arcs)]
+    return tuple(tuple((v == t) - (v == h) for t, h in ends) for v in range(1, vertices))
+
+
 class TestAgainstOldRealizer:
     """`_realize` and `network_scaling` against `network_oracles`, the
     code they were rewritten from, on every connected block (zero lines
@@ -348,6 +475,24 @@ class TestAgainstOldRealizer:
                     verdicts.append(got)
         assert verdicts.count(True) >= 200 and verdicts.count(None) >= 200
         assert verdicts.count(False) >= 50
+
+
+class TestEarlyExit:
+    """The realizer tries rows as r0 only until every row of a support of
+    three or more rows has failed: an inner edge of that support's path
+    would have split the others in any realization."""
+
+    def test_r10_tries_six_rows(self, monkeypatch):
+        """R10 has no realization either way; each of its 5-row sides
+        fails after its first support of three rows, at the third row
+        tried, where trying every row took 10 splits."""
+        tried = []
+        bridges = network._bridges
+        monkeypatch.setattr(network, "_bridges",
+                            lambda rows, mask, cols, r0: tried.append(r0) or
+                            bridges(rows, mask, cols, r0))
+        assert scaling(R10) is None and scaling(R10, transpose=True) is None
+        assert tried == [0, 1, 2] * 2
 
 
 class TestMaskContract:

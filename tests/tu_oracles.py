@@ -20,11 +20,15 @@ the transpose of a `zip`, and checks every entry of the rescaled network
 matrix; its search from order 2 is `least_witness`, and its realizer
 `network_oracles._realize`, the one the library's was rewritten from.
 `tu_check_by_tuples` is `is_totally_unimodular` on that path.
+`mask_verdict_by_realization` is the verdict on sign masks before small
+blocks were searched outright: it realizes every block first.
 """
 
 import itertools
 
-from flowlattice.intmat import IntegerMatrix, UnimodularityCheck, _gate
+from flowlattice import network
+from flowlattice.intmat import (IntegerMatrix, UnimodularityCheck, _gate, _mask_blocks,
+                                _mask_witness, _tu_core)
 from flowlattice.network import _mask_elements
 from network_oracles import _odd_vertices, _realize
 
@@ -205,6 +209,25 @@ def tu_verdict_by_tuples(rows) -> bool:
     m = IntegerMatrix(tuple(core))
     return all(block_is_tu([tuple(core[i][j] for j in cols) for i in picked])
                for picked, cols in blocks(m))
+
+
+def mask_verdict_by_realization(row_signs, col_signs) -> bool:
+    """`intmat._mask_verdict` as it was before small blocks were searched
+    outright: each block of the core is realized by its columns, then by
+    its rows, and searched from order 2, under the TU bound, only when it
+    has neither realization."""
+    for block, cols in _mask_blocks(col_signs, *_tu_core(row_signs, col_signs)):
+        by_col = [(p & block, q & block) for j, (p, q) in enumerate(col_signs) if cols >> j & 1]
+        verdict = network.network_scaling(by_col, block)
+        if verdict is None:
+            by_row = [(p & cols, q & cols) for i, (p, q) in enumerate(row_signs)
+                      if block >> i & 1]
+            verdict = network.network_scaling(by_row, cols)
+            if verdict is None:
+                verdict = _mask_witness(by_row, 2, min(len(by_row), len(by_col))) is None
+        if not verdict:
+            return False
+    return True
 
 
 def tu_check_by_tuples(m) -> UnimodularityCheck:
