@@ -100,27 +100,26 @@ def cmd_coloops(args) -> int:
     return 0
 
 
-def _print_lattice(lat: flows.FlowLattice, porcelain: bool) -> None:
-    if not porcelain:
+def _print_lattice(basis_of, args) -> int:
+    """The basis from `basis_of(m, base)` of the matroid in args.file, and
+    its Gram matrix, each titled unless --porcelain."""
+    m = load_matroid(args.file)
+    lat = basis_of(m, _parse_base(args.base, m))
+    if not args.porcelain:
         print("basis columns (rows = ground elements):")
     print(lat.basis.text(), end="")
-    if not porcelain:
+    if not args.porcelain:
         print("gram:")
     print(lat.gram.text(), end="")
+    return 0
 
 
 def cmd_flows(args) -> int:
-    m = load_matroid(args.file)
-    lat = flows.fundamental_basis(m, _parse_base(args.base, m))
-    _print_lattice(lat, args.porcelain)
-    return 0
+    return _print_lattice(flows.fundamental_basis, args)
 
 
 def cmd_cuts(args) -> int:
-    m = load_matroid(args.file)
-    lat = flows.cut_basis(m, _parse_base(args.base, m))
-    _print_lattice(lat, args.porcelain)
-    return 0
+    return _print_lattice(flows.cut_basis, args)
 
 
 def cmd_decompose(args) -> int:
@@ -196,17 +195,12 @@ def cmd_reconstruct(args) -> int:
         return 1
     rep = out.report
     print("VERDICT G-FEASIBLE")
-    print("GRAM")
-    print(rep.gram.text(), end="")
-    print("X")
     # the certificate is the skeleton X with signs changed
-    print(intmat.sharp(rep.certificate).text(), end="")
-    print("CERTIFICATE")
-    print(rep.certificate.text(), end="")
-    print("STANDARD-FORM")
-    print(rep.standard_form.text(), end="")
-    print("MATROID")
-    print(rep.matroid.text(), end="")
+    for title, part in (("GRAM", rep.gram), ("X", intmat.sharp(rep.certificate)),
+                        ("CERTIFICATE", rep.certificate),
+                        ("STANDARD-FORM", rep.standard_form), ("MATROID", rep.matroid)):
+        print(title)
+        print(part.text(), end="")
     return 0
 
 

@@ -29,6 +29,7 @@ from .intmat import (
     _content_lines,
     _gate,
     _gauss_jordan,
+    _header,
     _tu_verdict,
     parse_matrix,
 )
@@ -134,15 +135,7 @@ def _positive_definite(mat: IntegerMatrix) -> GramMatrix:
 def parse_gram(text: str) -> GramMatrix:
     """Gram file: line "gram s" then s rows of s integers."""
     lines = _content_lines(text)
-    if not lines or lines[0].split()[0] != "gram":
-        raise FormatError("gram file must start with 'gram s'")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise FormatError("gram header must be 'gram s'")
-    try:
-        s = int(head[1])
-    except ValueError as exc:
-        raise FormatError(f"non-integer order in gram header: {exc}") from exc
+    s, = _header(lines, "gram s", "order")
     mat = parse_matrix(f"{s} {s}\n" + "\n".join(lines[1:]))
     return GramMatrix(mat)
 

@@ -20,7 +20,8 @@ block: a small block is searched outright, where that is cheaper than
 realizing it, and a larger one is settled by a verified network or
 co-network realization in polynomial time, searched only when it has
 neither.  A "no" then searches the input from order 3 up.  Inside the
-TU layer a matrix is its sign masks, read once per call (`_sign_masks`)
+TU layer a matrix is its sign masks, read once per call by the one
+reader of masks (`_sign_masks`, which refuses entries outside {0, +-1})
 and shared by the order-2 scan, the verdict and the order-3 search:
 each row and column is a (plus, minus) pair of int bitmasks over the
 other side.  The reduction narrows a mask of live rows and one of live
@@ -217,6 +218,22 @@ def _content_lines(text: str) -> list[str]:
     return [ln for ln in (line.split("#", 1)[0].strip() for line in text.splitlines()) if ln]
 
 
+def _header(lines, form: str, noun: str) -> list[int]:
+    """The int fields of the first of `_content_lines`, a header that reads
+    `form` ("gram s", "matroid r m"): its first word, then one integer per
+    field.  A refusal quotes form, and noun names a non-integer field."""
+    word = form.split()[0]
+    head = lines[0].split() if lines else []
+    if head[:1] != [word]:
+        raise FormatError(f"{word} file must start with '{form}'")
+    if len(head) != len(form.split()):
+        raise FormatError(f"{word} header must be '{form}'")
+    try:
+        return [int(t) for t in head[1:]]
+    except ValueError as exc:
+        raise FormatError(f"non-integer {noun} in {word} header: {exc}") from exc
+
+
 def parse_matrix(text: str) -> IntegerMatrix:
     """Parse the shared matrix text format: "rows cols" then the entries.
 
@@ -400,10 +417,12 @@ def _mask_witness(signs, start: int, stop: int):
     return None
 
 
-def _sign_masks(rows) -> tuple[list, list]:
+def _sign_masks(rows) -> tuple[list, list] | None:
     """The (plus, minus) pairs of int bitmasks of the rows and of the
-    columns, read in one pass: bit j of row i's plus (minus) mask, and bit
-    i of column j's, is set where entry (i, j) is positive (negative)."""
+    columns of a {0, +-1} matrix, read in one pass: bit j of row i's plus
+    (minus) mask, and bit i of column j's, is set where entry (i, j) is +1
+    (-1); None at the first entry outside {0, +-1}.  The one read of
+    entries into sign masks, for the TU layer and `_mask_gauss_jordan`."""
     row_signs = []
     plus_cols = [0] * (len(rows[0]) if rows else 0)
     minus_cols = plus_cols[:]
@@ -411,20 +430,23 @@ def _sign_masks(rows) -> tuple[list, list]:
         bit = 1 << i
         plus = minus = 0
         for j, x in enumerate(row):
-            if x > 0:
-                plus |= 1 << j
-                plus_cols[j] |= bit
-            elif x:
-                minus |= 1 << j
-                minus_cols[j] |= bit
+            if x:
+                if x == 1:
+                    plus |= 1 << j
+                    plus_cols[j] |= bit
+                elif x == -1:
+                    minus |= 1 << j
+                    minus_cols[j] |= bit
+                else:
+                    return None
         row_signs.append((plus, minus))
     return row_signs, list(zip(plus_cols, minus_cols))
 
 
 def _mask_gauss_jordan(rows, width: int | None = None):
     """Gauss-Jordan elimination with unit pivots on the (plus, minus) row
-    masks of a {0, +-1} matrix; None if an entry is outside {0, +-1} or a
-    step would make a +-2.
+    masks (`_sign_masks`) of a {0, +-1} matrix; None if an entry is outside
+    {0, +-1}, in any column, or a step would make a +-2.
 
     Pivots are chosen as `_gauss_jordan` chooses them: in the first
     `width` columns (default: all), left to right, each on the first row
@@ -438,18 +460,10 @@ def _mask_gauss_jordan(rows, width: int | None = None):
     Returns the masks of the reduced row echelon form and the pivot
     columns.
     """
-    signs = []
-    for row in rows:
-        plus = minus = 0
-        for j, x in enumerate(row):
-            if x:
-                if x == 1:
-                    plus |= 1 << j
-                elif x == -1:
-                    minus |= 1 << j
-                else:
-                    return None
-        signs.append((plus, minus))
+    read = _sign_masks(rows)
+    if read is None:
+        return None
+    signs = read[0]
     if width is None:
         width = len(rows[0]) if rows else 0
     cols: list[int] = []
@@ -540,9 +554,10 @@ _SEARCH_FIRST = 924
 
 
 def _tu_verdict(rows) -> bool:
-    """Whether the matrix with these rows is TU, without a witness: no
-    entry outside {0, +-1} and the `_mask_verdict` of its sign masks."""
-    return _entry_witness(rows) is None and _mask_verdict(*_sign_masks(rows))
+    """Whether the matrix with these rows is TU, without a witness: the
+    `_mask_verdict` of its sign masks, if `_sign_masks` reads them."""
+    signs = _sign_masks(rows)
+    return signs is not None and _mask_verdict(*signs)
 
 
 def _mask_verdict(row_signs, col_signs) -> bool:

@@ -22,6 +22,7 @@ from .intmat import (
     _content_lines,
     _gate,
     _gauss_jordan,
+    _header,
     _mask_gauss_jordan,
     _signed_pivot,
     is_totally_unimodular,
@@ -220,6 +221,11 @@ def _row_reduced(ground, full: IntegerMatrix) -> RegularMatroid:
     return m
 
 
+def _labels(n: int) -> tuple[str, ...]:
+    """The default ground labels e1, ..., en."""
+    return tuple(f"e{i + 1}" for i in range(n))
+
+
 def from_graph(edges, labels=None) -> RegularMatroid:
     """Graphic matroid of a directed multigraph via its signed incidence matrix.
 
@@ -239,7 +245,7 @@ def from_graph(edges, labels=None) -> RegularMatroid:
         d[vindex[head]][j] = 1
         d[vindex[tail]][j] = -1
     if labels is None:
-        labels = [f"e{j + 1}" for j in range(len(edges))]
+        labels = _labels(len(edges))
     return _row_reduced(labels, IntegerMatrix(tuple(map(tuple, d)), empty_cols=len(edges)))
 
 
@@ -260,15 +266,7 @@ def parse_graph(text: str) -> list[tuple]:
 def parse_matroid(text: str) -> RegularMatroid:
     """Matroid file: "matroid r m", ground labels, then the matrix text."""
     lines = _content_lines(text)
-    if not lines or lines[0].split()[0] != "matroid":
-        raise FormatError("matroid file must start with 'matroid r m'")
-    head = lines[0].split()
-    if len(head) != 3:
-        raise FormatError("matroid header must be 'matroid r m'")
-    try:
-        r, m = int(head[1]), int(head[2])
-    except ValueError as exc:
-        raise FormatError(f"non-integer field in matroid header: {exc}") from exc
+    r, m = _header(lines, "matroid r m", "field")
     # with no ground elements the label line is blank, so it is not read
     if m and len(lines) < 2:
         raise FormatError("matroid file missing ground label line")

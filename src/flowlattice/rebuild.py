@@ -17,15 +17,12 @@ from .matroid import (
     IsomorphismResult,
     RegularMatroid,
     StandardForm,
+    _labels,
     contract_coloops,
     coordinatize,
     dual,
     is_isomorphic,
 )
-
-
-def _labels(n: int) -> tuple[str, ...]:
-    return tuple(f"e{i + 1}" for i in range(n))
 
 
 def _g_positive_basis(certificate: IntegerMatrix, ground) -> tuple[IntegerMatrix, StandardForm]:

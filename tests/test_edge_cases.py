@@ -106,6 +106,52 @@ class TestInputRefusals:
         assert str(exc.value) == message
 
 
+_NOT_INT = "invalid literal for int() with base 10: "
+
+
+class TestHeaderRefusals:
+    """The header line of a gram or matroid file, after comments and blank
+    lines: its own first word, then one integer per field, or a refusal
+    naming the form; a field that is not an integer quotes `int`'s error.
+    `TestInputRefusals` holds the cases not repeated here."""
+
+    @pytest.mark.parametrize("text,message", [
+        ("", "gram file must start with 'gram s'"),
+        ("# nothing\n\n", "gram file must start with 'gram s'"),
+        ("gram1\n1\n", "gram file must start with 'gram s'"),
+        ("gram\n1\n", "gram header must be 'gram s'"),
+        ("gram x\n1\n", "non-integer order in gram header: " + _NOT_INT + "'x'"),
+        ("gram 1.5\n1\n", "non-integer order in gram header: " + _NOT_INT + "'1.5'"),
+    ])
+    def test_gram(self, text, message):
+        with pytest.raises(FormatError) as exc:
+            parse_gram(text)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("text,message", [
+        ("", "matroid file must start with 'matroid r m'"),
+        ("gram 1 2\n", "matroid file must start with 'matroid r m'"),
+        ("matroid\n", "matroid header must be 'matroid r m'"),
+        ("matroid 1 2 3\n", "matroid header must be 'matroid r m'"),
+        ("matroid a 2\na b\n1 2\n1 0\n",
+         "non-integer field in matroid header: " + _NOT_INT + "'a'"),
+        ("matroid 1 b\na b\n1 2\n1 0\n",
+         "non-integer field in matroid header: " + _NOT_INT + "'b'"),
+        ("matroid x y\n", "non-integer field in matroid header: " + _NOT_INT + "'x'"),
+    ])
+    def test_matroid(self, text, message):
+        with pytest.raises(FormatError) as exc:
+            parse_matroid(text)
+        assert str(exc.value) == message
+
+    def test_header_after_comments(self):
+        """Comments, blank lines and spacing around the header are read past."""
+        a = parse_gram("# a\n\n  gram   2 # two\n2 1\n1 2\n")
+        assert a.mat.entries == ((2, 1), (1, 2))
+        m = parse_matroid("\n# b\n matroid 1 2  # one row\na b\n1 2\n1 -1\n")
+        assert (m.ground, m.rep.entries) == (("a", "b"), ((1, -1),))
+
+
 class TestRefusalTags:
     """Every error ends `flowlat` with exit 2 and `ERROR <tag>: <message>`;
     the error type names the tag."""

@@ -385,8 +385,9 @@ class TestMaskKernel:
 
     def test_against_bareiss(self, rng):
         """On {0, +-1} matrices, a finished mask pass has Bareiss's pivot
-        columns and its rows divided by the last pivot, +-1; entries
-        outside {0, +-1} are refused before any pivot."""
+        columns and its rows divided by the last pivot, +-1; a matrix with
+        an entry outside {0, +-1}, in or past the first `width` columns, is
+        refused before any pivot."""
         finished = aborted = 0
         for _ in range(2000):
             r, n = rng.randint(0, 5), rng.randint(0, 7)
@@ -404,6 +405,12 @@ class TestMaskKernel:
                 [[d * x for x in row] for row in reduced]
         assert finished > 1000 and aborted > 200
         assert _mask_gauss_jordan([[1, 0], [0, 2]]) is None
+        # one entry outside {0, +-1} anywhere, past the pivot columns too
+        for _ in range(500):
+            r, n = rng.randint(1, 5), rng.randint(1, 7)
+            rows = [[rng.choice((-1, 0, 0, 1)) for _ in range(n)] for _ in range(r)]
+            rows[rng.randrange(r)][rng.randrange(n)] = rng.choice((-3, -2, 2, 3))
+            assert _mask_gauss_jordan(rows, rng.choice((None, rng.randint(0, n)))) is None
 
     @pytest.mark.parametrize("make", [
         lambda: with_identity("r10"),

@@ -80,6 +80,12 @@ CASES |= {
     "tu-check-order2-tu-bound-1": ["--tu-bound", "1", "tu-check", "inputs/order2.mat"],
     "tu-check-tall": ["tu-check", "inputs/tall.mat"],
     "tu-check-tall-tu-bound-2": ["--tu-bound", "2", "tu-check", "inputs/tall.mat"],
+    "tu-check-wu": ["tu-check", "inputs/wu.mat"],
+    "tu-check-wu-tu-bound-2": ["--tu-bound", "2", "tu-check", "inputs/wu.mat"],
+    "tu-check-blocks": ["tu-check", "inputs/blocks.mat"],
+    "circuits-k4-circuit-bound-2": ["--circuit-bound", "2", "circuits", "inputs/k4.graph"],
+    "isometric-k4-iso-bound-5": ["--iso-bound", "5", "isometric", "inputs/k4.graph",
+                                 "inputs/k4.matroid"],
     "signing-fano-tu-bound-1": ["--tu-bound", "1", "signing", "inputs/fano.mat"],
     "gtest-k4-subset-bound-2": ["--subset-bound", "2", "gtest", "inputs/k4.gram"],
     "circuits-empty": ["circuits", "inputs/empty.matroid"],

@@ -430,19 +430,54 @@ class TestBlocks:
     def test_against_breadth_first_search(self):
         """The merge of column masks against the breadth-first search
         (`tu_oracles.blocks`), on seeded sparse matrices with every entry
-        nonnegative: the same row and column indices, block by block."""
+        in {0, 1}, since blocks depend on the support alone: the same row
+        and column indices, block by block."""
         rnd = random.Random(67)
         many = 0
         for _ in range(600):
             r, c = rnd.randint(0, 12), rnd.randint(0, 12)
             density = rnd.choice((0.05, 0.1, 0.2, 0.4))
-            m = IntegerMatrix(tuple(tuple(i * 12 + j + 1 if rnd.random() < density else 0
+            m = IntegerMatrix(tuple(tuple(1 if rnd.random() < density else 0
                                           for j in range(c)) for i in range(r)),
                               empty_cols=c)
             want = blocks(m)
             assert _index_blocks(_sign_masks(m.entries)[1], (1 << r) - 1, (1 << c) - 1) == want
             many += len(want) >= 4
         assert many > 20
+
+
+def _masks_by_entry(rows):
+    """The (plus, minus) masks of the rows and of the columns, read entry
+    by entry; None if an entry is outside {0, +-1}."""
+    if any(x not in (-1, 0, 1) for row in rows for x in row):
+        return None
+
+    def signs(lines):
+        return [(sum(1 << k for k, x in enumerate(line) if x == 1),
+                 sum(1 << k for k, x in enumerate(line) if x == -1)) for line in lines]
+
+    return signs(rows), signs(zip(*rows))
+
+
+class TestSignMaskRead:
+    def test_against_entry_by_entry_read(self):
+        """On seeded matrices with entries -3..3, empty shapes included:
+        None exactly when some entry is outside {0, +-1}, and otherwise
+        the same row and column masks as a read of one entry at a time."""
+        rnd = random.Random(37)
+        refused = read = 0
+        for _ in range(1500):
+            r, c = rnd.randint(0, 6), rnd.randint(0, 6)
+            spread = rnd.choice(((-1, 0, 1), (-1, 0, 0, 1), tuple(range(-3, 4))))
+            rows = tuple(tuple(rnd.choice(spread) if rnd.random() < 0.97 else rnd.randint(-3, 3)
+                               for _ in range(c)) for _ in range(r))
+            got = _sign_masks(rows)
+            assert got == _masks_by_entry(rows)
+            refused += got is None
+            read += got is not None and r * c > 0
+        assert refused > 300 and read > 300
+        assert _sign_masks(()) == ([], [])
+        assert _sign_masks(((),) * 3) == ([(0, 0)] * 3, [])
 
 
 def _planted(rnd, rows):
