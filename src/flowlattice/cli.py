@@ -35,13 +35,9 @@ def _read(path: str) -> str:
 def load_matroid(path: str) -> matroid.RegularMatroid:
     """Matroid file if the header says so, otherwise a graph edge list."""
     text = _read(path)
-    # only the first line with a word outside its comment is read here
-    for line in text.splitlines():
-        words = line.split("#", 1)[0].split()
-        if words:
-            if words[0] == "matroid":
-                return matroid.parse_matroid(text)
-            break
+    lines = intmat._content_lines(text)
+    if lines and lines[0].split()[0] == "matroid":
+        return matroid.parse_matroid(text)
     return matroid.from_graph(matroid.parse_graph(text))
 
 
@@ -198,7 +194,7 @@ def cmd_reconstruct(args) -> int:
     # the certificate is the skeleton X with signs changed
     for title, part in (("GRAM", rep.gram), ("X", intmat.sharp(rep.certificate)),
                         ("CERTIFICATE", rep.certificate),
-                        ("STANDARD-FORM", rep.standard_form), ("MATROID", rep.matroid)):
+                        ("STANDARD-FORM", rep.matroid.rep), ("MATROID", rep.matroid)):
         print(title)
         print(part.text(), end="")
     return 0

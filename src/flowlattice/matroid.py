@@ -6,7 +6,8 @@ contracted, and isomorphism testing on circuit families.  Every standard
 form [I_r L] is one elimination (`_pivoted`), on a given base or the
 least one; `coordinatize` builds the form from its rows, the least base
 and the dual are read off the same rows without building it, and
-`StandardForm` is the only code that knows its layout.  A TU representation stays TU
+`StandardForm`, the form and its column permutation (the base first),
+is the only code that knows its layout.  A TU representation stays TU
 under pivoting, so its elimination runs on sign masks with unit pivots;
 the Bareiss pass runs only when an entry leaves {0, +-1}.
 """
@@ -166,7 +167,7 @@ class RegularMatroid:
         they are the dual's cycle basis: no echelon is needed.  Both are
         read in one sweep off the rows of the pass, without building
         [I_r L] itself."""
-        _, perm, rows, at = _pivoted(self)
+        perm, rows, at = _pivoted(self)
         rep, supports = StandardForm._flows_and_supports(rows, at, self.size)
         d = RegularMatroid(tuple([self.ground[j] for j in perm]), rep)
         vars(d)["_cycle_basis"] = supports
@@ -285,12 +286,13 @@ def subset_rank(m: RegularMatroid, subset) -> int:
 
 def first_base(m: RegularMatroid) -> tuple[int, ...]:
     """The lexicographically least base, off the pass of its standard form."""
-    return _pivoted(m)[0]
+    return _pivoted(m)[0][:m.rank]
 
 
 @dataclass(frozen=True)
 class StandardForm:
-    """[I_r L] together with the column permutation bringing the base first.
+    """[I_r L] together with the column permutation bringing the base first:
+    the base is perm[:r].
 
     The only code that knows this layout: the fundamental flows
     [-L^T I_s], the dual's representation, and the ground-order bases of
@@ -299,7 +301,6 @@ class StandardForm:
 
     matrix: IntegerMatrix
     perm: tuple[int, ...]
-    base: tuple[int, ...]
 
     @property
     def flow_rows(self) -> IntegerMatrix:
@@ -342,7 +343,8 @@ class StandardForm:
 
 
 def _pivoted(m: RegularMatroid, base=None):
-    """The one elimination of a standard form: (base, perm, rows, at).
+    """The one elimination of a standard form: (perm, rows, at), the base
+    perm[:rank] and the rest in ground order.
 
     A given base is put first and pivoted on; with none, the pass pivots
     in ground order, on the least base.  A TU representation stays TU
@@ -379,28 +381,22 @@ def _pivoted(m: RegularMatroid, base=None):
     else:
         at = range(m.size)          # the pass ran with the base first
     if unit is not None:
-        return base, perm, rows, at
+        return perm, rows, at
     d = pivots[-1] if pivots else 1
     if abs(d) != 1:
         raise NotABaseError(base, f"determinant {_signed_pivot(order, d)} is not a unit")
-    return base, perm, tuple(tuple(d * row[j] for j in at) for row in rows), None
+    return perm, tuple(tuple(d * row[j] for j in at) for row in rows), None
 
 
 def coordinatize(m: RegularMatroid, base=None) -> StandardForm:
-    """Bring the representation to [I_r L] with the base columns first.
-
-    A given base is put first and pivoted on; with none, the pass pivots
-    in ground order, on the least base.  A TU representation stays TU
-    under pivoting, so its pass runs on sign masks with unit pivots, and
-    the Bareiss pass runs only when an entry leaves {0, +-1} (`_pivoted`);
-    both give the same form and the same refusals.
-    """
-    base, perm, rows, at = _pivoted(m, base)
+    """The standard form [I_r L] on the given base, or on the least base
+    with none: `_pivoted`'s pass and refusals, sign masks read as entries."""
+    perm, rows, at = _pivoted(m, base)
     if at is not None:
         bits = [1 << j for j in at]
         rows = tuple([tuple([1 if p & b else -1 if q & b else 0 for b in bits])
                       for p, q in rows])
-    return StandardForm(IntegerMatrix(rows, empty_cols=m.size), perm, base)
+    return StandardForm(IntegerMatrix(rows, empty_cols=m.size), perm)
 
 
 def dual(m: RegularMatroid) -> RegularMatroid:

@@ -3,7 +3,8 @@ isometry decisions for flow, cut, and mixed lattice pairs.
 
 Reconstruction runs no elimination of its own: the g-positive basis
 and the rebuilt standard form are both read off `matroid.coordinatize`
-of the certificate's transpose.
+of the certificate's transpose.  The report holds the rebuilt form once,
+as the representation of its matroid.
 """
 
 from __future__ import annotations
@@ -58,8 +59,7 @@ class ReconstructionReport:
     gram: GramMatrix
     certificate: IntegerMatrix          # TU, columns Gram back to the input
     g_positive_basis: IntegerMatrix     # certificate times a unimodular block inverse
-    standard_form: IntegerMatrix        # [I_r L], no zero rows in L
-    matroid: RegularMatroid             # the co-loop-free minor
+    matroid: RegularMatroid             # the co-loop-free minor; rep is [I_r L], no zero rows in L
 
 
 @dataclass(frozen=True)
@@ -98,13 +98,11 @@ def reconstruct_matroid(a: GramMatrix) -> ReconstructionOutcome:
     if any(not any(row[:s]) for row in flows):
         raise FlowLatticeError("reconstructed block has a zero row")
     rep = IntegerMatrix(tuple(row[s:] + row[:s] for row in flows), empty_cols=len(ground))
-    matroid = RegularMatroid(ground, rep)
     report = ReconstructionReport(
         gram=a,
         certificate=u,
         g_positive_basis=q,
-        standard_form=rep,
-        matroid=matroid,
+        matroid=RegularMatroid(ground, rep),
     )
     return ReconstructionOutcome(True, report, feas)
 

@@ -134,7 +134,7 @@ def coordinatize(m: RegularMatroid, base) -> StandardForm:
     perm = base + tuple(j for j in range(m.size) if j not in set(base))
     f = _integer_inverse(sub)
     mat = f * m.rep.select_columns(perm)
-    return StandardForm(mat, perm, base)
+    return StandardForm(mat, perm)
 
 
 def gram_of(columns) -> GramMatrix:

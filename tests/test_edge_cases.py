@@ -98,6 +98,9 @@ class TestInputRefusals:
          "hstack: row counts differ"),
         (lambda: row(1).vstack(row(1, 2)), DimensionError, "vstack: column counts differ"),
         (lambda: row(1, 2) * row(1), DimensionError, "cannot multiply 1x2 by 1x1"),
+        (lambda: IntegerMatrix.from_rows([[1, 2], [3]]), DimensionError, "ragged rows"),
+        (lambda: IntegerMatrix(((1,), (1, 2))), DimensionError, "ragged rows"),
+        (lambda: IntegerMatrix.from_columns([[1, 2], [3]]), DimensionError, "ragged rows"),
     ])
     def test_refused(self, make, error, message):
         with pytest.raises(error) as exc:

@@ -309,15 +309,25 @@ class TestCoeffBox:
 
 class TestBases:
     def test_first_base_and_coordinatize(self, rng):
+        """Also: a form's perm starts with its base, the least base when
+        none is given, on both passes (LEAVES_UNITS takes the Bareiss one)."""
         for _ in range(300):
             m = from_graph(random_multigraph(rng))
             for mat in (m, dual(m)):
-                assert first_base(mat) == oracle.first_base(mat)
-                assert coordinatize(mat) == oracle.coordinatize(mat, oracle.first_base(mat))
-                for _ in range(5):
-                    base = rng.sample(range(mat.size), mat.rank)
-                    assert outcome(coordinatize, mat, base) == \
-                        outcome(oracle.coordinatize, mat, base)
+                self.check_bases(mat, [rng.sample(range(mat.size), mat.rank) for _ in range(5)])
+        # its refusal on (0, 2) is test_bareiss_after_a_two's
+        self.check_bases(LEAVES_UNITS, [(0, 1), (1, 2)])
+
+    @staticmethod
+    def check_bases(mat, bases):
+        assert first_base(mat) == oracle.first_base(mat)
+        assert coordinatize(mat) == oracle.coordinatize(mat, oracle.first_base(mat))
+        assert coordinatize(mat).perm[:mat.rank] == first_base(mat)
+        for base in bases:
+            got = outcome(coordinatize, mat, base)
+            assert got == outcome(oracle.coordinatize, mat, base)
+            if isinstance(got, StandardForm):
+                assert got.perm[:mat.rank] == tuple(sorted(base))
 
     def test_row_deficient_has_no_base(self):
         m = RegularMatroid.from_rep(
@@ -530,7 +540,7 @@ def check_reconstruction(gram):
     assert q == cert * oracle._integer_inverse(block)
     ident = oracle._identity_block_rows(q)
     other = [i for i in range(q.rows) if i not in ident]
-    assert rep.standard_form == IntegerMatrix.identity(len(other)).hstack(
+    assert rep.matroid.rep == IntegerMatrix.identity(len(other)).hstack(
         -q.select_rows(other))
     span = FlowLattice.from_basis(cert)
     for j in range(q.cols):

@@ -97,7 +97,7 @@ class TestReconstruct:
         m = out.report.matroid
         assert (m.rank, m.size) == (3, 4)
         assert circuits(m) == ((0, 1, 2, 3),)
-        assert out.report.standard_form.rows == 3
+        assert out.report.matroid.rep.rows == 3
 
     def test_triangle_gram(self):
         out = reconstruct_matroid(GramMatrix.from_rows([[3]]))
@@ -157,7 +157,7 @@ class TestReconstructionSweep:
             m = from_graph(edges)
             for base in bases(m):
                 rep = reconstruct_matroid(fundamental_basis(m, base).gram).report
-                cert, form = rep.certificate, rep.standard_form
+                cert, form = rep.certificate, rep.matroid.rep
                 assert tuple(_gf2_echelon(cert)[0]) == \
                     first_unimodular_square_by_det(cert)
                 assert tu_by_enumeration(form)
@@ -357,7 +357,7 @@ class TestIdentityRowsFromPivots:
             for base in bases(m):
                 out = reconstruct_matroid(fundamental_basis(m, base).gram)
                 rep = out.report
-                assert rep.standard_form == self.standard_form_by_search(rep.certificate)
+                assert rep.matroid.rep == self.standard_form_by_search(rep.certificate)
                 total += 1
         assert total == 418
 
