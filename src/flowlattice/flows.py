@@ -25,7 +25,7 @@ from math import isqrt
 
 from .errors import DimensionError, FlowLatticeError, FormatError, MembershipError
 from .gram import GramMatrix, _positive_definite
-from .intmat import IntegerMatrix, _content_lines, _gauss_jordan
+from .intmat import IntegerMatrix, _content_lines, _gauss_jordan, _integers
 from .matroid import RegularMatroid, circuits, coordinatize
 
 
@@ -37,7 +37,7 @@ class FlowVector:
 
     @staticmethod
     def of(xs) -> "FlowVector":
-        return FlowVector(tuple(int(x) for x in xs))
+        return FlowVector(_integers(xs))
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -437,7 +437,7 @@ def is_simple_metric(lat: FlowLattice, alpha) -> SimpleMetricResult:
     if isinstance(alpha, FlowVector):
         x = lat.coefficients(alpha)
     else:
-        x = tuple(int(v) for v in alpha)
+        x = _integers(alpha)
         if len(x) != lat.lattice_rank:
             raise DimensionError("coefficient length differs from lattice rank")
     if not any(x):

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -119,14 +120,13 @@ class IntegerMatrix:
 
     @staticmethod
     def from_rows(rows) -> "IntegerMatrix":
-        return IntegerMatrix(tuple(tuple(int(x) for x in r) for r in rows))
+        return IntegerMatrix(tuple(map(_integers, rows)))
 
     @staticmethod
     def from_columns(cols, nrows: int = 0) -> "IntegerMatrix":
         """The matrix with these columns; nrows is its row count when there
         are no columns."""
-        return IntegerMatrix(tuple(tuple(int(x) for x in c) for c in cols),
-                             empty_cols=nrows).transpose()
+        return IntegerMatrix(tuple(map(_integers, cols)), empty_cols=nrows).transpose()
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "IntegerMatrix":
@@ -211,6 +211,16 @@ class IntegerMatrix:
 
     def __str__(self) -> str:
         return self.text().rstrip("\n")
+
+
+def _integers(xs) -> tuple[int, ...]:
+    """xs as a tuple of ints, each read by `operator.index`: a float, a
+    string or anything else that is not an integer is refused, not
+    truncated or parsed."""
+    try:
+        return tuple(map(operator.index, xs))
+    except TypeError as exc:
+        raise FormatError(f"entries must be integers: {exc}") from exc
 
 
 def _content_lines(text: str) -> list[str]:
@@ -443,31 +453,31 @@ def _sign_masks(rows) -> tuple[list, list] | None:
     return row_signs, list(zip(plus_cols, minus_cols))
 
 
-def _mask_gauss_jordan(rows, width: int | None = None):
+def _mask_gauss_jordan(rows, among: int | None = None):
     """Gauss-Jordan elimination with unit pivots on the (plus, minus) row
     masks (`_sign_masks`) of a {0, +-1} matrix; None if an entry is outside
     {0, +-1}, in any column, or a step would make a +-2.
 
-    Pivots are chosen as `_gauss_jordan` chooses them: in the first
-    `width` columns (default: all), left to right, each on the first row
-    at or below the pivots found so far that is nonzero there, swapped
-    up; the pass stops once every row holds a pivot.  A pivot row is
-    negated to make its pivot +1, and subtracted from every other row
-    that is +1 in its column, added to every one that is -1.  Subtracting
-    a row (p, q) from a row (a, b) makes a +-2 exactly where a & q | b & p
-    is set, and adding it where a & p | b & q is.  A TU matrix stays TU
-    under pivoting (Schrijver 1986, Sec. 19.1), so it never makes one.
-    Returns the masks of the reduced row echelon form and the pivot
-    columns.
+    Pivots are chosen as `_gauss_jordan` chooses them, but among the
+    columns in the mask `among` (default: every column): left to right,
+    each on the first row at or below the pivots found so far that is
+    nonzero there, swapped up; the pass stops once every row holds a
+    pivot.  A pivot row is negated to make its pivot +1, and subtracted
+    from every other row that is +1 in its column, added to every one
+    that is -1.  Subtracting a row (p, q) from a row (a, b) makes a +-2
+    exactly where a & q | b & p is set, and adding it where a & p | b & q
+    is.  A TU matrix stays TU under pivoting (Schrijver 1986, Sec. 19.1),
+    so it never makes one.  Returns the masks of the reduced row echelon
+    form and the pivot columns.
     """
     read = _sign_masks(rows)
     if read is None:
         return None
     signs = read[0]
-    if width is None:
-        width = len(rows[0]) if rows else 0
+    if among is None:
+        among = (1 << len(read[1])) - 1
     cols: list[int] = []
-    for c in range(width):
+    for c in _mask_elements(among):
         k, bit = len(cols), 1 << c
         for j in range(k, len(signs)):
             p, q = signs[j]

@@ -8,8 +8,8 @@ least one; `coordinatize` builds the form from its rows, the least base
 and the dual are read off the same rows without building it, and
 `StandardForm`, the form and its column permutation (the base first),
 is the only code that knows its layout.  A TU representation stays TU
-under pivoting, so its elimination runs on sign masks with unit pivots;
-the Bareiss pass runs only when an entry leaves {0, +-1}.
+under pivoting, so that elimination is one pass on sign masks with unit
+pivots; a representation that leaves {0, +-1} in it is refused as not TU.
 """
 
 from __future__ import annotations
@@ -22,10 +22,8 @@ from .intmat import (
     IntegerMatrix,
     _content_lines,
     _gate,
-    _gauss_jordan,
     _header,
     _mask_gauss_jordan,
-    _signed_pivot,
     is_totally_unimodular,
     parse_matrix,
     rank,
@@ -42,8 +40,10 @@ class RegularMatroid:
     representation is TU: every square submatrix has determinant 0 or
     +-1, so a set of columns (or rows) is independent over the rationals
     iff it is independent over GF(2) (Camion 1965).  `from_rep` checks TU
-    unless `validate=False`; every internal construction skips the check
-    and is TU by construction (incidence matrices, column and row
+    unless `validate=False`, with which the caller vouches that the
+    representation is TU; a standard form refuses one whose sign-mask
+    pass makes a +-2 (`_pivoted`).  Every internal construction skips the
+    check and is TU by construction (incidence matrices, column and row
     selections, duals (the flow rows [-L^T I_s] of a TU matrix's standard
     form), and the U^T and `[I_r | -K]` of
     `reconstruct_matroid`: U is the TU-checked certificate, K a block of
@@ -167,8 +167,8 @@ class RegularMatroid:
         they are the dual's cycle basis: no echelon is needed.  Both are
         read in one sweep off the rows of the pass, without building
         [I_r L] itself."""
-        perm, rows, at = _pivoted(self)
-        rep, supports = StandardForm._flows_and_supports(rows, at, self.size)
+        perm, rows = _pivoted(self)
+        rep, supports = StandardForm._flows_and_supports(rows, perm)
         d = RegularMatroid(tuple([self.ground[j] for j in perm]), rep)
         vars(d)["_cycle_basis"] = supports
         return d
@@ -306,32 +306,29 @@ class StandardForm:
     def flow_rows(self) -> IntegerMatrix:
         """[-L^T I_s], columns in perm order: row j is the flow of the
         fundamental circuit of element perm[r + j]."""
-        return self._flows_and_supports(self.matrix.entries, None, self.matrix.cols)[0]
+        rows, size = self.matrix.entries, self.matrix.cols
+        r = len(rows)
+        return IntegerMatrix(tuple(
+            tuple([-row[j] for row in rows]) + (0,) * (j - r) + (1,) + (0,) * (size - 1 - j)
+            for j in range(r, size)), empty_cols=size)
 
     @staticmethod
-    def _flows_and_supports(rows, at, size: int) -> tuple[IntegerMatrix, list[int]]:
+    def _flows_and_supports(rows, perm) -> tuple[IntegerMatrix, list[int]]:
         """The flow rows [-L^T I_s] and the rows of [I_r L] read mod 2 (bit
-        i for column i), in one sweep of L off the rows of [I_r L]: integer
-        rows when `at` is None, else `_pivoted`'s sign masks, column i at
-        bit at[i]."""
-        r = len(rows)
+        i for column i), in one sweep of L off `_pivoted`'s sign masks,
+        column i at bit perm[i]."""
+        r, size = len(rows), len(perm)
         supports = [1 << i for i in range(r)]
         flows = []
         for j in range(r, size):
             col = []
-            if at is None:
-                for i, row in enumerate(rows):
-                    col.append(-row[j])
-                    if row[j] & 1:
-                        supports[i] |= 1 << j
-            else:
-                b = 1 << at[j]
-                for i, (p, q) in enumerate(rows):
-                    if (p | q) & b:
-                        col.append(-1 if p & b else 1)
-                        supports[i] |= 1 << j
-                    else:
-                        col.append(0)
+            b = 1 << perm[j]
+            for i, (p, q) in enumerate(rows):
+                if (p | q) & b:
+                    col.append(-1 if p & b else 1)
+                    supports[i] |= 1 << j
+                else:
+                    col.append(0)
             flows.append(tuple(col) + (0,) * (j - r) + (1,) + (0,) * (size - 1 - j))
         return IntegerMatrix(tuple(flows), empty_cols=size), supports
 
@@ -343,60 +340,45 @@ class StandardForm:
 
 
 def _pivoted(m: RegularMatroid, base=None):
-    """The one elimination of a standard form: (perm, rows, at), the base
+    """The one elimination of a standard form: (perm, rows), the base
     perm[:rank] and the rest in ground order.
 
-    A given base is put first and pivoted on; with none, the pass pivots
-    in ground order, on the least base.  A TU representation stays TU
-    under pivoting, so its pass runs on sign masks with unit pivots
-    (`_mask_gauss_jordan`): `rows` are the (plus, minus) masks of the rows
-    of [I_r L], column i of the form (element perm[i]) at bit at[i].  Only
-    when an entry leaves {0, +-1} does the Bareiss pass run: it ends at
-    [d I_r | d L], d the last pivot, and the base block is unimodular iff
-    d = +-1; `rows` are then the integer rows of [I_r L] and `at` is None.
-    Both passes choose the same pivots, the base's columns, and a mask
-    pass that finishes has d = +-1, so the two give the same form.  A
-    refusal signs d as `determinant` does.
+    One sign-mask pass with unit pivots (`_mask_gauss_jordan`) over the
+    representation as it stands: among a given base's columns, or among
+    all columns in ground order, which pivots on the least base.  `rows`
+    are the (plus, minus) masks of the rows of [I_r L] in ground bit
+    order: column i of the form (element perm[i]) is bit perm[i].  A TU
+    matrix stays TU under pivoting, so it never makes a +-2; a
+    representation whose pass does is refused as not TU.
     """
-    if base is None:
-        rows, width = m.rep.entries, None
-    else:
+    among = None
+    if base is not None:
         base = tuple(sorted(base))
         if len(base) != m.rank or len(set(base)) != len(base):
             raise NotABaseError(base, f"expected {m.rank} distinct elements")
-        perm = base + tuple(sorted(set(range(m.size)).difference(base)))
-        rows, width = m.rep.select_columns(perm).entries, m.rank
-    unit = _mask_gauss_jordan(rows, width)
-    if unit is None:
-        rows, cols, order, pivots, _ = _gauss_jordan(rows, width)
-    else:
-        rows, cols = unit
+        if base and not 0 <= base[0] <= base[-1] < m.size:
+            raise NotABaseError(base, f"elements must lie in 0..{m.size - 1}")
+        among = sum(1 << j for j in base)
+    out = _mask_gauss_jordan(m.rep.entries, among)
+    if out is None:
+        raise FormatError("representation is not totally unimodular")
+    rows, cols = out
     if len(cols) < m.rank:
         if base is None:
             raise NotABaseError((), "matroid has no base of the stated rank")
         raise NotABaseError(base, "vanishing r-by-r determinant")
-    if base is None:
-        base = tuple(cols)
-        perm = at = base + tuple(sorted(set(range(m.size)).difference(base)))
-    else:
-        at = range(m.size)          # the pass ran with the base first
-    if unit is not None:
-        return perm, rows, at
-    d = pivots[-1] if pivots else 1
-    if abs(d) != 1:
-        raise NotABaseError(base, f"determinant {_signed_pivot(order, d)} is not a unit")
-    return perm, tuple(tuple(d * row[j] for j in at) for row in rows), None
+    perm = tuple(cols) + tuple(sorted(set(range(m.size)).difference(cols)))
+    return perm, rows
 
 
 def coordinatize(m: RegularMatroid, base=None) -> StandardForm:
     """The standard form [I_r L] on the given base, or on the least base
     with none: `_pivoted`'s pass and refusals, sign masks read as entries."""
-    perm, rows, at = _pivoted(m, base)
-    if at is not None:
-        bits = [1 << j for j in at]
-        rows = tuple([tuple([1 if p & b else -1 if q & b else 0 for b in bits])
-                      for p, q in rows])
-    return StandardForm(IntegerMatrix(rows, empty_cols=m.size), perm)
+    perm, rows = _pivoted(m, base)
+    bits = [1 << j for j in perm]
+    return StandardForm(IntegerMatrix(
+        tuple([tuple([1 if p & b else -1 if q & b else 0 for b in bits]) for p, q in rows]),
+        empty_cols=m.size), perm)
 
 
 def dual(m: RegularMatroid) -> RegularMatroid:

@@ -31,14 +31,12 @@ def _g_positive_basis(certificate: IntegerMatrix, ground) -> tuple[IntegerMatrix
     that it is read off.  The least base of U^T is the lexicographically
     least invertible s-by-s row block B of U, and the form there is
     (B^T)^-1 U^T with B's rows first: q is its columns in ground order,
-    and holds I_s in B's rows."""
+    and holds I_s in B's rows.  `coordinatize` refuses a certificate whose
+    pass leaves {0, +-1}, as not TU."""
     try:
         sf = coordinatize(RegularMatroid(ground, certificate.transpose()))
-    except NotABaseError as exc:
-        if not exc.subset:      # U^T has no base at all
-            raise FlowLatticeError("certificate has deficient column rank") from exc
-        # det B = +-2 or more: q would span a different lattice
-        raise FlowLatticeError("transformed basis failed the positivity gate") from exc
+    except NotABaseError as exc:    # U^T has no base at all
+        raise FlowLatticeError("certificate has deficient column rank") from exc
     return sf.ground_columns(sf.matrix), sf
 
 

@@ -19,6 +19,7 @@ from flowlattice.flows import (
     enumerate_coefficients,
     fundamental_basis,
     gram_of,
+    is_simple_metric,
 )
 from flowlattice.gram import GramMatrix, parse_gram
 from flowlattice.intmat import IntegerMatrix
@@ -51,6 +52,9 @@ class TestDefinitenessMessage:
             gram_of([[1, 1, 0], [2, 2, 0]])
         assert str(exc.value) == self.MESSAGE.format(0)
 
+
+
+_NOT_INDEX = "entries must be integers: '%s' object cannot be interpreted as an integer"
 
 
 def row(*xs):
@@ -101,6 +105,15 @@ class TestInputRefusals:
         (lambda: IntegerMatrix.from_rows([[1, 2], [3]]), DimensionError, "ragged rows"),
         (lambda: IntegerMatrix(((1,), (1, 2))), DimensionError, "ragged rows"),
         (lambda: IntegerMatrix.from_columns([[1, 2], [3]]), DimensionError, "ragged rows"),
+        # entries are read by operator.index: floats are not truncated and
+        # strings not parsed
+        (lambda: IntegerMatrix.from_rows([[1.5, 2.9]]), FormatError, _NOT_INDEX % "float"),
+        (lambda: IntegerMatrix.from_rows([[1, "2"]]), FormatError, _NOT_INDEX % "str"),
+        (lambda: IntegerMatrix.from_columns([[1], [0.5]]), FormatError, _NOT_INDEX % "float"),
+        (lambda: FlowVector.of([0.7, -1.2]), FormatError, _NOT_INDEX % "float"),
+        (lambda: GramMatrix.from_rows([[2.5]]), FormatError, _NOT_INDEX % "float"),
+        (lambda: is_simple_metric(fundamental_basis(from_graph(TRIANGLE)), (1.5,)),
+         FormatError, _NOT_INDEX % "float"),
     ])
     def test_refused(self, make, error, message):
         with pytest.raises(error) as exc:

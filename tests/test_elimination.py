@@ -111,7 +111,7 @@ def random_multigraph(rng):
 
 # {0, +-1} and not TU (columns a, c have determinant -2), yet the least
 # base (a, b) and the base (b, c) are unimodular: the sign-mask pass
-# meets a 2 on both, and the Bareiss pass after it ends with d = -1
+# meets a 2 on both, so every standard form of it is refused
 LEAVES_UNITS = RegularMatroid.from_rep(
     ("a", "b", "c"), IntegerMatrix.from_rows([[1, 1, 1], [1, 0, -1]]), validate=False)
 
@@ -310,13 +310,11 @@ class TestCoeffBox:
 class TestBases:
     def test_first_base_and_coordinatize(self, rng):
         """Also: a form's perm starts with its base, the least base when
-        none is given, on both passes (LEAVES_UNITS takes the Bareiss one)."""
+        none is given."""
         for _ in range(300):
             m = from_graph(random_multigraph(rng))
             for mat in (m, dual(m)):
                 self.check_bases(mat, [rng.sample(range(mat.size), mat.rank) for _ in range(5)])
-        # its refusal on (0, 2) is test_bareiss_after_a_two's
-        self.check_bases(LEAVES_UNITS, [(0, 1), (1, 2)])
 
     @staticmethod
     def check_bases(mat, bases):
@@ -337,56 +335,32 @@ class TestBases:
     @pytest.mark.parametrize("rows,det", [
         ([[1, 1], [-1, 1]], 2), ([[1, 1], [1, -1]], -2), ([[0, 2], [1, 0]], -2)])
     def test_non_unit_block(self, rows, det):
+        """A base block whose determinant is not a unit makes the
+        representation non-TU: the pass refuses it, given or least."""
         m = RegularMatroid.from_rep(
             ("a", "b", "c"),
             IntegerMatrix.from_rows(rows).hstack(IntegerMatrix.from_rows([[1], [0]])),
             validate=False)
-        with pytest.raises(NotABaseError) as want:
-            oracle.coordinatize(m, (0, 1))
+        assert determinant(m.rep.select_columns((0, 1))) == det
         # (0, 1) is also the least base
         for base in ((0, 1), None):
-            with pytest.raises(NotABaseError) as got:
+            with pytest.raises(FormatError, match="^representation is not totally unimodular$"):
                 coordinatize(m, base)
-            assert got.value.subset == (0, 1)
-            assert got.value.certificate == want.value.certificate == \
-                f"determinant {det} is not a unit"
 
-    def test_non_unit_refusal_names_the_base_determinant(self, rng):
-        """A base whose determinant is not a unit is refused with
-        `determinant(rep[:, base])`, on the given-base branch for every
-        base of seeded reps and on the least-base branch with that base's
-        columns moved first, rows in a shuffled order."""
-        refused = 0
-        for _ in range(120):
-            r = rng.randint(1, 4)
-            rep = random_matrix(rng, r, r + rng.randint(0, 3))
-            n = rep.cols
-            ground = [f"e{j}" for j in range(n)]
-            for base in itertools.combinations(range(n), r):
-                det = determinant(rep.select_columns(base))
-                if det == 0:
-                    continue
-                rows = rng.sample(range(r), r)
-                moved = rep.select_columns(list(base) + [j for j in range(n) if j not in base])
-                for m, given, want in (
-                        (RegularMatroid.from_rep(ground, rep, validate=False), base, det),
-                        (RegularMatroid.from_rep(ground, moved.select_rows(rows),
-                                                 validate=False), None,
-                         determinant(moved.select_rows(rows).select_columns(range(r))))):
-                    if abs(want) == 1:
-                        assert coordinatize(m, given).matrix.cols == n
-                        continue
-                    with pytest.raises(NotABaseError) as got:
-                        coordinatize(m, given)
-                    assert got.value.subset == (base if given else tuple(range(r)))
-                    assert got.value.certificate == f"determinant {want} is not a unit"
-                    refused += 1
-        assert refused >= 500
+    @pytest.mark.parametrize("base", [(0, 1, 6), (-1, 0, 1), (0, 1, 99)])
+    def test_base_out_of_range(self, base):
+        """A base is a set of ground indices; any other is refused before
+        the pass, not read as a shift or a wrapped index."""
+        with pytest.raises(NotABaseError) as got:
+            coordinatize(from_graph(K4), base)
+        assert (got.value.subset, got.value.certificate) == (base, "elements must lie in 0..5")
 
     def test_singular_block(self):
+        """A TU representation on a dependent set: the oracle's refusal."""
         m = RegularMatroid.from_rep(
-            ("a", "b"), IntegerMatrix.from_rows([[1, 2], [2, 4]]), validate=False)
-        assert outcome(coordinatize, m, (0, 1)) == outcome(oracle.coordinatize, m, (0, 1))
+            ("a", "b", "c"), IntegerMatrix.from_rows([[1, 1, 0], [0, 0, 1]]))
+        assert outcome(coordinatize, m, (0, 1)) == outcome(oracle.coordinatize, m, (0, 1)) == \
+            (NotABaseError, "dependent or undersized set (0, 1): vanishing r-by-r determinant")
 
 
 class TestMaskKernel:
@@ -396,15 +370,16 @@ class TestMaskKernel:
     def test_against_bareiss(self, rng):
         """On {0, +-1} matrices, a finished mask pass has Bareiss's pivot
         columns and its rows divided by the last pivot, +-1; a matrix with
-        an entry outside {0, +-1}, in or past the first `width` columns, is
-        refused before any pivot."""
+        an entry outside {0, +-1}, in or past the first `width` columns
+        (the pass among a prefix mask of that width), is refused before
+        any pivot."""
         finished = aborted = 0
         for _ in range(2000):
             r, n = rng.randint(0, 5), rng.randint(0, 7)
             rows = [[rng.choice((-1, 0, 0, 1)) for _ in range(n)] for _ in range(r)]
             width = rng.choice((None, rng.randint(0, n)))
             reduced, cols, _, pivots, _ = _gauss_jordan(rows, width)
-            got = _mask_gauss_jordan(rows, width)
+            got = _mask_gauss_jordan(rows, None if width is None else (1 << width) - 1)
             if got is None:
                 aborted += 1
                 continue
@@ -420,7 +395,35 @@ class TestMaskKernel:
             r, n = rng.randint(1, 5), rng.randint(1, 7)
             rows = [[rng.choice((-1, 0, 0, 1)) for _ in range(n)] for _ in range(r)]
             rows[rng.randrange(r)][rng.randrange(n)] = rng.choice((-3, -2, 2, 3))
-            assert _mask_gauss_jordan(rows, rng.choice((None, rng.randint(0, n)))) is None
+            assert _mask_gauss_jordan(rows, rng.choice((None, rng.getrandbits(n)))) is None
+
+    def test_among_against_permuted_bareiss(self, rng):
+        """The pass among the columns of a mask is the Bareiss pass on the
+        columns permuted to put the mask's first, ascending, limited to
+        their count: the same pivots and, the last pivot divided out, the
+        same rows.  Prefix masks stand for `_gauss_jordan`'s `width`; the
+        rest are arbitrary.  A pass that makes a +-2 leaves a matrix that is not
+        TU."""
+        finished = aborted = 0
+        for _ in range(2000):
+            r, n = rng.randint(0, 5), rng.randint(0, 7)
+            rows = [[rng.choice((-1, 0, 0, 1)) for _ in range(n)] for _ in range(r)]
+            among = rng.choice(((1 << rng.randint(0, n)) - 1, rng.getrandbits(n)))
+            order = [j for j in range(n) if among >> j & 1]
+            order += [j for j in range(n) if not among >> j & 1]
+            moved = [[row[j] for j in order] for row in rows]
+            reduced, cols, _, pivots, _ = _gauss_jordan(moved, among.bit_count())
+            got = _mask_gauss_jordan(rows, among)
+            if got is None:
+                aborted += 1
+                assert not is_totally_unimodular(IntegerMatrix.from_rows(rows))
+                continue
+            finished += 1
+            d = pivots[-1] if pivots else 1
+            assert abs(d) == 1 and got[1] == [order[c] for c in cols]
+            assert [[(p >> j & 1) - (q >> j & 1) for j in order] for p, q in got[0]] == \
+                [[d * x for x in row] for row in reduced]
+        assert finished > 1000 and aborted > 200
 
     @pytest.mark.parametrize("make", [
         lambda: with_identity("r10"),
@@ -450,10 +453,10 @@ class TestMaskKernel:
 
     def test_dual_read_off_the_pass(self, rng):
         """`dual` reads its flow rows and its cycle basis straight off the
-        rows of the pass, on either kernel: [-L^T I_s] and the rows of
-        [I_r L] mod 2, with L from the oracle's form."""
+        rows of the pass: [-L^T I_s] and the rows of [I_r L] mod 2, with L
+        from the oracle's form."""
         reps = [from_graph(random_multigraph(rng)) for _ in range(300)]
-        reps += [with_identity("r10"), with_identity("nested"), LEAVES_UNITS]
+        reps += [with_identity("r10"), with_identity("nested")]
         for m in reps:
             sf = oracle.coordinatize(m, oracle.first_base(m))
             rows, r = sf.matrix.entries, m.rank
@@ -466,39 +469,35 @@ class TestMaskKernel:
                                       for row in rows]
             assert sf.flow_rows == d.rep
 
-    def test_bareiss_after_a_two(self):
-        """A {0, +-1} representation that leaves {0, +-1} mid-pass: the
-        Bareiss pass gives the oracle's form, refusal included."""
+    def test_refused_after_a_two(self):
+        """A {0, +-1} representation that leaves {0, +-1} mid-pass is not
+        TU: every standard form of it is refused, on unimodular bases too,
+        and so is every layer that reads one."""
         m = LEAVES_UNITS
         assert _mask_gauss_jordan(m.rep.entries) is None
-        assert coordinatize(m) == oracle.coordinatize(m, (0, 1))
-        sf = coordinatize(m, (1, 2))
-        assert sf == oracle.coordinatize(m, (1, 2))
-        assert 2 in sf.matrix.entries[0]
-        with pytest.raises(NotABaseError) as got:
-            coordinatize(m, (0, 2))
-        assert (got.value.subset, got.value.certificate) == \
-            ((0, 2), "determinant -2 is not a unit")
+        assert oracle.coordinatize(m, (1, 2)).matrix.entries[0] == (1, 0, 2)
+        for call in (lambda: coordinatize(m), lambda: coordinatize(m, (1, 2)),
+                     lambda: coordinatize(m, (0, 2)), lambda: first_base(m),
+                     lambda: dual(m), lambda: fundamental_basis(m), lambda: cut_basis(m)):
+            assert outcome(call) == (FormatError, "representation is not totally unimodular")
 
 
 class TestOneEliminationPerStandardForm:
-    """A standard form is one pass of an elimination kernel, on a given
-    base or on the least one, and the layers above read it without
-    eliminating again.  A TU representation is one sign-mask pass and
-    never reaches the Bareiss pass; only a mask pass that stops at a +-2
-    hands its rows on to Bareiss."""
+    """A standard form is one sign-mask pass, on a given base or on the
+    least one, and the layers above read it without eliminating again.
+    `matroid` has no other kernel: a pass that makes a +-2 is refused."""
 
     @pytest.fixture
     def passes(self, monkeypatch):
-        """The kernel of each pass in `matroid`: "mask", "aborted" for a
-        mask pass that returned None, or "bareiss"."""
+        """Each sign-mask pass in `matroid`: "mask", or "aborted" for one
+        that returned None."""
         calls = []
-        for name, kind in (("_mask_gauss_jordan", "mask"), ("_gauss_jordan", "bareiss")):
-            def counted(*args, eliminate=getattr(matroid, name), kind=kind):
-                out = eliminate(*args)
-                calls.append("aborted" if out is None else kind)
-                return out
-            monkeypatch.setattr(matroid, name, counted)
+
+        def counted(*args, eliminate=matroid._mask_gauss_jordan):
+            out = eliminate(*args)
+            calls.append("aborted" if out is None else "mask")
+            return out
+        monkeypatch.setattr(matroid, "_mask_gauss_jordan", counted)
         return calls
 
     @pytest.mark.parametrize("fn", [coordinatize, first_base, dual, fundamental_basis, cut_basis])
@@ -515,20 +514,24 @@ class TestOneEliminationPerStandardForm:
         assert passes == ["mask"]
 
     @pytest.mark.parametrize("base", [None, (1, 2)])
-    def test_bareiss_only_after_a_two(self, passes, base):
-        coordinatize(LEAVES_UNITS, base)
-        assert passes == ["aborted", "bareiss"]
+    def test_refused_after_a_two(self, passes, base):
+        with pytest.raises(FormatError):
+            coordinatize(LEAVES_UNITS, base)
+        assert passes == ["aborted"]
 
     def test_dual_after_a_two(self, passes):
-        dual(RegularMatroid(LEAVES_UNITS.ground, LEAVES_UNITS.rep))
-        assert passes == ["aborted", "bareiss"]
+        with pytest.raises(FormatError):
+            dual(RegularMatroid(LEAVES_UNITS.ground, LEAVES_UNITS.rep))
+        assert passes == ["aborted"]
 
     def test_reconstruction(self, passes):
         gram = fundamental_basis(from_graph(GRAPHS["K5"])).gram
         passes.clear()
         assert reconstruct_matroid(gram)
         assert passes == ["mask"]
-        assert not hasattr(rebuild, "_gauss_jordan")
+        for module in (matroid, rebuild):
+            assert not hasattr(module, "_gauss_jordan")
+            assert not hasattr(module, "_signed_pivot")
         assert not hasattr(rebuild, "_mask_gauss_jordan")
 
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from flowlattice.errors import FlowLatticeError
+from flowlattice.errors import FlowLatticeError, FormatError
 from flowlattice.flows import fundamental_basis
 from flowlattice.gram import GramMatrix, classify, is_g_feasible
 from flowlattice.intmat import IntegerMatrix, bounds, determinant, is_totally_unimodular, rank
@@ -77,15 +77,17 @@ class TestGPositiveBasis:
                 assert classify(gq).g_positive
 
     def test_non_unimodular_block_rejected(self):
-        # B = [2]: q = U B^-1 would not span the certificate's lattice
-        with pytest.raises(FlowLatticeError, match="positivity gate"):
-            to_g_positive_basis(IntegerMatrix.from_rows([[2]]))
+        # B = [2]: q = U B^-1 would not span the certificate's lattice; a
+        # block that is not unimodular makes U non-TU, and U is refused
+        for rows in ([[2]], [[1, 0], [2, 0]], [[1, 1], [1, -1]]):
+            with pytest.raises(FormatError, match="^representation is not totally unimodular$"):
+                to_g_positive_basis(IntegerMatrix.from_rows(rows))
 
     def test_deficient_column_rank_rejected(self):
         # the certificate of gram 2 / 1 1 / 1 1 has two equal columns
         cert = is_g_feasible(GramMatrix.from_rows([[1, 1], [1, 1]])).certificate
         assert cert == IntegerMatrix.from_rows([[1, 1]])
-        for u in (cert, IntegerMatrix.from_rows([[1, 0], [2, 0]])):
+        for u in (cert, IntegerMatrix.from_rows([[1, 0], [-1, 0]])):
             with pytest.raises(FlowLatticeError, match="^certificate has deficient column rank$"):
                 to_g_positive_basis(u)
 
