@@ -8,7 +8,6 @@ which standard forms of TU representations take, is compared with the
 Bareiss pass and, through `coordinatize`, with the same oracles.
 """
 
-import itertools
 from fractions import Fraction
 from pathlib import Path
 
@@ -402,8 +401,8 @@ class TestMaskKernel:
         columns permuted to put the mask's first, ascending, limited to
         their count: the same pivots and, the last pivot divided out, the
         same rows.  Prefix masks stand for `_gauss_jordan`'s `width`; the
-        rest are arbitrary.  A pass that makes a +-2 leaves a matrix that is not
-        TU."""
+        rest are arbitrary.  A pass that makes a +-2 leaves a matrix that
+        is not TU."""
         finished = aborted = 0
         for _ in range(2000):
             r, n = rng.randint(0, 5), rng.randint(0, 7)
